@@ -42,6 +42,7 @@ from .simulate import (
 from .solver import (
     build_hankel,
     extract_eigen,
+    fit_propagator,
     forecast,
     residual,
     select_time_step,
@@ -574,14 +575,6 @@ class ForecastResult:
         return tuple(out)
 
 
-def _fit_propagator(signal: MultiObservableSignal, d: int, K: int, delta: float):
-    """Shared least-squares stage exposing the pieces rows report on."""
-    pair = build_hankel(signal, d, K)
-    pinv = truncated_pinv(pair.x, delta)
-    a_matrix = pair.xp @ pinv.as_matrix()
-    return pair, pinv, a_matrix
-
-
 def _eigen_cell(
     config: ExperimentConfig,
     problem: Problem,
@@ -607,10 +600,11 @@ def _eigen_cell(
         start = time.perf_counter()
         seed = derive_seed(config.master_seed, point_index, trial, stream)
         signal = measure_signal(config, problem, observables, K + d, epsilon, seed)
-        pair, pinv, a_matrix = _fit_propagator(signal, d, K, delta)
+        pair = build_hankel(signal, d, K)
+        fit = fit_propagator(pair, truncated_pinv(pair.x, delta))
         try:
             estimate = extract_eigen(
-                a_matrix,
+                fit,
                 problem.dt,
                 config.n_eig,
                 magnitude_floor=config.magnitude_floor,
@@ -633,8 +627,8 @@ def _eigen_cell(
                 method=method,
                 energies=tuple(float(v) for v in physical),
                 abs_errors=tuple(float(v) for v in errors),
-                residual=residual(a_matrix, pair),
-                retained_rank=pinv.rank,
+                residual=residual(fit, pair),
+                retained_rank=fit.rank,
                 wall_time_s=time.perf_counter() - start,
             )
         )
@@ -671,24 +665,17 @@ def _forecast_cell(
             mode="real",
         )
         if config.signal_source == "shadow":
-            measured = shadow_signal(
-                problem.spec,
-                problem.phi0,
-                problem.phi_perp,
-                observables,
-                problem.dt,
-                k_star,
-                config.shadow_samples,
-                seed,
-                mode="real",
+            measured = measure_signal(
+                config, problem, observables, k_star, config.noise_epsilon, seed
             )
         else:
             measured = gaussian_noise_channel(
                 truth.prefix(k_star + 1),
                 NoiseSpec(config.noise_epsilon, seed, "both"),
             )
-        pair, _, a_matrix = _fit_propagator(measured, d, K, delta)
-        predicted = forecast(a_matrix, pair, horizon + 1)[:, 1:]
+        pair = build_hankel(measured, d, K)
+        fit = fit_propagator(pair, truncated_pinv(pair.x, delta))
+        predicted = forecast(fit.propagator(), pair, horizon + 1)[:, 1:]
         held_out = truth.values[:, k_star + 1 :]
         rmse = np.sqrt(np.mean((predicted - held_out) ** 2, axis=1))
         rows.append(
@@ -762,61 +749,55 @@ def _worker_problem(point_index: int) -> Problem:
 
 
 def _worker_task(task: "tuple[int, int]"):
+    """One cell's rows, plus the reference energies of its problem."""
     point_index, trial = task
     problem = _worker_problem(point_index)
-    return task, _evaluate_cell(_WORKER_PLAN, problem, point_index, trial)
+    rows = _evaluate_cell(_WORKER_PLAN, problem, point_index, trial)
+    return task, rows, problem.exact_energies[: _WORKER_PLAN.config.n_eig]
 
 
-def _run_plan(plan: _SweepPlan) -> list:
-    """Execute all cells, assembling rows independently of worker order."""
+def _run_plan(plan: _SweepPlan) -> "tuple[list, tuple[tuple[float, ...], ...]]":
+    """Rows of all cells in (point, trial) order for any worker count, and
+    each point's reference energies from the problem its cells ran on."""
     tasks = [
         (pi, trial)
         for pi in range(len(plan.points))
         for trial in range(plan.config.trials)
     ]
-    results = {}
     if plan.config.workers == 1:
         _init_worker(plan)
-        for task in tasks:
-            key, rows = _worker_task(task)
-            results[key] = rows
+        outputs = [_worker_task(task) for task in tasks]
     else:
         with ProcessPoolExecutor(
             max_workers=plan.config.workers,
             initializer=_init_worker,
             initargs=(plan,),
         ) as pool:
-            for key, rows in pool.map(_worker_task, tasks, chunksize=1):
-                results[key] = rows
-    return [row for key in sorted(results) for row in results[key]]
+            outputs = list(pool.map(_worker_task, tasks, chunksize=1))
+    # Both maps keep the (point, trial) order of ``tasks``.
+    rows = [row for _, cell_rows, _ in outputs for row in cell_rows]
+    exact = {pi: energies for (pi, _), _, energies in outputs}
+    return rows, tuple(exact[pi] for pi in range(len(plan.points)))
 
 
-def _point_exact_energies(plan: _SweepPlan) -> "tuple[tuple[float, ...], ...]":
-    """Reference energies per grid point, from one diagonalization each."""
-    n = plan.config.n_eig
-    if plan.kind == "sweep-gap":
-        return tuple(
-            tuple(build_problem(plan.config, field_override=h).exact_energies[:n])
-            for h in plan.points
-        )
-    shared = tuple(build_problem(plan.config).exact_energies[:n])
-    return tuple(shared for _ in plan.points)
+def _eigen_sweep(
+    kind: str, config: ExperimentConfig, points, sweep_args: dict
+) -> SweepResult:
+    plan = _SweepPlan(kind=kind, config=config, points=tuple(float(p) for p in points))
+    rows, exact_energies = _run_plan(plan)
+    return SweepResult(
+        sweep=kind,
+        config=config,
+        points=plan.points,
+        sweep_args=sweep_args,
+        exact_energies=exact_energies,
+        rows=tuple(rows),
+    )
 
 
 def run_convergence_sweep(config: ExperimentConfig) -> SweepResult:
     """Error versus snapshot count for both pipelines on shared seeds."""
-    plan = _SweepPlan(
-        kind="sweep-k", config=config, points=tuple(float(k) for k in config.k_grid)
-    )
-    rows = _run_plan(plan)
-    return SweepResult(
-        sweep=plan.kind,
-        config=config,
-        points=plan.points,
-        sweep_args={},
-        exact_energies=_point_exact_energies(plan),
-        rows=tuple(rows),
-    )
+    return _eigen_sweep("sweep-k", config, config.k_grid, {})
 
 
 def run_gap_sweep(config: ExperimentConfig, h_grid: "tuple[float, ...]") -> SweepResult:
@@ -827,17 +808,8 @@ def run_gap_sweep(config: ExperimentConfig, h_grid: "tuple[float, ...]") -> Swee
         raise ConfigError("the gap sweep needs a single fixed K in k_grid")
     if not h_grid:
         raise ConfigError("h_grid must not be empty")
-    plan = _SweepPlan(
-        kind="sweep-gap", config=config, points=tuple(float(h) for h in h_grid)
-    )
-    rows = _run_plan(plan)
-    return SweepResult(
-        sweep=plan.kind,
-        config=config,
-        points=plan.points,
-        sweep_args={"h_grid": [float(h) for h in h_grid]},
-        exact_energies=_point_exact_energies(plan),
-        rows=tuple(rows),
+    return _eigen_sweep(
+        "sweep-gap", config, h_grid, {"h_grid": [float(h) for h in h_grid]}
     )
 
 
@@ -856,17 +828,8 @@ def run_noise_sweep(
     for eps in eps_grid:
         if not (math.isfinite(eps) and eps >= 0.0):
             raise ConfigError(f"noise levels must be finite and >= 0, got {eps}")
-    plan = _SweepPlan(
-        kind="sweep-noise", config=config, points=tuple(float(e) for e in eps_grid)
-    )
-    rows = _run_plan(plan)
-    return SweepResult(
-        sweep=plan.kind,
-        config=config,
-        points=plan.points,
-        sweep_args={"eps_grid": [float(e) for e in eps_grid]},
-        exact_energies=_point_exact_energies(plan),
-        rows=tuple(rows),
+    return _eigen_sweep(
+        "sweep-noise", config, eps_grid, {"eps_grid": [float(e) for e in eps_grid]}
     )
 
 
@@ -886,7 +849,7 @@ def run_forecast_experiment(
         points=tuple(float(k) for k in kstar_grid),
         horizon=int(horizon),
     )
-    rows = _run_plan(plan)
+    rows, _ = _run_plan(plan)
     return ForecastResult(
         sweep=plan.kind,
         config=config,

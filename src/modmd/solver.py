@@ -10,7 +10,7 @@ classic single-signal harmonic retrieval.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -112,8 +112,8 @@ class ModmdEstimate:
     eigenvalue (descending phase, i.e. ascending energy), its energy
     ``-arg(lambda_n) / dt``, its modulus, and the matched left
     eigenvector row. ``singular_values`` and ``retained_rank`` describe
-    the least-squares truncation when the estimate came from the full
-    pipeline.
+    the least-squares truncation when the estimate came from a
+    :class:`PropagatorFit`.
     """
 
     eigenvalues: np.ndarray
@@ -181,13 +181,36 @@ def truncated_pinv(matrix: np.ndarray, threshold: float) -> TruncatedPinv:
     )
 
 
-def _system_matrix(pair: HankelPair, pinv: TruncatedPinv) -> np.ndarray:
-    return (pair.xp @ pinv.right.conj().T * pinv.inv_singular) @ pinv.left.conj().T
+@dataclass(frozen=True, slots=True)
+class PropagatorFit:
+    """Least-squares propagator ``A = xp x^+ = B U_r^H``, kept factored.
+
+    ``b_matrix`` is ``B = xp V_r S_r^-1``; ``reduced`` is the ``r x r``
+    exact-DMD operator ``U_r^H B``, whose spectrum is the nonzero one of ``A``.
+    """
+
+    pinv: TruncatedPinv
+    b_matrix: np.ndarray
+    reduced: np.ndarray
+
+    @property
+    def rank(self) -> int:
+        return self.pinv.rank
+
+    def propagator(self) -> np.ndarray:
+        """The full square propagator ``A = B U_r^H``."""
+        return self.b_matrix @ self.pinv.left.conj().T
 
 
-def solve_system_matrix(pair: HankelPair, threshold: float) -> np.ndarray:
-    """Least-squares one-step propagator ``A = xp @ pinv(x)``."""
-    return _system_matrix(pair, truncated_pinv(pair.x, threshold))
+def fit_propagator(pair: HankelPair, pinv: TruncatedPinv) -> PropagatorFit:
+    """Least-squares propagator of a snapshot pair, given the truncated
+    pseudo-inverse of ``pair.x`` from :func:`truncated_pinv`."""
+    if pinv.left.shape[0] != pair.x.shape[0] or pinv.right.shape[1] != pair.x.shape[1]:
+        raise ValueError("pseudo-inverse shape does not match the snapshot pair")
+    b_matrix = (pair.xp @ pinv.right.conj().T) * pinv.inv_singular
+    return PropagatorFit(
+        pinv=pinv, b_matrix=b_matrix, reduced=pinv.left.conj().T @ b_matrix
+    )
 
 
 def _merge_conjugate_pairs(eigenvalues: np.ndarray) -> np.ndarray:
@@ -197,34 +220,44 @@ def _merge_conjugate_pairs(eigenvalues: np.ndarray) -> np.ndarray:
     conjugation, where both members encode one physical frequency. The
     member with nonnegative phase (the negative-energy branch, which the
     low-lying spectrum occupies after recentering) is kept.
+
+    Phases pair when ``|theta_i + theta_j| <= CONJUGATE_PHASE_ATOL``: in
+    each cluster of phase magnitudes chained within that tolerance, the
+    first ``min(#negative, #nonnegative)`` negative phases by index are
+    dropped. An unpaired phase of -pi (negative real eigenvalue) is kept.
     """
     args = np.angle(eigenvalues)
+    order = np.argsort(np.abs(args), kind="stable")
+    magnitudes = np.abs(args[order])
+    gaps = np.diff(magnitudes, prepend=magnitudes[:1])
+    cluster = np.cumsum(gaps > CONJUGATE_PHASE_ATOL)
+    negative = args[order] < 0
+    pairs = np.minimum(
+        np.bincount(cluster, weights=negative), np.bincount(cluster, weights=~negative)
+    )
+    # Negative phases sorted by (cluster, index); rank counts within a cluster.
+    neg, neg_cluster = order[negative], cluster[negative]
+    by = np.lexsort((neg, neg_cluster))
+    neg, neg_cluster = neg[by], neg_cluster[by]
+    rank = np.arange(len(neg)) - np.searchsorted(neg_cluster, neg_cluster)
     keep = np.ones(len(eigenvalues), dtype=bool)
-    used = np.zeros(len(eigenvalues), dtype=bool)
-    for i in range(len(eigenvalues)):
-        if used[i] or args[i] >= 0:
-            continue
-        for j in range(len(eigenvalues)):
-            if j == i or used[j] or args[j] < 0:
-                continue
-            if (
-                abs(args[i] + args[j]) <= CONJUGATE_PHASE_ATOL
-                and not used[j]
-            ):
-                keep[i] = False
-                used[i] = used[j] = True
-                break
+    keep[neg[rank < pairs[neg_cluster]]] = False
     return keep
 
 
 def extract_eigen(
-    a_matrix: np.ndarray,
+    propagator: "np.ndarray | PropagatorFit",
     dt: float,
     n_eig: int,
     magnitude_floor: float = 0.2,
     merge_conjugates: bool = False,
 ) -> ModmdEstimate:
     """Eigenvalues, energies and left eigenvectors of the propagator.
+
+    ``propagator`` is a square matrix ``A`` or a :class:`PropagatorFit`,
+    whose ``r x r`` reduced eigenproblem is solved and lifted (left rows
+    ``w^H U_r^H``, right vectors ``B v``); ``A``'s zero eigenvalues beyond
+    rank ``r`` are not reported, and the fit's SVD diagnostics are kept.
 
     Eigenvalues with modulus below ``magnitude_floor`` are dropped as
     noise artifacts; survivors are ordered by descending phase on the
@@ -241,10 +274,12 @@ def extract_eigen(
         raise ValueError(f"dt must be positive, got {dt}")
     if n_eig < 1:
         raise ValueError(f"n_eig must be >= 1, got {n_eig}")
-    w, vl, vr = scipy.linalg.eig(a_matrix, left=True, right=True)
+    fit = propagator if isinstance(propagator, PropagatorFit) else None
+    matrix = propagator if fit is None else fit.reduced
+    w, vl, vr = scipy.linalg.eig(matrix, left=True, right=True)
     mask = np.abs(w) >= magnitude_floor
     w, vl, vr = w[mask], vl[:, mask], vr[:, mask]
-    if merge_conjugates and len(w):
+    if merge_conjugates:
         keep = _merge_conjugate_pairs(w)
         w, vl, vr = w[keep], vl[:, keep], vr[:, keep]
     order = np.argsort(-np.angle(w), kind="stable")
@@ -252,21 +287,19 @@ def extract_eigen(
     if len(w) < n_eig:
         raise EigenvalueShortfallError(n_eig, w, -np.angle(w) / dt)
     w, vl, vr = w[:n_eig], vl[:, :n_eig], vr[:, :n_eig]
+    if fit is not None:
+        vl, vr = fit.pinv.left @ vl, fit.b_matrix @ vr
+        norms = np.linalg.norm(vr, axis=0)  # unit columns, as eig returns
+        vr = vr / np.where(norms > 0.0, norms, 1.0)
 
     left_rows = vl.conj().T
-    condition = 1.0
-    ill = False
-    for j in range(n_eig):
-        pairing = left_rows[j] @ vr[:, j]
-        size = np.linalg.norm(left_rows[j]) * np.linalg.norm(vr[:, j])
-        if abs(pairing) < 1e-14 * size:
-            ill = True
-            condition = math.inf
-            continue
-        condition = max(condition, size / abs(pairing))
-        left_rows[j] = left_rows[j] / pairing
-    if condition > CONDITION_FLAG:
-        ill = True
+    pairing = np.sum(left_rows * vr.T, axis=1)
+    size = np.linalg.norm(left_rows, axis=1) * np.linalg.norm(vr, axis=0)
+    paired = np.abs(pairing) >= 1e-14 * size
+    left_rows[paired] /= pairing[paired, None]
+    condition = math.inf
+    if paired.all():
+        condition = np.max(size / np.abs(pairing), initial=1.0)
 
     return ModmdEstimate(
         eigenvalues=w,
@@ -275,7 +308,9 @@ def extract_eigen(
         left_vectors=left_rows,
         dt=dt,
         eigenvector_condition=float(condition),
-        ill_conditioned=ill,
+        ill_conditioned=bool(condition > CONDITION_FLAG),
+        singular_values=None if fit is None else fit.pinv.singular_values,
+        retained_rank=None if fit is None else fit.rank,
     )
 
 
@@ -287,28 +322,25 @@ def run_modmd(signal: MultiObservableSignal, config: ModmdConfig) -> ModmdEstima
     there is no separate code path.
     """
     pair = build_hankel(signal, config.d, config.K)
-    pinv = truncated_pinv(pair.x, config.svd_threshold)
-    a_matrix = _system_matrix(pair, pinv)
-    estimate = extract_eigen(
-        a_matrix,
+    return extract_eigen(
+        fit_propagator(pair, truncated_pinv(pair.x, config.svd_threshold)),
         config.dt,
         config.n_eig,
         magnitude_floor=config.magnitude_floor,
         merge_conjugates=signal.mode == "real",
     )
-    return replace(
-        estimate,
-        singular_values=pinv.singular_values,
-        retained_rank=pinv.rank,
-    )
 
 
-def residual(a_matrix: np.ndarray, pair: HankelPair) -> float:
-    """Relative fit residual ``|xp - A x|_F / |xp|_F``."""
+def residual(fit: PropagatorFit, pair: HankelPair) -> float:
+    """Relative fit residual ``|xp - A x|_F / |xp|_F``, with ``A x`` formed
+    as ``(xp V_r) V_r^H = B S_r V_r^H``; unlike ``|xp|^2 - |xp V_r|^2``,
+    the direct difference does not cancel when the residual is small."""
     denom = np.linalg.norm(pair.xp)
     if denom == 0.0:
         raise DegenerateInputError("all-zero shifted matrix has no residual")
-    return float(np.linalg.norm(pair.xp - a_matrix @ pair.x) / denom)
+    pinv = fit.pinv
+    fitted = (fit.b_matrix * pinv.singular_values[: pinv.rank]) @ pinv.right
+    return float(np.linalg.norm(pair.xp - fitted) / denom)
 
 
 def forecast(a_matrix: np.ndarray, pair: HankelPair, horizon: int) -> np.ndarray:
@@ -384,7 +416,8 @@ def select_time_step(
     ``dt = safety * 2 pi / (range + max_n(gap_n - cum_n))`` where
     ``cum_n`` accumulates the gaps below level ``n``; with no gap
     information the fallback is ``safety * 2 pi / (2 range)``. The
-    result always satisfies ``dt * range < 2 pi``.
+    result always satisfies ``dt * range < 2 pi``; gap bounds too small
+    for that to survive rounding raise :class:`ValueError`.
     """
     spread = e_max_bound - e_min_bound
     if not spread > 0:
@@ -403,7 +436,8 @@ def select_time_step(
     else:
         extra = spread
     dt = safety * 2.0 * math.pi / (spread + extra)
-    assert dt * spread < 2.0 * math.pi
+    if not dt * spread < 2.0 * math.pi:
+        raise ValueError(f"gap bounds {gaps} round dt * range up to 2 pi")
     return dt
 
 

@@ -1,6 +1,13 @@
-"""Shared pytest hooks: surface acceptance PASS/FAIL lines in the summary."""
+"""Shared pytest hooks: surface acceptance PASS/FAIL lines in the summary,
+and run property tests without a per-example deadline."""
 
 import pytest
+from hypothesis import settings
+
+# A per-example deadline fails property tests on a loaded shared host,
+# where one example can stall far longer than its typical run time.
+settings.register_profile("modmd", deadline=None)
+settings.load_profile("modmd")
 
 _CRITERION_LINES = []
 

@@ -26,6 +26,7 @@ from modmd import (
     exact_signal,
     extract_eigen,
     build_hankel,
+    fit_propagator,
     load_config,
     measure_signal,
     replay_manifest,
@@ -40,6 +41,7 @@ from modmd import (
     to_dense,
     truncated_pinv,
 )
+from modmd import harness
 from modmd.cli import EXIT_CONFIG, EXIT_OK, EXIT_RESOURCE, EXIT_SHORTFALL, main
 from modmd.harness import (
     depth_for_window,
@@ -514,9 +516,9 @@ class TestSweepDrivers:
         )
         pair = build_hankel(signal, d, K)
         pinv = truncated_pinv(pair.x, config.svd_threshold)
-        a_matrix = pair.xp @ pinv.as_matrix()
+        fit = fit_propagator(pair, pinv)
         estimate = extract_eigen(
-            a_matrix, problem.dt, config.n_eig, merge_conjugates=True
+            fit, problem.dt, config.n_eig, merge_conjugates=True
         )
         physical = problem.shift.to_original(estimate.energies)
         row = next(
@@ -526,7 +528,7 @@ class TestSweepDrivers:
         )
         assert row.energies == tuple(float(v) for v in physical)
         assert row.retained_rank == pinv.rank
-        assert row.residual == residual(a_matrix, pair)
+        assert row.residual == residual(fit, pair)
 
     def test_aggregates_match_recomputed_statistics(self, small_sweep):
         aggs = small_sweep.aggregates()
@@ -564,6 +566,9 @@ class TestSweepDrivers:
         assert result.sweep == "sweep-gap"
         assert result.points == (0.9, 1.1)
         assert result.exact_energies[0] != result.exact_energies[1]
+        for h, energies in zip(result.points, result.exact_energies):
+            problem = build_problem(small_config(), field_override=h)
+            assert energies == problem.exact_energies[:2]
         assert result.sweep_args == {"h_grid": [0.9, 1.1]}
         assert len(result.rows) == 2 * 1 * 2
 
@@ -624,6 +629,19 @@ class TestSweepDrivers:
         assert odmd_row.method == "odmd"
         assert modmd_row.point_index == 0 and modmd_row.trial == 0
         assert max(modmd_row.abs_errors) < 1e-10
+
+    def test_sweep_diagonalizes_once(self, monkeypatch):
+        calls = []
+
+        def counting_build_problem(*args, **kwargs):
+            calls.append(args)
+            return build_problem(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "build_problem", counting_build_problem)
+        result = run_convergence_sweep(small_config(k_grid=(16, 24)))
+        assert len(calls) == 1
+        shared = build_problem(small_config()).exact_energies[:2]
+        assert result.exact_energies == (shared, shared)
 
     def test_parallel_workers_reproduce_serial_rows(self):
         serial = run_convergence_sweep(small_config())

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from modmd import (
     DegenerateInputError,
     EigenvalueShortfallError,
+    ExperimentConfig,
     HankelPair,
     ModmdConfig,
     MultiObservableSignal,
@@ -15,22 +17,27 @@ from modmd import (
     PauliSum,
     StateVector,
     build_hankel,
+    build_observables,
+    build_problem,
     build_reference_superposition,
     build_tfim,
     diagonalize,
     estimate_eigenstate,
     exact_signal,
     extract_eigen,
+    fit_propagator,
     forecast,
     ground_energy_error_bound,
+    measure_signal,
     residual,
     run_modmd,
     select_time_step,
     shift_and_scale,
-    solve_system_matrix,
     to_dense,
     truncated_pinv,
 )
+from modmd.harness import depth_for_window
+from modmd.solver import CONJUGATE_PHASE_ATOL, _merge_conjugate_pairs
 
 
 def mode_signal(phases, coeffs, dt, n_steps):
@@ -42,6 +49,33 @@ def mode_signal(phases, coeffs, dt, n_steps):
     return MultiObservableSignal(
         coeffs.shape[0], dt, coeffs @ basis, mode="complex"
     )
+
+
+def merge_by_loop(eigenvalues):
+    """Greedy pairwise conjugate merge: the reference for the vectorised rule."""
+    args = np.angle(eigenvalues)
+    keep = np.ones(len(eigenvalues), dtype=bool)
+    used = np.zeros(len(eigenvalues), dtype=bool)
+    for i in range(len(eigenvalues)):
+        if used[i] or args[i] >= 0:
+            continue
+        for j in range(len(eigenvalues)):
+            if j == i or used[j] or args[j] < 0:
+                continue
+            if abs(args[i] + args[j]) <= CONJUGATE_PHASE_ATOL:
+                keep[i] = False
+                used[i] = used[j] = True
+                break
+    return keep
+
+
+def fitted(pair, threshold):
+    return fit_propagator(pair, truncated_pinv(pair.x, threshold))
+
+
+def full_propagator(pair, threshold):
+    """The fit's full square propagator ``A = B U_r^H``."""
+    return fitted(pair, threshold).propagator()
 
 
 def tfim6_problem():
@@ -143,14 +177,14 @@ class TestTruncatedPinv:
             truncated_pinv(np.ones(3), 0.1)
 
 
-class TestSolveSystemMatrix:
+class TestFitPropagator:
     def test_single_mode_recovers_multiplier(self):
         lam = np.exp(-1j * 0.8) * 0.999
         signal = mode_signal([0.8], [[1.0]], 1.0, 8)
         vals = signal.values * (0.999 ** np.arange(8))
         signal = MultiObservableSignal(1, 1.0, vals, mode="complex")
         pair = build_hankel(signal, d=1, K=5)
-        a = solve_system_matrix(pair, 1e-10)
+        a = full_propagator(pair, 1e-10)
         assert a.shape == (1, 1)
         assert a[0, 0] == pytest.approx(lam, abs=1e-9)
 
@@ -161,7 +195,7 @@ class TestSolveSystemMatrix:
         signal = mode_signal(phases, [[1.0, 0.6]], 1.0, 12)
         s = signal.values[0]
         pair = build_hankel(signal, d=2, K=6)
-        a = solve_system_matrix(pair, 1e-10)
+        a = full_propagator(pair, 1e-10)
         eig = np.sort_complex(np.linalg.eigvals(a))
 
         lhs = np.array([[s[0], s[1]], [s[1], s[2]]])
@@ -169,6 +203,29 @@ class TestSolveSystemMatrix:
         c = np.linalg.solve(lhs, rhs)
         roots = np.sort_complex(np.roots([1.0, -c[1], -c[0]]))
         np.testing.assert_allclose(eig, roots, atol=1e-8)
+
+    def test_factors_reproduce_pseudo_inverse_product(self):
+        rng = np.random.default_rng(4)
+        signal = MultiObservableSignal(
+            2, 1.0, rng.standard_normal((2, 20)), mode="real"
+        )
+        pair = build_hankel(signal, d=3, K=12)
+        pinv = truncated_pinv(pair.x, 1e-2)
+        fit = fit_propagator(pair, pinv)
+        assert fit.rank == pinv.rank
+        assert fit.b_matrix.shape == (6, pinv.rank)
+        assert fit.reduced.shape == (pinv.rank, pinv.rank)
+        np.testing.assert_allclose(
+            fit.propagator(), pair.xp @ pinv.as_matrix(), atol=1e-12
+        )
+        projected = pinv.left.conj().T @ fit.propagator() @ pinv.left
+        np.testing.assert_allclose(fit.reduced, projected, atol=1e-12)
+
+    def test_pinv_of_another_matrix_rejected(self):
+        signal = mode_signal([0.4], [[1.0]], 1.0, 12)
+        pair = build_hankel(signal, d=2, K=6)
+        with pytest.raises(ValueError):
+            fit_propagator(pair, truncated_pinv(pair.x[:, :-1], 1e-2))
 
 
 class TestExtractEigen:
@@ -211,6 +268,40 @@ class TestExtractEigen:
         est = extract_eigen(a, dt=1.0, n_eig=2, merge_conjugates=True)
         np.testing.assert_allclose(est.energies, [-0.4, 0.9], atol=1e-12)
 
+    def test_unpaired_negative_real_eigenvalue_kept(self):
+        # -1 has phase +pi, or -pi when its imaginary part is -0.0
+        for minus_one in (complex(-1.0, 0.0), complex(-1.0, -0.0)):
+            values = np.array([minus_one, np.exp(-1j * 0.4), np.exp(1j * 0.4)])
+            np.testing.assert_array_equal(
+                _merge_conjugate_pairs(values), [True, False, True]
+            )
+        a = np.diag([-1.0 + 0j, np.exp(-1j * 0.4)])
+        est = extract_eigen(a, dt=1.0, n_eig=2, merge_conjugates=True)
+        np.testing.assert_allclose(est.energies, [-math.pi, 0.4], atol=1e-12)
+
+    def test_conjugate_pair_near_minus_one_merged(self):
+        values = np.array([np.exp(1j * (math.pi - 1e-9)), complex(-1.0, -0.0)])
+        np.testing.assert_array_equal(_merge_conjugate_pairs(values), [True, False])
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 0.3, 1.1, 2.5, math.pi]),
+                st.sampled_from([-1.0, 1.0]),
+                st.floats(-1e-10, 1e-10),
+            ),
+            max_size=12,
+        )
+    )
+    def test_merge_matches_pairwise_loop(self, draws):
+        """Phases drawn from clusters far apart, members within 1e-10 of
+        their center: the vectorised rule drops what the greedy loop does."""
+        phases = np.array([sign * (center + jit) for center, sign, jit in draws])
+        values = np.exp(1j * phases)
+        np.testing.assert_array_equal(
+            _merge_conjugate_pairs(values), merge_by_loop(values)
+        )
+
     def test_left_vectors_satisfy_eigen_relation(self):
         rng = np.random.default_rng(7)
         v = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -228,6 +319,117 @@ class TestExtractEigen:
             extract_eigen(np.eye(2, dtype=complex), dt=0.0, n_eig=1)
         with pytest.raises(ValueError):
             extract_eigen(np.eye(2, dtype=complex), dt=1.0, n_eig=0)
+
+
+def assert_matches_full_matrix(pair, threshold, dt, n_eig, merge_conjugates):
+    """The reduced eigensolve against the full-matrix oracle
+    ``extract_eigen(xp @ pinv(x))``: same eigenvalues, left rows equal up
+    to a unit phase, same conditioning and residual."""
+    pinv = truncated_pinv(pair.x, threshold)
+    fit = fit_propagator(pair, pinv)
+    reduced = extract_eigen(fit, dt, n_eig, merge_conjugates=merge_conjugates)
+    a_matrix = pair.xp @ pinv.as_matrix()
+    full = extract_eigen(a_matrix, dt, n_eig, merge_conjugates=merge_conjugates)
+    np.testing.assert_allclose(
+        reduced.eigenvalues, full.eigenvalues, rtol=0, atol=1e-10
+    )
+    for mine, oracle in zip(reduced.left_vectors, full.left_vectors):
+        overlap = np.vdot(mine, oracle)
+        assert abs(overlap) > 0
+        np.testing.assert_allclose(
+            mine * overlap / abs(overlap),
+            oracle,
+            rtol=0,
+            atol=1e-8 * np.linalg.norm(oracle),
+        )
+    assert reduced.eigenvector_condition == pytest.approx(
+        full.eigenvector_condition, rel=1e-6
+    )
+    assert reduced.ill_conditioned == full.ill_conditioned
+    assert reduced.retained_rank == pinv.rank
+    oracle = np.linalg.norm(pair.xp - a_matrix @ pair.x) / np.linalg.norm(pair.xp)
+    assert residual(fit, pair) == pytest.approx(oracle, rel=0, abs=1e-12)
+
+
+def random_mode_pair(seed, real):
+    """Noiseless multi-observable pair from a few well-separated, slightly
+    damped modes; a real signal carries each mode with its conjugate."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 5))
+    low, high = (0.2, 2.9) if real else (-2.9, 2.9)
+    while True:
+        phases = np.sort(rng.uniform(low, high, size=m))
+        if m == 1 or np.min(np.diff(phases)) > 0.2:
+            break
+    damping = rng.uniform(0.97, 1.0, size=m)
+    n_obs = int(rng.integers(1, 4))
+    coeffs = rng.uniform(0.3, 1.0, size=(n_obs, m)) * np.exp(
+        2j * np.pi * rng.uniform(size=(n_obs, m))
+    )
+    if real:
+        phases = np.concatenate([phases, -phases])
+        damping = np.concatenate([damping, damping])
+        coeffs = np.concatenate([coeffs, coeffs.conj()], axis=1)
+    d = math.ceil(len(phases) / n_obs) + int(rng.integers(0, 4))
+    K = 2 * len(phases) + d + int(rng.integers(0, 10))
+    k = np.arange(K + d + 1)
+    modes = (damping[:, None] ** k) * np.exp(-1j * np.outer(phases, k))
+    values = coeffs @ modes
+    if real:
+        values = values.real
+    signal = MultiObservableSignal(
+        n_obs, 1.0, values, mode="real" if real else "complex"
+    )
+    return build_hankel(signal, d, K), m
+
+
+class TestReducedEigenproblem:
+    """The fit's ``r x r`` eigensolve reproduces the full propagator's."""
+
+    def test_ten_qubit_chain_matches_full_matrix(self):
+        config = ExperimentConfig(
+            tfim_qubits=10,
+            reference_bitstrings=(
+                "0" * 10, "1" * 10, "1" + "0" * 9,
+                "0" * 5 + "1" * 5, "0" * 4 + "1" * 6, "0" * 3 + "1" * 7,
+            ),
+            n_observables=6,
+            dt=1.0,
+            k_grid=(145,),
+            noise_epsilon=1e-3,
+            svd_threshold=1e-2,
+            n_eig=4,
+        )
+        problem = build_problem(config)
+        observables = build_observables(config, problem, seed=7)
+        K = config.k_grid[0]
+        d = depth_for_window(K, config.k_over_d)
+        signal = measure_signal(config, problem, observables, K + d, 1e-3, seed=8)
+        pair = build_hankel(signal, d, K)
+        assert_matches_full_matrix(pair, 1e-2, problem.dt, 4, merge_conjugates=True)
+
+    def test_spin_chain_identity_observable(self):
+        spec, _, phi0 = tfim6_problem()
+        ident = PauliSum.from_terms(6, [(1.0, PauliString.identity(6))])
+        signal = exact_signal(spec, phi0, [ident], 1.0, 141, mode="real")
+        pair = build_hankel(signal, 40, 100)
+        # 1e-6 keeps 30 of 40 directions; below that the retained noise
+        # directions make both eigensolves sensitive to rounding
+        assert_matches_full_matrix(pair, 1e-6, 1.0, 2, merge_conjugates=True)
+
+    def test_noisy_complex_multi_observable(self):
+        rng = np.random.default_rng(21)
+        coeffs = rng.standard_normal((2, 3)) + 0.5
+        signal = mode_signal([0.3, 0.9, 1.7], coeffs, 1.0, 60)
+        noise = 1e-3 * rng.standard_normal((2, 60))
+        noisy = MultiObservableSignal(2, 1.0, signal.values + noise, mode="complex")
+        pair = build_hankel(noisy, 8, 40)
+        assert_matches_full_matrix(pair, 1e-2, 1.0, 3, merge_conjugates=False)
+
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_random_low_rank_pairs(self, seed, real):
+        pair, n_modes = random_mode_pair(seed, real)
+        assert_matches_full_matrix(pair, 1e-10, 1.0, n_modes, merge_conjugates=real)
 
 
 class TestRunModmd:
@@ -360,13 +562,20 @@ class TestResidual:
     def test_consistent_fit_has_negligible_residual(self):
         signal = mode_signal([0.4, 1.2], [[1.0, 0.7]], 1.0, 24)
         pair = build_hankel(signal, d=2, K=16)
-        a = solve_system_matrix(pair, 1e-12)
-        assert residual(a, pair) <= 1e-10
+        assert residual(fitted(pair, 1e-12), pair) <= 1e-10
 
     def test_zero_propagator_gives_unit_residual(self):
-        signal = mode_signal([0.4], [[1.0]], 1.0, 10)
-        pair = build_hankel(signal, d=1, K=6)
-        assert residual(np.zeros((1, 1)), pair) == pytest.approx(1.0)
+        # xp is orthogonal to the row space of x, so the fit is A = 0
+        pair = HankelPair(
+            x=np.array([[1.0, 0.0]]),
+            xp=np.array([[0.0, 2.0]]),
+            n_observables=1,
+            d=1,
+            dt=1.0,
+        )
+        fit = fitted(pair, 1e-12)
+        np.testing.assert_array_equal(fit.propagator(), np.zeros((1, 1)))
+        assert residual(fit, pair) == pytest.approx(1.0)
 
     def test_noise_raises_residual(self):
         rng = np.random.default_rng(15)
@@ -379,23 +588,23 @@ class TestResidual:
         )
         clean_pair = build_hankel(signal, d=2, K=30)
         noisy_pair = build_hankel(noisy, d=2, K=30)
-        a_clean = solve_system_matrix(clean_pair, 1e-12)
-        a_noisy = solve_system_matrix(noisy_pair, 1e-12)
-        assert residual(a_noisy, noisy_pair) > residual(a_clean, clean_pair)
+        assert residual(fitted(noisy_pair, 1e-12), noisy_pair) > residual(
+            fitted(clean_pair, 1e-12), clean_pair
+        )
 
     def test_zero_target_rejected(self):
         pair = HankelPair(
             x=np.ones((1, 3)), xp=np.zeros((1, 3)), n_observables=1, d=1, dt=1.0
         )
         with pytest.raises(DegenerateInputError):
-            residual(np.ones((1, 1)), pair)
+            residual(fitted(pair, 0.5), pair)
 
 
 class TestForecast:
     @staticmethod
     def fitted(signal, d, K):
         pair = build_hankel(signal, d, K)
-        return solve_system_matrix(pair, 1e-12), pair
+        return full_propagator(pair, 1e-12), pair
 
     def test_zero_horizon_empty_block(self):
         signal = mode_signal([0.4], [[1.0]], 1.0, 10)
@@ -526,6 +735,11 @@ class TestSelectTimeStep:
             select_time_step(0.0, 1.0, safety=0.0)
         with pytest.raises(ValueError):
             select_time_step(0.0, 1.0, gap_bounds=(-0.1,))
+
+    def test_negligible_gap_bounds_rejected(self):
+        # 2 pi / (2 + 1e-20) rounds to pi, so dt * range would equal 2 pi
+        with pytest.raises(ValueError, match="2 pi"):
+            select_time_step(-1.0, 1.0, gap_bounds=(1e-20,))
 
 
 class TestGroundEnergyErrorBound:
