@@ -729,7 +729,7 @@ _WORKER_PLAN: "_SweepPlan | None" = None
 _WORKER_PROBLEMS: "dict[int, Problem]" = {}
 
 
-def _init_worker(plan: _SweepPlan) -> None:
+def _init_worker(plan: "_SweepPlan | None") -> None:
     global _WORKER_PLAN
     _WORKER_PLAN = plan
     _WORKER_PROBLEMS.clear()
@@ -766,7 +766,10 @@ def _run_plan(plan: _SweepPlan) -> "tuple[list, tuple[tuple[float, ...], ...]]":
     ]
     if plan.config.workers == 1:
         _init_worker(plan)
-        outputs = [_worker_task(task) for task in tasks]
+        try:
+            outputs = [_worker_task(task) for task in tasks]
+        finally:
+            _init_worker(None)  # release the sweep's problems (dense eigenvectors)
     else:
         with ProcessPoolExecutor(
             max_workers=plan.config.workers,

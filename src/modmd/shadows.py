@@ -23,8 +23,6 @@ from .simulate import (
     composite_state,
 )
 
-_SEED_MAX = 2**63 - 1
-
 
 @dataclass(frozen=True, slots=True)
 class RankTwoObservable:
@@ -81,23 +79,27 @@ class RankTwoObservable:
 
     def expectation(self, amplitudes: np.ndarray) -> float:
         """``<psi| Gamma |psi>`` for a pure state, without densifying."""
-        z = np.vdot(amplitudes, self.u) * np.vdot(self.v, amplitudes)
-        return float(2.0 * z.real if self.part == "real" else -2.0 * z.imag)
+        x = np.asarray(amplitudes)
+        return float(self._quadrature(np.vdot(x, self.u), np.vdot(x, self.v)))
+
+    def _quadrature(self, xu, xv):
+        """``<x| Gamma |x>`` from the overlaps ``<x|u>`` and ``<x|v>``."""
+        z = xu * np.conj(xv)
+        return 2.0 * z.real if self.part == "real" else -2.0 * z.imag
 
 
 @dataclass(frozen=True, slots=True)
 class ShadowSample:
-    """One randomized measurement: the unitary's seed and the outcome index."""
+    """One randomized measurement: the measured row ``<b|U`` of the
+    rotation ``U`` at the observed outcome ``b``."""
 
-    unitary_seed: int
-    outcome: int
-    n_qubits: int
+    row: np.ndarray
 
     def __post_init__(self):
-        if not 0 <= self.outcome < (1 << self.n_qubits):
-            raise ValueError(
-                f"outcome {self.outcome} outside register of {self.n_qubits} qubits"
-            )
+        row = np.asarray(self.row, dtype=complex)
+        object.__setattr__(self, "row", row)
+        if row.ndim != 1 or len(row) < 2 or len(row) & (len(row) - 1):
+            raise ValueError(f"row must be a vector of length 2^n, got shape {row.shape}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -157,68 +159,62 @@ def sample_shadows(
 ) -> "list[ShadowSample]":
     """Randomized measurements of an ancilla probe state.
 
-    Each sample draws its own integer seed from the master ``seed``, so
-    the record ``(unitary_seed, outcome)`` regenerates the rotation
-    without storing the matrix. ``unitary_fn(dim, rng)`` replaces the
-    Haar draw when supplied (testing hook).
+    Under a Haar ``U`` and Born outcome ``b`` the conjugated row
+    ``c = conj(<b|U)`` is uniform on the sphere reweighted by ``D |<c|psi>|^2``,
+    so it is drawn directly as ``c = alpha psi + sqrt(1 - |alpha|^2) w``:
+    ``|alpha|^2 ~ Beta(2, D - 1)``, uniform phase, ``w`` uniform on the
+    sphere of ``psi``'s complement; O(n_samples * D) from one generator.
+    ``unitary_fn(dim, rng)`` runs the explicit protocol instead (the
+    statistical oracle): draw ``U``, sample ``b``, record ``U[b]``.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    if unitary_fn is None:
-        unitary_fn = haar_unitary
     dim = 1 << (state.n_system_qubits + 1)
-    master = np.random.default_rng(seed)
-    child_seeds = master.integers(0, _SEED_MAX, size=n_samples)
-    samples = []
-    for s in child_seeds:
-        rng = np.random.default_rng(int(s))
-        u = unitary_fn(dim, rng)
-        rotated = u @ state.amplitudes
-        probs = np.abs(rotated) ** 2
-        probs /= probs.sum()
-        outcome = int(rng.choice(dim, p=probs))
-        samples.append(ShadowSample(int(s), outcome, state.n_system_qubits + 1))
-    return samples
+    psi = state.amplitudes / np.linalg.norm(state.amplitudes)
+    rng = np.random.default_rng(seed)
+    if unitary_fn is not None:
+        samples = []
+        for _ in range(n_samples):
+            u = unitary_fn(dim, rng)
+            probs = np.abs(u @ psi) ** 2
+            samples.append(ShadowSample(u[rng.choice(dim, p=probs / probs.sum())].copy()))
+        return samples
+    weight = rng.beta(2.0, dim - 1.0, size=n_samples)
+    phase = np.exp(2j * np.pi * rng.random(n_samples))
+    w = rng.standard_normal((n_samples, dim)) + 1j * rng.standard_normal((n_samples, dim))
+    w -= np.outer(w @ psi.conj(), psi)
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    c = (np.sqrt(weight) * phase)[:, None] * psi + np.sqrt(1.0 - weight)[:, None] * w
+    return [ShadowSample(row) for row in c.conj()]
 
 
 def _estimate_batch(
     samples: "list[ShadowSample]",
     gammas: "list[RankTwoObservable]",
-    unitary_fn=None,
 ) -> np.ndarray:
-    """Mean single-shot estimates of several observables from one batch."""
+    """Mean single-shot estimates of several observables from one batch.
+
+    A shot with measured row ``r = <b|U`` gives ``(D+1) <b|U Gamma U*|b>``
+    (``Gamma`` is traceless), where ``<b|U u> = r @ u``.
+    """
     if not samples:
         raise ValueError("need at least one sample")
-    if unitary_fn is None:
-        unitary_fn = haar_unitary
-    dim = 1 << samples[0].n_qubits
-    for g in gammas:
-        if g.dim != dim:
-            raise ValueError("observable register width differs from samples")
-    totals = np.zeros(len(gammas))
-    for s in samples:
-        if (1 << s.n_qubits) != dim:
-            raise ValueError("samples mix register widths")
-        rng = np.random.default_rng(s.unitary_seed)
-        row = unitary_fn(dim, rng)[s.outcome]
-        for j, g in enumerate(gammas):
-            z = (row @ g.u) * np.conj(row @ g.v)
-            val = 2.0 * z.real if g.part == "real" else -2.0 * z.imag
-            totals[j] += (dim + 1) * val - g.trace
-    return totals / len(samples)
+    rows = np.stack([s.row for s in samples])  # raises on mixed widths
+    dim = rows.shape[1]
+    if any(g.dim != dim for g in gammas):
+        raise ValueError("observable register width differs from samples")
+    return (dim + 1) * np.array(
+        [np.mean(g._quadrature(rows @ g.u, rows @ g.v)) for g in gammas]
+    )
 
 
-def estimate_trace(
-    samples: "list[ShadowSample]",
-    gamma: RankTwoObservable,
-    unitary_fn=None,
-) -> float:
+def estimate_trace(samples: "list[ShadowSample]", gamma: RankTwoObservable) -> float:
     """Unbiased estimate of ``Tr[rho Gamma]`` from recorded measurements.
 
     Inverts the depolarizing action of the random rotations:
     each sample contributes ``(D+1) <b|U Gamma U*|b> - Tr[Gamma]``.
     """
-    return float(_estimate_batch(samples, [gamma], unitary_fn)[0])
+    return float(_estimate_batch(samples, [gamma])[0])
 
 
 def variance_bound(gamma: RankTwoObservable) -> float:
@@ -292,7 +288,7 @@ def shadow_signal(
         )
         state = composite_state(phi_perp, phi0, spec, k * dt)
         samples = sample_shadows(state, n_samples, step_seed, unitary_fn)
-        est = _estimate_batch(samples, gammas, unitary_fn)
+        est = _estimate_batch(samples, gammas)
         if mode == "real":
             values[:, k] = est
         else:
@@ -318,12 +314,8 @@ def gaussian_noise_channel(
     values = signal.values.copy()
     hit_real = noise.target in ("real", "both")
     hit_imag = noise.target in ("imag", "both")
-    if signal.mode == "real":
-        if hit_real:
-            values = values + noise.epsilon * rng.standard_normal(shape)
-    else:
-        if hit_real:
-            values = values + noise.epsilon * rng.standard_normal(shape)
-        if hit_imag:
-            values = values + 1j * noise.epsilon * rng.standard_normal(shape)
+    if hit_real:
+        values = values + noise.epsilon * rng.standard_normal(shape)
+    if hit_imag and signal.mode != "real":
+        values = values + 1j * noise.epsilon * rng.standard_normal(shape)
     return MultiObservableSignal(signal.n_observables, signal.dt, values, signal.mode)

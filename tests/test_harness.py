@@ -643,6 +643,12 @@ class TestSweepDrivers:
         shared = build_problem(small_config()).exact_energies[:2]
         assert result.exact_energies == (shared, shared)
 
+    def test_serial_sweeps_release_worker_state(self):
+        run_convergence_sweep(small_config(trials=1))
+        assert harness._WORKER_PLAN is None and harness._WORKER_PROBLEMS == {}
+        run_gap_sweep(small_config(trials=1), (0.9, 1.0, 1.1))
+        assert harness._WORKER_PLAN is None and harness._WORKER_PROBLEMS == {}
+
     def test_parallel_workers_reproduce_serial_rows(self):
         serial = run_convergence_sweep(small_config())
         parallel = run_convergence_sweep(small_config(workers=2))
@@ -774,6 +780,22 @@ class TestEmitOutputs:
             if path.name.endswith("_timing.csv"):
                 continue
             assert (second / path.name).read_bytes() == path.read_bytes()
+            compared += 1
+        assert compared == 5
+
+    def test_shadow_replay_reproduces_bytes(self, tmp_path):
+        sweep = run_convergence_sweep(
+            small_config(signal_source="shadow", shadow_samples=20)
+        )
+        emit_outputs(sweep, tmp_path / "a")
+        replayed = replay_manifest(tmp_path / "a" / "sweep-k_manifest.json")
+        assert replayed.config == sweep.config
+        emit_outputs(replayed, tmp_path / "b")
+        compared = 0
+        for path in sorted((tmp_path / "a").iterdir()):
+            if path.name.endswith("_timing.csv"):
+                continue
+            assert (tmp_path / "b" / path.name).read_bytes() == path.read_bytes()
             compared += 1
         assert compared == 5
 

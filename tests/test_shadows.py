@@ -158,31 +158,35 @@ class TestHaarUnitary:
 
 class TestSampleShadows:
     def test_outcomes_within_register(self):
+        # every measured row is a unit vector of the 3-qubit register
         spec, phi0, perp = two_qubit_probe()
         state = composite_state(perp, phi0, spec, 0.3)
         samples = sample_shadows(state, 50, seed=1)
         assert len(samples) == 50
-        assert all(0 <= s.outcome < 8 and s.n_qubits == 3 for s in samples)
+        rows = np.stack([s.row for s in samples])
+        assert rows.shape == (50, 8)
+        np.testing.assert_allclose(np.linalg.norm(rows, axis=1), 1.0, atol=1e-12)
 
     def test_deterministic_per_seed(self):
         spec, phi0, perp = two_qubit_probe()
         state = composite_state(perp, phi0, spec, 0.3)
-        a = sample_shadows(state, 20, seed=7)
-        b = sample_shadows(state, 20, seed=7)
-        c = sample_shadows(state, 20, seed=8)
-        assert [(s.unitary_seed, s.outcome) for s in a] == [
-            (s.unitary_seed, s.outcome) for s in b
-        ]
-        assert [s.outcome for s in a] != [s.outcome for s in c]
+        a = np.stack([s.row for s in sample_shadows(state, 20, seed=7)])
+        b = np.stack([s.row for s in sample_shadows(state, 20, seed=7)])
+        c = np.stack([s.row for s in sample_shadows(state, 20, seed=8)])
+        np.testing.assert_array_equal(a, b)
+        assert not np.any(np.all(a == c, axis=1))
 
     def test_identity_rotation_samples_computational_weights(self):
-        # with no rotation the only reachable outcomes carry amplitude
+        # with no rotation the rows are basis vectors e_b, and the only
+        # reachable outcomes b carry amplitude
         spec, phi0, perp = two_qubit_probe()
         state = composite_state(perp, phi0, spec, 0.0)
         support = set(np.flatnonzero(np.abs(state.amplitudes) > 1e-12))
         hook = lambda dim, rng: np.eye(dim, dtype=complex)
         samples = sample_shadows(state, 200, seed=2, unitary_fn=hook)
-        assert {s.outcome for s in samples} <= support
+        outcomes = {int(np.flatnonzero(s.row)[0]) for s in samples}
+        assert all(np.count_nonzero(s.row) == 1 for s in samples)
+        assert outcomes <= support
 
     def test_born_statistics_at_fixed_rotation(self):
         """Outcome histogram against the rotated Born weights, 4 sigma."""
@@ -194,7 +198,11 @@ class TestSampleShadows:
         probs /= probs.sum()
         q = 10_000
         samples = sample_shadows(state, q, seed=777, unitary_fn=hook)
-        counts = np.bincount([s.outcome for s in samples], minlength=8)
+        # each recorded row is the rotation's row at the observed outcome
+        rows = np.stack([s.row for s in samples])
+        matches = np.all(rows[:, None, :] == fixed[None, :, :], axis=2)
+        assert np.all(matches.sum(axis=1) == 1)
+        counts = np.bincount(np.argmax(matches, axis=1), minlength=8)
         z = np.abs(counts - q * probs) / np.sqrt(q * probs * (1 - probs))
         assert z.max() <= 4.0
 
@@ -205,8 +213,56 @@ class TestSampleShadows:
             sample_shadows(state, 0, seed=1)
 
     def test_outcome_range_validated(self):
+        # a record must be one row of a rotation on a qubit register
         with pytest.raises(ValueError):
-            ShadowSample(unitary_seed=1, outcome=8, n_qubits=3)
+            ShadowSample(np.ones(6, dtype=complex))
+        with pytest.raises(ValueError):
+            ShadowSample(np.ones(1, dtype=complex))
+        with pytest.raises(ValueError):
+            ShadowSample(np.eye(8, dtype=complex))
+
+
+class TestDirectSampler:
+    """The default row sampler against the Haar oracle (``unitary_fn``)."""
+
+    Q = 6000
+
+    def draws(self, unitary_fn):
+        spec, phi0, perp = three_qubit_probe()
+        state = composite_state(perp, phi0, spec, 0.7)
+        samples = sample_shadows(state, self.Q, 97, unitary_fn)
+        return state.amplitudes, np.stack([s.row for s in samples]), phi0, perp
+
+    @staticmethod
+    def mean_and_se(values):
+        return values.mean(), values.std(ddof=1) / np.sqrt(len(values))
+
+    def test_single_shot_mean_and_variance_match_oracle(self):
+        psi, direct, phi0, perp = self.draws(None)
+        _, oracle, _, _ = self.draws(haar_unitary)
+        obs = random_one_local(3, 1, seed=4)[0]
+        for part in ("real", "imag"):
+            gamma = build_gamma(obs, phi0, perp, part=part)
+            shots = [
+                17 * gamma._quadrature(rows @ gamma.u, rows @ gamma.v)
+                for rows in (direct, oracle)
+            ]
+            (m1, se1), (m2, se2) = (self.mean_and_se(x) for x in shots)
+            assert abs(m1 - m2) <= 4.0 * np.hypot(se1, se2)
+            (v1, sv1), (v2, sv2) = (
+                self.mean_and_se((x - x.mean()) ** 2) for x in shots
+            )
+            assert abs(v1 - v2) <= 4.0 * np.hypot(sv1, sv2)
+
+    def test_rows_unit_norm_with_reweighted_overlap(self):
+        # |<c|psi>|^2 ~ Beta(2, D-1) under both samplers, mean 2/(D+1)
+        for unitary_fn in (None, haar_unitary):
+            psi, rows, _, _ = self.draws(unitary_fn)
+            np.testing.assert_allclose(
+                np.linalg.norm(rows, axis=1), 1.0, atol=1e-12
+            )
+            mean, se = self.mean_and_se(np.abs(rows @ psi) ** 2)
+            assert abs(mean - 2.0 / 17) <= 4.0 * se
 
 
 class TestEstimateTrace:
@@ -250,24 +306,18 @@ class TestEstimateTrace:
         gamma = build_gamma(obs, phi0, perp, part="real")
         rng = np.random.default_rng(5)
         n = 2000
-        samples = [
-            ShadowSample(int(s), i % 16, 4)
-            for i, s in enumerate(rng.integers(0, 2**63 - 1, size=n))
-        ]
+        samples = [ShadowSample(haar_unitary(16, rng)[i % 16]) for i in range(n)]
         est = estimate_trace(samples, gamma)
         assert abs(est) <= 5.0 * np.sqrt(variance_bound(gamma) / n)
 
     def test_enumerated_outcomes_give_exact_zero(self):
-        # identity rotations with every outcome once: the estimate reduces
-        # to (D+1)/D * Tr[Gamma] = 0 with no statistical error
+        # identity rotations with every outcome once (rows e_b): the
+        # estimate reduces to (D+1)/D * Tr[Gamma] = 0 with no statistical error
         _, phi0, perp = three_qubit_probe()
         obs = random_one_local(3, 1, seed=4)[0]
         gamma = build_gamma(obs, phi0, perp, part="real")
-        hook = lambda dim, rng: np.eye(dim, dtype=complex)
-        samples = [ShadowSample(0, b, 4) for b in range(16)]
-        assert estimate_trace(samples, gamma, unitary_fn=hook) == pytest.approx(
-            0.0, abs=1e-12
-        )
+        samples = [ShadowSample(row) for row in np.eye(16, dtype=complex)]
+        assert estimate_trace(samples, gamma) == pytest.approx(0.0, abs=1e-12)
 
     def test_empty_batch_rejected(self):
         _, phi0, perp = three_qubit_probe()
@@ -279,7 +329,7 @@ class TestEstimateTrace:
         _, phi0, perp = three_qubit_probe()
         gamma = build_gamma(identity_sum(3), phi0, perp)
         with pytest.raises(ValueError):
-            estimate_trace([ShadowSample(0, 1, 3)], gamma)
+            estimate_trace([ShadowSample(np.eye(8, dtype=complex)[1])], gamma)
 
 
 class TestVarianceBound:
@@ -384,8 +434,8 @@ class TestShadowSignal:
             spec, phi0, perp, random_one_local(2, 3, seed=1), 0.7, 3, 25,
             seed=23, unitary_fn=counting,
         )
-        # sampling and reconstruction each regenerate Q rotations per step
-        assert single == len(calls) == 2 * 25 * 4
+        # the oracle draws one rotation per shot, Q shots per step
+        assert single == len(calls) == 25 * 4
 
     def test_deterministic_per_seed(self):
         spec, phi0, perp = two_qubit_probe()
