@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import sys
-from pathlib import Path
 
 from .errors import (
     ConfigError,
@@ -16,10 +15,12 @@ from .errors import (
 from .harness import (
     OBSERVABLE_POLICIES,
     SIGNAL_SOURCES,
+    SWEEP_ARGS,
     ExperimentConfig,
     config_from_dict,
     emit_outputs,
     parse_observable_file,
+    read_run_file,
     resolve_hamiltonian,
     resolve_output_dir,
     resolve_time_step,
@@ -36,19 +37,22 @@ EXIT_CONFIG = 2
 EXIT_RESOURCE = 3
 EXIT_SHORTFALL = 4
 
-
-def _csv_ints(text: str) -> "tuple[int, ...]":
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+# Driver arguments used when neither a flag nor a manifest sets them.
+_SWEEP_DEFAULTS = {"horizon": 200}
 
 
-def _csv_floats(text: str) -> "tuple[float, ...]":
-    try:
-        return tuple(float(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+def _csv(kind):
+    """argparse type of a comma-separated list of ``kind`` values."""
+
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(kind(part) for part in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {kind.__name__} values, got {text!r}"
+            ) from None
+
+    return parse
 
 
 def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
@@ -59,14 +63,13 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
         "embedded config and grids are reused",
     )
     model = parser.add_argument_group("model")
-    model.add_argument("--tfim-qubits", type=int, dest="tfim_qubits")
-    model.add_argument("--tfim-coupling", type=float, dest="tfim_coupling")
-    model.add_argument("--tfim-field", type=float, dest="tfim_field")
-    model.add_argument("--hamiltonian-file", dest="hamiltonian_file")
+    model.add_argument("--tfim-qubits", type=int)
+    model.add_argument("--tfim-coupling", type=float)
+    model.add_argument("--tfim-field", type=float)
+    model.add_argument("--hamiltonian-file")
     model.add_argument(
         "--particle-number",
         type=int,
-        dest="particle_number",
         help="restrict reference eigenvalues to this particle-number sector",
     )
     model.add_argument(
@@ -77,139 +80,76 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
         help="reference basis bitstring; repeat to superpose several",
     )
     probes = parser.add_argument_group("observables and signal")
-    probes.add_argument(
-        "--observable-policy", choices=OBSERVABLE_POLICIES, dest="observable_policy"
-    )
-    probes.add_argument("--n-observables", type=int, dest="n_observables")
-    probes.add_argument("--observable-file", dest="observable_file")
-    probes.add_argument("--signal-source", choices=SIGNAL_SOURCES, dest="signal_source")
-    probes.add_argument("--shadow-samples", type=int, dest="shadow_samples")
-    probes.add_argument("--noise-epsilon", type=float, dest="noise_epsilon")
+    probes.add_argument("--observable-policy", choices=OBSERVABLE_POLICIES)
+    probes.add_argument("--n-observables", type=int)
+    probes.add_argument("--observable-file")
+    probes.add_argument("--signal-source", choices=SIGNAL_SOURCES)
+    probes.add_argument("--shadow-samples", type=int)
+    probes.add_argument("--noise-epsilon", type=float)
     solver = parser.add_argument_group("solver")
-    solver.add_argument("--dt", type=float, dest="dt")
-    solver.add_argument(
-        "--k-grid", type=_csv_ints, dest="k_grid", metavar="K1,K2,..."
-    )
-    solver.add_argument("--k-over-d", type=float, dest="k_over_d")
+    solver.add_argument("--dt", type=float)
+    solver.add_argument("--k-grid", type=_csv(int), metavar="K1,K2,...")
+    solver.add_argument("--k-over-d", type=float)
     solver.add_argument(
         "--svd-threshold",
-        dest="svd_threshold",
         metavar="VALUE|auto",
         help="relative SVD cutoff, or 'auto' for ten times the noise level",
     )
-    solver.add_argument("--n-eig", type=int, dest="n_eig")
-    solver.add_argument("--magnitude-floor", type=float, dest="magnitude_floor")
-    solver.add_argument("--safety-fraction", type=float, dest="safety_fraction")
+    solver.add_argument("--n-eig", type=int)
+    solver.add_argument("--magnitude-floor", type=float)
+    solver.add_argument("--safety-fraction", type=float)
     run = parser.add_argument_group("run")
-    run.add_argument("--trials", type=int, dest="trials")
-    run.add_argument("--master-seed", type=int, dest="master_seed")
-    run.add_argument("--workers", type=int, dest="workers")
-    run.add_argument("--output-dir", dest="output_dir")
+    run.add_argument("--trials", type=int)
+    run.add_argument("--master-seed", type=int)
+    run.add_argument("--workers", type=int)
+    run.add_argument("--output-dir")
 
 
-def _load_config_file(path: str) -> "tuple[dict, dict]":
-    """Raw config mapping plus any sweep grids stored in a manifest."""
+def _svd_threshold(text: str) -> "float | None":
+    if text == "auto":
+        return None
     try:
-        data = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {path}: {exc}") from None
-    if isinstance(data, dict) and "config" in data and "sweep" in data:
-        return dict(data["config"]), dict(data.get("sweep_args", {}))
-    if not isinstance(data, dict):
-        raise ConfigError(f"configuration must be a mapping, got {type(data).__name__}")
-    return dict(data), {}
+        return float(text)
+    except ValueError:
+        raise ConfigError(
+            f"--svd-threshold expects a number or 'auto', got {text!r}"
+        ) from None
 
 
 def _config_from_args(args: argparse.Namespace) -> "tuple[ExperimentConfig, dict]":
-    base: dict = {}
-    sweep_args: dict = {}
-    if args.config:
-        base, sweep_args = _load_config_file(args.config)
-    for name in (
-        "tfim_qubits",
-        "tfim_coupling",
-        "tfim_field",
-        "hamiltonian_file",
-        "particle_number",
-        "reference_bitstrings",
-        "observable_policy",
-        "n_observables",
-        "observable_file",
-        "signal_source",
-        "shadow_samples",
-        "noise_epsilon",
-        "dt",
-        "k_grid",
-        "k_over_d",
-        "n_eig",
-        "magnitude_floor",
-        "safety_fraction",
-        "trials",
-        "master_seed",
-        "workers",
-        "output_dir",
-    ):
-        value = getattr(args, name, None)
-        if value is not None:
-            base[name] = value
-    raw_threshold = getattr(args, "svd_threshold", None)
-    if raw_threshold is not None:
-        if raw_threshold == "auto":
-            base["svd_threshold"] = None
-        else:
-            try:
-                base["svd_threshold"] = float(raw_threshold)
-            except ValueError:
-                raise ConfigError(
-                    f"--svd-threshold expects a number or 'auto', got {raw_threshold!r}"
-                ) from None
+    """Configuration from ``--config`` overridden by flags, plus the
+    driver arguments of a manifest given as ``--config``."""
+    base, _, sweep_args = read_run_file(args.config) if args.config else ({}, None, {})
+    for field in dataclasses.fields(ExperimentConfig):
+        value = getattr(args, field.name)
+        if value is None:
+            continue
+        if field.name == "svd_threshold":
+            value = _svd_threshold(value)
+        base[field.name] = value
     return config_from_dict(base), sweep_args
 
 
-def _emit_and_report(result, config: ExperimentConfig) -> int:
-    directory = resolve_output_dir(config)
-    for path in emit_outputs(result, directory):
+def _sweep_arg(args, sweep_args: dict, name: str):
+    """A driver argument from its flag, else the manifest, else its default."""
+    for value in (getattr(args, name), sweep_args.get(name), _SWEEP_DEFAULTS.get(name)):
+        if value is not None:
+            return value
+    raise ConfigError(f"--{name.replace('_', '-')} is required (or supply a manifest)")
+
+
+def _handle_sweep(args) -> int:
+    config, sweep_args = _config_from_args(args)
+    driver = {
+        "sweep-k": run_convergence_sweep,
+        "sweep-gap": run_gap_sweep,
+        "sweep-noise": run_noise_sweep,
+        "forecast": run_forecast_experiment,
+    }[args.verb]
+    kwargs = {n: _sweep_arg(args, sweep_args, n) for n in SWEEP_ARGS[args.verb]}
+    for path in emit_outputs(driver(config, **kwargs), resolve_output_dir(config)):
         print(f"wrote {path}")
     return EXIT_OK
-
-
-def _grid_from(args, sweep_args: dict, flag: str, key: str, kind):
-    value = getattr(args, flag, None)
-    if value is not None:
-        return value
-    if key in sweep_args:
-        return tuple(kind(v) for v in sweep_args[key])
-    raise ConfigError(f"--{flag.replace('_', '-')} is required (or supply a manifest)")
-
-
-def _handle_sweep_k(args) -> int:
-    config, _ = _config_from_args(args)
-    return _emit_and_report(run_convergence_sweep(config), config)
-
-
-def _handle_sweep_gap(args) -> int:
-    config, sweep_args = _config_from_args(args)
-    h_grid = _grid_from(args, sweep_args, "h_grid", "h_grid", float)
-    return _emit_and_report(run_gap_sweep(config, h_grid), config)
-
-
-def _handle_sweep_noise(args) -> int:
-    config, sweep_args = _config_from_args(args)
-    eps_grid = _grid_from(args, sweep_args, "eps_grid", "eps_grid", float)
-    return _emit_and_report(run_noise_sweep(config, eps_grid), config)
-
-
-def _handle_forecast(args) -> int:
-    config, sweep_args = _config_from_args(args)
-    kstar_grid = _grid_from(args, sweep_args, "kstar_grid", "kstar_grid", int)
-    horizon = args.horizon
-    if horizon is None:
-        horizon = int(sweep_args.get("horizon", 200))
-    return _emit_and_report(
-        run_forecast_experiment(config, kstar_grid, horizon), config
-    )
 
 
 def _handle_solve(args) -> int:
@@ -248,37 +188,24 @@ def build_parser() -> argparse.ArgumentParser:
         "multi-observable real-time signals.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("sweep-k", help="error versus snapshot count")
-    _add_config_arguments(p)
-    p.set_defaults(handler=_handle_sweep_k)
-
-    p = sub.add_parser("sweep-gap", help="error versus spectral gap at fixed K")
-    _add_config_arguments(p)
-    p.add_argument("--h-grid", type=_csv_floats, dest="h_grid", metavar="H1,H2,...")
-    p.set_defaults(handler=_handle_sweep_gap)
-
-    p = sub.add_parser("sweep-noise", help="error versus noise level at fixed K")
-    _add_config_arguments(p)
-    p.add_argument("--eps-grid", type=_csv_floats, dest="eps_grid", metavar="E1,E2,...")
-    p.set_defaults(handler=_handle_sweep_noise)
-
-    p = sub.add_parser("forecast", help="held-out signal prediction")
-    _add_config_arguments(p)
-    p.add_argument(
-        "--kstar-grid", type=_csv_ints, dest="kstar_grid", metavar="K1,K2,..."
+    verbs = {}
+    for verb, handler, text in (
+        ("sweep-k", _handle_sweep, "error versus snapshot count"),
+        ("sweep-gap", _handle_sweep, "error versus spectral gap at fixed K"),
+        ("sweep-noise", _handle_sweep, "error versus noise level at fixed K"),
+        ("forecast", _handle_sweep, "held-out signal prediction"),
+        ("solve", _handle_solve, "single eigenvalue estimate at the first K"),
+        ("validate-config", _handle_validate, "check a configuration and exit"),
+    ):
+        verbs[verb] = sub.add_parser(verb, help=text)
+        _add_config_arguments(verbs[verb])
+        verbs[verb].set_defaults(handler=handler)
+    verbs["sweep-gap"].add_argument("--h-grid", type=_csv(float), metavar="H1,H2,...")
+    verbs["sweep-noise"].add_argument(
+        "--eps-grid", type=_csv(float), metavar="E1,E2,..."
     )
-    p.add_argument("--horizon", type=int, dest="horizon")
-    p.set_defaults(handler=_handle_forecast)
-
-    p = sub.add_parser("solve", help="single eigenvalue estimate at the first K")
-    _add_config_arguments(p)
-    p.set_defaults(handler=_handle_solve)
-
-    p = sub.add_parser("validate-config", help="check a configuration and exit")
-    _add_config_arguments(p)
-    p.set_defaults(handler=_handle_validate)
-
+    verbs["forecast"].add_argument("--kstar-grid", type=_csv(int), metavar="K1,K2,...")
+    verbs["forecast"].add_argument("--horizon", type=int)
     return parser
 
 

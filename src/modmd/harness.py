@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import hashlib
 import importlib.metadata
 import json
 import math
@@ -14,6 +15,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import scipy
@@ -56,7 +58,20 @@ OBSERVABLE_POLICIES = (
     "explicit",
 )
 SIGNAL_SOURCES = ("exact+gaussian", "shadow")
-SWEEP_KINDS = ("sweep-k", "sweep-gap", "sweep-noise", "forecast")
+
+# Driver arguments each sweep kind records in its manifest's ``sweep_args``
+# (the CLI flag of each has the same name): a ``*_grid`` is a list of
+# values of the given type, anything else a single value.
+SWEEP_ARGS = {
+    "sweep-k": {},
+    "sweep-gap": {"h_grid": float},
+    "sweep-noise": {"eps_grid": float},
+    "forecast": {"kstar_grid": int, "horizon": int},
+}
+
+# Configuration fields naming input files; a manifest records their sha256
+# so a replay can refuse inputs edited since the run.
+_INPUT_FILE_FIELDS = ("hamiltonian_file", "observable_file")
 
 OUTPUT_DIR_ENV = "MODMD_OUTPUT_DIR"
 
@@ -218,21 +233,68 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     return out
 
 
+def _sha256(path) -> "str | None":
+    """Hex digest of a file's bytes, or ``None`` when it cannot be read."""
+    try:
+        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    except (OSError, TypeError):
+        return None
+
+
+def _manifest_arg(args: dict, name: str, kind):
+    """One driver argument of a manifest: a list of ``kind`` values for a
+    ``*_grid``, else one value (an ``int`` accepts JSON integers only)."""
+    value = args.get(name)
+    grid = name.endswith("_grid")
+    vals = value if grid else [value]
+    if grid != isinstance(value, list) or any(type(v) not in (int, kind) for v in vals):
+        raise ConfigError(f"sweep_args.{name} is missing or malformed: {value!r}")
+    return tuple(kind(v) for v in vals) if grid else kind(value)
+
+
+def read_run_file(path: "str | Path") -> "tuple[dict, str | None, dict]":
+    """Read a JSON configuration file or run manifest.
+
+    Returns the configuration mapping, the sweep kind (``None`` for a plain
+    configuration) and the manifest's driver arguments typed per
+    :data:`SWEEP_ARGS`. A manifest is refused when an input file whose
+    sha256 it recorded has changed since.
+    """
+    try:
+        data = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"invalid JSON in {path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path} is not a run manifest or a configuration mapping")
+    if "config" not in data or "sweep" not in data:
+        return data, None, {}
+    config, sweep = data["config"], data["sweep"]
+    args = data.get("sweep_args", {})
+    recorded = data.get("input_sha256", {})
+    if not all(isinstance(part, dict) for part in (config, args, recorded)):
+        raise ConfigError(f"{path}: config, sweep_args, input_sha256 must be mappings")
+    if not isinstance(sweep, str) or sweep not in SWEEP_ARGS:
+        raise ConfigError(f"unknown sweep kind {sweep!r} in manifest")
+    for name in _INPUT_FILE_FIELDS:
+        if name in recorded and _sha256(config.get(name)) != recorded[name]:
+            raise ConfigError(
+                f"{name} {config.get(name)!r} does not match the sha256 recorded "
+                f"in {path}; refusing to replay"
+            )
+    kinds = SWEEP_ARGS[sweep]
+    typed = {name: _manifest_arg(args, name, kind) for name, kind in kinds.items()}
+    return config, sweep, typed
+
+
 def load_config(path: "str | Path") -> ExperimentConfig:
     """Read a JSON configuration file.
 
     A run manifest is accepted too; its embedded ``config`` block is
     used so any sweep can be replayed from its own manifest.
     """
-    try:
-        data = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {path}: {exc}") from None
-    if isinstance(data, dict) and "config" in data and "sweep" in data:
-        data = data["config"]
-    return config_from_dict(data)
+    return config_from_dict(read_run_file(path)[0])
 
 
 def resolve_output_dir(config: ExperimentConfig) -> Path:
@@ -483,6 +545,16 @@ class AggregateRow:
     mean_rank: float
 
 
+def _groups(points, rows):
+    """``(index, value, method, rows)`` per grid point and method, in that
+    order, for every pair that has rows."""
+    for pi, point in enumerate(points):
+        for method in _METHODS:
+            group = [r for r in rows if r.point_index == pi and r.method == method]
+            if group:
+                yield pi, point, method, group
+
+
 @dataclass(frozen=True)
 class SweepResult:
     """Raw rows plus provenance for one eigenvalue sweep."""
@@ -496,32 +568,22 @@ class SweepResult:
 
     def aggregates(self) -> "tuple[AggregateRow, ...]":
         out = []
-        for pi, point in enumerate(self.points):
-            for method in _METHODS:
-                group = [
-                    r
-                    for r in self.rows
-                    if r.point_index == pi and r.method == method
-                ]
-                if not group:
-                    continue
-                energies = np.array([g.energies for g in group])
-                errors = np.array([g.abs_errors for g in group])
-                out.append(
-                    AggregateRow(
-                        point_index=pi,
-                        point_value=point,
-                        method=method,
-                        n_trials=len(group),
-                        mean_energies=tuple(energies.mean(axis=0)),
-                        mean_errors=tuple(errors.mean(axis=0)),
-                        std_errors=tuple(errors.std(axis=0)),
-                        mean_residual=float(
-                            np.mean([g.residual for g in group])
-                        ),
-                        mean_rank=float(np.mean([g.retained_rank for g in group])),
-                    )
+        for pi, point, method, group in _groups(self.points, self.rows):
+            energies = np.array([g.energies for g in group])
+            errors = np.array([g.abs_errors for g in group])
+            out.append(
+                AggregateRow(
+                    point_index=pi,
+                    point_value=point,
+                    method=method,
+                    n_trials=len(group),
+                    mean_energies=tuple(energies.mean(axis=0)),
+                    mean_errors=tuple(errors.mean(axis=0)),
+                    std_errors=tuple(errors.std(axis=0)),
+                    mean_residual=float(np.mean([g.residual for g in group])),
+                    mean_rank=float(np.mean([g.retained_rank for g in group])),
                 )
+            )
         return tuple(out)
 
 
@@ -538,6 +600,18 @@ class ForecastRow:
     wall_time_s: float
 
 
+class ForecastAggregate(NamedTuple):
+    """Across-trial statistics of the observable-averaged RMSE for one fit
+    window and method."""
+
+    point_index: int
+    point_value: float
+    method: str
+    n_trials: int
+    mean_rmse: float
+    std_rmse: float
+
+
 @dataclass(frozen=True)
 class ForecastResult:
     """Raw rows plus provenance for one forecasting experiment."""
@@ -549,29 +623,20 @@ class ForecastResult:
     horizon: int
     rows: "tuple[ForecastRow, ...]"
 
-    def aggregates(self) -> "tuple[tuple[int, float, str, int, float, float], ...]":
-        """Per (point, method): ``(index, k*, method, n, mean, std)`` of the
-        observable-averaged RMSE."""
+    def aggregates(self) -> "tuple[ForecastAggregate, ...]":
         out = []
-        for pi, point in enumerate(self.points):
-            for method in _METHODS:
-                vals = [
-                    r.rmse_mean
-                    for r in self.rows
-                    if r.point_index == pi and r.method == method
-                ]
-                if not vals:
-                    continue
-                out.append(
-                    (
-                        pi,
-                        point,
-                        method,
-                        len(vals),
-                        float(np.mean(vals)),
-                        float(np.std(vals)),
-                    )
+        for pi, point, method, group in _groups(self.points, self.rows):
+            vals = [r.rmse_mean for r in group]
+            out.append(
+                ForecastAggregate(
+                    point_index=pi,
+                    point_value=point,
+                    method=method,
+                    n_trials=len(vals),
+                    mean_rmse=float(np.mean(vals)),
+                    std_rmse=float(np.std(vals)),
                 )
+            )
         return tuple(out)
 
 
@@ -903,17 +968,17 @@ def _svg_line_plot(
     title: str,
     x_label: str,
     y_label: str,
-    xs: "list[float]",
+    xs: "tuple[float, ...]",
     series: "list[tuple[str, list[float]]]",
     log_x: bool,
-    log_y: bool,
 ) -> None:
-    """Minimal standalone vector plot with deterministic bytes."""
+    """Minimal standalone vector plot, logarithmic in y, with deterministic
+    bytes."""
     width, height = 640.0, 480.0
     left, right, top, bottom = 70.0, 20.0, 40.0, 50.0
 
     def keep(x, y):
-        return (not log_x or x > 0) and (not log_y or y > 0)
+        return (not log_x or x > 0) and y > 0
 
     pts = [
         (x, y)
@@ -924,7 +989,7 @@ def _svg_line_plot(
     if not pts:
         pts = [(1.0, 1.0)]
     tx = [math.log10(p[0]) if log_x else p[0] for p in pts]
-    ty = [math.log10(p[1]) if log_y else p[1] for p in pts]
+    ty = [math.log10(p[1]) for p in pts]
     x_lo, x_hi = min(tx), max(tx)
     y_lo, y_hi = min(ty), max(ty)
     if x_hi - x_lo < 1e-12:
@@ -934,7 +999,7 @@ def _svg_line_plot(
 
     def to_px(x, y):
         u = (math.log10(x) if log_x else x) - x_lo
-        v = (math.log10(y) if log_y else y) - y_lo
+        v = math.log10(y) - y_lo
         px = left + u / (x_hi - x_lo) * (width - left - right)
         py = height - bottom - v / (y_hi - y_lo) * (height - top - bottom)
         return px, py
@@ -968,7 +1033,7 @@ def _svg_line_plot(
         )
         lines.append(
             f'<text x="{left - 6:.1f}" y="{py + 3:.1f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="10">{tick_label(yv, log_y)}</text>'
+            f'font-family="sans-serif" font-size="10">{tick_label(yv, True)}</text>'
         )
     for si, (name, ys) in enumerate(series):
         coords = [
@@ -1018,18 +1083,36 @@ def _manifest_payload(result) -> dict:
     }
     if isinstance(result, SweepResult):
         payload["exact_energies"] = [list(e) for e in result.exact_energies]
+    for name in _INPUT_FILE_FIELDS:
+        if getattr(result.config, name) is not None:
+            digest = _sha256(getattr(result.config, name))
+            payload.setdefault("input_sha256", {})[name] = digest
     return payload
 
 
-def _emit_sweep(result: SweepResult, directory: Path) -> "list[Path]":
-    config = result.config
-    n = config.n_eig
-    energy_cols = [f"energy_{i}" for i in range(n)]
-    error_cols = [f"abs_error_{i}" for i in range(n)]
+# x axis of each sweep kind's plots: label, and whether it is logarithmic.
+_X_AXES = {
+    "sweep-k": ("snapshots K", False),
+    "sweep-gap": ("transverse field h", False),
+    "sweep-noise": ("noise level", True),
+    "forecast": ("fit-window length k*", False),
+}
+
+
+def _series(aggs, value) -> "list[tuple[str, list[float]]]":
+    """Per method with aggregates, its name and ``value`` of each one."""
+    methods = [m for m in _METHODS if any(a.method == m for a in aggs)]
+    return [(m, [value(a) for a in aggs if a.method == m]) for m in methods]
+
+
+def _sweep_layout(result: SweepResult):
+    """Results header and rows, schema column lines and plots
+    ``(suffix, title, y_label, series)`` of an eigenvalue sweep."""
+    n = result.config.n_eig
     header = (
         ["kind", "point_index", "point_value", "trial", "method", "n_trials"]
-        + energy_cols
-        + error_cols
+        + [f"energy_{i}" for i in range(n)]
+        + [f"abs_error_{i}" for i in range(n)]
         + ["residual", "retained_rank"]
     )
     rows = []
@@ -1040,7 +1123,8 @@ def _emit_sweep(result: SweepResult, directory: Path) -> "list[Path]":
             + list(r.abs_errors)
             + [r.residual, r.retained_rank]
         )
-    for agg in result.aggregates():
+    aggs = result.aggregates()
+    for agg in aggs:
         rows.append(
             ["mean", agg.point_index, agg.point_value, "", agg.method, agg.n_trials]
             + list(agg.mean_energies)
@@ -1053,22 +1137,7 @@ def _emit_sweep(result: SweepResult, directory: Path) -> "list[Path]":
             + list(agg.std_errors)
             + ["", ""]
         )
-    written = []
-    results_path = directory / f"{result.sweep}_results.csv"
-    _write_csv(results_path, header, rows)
-    written.append(results_path)
-
-    timing_path = directory / f"{result.sweep}_timing.csv"
-    _write_csv(
-        timing_path,
-        ["point_index", "trial", "method", "wall_time_s"],
-        [[r.point_index, r.trial, r.method, r.wall_time_s] for r in result.rows],
-    )
-    written.append(timing_path)
-
-    schema_path = directory / f"{result.sweep}_schema.txt"
-    schema_path.write_text(
-        f"Columns of {results_path.name}:\n"
+    columns = (
         "  kind          trial | mean | std (aggregates across trials)\n"
         "  point_index   0-based position in the sweep grid\n"
         "  point_value   grid value (K, transverse field, or noise level)\n"
@@ -1078,50 +1147,27 @@ def _emit_sweep(result: SweepResult, directory: Path) -> "list[Path]":
         f"  energy_i      retained energy estimates, i < {n}, physical units\n"
         f"  abs_error_i   |estimate - exact|, exact from dense diagonalization\n"
         "  residual      relative least-squares fit residual\n"
-        "  retained_rank singular values kept by the threshold\n\n" + _SCHEMA_NOTE
+        "  retained_rank singular values kept by the threshold\n"
     )
-    written.append(schema_path)
-
-    manifest_path = directory / f"{result.sweep}_manifest.json"
-    manifest_path.write_text(
-        json.dumps(_manifest_payload(result), indent=2, sort_keys=True) + "\n"
-    )
-    written.append(manifest_path)
-
-    aggs = result.aggregates()
-    log_x = result.sweep == "sweep-noise"
-    x_name = {
-        "sweep-k": "snapshots K",
-        "sweep-gap": "transverse field h",
-        "sweep-noise": "noise level",
-    }[result.sweep]
-    for level in range(n):
-        series = []
-        for method in _METHODS:
-            ys = [a.mean_errors[level] for a in aggs if a.method == method]
-            if ys:
-                series.append((method, ys))
-        plot_path = directory / f"{result.sweep}_level_{level}.svg"
-        _svg_line_plot(
-            plot_path,
+    plots = [
+        (
+            f"level_{level}",
             f"absolute error, level {level}",
-            x_name,
             "mean absolute error",
-            list(result.points),
-            series,
-            log_x=log_x,
-            log_y=True,
+            _series(aggs, lambda a: a.mean_errors[level]),
         )
-        written.append(plot_path)
-    return written
+        for level in range(n)
+    ]
+    return header, rows, columns, plots
 
 
-def _emit_forecast(result: ForecastResult, directory: Path) -> "list[Path]":
+def _forecast_layout(result: ForecastResult):
+    """Results header and rows, schema column lines and plot of a
+    forecasting experiment, as :func:`_sweep_layout`."""
     n_obs = result.config.n_observables
-    rmse_cols = [f"rmse_{i}" for i in range(n_obs)]
     header = (
         ["kind", "point_index", "k_star", "trial", "method", "n_trials", "rmse_mean"]
-        + rmse_cols
+        + [f"rmse_{i}" for i in range(n_obs)]
     )
     rows = []
     for r in result.rows:
@@ -1130,26 +1176,12 @@ def _emit_forecast(result: ForecastResult, directory: Path) -> "list[Path]":
             ["trial", r.point_index, r.k_star, r.trial, r.method, "", r.rmse_mean]
             + padded
         )
-    for pi, point, method, count, mean, std in result.aggregates():
-        base = [pi, int(point), "", method, count]
-        rows.append(["mean"] + base + [mean] + [""] * n_obs)
-        rows.append(["std"] + base + [std] + [""] * n_obs)
-    written = []
-    results_path = directory / f"{result.sweep}_results.csv"
-    _write_csv(results_path, header, rows)
-    written.append(results_path)
-
-    timing_path = directory / f"{result.sweep}_timing.csv"
-    _write_csv(
-        timing_path,
-        ["point_index", "trial", "method", "wall_time_s"],
-        [[r.point_index, r.trial, r.method, r.wall_time_s] for r in result.rows],
-    )
-    written.append(timing_path)
-
-    schema_path = directory / f"{result.sweep}_schema.txt"
-    schema_path.write_text(
-        f"Columns of {results_path.name}:\n"
+    aggs = result.aggregates()
+    for agg in aggs:
+        base = [agg.point_index, int(agg.point_value), "", agg.method, agg.n_trials]
+        rows.append(["mean"] + base + [agg.mean_rmse] + [""] * n_obs)
+        rows.append(["std"] + base + [agg.std_rmse] + [""] * n_obs)
+    columns = (
         "  kind       trial | mean | std (aggregates across trials)\n"
         "  point_index 0-based position in the k* grid\n"
         "  k_star     fit-window length; fitting uses samples 0..k*\n"
@@ -1159,34 +1191,11 @@ def _emit_forecast(result: ForecastResult, directory: Path) -> "list[Path]":
         f"  rmse_mean  RMSE over the {result.horizon} held-out steps, averaged\n"
         "             over that method's observables\n"
         "  rmse_i     per-observable RMSE; single-observable rows leave\n"
-        "             columns beyond rmse_0 empty\n\n" + _SCHEMA_NOTE
+        "             columns beyond rmse_0 empty\n"
     )
-    written.append(schema_path)
-
-    manifest_path = directory / f"{result.sweep}_manifest.json"
-    manifest_path.write_text(
-        json.dumps(_manifest_payload(result), indent=2, sort_keys=True) + "\n"
-    )
-    written.append(manifest_path)
-
-    series = []
-    for method in _METHODS:
-        ys = [a[4] for a in result.aggregates() if a[2] == method]
-        if ys:
-            series.append((method, ys))
-    plot_path = directory / f"{result.sweep}_rmse.svg"
-    _svg_line_plot(
-        plot_path,
-        "held-out forecast error",
-        "fit-window length k*",
-        "mean RMSE",
-        list(result.points),
-        series,
-        log_x=False,
-        log_y=True,
-    )
-    written.append(plot_path)
-    return written
+    series = _series(aggs, lambda a: a.mean_rmse)
+    plot = ("rmse", "held-out forecast error", "mean RMSE", series)
+    return header, rows, columns, [plot]
 
 
 def emit_outputs(result, directory: "str | Path") -> "list[Path]":
@@ -1197,36 +1206,47 @@ def emit_outputs(result, directory: "str | Path") -> "list[Path]":
     byte for byte.
     """
     directory = Path(directory)
+    layout = _forecast_layout if isinstance(result, ForecastResult) else _sweep_layout
+    header, rows, columns, plots = layout(result)
+    name = result.sweep
+    results_path = directory / f"{name}_results.csv"
+    timing_path = directory / f"{name}_timing.csv"
+    schema_path = directory / f"{name}_schema.txt"
+    manifest_path = directory / f"{name}_manifest.json"
     try:
         directory.mkdir(parents=True, exist_ok=True)
-        if isinstance(result, ForecastResult):
-            return _emit_forecast(result, directory)
-        return _emit_sweep(result, directory)
+        _write_csv(results_path, header, rows)
+        _write_csv(
+            timing_path,
+            ["point_index", "trial", "method", "wall_time_s"],
+            [[r.point_index, r.trial, r.method, r.wall_time_s] for r in result.rows],
+        )
+        schema_path.write_text(
+            f"Columns of {results_path.name}:\n" + columns + "\n" + _SCHEMA_NOTE
+        )
+        manifest_path.write_text(
+            json.dumps(_manifest_payload(result), indent=2, sort_keys=True) + "\n"
+        )
+        written = [results_path, timing_path, schema_path, manifest_path]
+        x_label, log_x = _X_AXES[name]
+        for suffix, title, y_label, series in plots:
+            path = directory / f"{name}_{suffix}.svg"
+            _svg_line_plot(path, title, x_label, y_label, result.points, series, log_x)
+            written.append(path)
+        return written
     except OSError as exc:
         raise OSError(f"cannot write outputs under {directory}: {exc}") from exc
 
 
 def replay_manifest(path: "str | Path"):
     """Re-run the sweep recorded in a manifest file."""
-    try:
-        data = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read manifest {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {path}: {exc}") from None
-    if not isinstance(data, dict) or "sweep" not in data or "config" not in data:
+    config, sweep, sweep_args = read_run_file(path)
+    if sweep is None:
         raise ConfigError(f"{path} is not a run manifest")
-    config = config_from_dict(data["config"])
-    sweep = data["sweep"]
-    args = data.get("sweep_args", {})
-    if sweep == "sweep-k":
-        return run_convergence_sweep(config)
-    if sweep == "sweep-gap":
-        return run_gap_sweep(config, tuple(args["h_grid"]))
-    if sweep == "sweep-noise":
-        return run_noise_sweep(config, tuple(args["eps_grid"]))
-    if sweep == "forecast":
-        return run_forecast_experiment(
-            config, tuple(args["kstar_grid"]), int(args["horizon"])
-        )
-    raise ConfigError(f"unknown sweep kind {sweep!r} in manifest")
+    driver = {
+        "sweep-k": run_convergence_sweep,
+        "sweep-gap": run_gap_sweep,
+        "sweep-noise": run_noise_sweep,
+        "forecast": run_forecast_experiment,
+    }[sweep]
+    return driver(config_from_dict(config), **sweep_args)

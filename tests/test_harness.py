@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -27,6 +28,7 @@ from modmd import (
     extract_eigen,
     build_hankel,
     fit_propagator,
+    format_pauli_sum,
     load_config,
     measure_signal,
     replay_manifest,
@@ -42,7 +44,14 @@ from modmd import (
     truncated_pinv,
 )
 from modmd import harness
-from modmd.cli import EXIT_CONFIG, EXIT_OK, EXIT_RESOURCE, EXIT_SHORTFALL, main
+from modmd.cli import (
+    EXIT_CONFIG,
+    EXIT_OK,
+    EXIT_RESOURCE,
+    EXIT_SHORTFALL,
+    build_parser,
+    main,
+)
 from modmd.harness import (
     depth_for_window,
     identity_observable,
@@ -609,6 +618,10 @@ class TestSweepDrivers:
         result = run_forecast_experiment(config, (24, 36), 5)
         assert isinstance(result, ForecastResult)
         assert result.horizon == 5
+        agg = result.aggregates()[0]
+        assert (agg.point_value, agg.method, agg.n_trials) == (24.0, "modmd", 2)
+        first = [r.rmse_mean for r in result.rows if r.point_index == 0][::2]
+        assert agg[4] == agg.mean_rmse == float(np.mean(first))
         assert len(result.rows) == 2 * config.trials * 2
         for row in result.rows:
             expected_len = 2 if row.method == "modmd" else 1
@@ -769,11 +782,23 @@ class TestEmitOutputs:
 
         assert strip(replayed.rows) == strip(small_sweep.rows)
 
-    def test_replay_reproduces_bytes(self, small_sweep, tmp_path):
+    @pytest.mark.parametrize(
+        "kind", ["sweep-k", "sweep-gap", "sweep-noise", "forecast"]
+    )
+    def test_replay_reproduces_bytes(self, kind, small_sweep, tmp_path):
         first = tmp_path / "a"
         second = tmp_path / "b"
-        emit_outputs(small_sweep, first)
-        replayed = replay_manifest(first / "sweep-k_manifest.json")
+        if kind == "sweep-k":
+            result = small_sweep
+        elif kind == "sweep-gap":
+            result = run_gap_sweep(small_config(), (0.7, 1.3))
+        elif kind == "sweep-noise":
+            result = run_noise_sweep(small_config(svd_threshold=None), (1e-4, 1e-2))
+        else:
+            config = small_config(noise_epsilon=1e-3)
+            result = run_forecast_experiment(config, (24, 30), 6)
+        written = emit_outputs(result, first)
+        replayed = replay_manifest(first / f"{kind}_manifest.json")
         emit_outputs(replayed, second)
         compared = 0
         for path in sorted(first.iterdir()):
@@ -781,7 +806,7 @@ class TestEmitOutputs:
                 continue
             assert (second / path.name).read_bytes() == path.read_bytes()
             compared += 1
-        assert compared == 5
+        assert compared == len(written) - 1
 
     def test_shadow_replay_reproduces_bytes(self, tmp_path):
         sweep = run_convergence_sweep(
@@ -818,6 +843,59 @@ class TestEmitOutputs:
         )
         with pytest.raises(ConfigError, match="unknown sweep kind"):
             replay_manifest(unknown)
+
+    @pytest.mark.parametrize(
+        "sweep, sweep_args, match",
+        [
+            ("sweep-gap", {}, "h_grid is missing"),
+            ("sweep-gap", {"h_grid": 0.5}, "h_grid is missing or malformed: 0.5"),
+            ("sweep-noise", {"eps_grid": [1e-3, "x"]}, "eps_grid"),
+            ("sweep-noise", {"eps_grid": [True]}, "eps_grid"),
+            ("forecast", {"kstar_grid": [24]}, "horizon is missing"),
+            ("forecast", {"kstar_grid": [24.5], "horizon": 5}, "kstar_grid"),
+            ("forecast", {"kstar_grid": [24], "horizon": [5]}, "horizon"),
+            ("sweep-k", [], "must be mappings"),
+        ],
+    )
+    def test_malformed_manifest_grids_rejected(
+        self, tmp_path, sweep, sweep_args, match
+    ):
+        path = tmp_path / "m.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "sweep": sweep,
+                    "config": config_to_dict(small_config()),
+                    "sweep_args": sweep_args,
+                }
+            )
+        )
+        with pytest.raises(ConfigError, match=match):
+            replay_manifest(path)
+        with pytest.raises(ConfigError, match=match):
+            load_config(path)
+
+    def test_manifest_records_and_checks_input_hashes(self, tmp_path):
+        hfile = tmp_path / "h.txt"
+        hfile.write_text(format_pauli_sum(build_tfim(3, 1.0, 1.0)) + "\n")
+        config = small_config(tfim_qubits=None, hamiltonian_file=str(hfile), trials=1)
+        emit_outputs(run_convergence_sweep(config), tmp_path / "a")
+        manifest = tmp_path / "a" / "sweep-k_manifest.json"
+        recorded = json.loads(manifest.read_text())["input_sha256"]
+        digest = hashlib.sha256(hfile.read_bytes()).hexdigest()
+        assert recorded == {"hamiltonian_file": digest}
+        emit_outputs(replay_manifest(manifest), tmp_path / "b")
+        for name in ("sweep-k_results.csv", "sweep-k_manifest.json"):
+            replayed = (tmp_path / "b" / name).read_bytes()
+            assert replayed == (tmp_path / "a" / name).read_bytes()
+        hfile.write_text(hfile.read_text().replace("1.0 ", "1.5 ", 1))
+        with pytest.raises(ConfigError, match="hamiltonian_file .* does not match"):
+            replay_manifest(manifest)
+        with pytest.raises(ConfigError, match="does not match the sha256"):
+            load_config(manifest)
+        hfile.unlink()
+        with pytest.raises(ConfigError, match="does not match the sha256"):
+            replay_manifest(manifest)
 
 
 class TestCli:
@@ -893,6 +971,48 @@ class TestCli:
         path = write_config_file(tmp_path / "cfg.json")
         assert main(["sweep-gap", "--config", str(path)]) == EXIT_CONFIG
         assert "--h-grid is required" in capsys.readouterr().err
+
+    def test_malformed_manifest_grid_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "sweep": "sweep-gap",
+                    "config": config_to_dict(small_config()),
+                    "sweep_args": {"h_grid": 0.5},
+                }
+            )
+        )
+        assert main(["sweep-gap", "--config", str(path)]) == EXIT_CONFIG
+        assert "sweep_args.h_grid is missing or malformed" in capsys.readouterr().err
+
+    def test_edited_input_file_refused_exit_code(self, tmp_path, monkeypatch, capsys):
+        hfile = tmp_path / "h.txt"
+        hfile.write_text(format_pauli_sum(build_tfim(3, 1.0, 1.0)) + "\n")
+        path = write_config_file(
+            tmp_path / "cfg.json",
+            tfim_qubits=None,
+            hamiltonian_file=str(hfile),
+            trials=1,
+        )
+        monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / "out"))
+        assert main(["sweep-k", "--config", str(path)]) == EXIT_OK
+        manifest = tmp_path / "out" / "sweep-k_manifest.json"
+        assert main(["sweep-k", "--config", str(manifest)]) == EXIT_OK
+        hfile.write_text(hfile.read_text() + "0.25 ZII\n")
+        capsys.readouterr()
+        assert main(["sweep-k", "--config", str(manifest)]) == EXIT_CONFIG
+        assert "refusing to replay" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "verb",
+        ["sweep-k", "sweep-gap", "sweep-noise", "forecast", "solve", "validate-config"],
+    )
+    def test_every_field_and_sweep_arg_has_a_flag(self, verb):
+        dests = vars(build_parser().parse_args([verb]))
+        names = [f.name for f in dataclasses.fields(ExperimentConfig)]
+        for name in names + list(harness.SWEEP_ARGS.get(verb, {})):
+            assert name in dests, f"{verb} has no flag for {name}"
 
     def test_forecast_with_flag_grids(self, tmp_path, monkeypatch):
         monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / "out"))
