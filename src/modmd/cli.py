@@ -147,7 +147,18 @@ def _handle_sweep(args) -> int:
         "forecast": run_forecast_experiment,
     }[args.verb]
     kwargs = {n: _sweep_arg(args, sweep_args, n) for n in SWEEP_ARGS[args.verb]}
-    for path in emit_outputs(driver(config, **kwargs), resolve_output_dir(config)):
+    directory = resolve_output_dir(config)
+    try:
+        # Before the sweep, so an unusable directory costs no finished cells.
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {directory}: {exc}") from None
+    result = driver(config, **kwargs)
+    try:
+        written = emit_outputs(result, directory)
+    except OSError as exc:
+        raise ConfigError(str(exc)) from None
+    for path in written:
         print(f"wrote {path}")
     return EXIT_OK
 

@@ -40,6 +40,7 @@ from .simulate import (
     build_reference_superposition,
     diagonalize,
     exact_signal,
+    phase_table,
 )
 from .solver import (
     build_hankel,
@@ -334,7 +335,12 @@ def identity_observable(n_qubits: int) -> PauliSum:
 
 @dataclass(frozen=True)
 class Problem:
-    """Resolved physical model shared by every cell of a sweep."""
+    """Resolved physical model shared by every cell of a sweep.
+
+    ``phases`` is the :func:`~modmd.simulate.phase_table` of ``spec`` and
+    ``dt`` that every exact signal of the sweep slices, or ``None`` when
+    each signal builds its own.
+    """
 
     n_qubits: int
     hamiltonian: PauliSum
@@ -345,6 +351,7 @@ class Problem:
     dt: float
     exact_energies: "tuple[float, ...]"
     explicit_observables: "tuple[PauliSum, ...] | None"
+    phases: "np.ndarray | None" = None
 
 
 def _orthogonal_companion(phi0: StateVector) -> StateVector:
@@ -433,9 +440,15 @@ def resolve_time_step(config: ExperimentConfig) -> float:
 
 
 def build_problem(
-    config: ExperimentConfig, field_override: "float | None" = None
+    config: ExperimentConfig,
+    field_override: "float | None" = None,
+    k_max: "int | None" = None,
 ) -> Problem:
-    """Diagonalize the (rescaled) Hamiltonian and resolve run-wide state."""
+    """Diagonalize the (rescaled) Hamiltonian and resolve run-wide state.
+
+    With ``k_max`` set, the problem carries the phase table of exact
+    signals over up to ``k_max + 1`` samples.
+    """
     hamiltonian = resolve_hamiltonian(config, field_override)
     n_qubits = hamiltonian.n_qubits
 
@@ -472,6 +485,7 @@ def build_problem(
         dt=dt,
         exact_energies=tuple(float(e) for e in physical),
         explicit_observables=explicit,
+        phases=None if k_max is None else phase_table(spec, dt, k_max + 1),
     )
 
 
@@ -510,7 +524,13 @@ def measure_signal(
             mode="real",
         )
     clean = exact_signal(
-        problem.spec, problem.phi0, observables, problem.dt, k_max, mode="real"
+        problem.spec,
+        problem.phi0,
+        observables,
+        problem.dt,
+        k_max,
+        mode="real",
+        phases=problem.phases,
     )
     return gaussian_noise_channel(clean, NoiseSpec(epsilon, seed, "both"))
 
@@ -728,6 +748,7 @@ def _forecast_cell(
             problem.dt,
             k_star + horizon,
             mode="real",
+            phases=problem.phases,
         )
         if config.signal_source == "shadow":
             measured = measure_signal(
@@ -740,7 +761,7 @@ def _forecast_cell(
             )
         pair = build_hankel(measured, d, K)
         fit = fit_propagator(pair, truncated_pinv(pair.x, delta))
-        predicted = forecast(fit.propagator(), pair, horizon + 1)[:, 1:]
+        predicted = forecast(fit, pair, horizon + 1)[:, 1:]
         held_out = truth.values[:, k_star + 1 :]
         rmse = np.sqrt(np.mean((predicted - held_out) ** 2, axis=1))
         rows.append(
@@ -787,30 +808,37 @@ def _evaluate_cell(plan: _SweepPlan, problem: Problem, point_index: int, trial: 
     )
 
 
-# Worker-process state: the plan is installed once per worker and problems
-# are cached per grid point, so parallel runs redo the diagonalization at
-# most once per (worker, Hamiltonian) instead of once per cell.
+def _longest_signal(plan: _SweepPlan) -> int:
+    """Largest ``k_max`` of any exact signal the plan's cells generate."""
+    if plan.kind == "forecast":
+        return int(max(plan.points)) + plan.horizon
+    windows = plan.points if plan.kind == "sweep-k" else plan.config.k_grid[:1]
+    return max(int(K) + depth_for_window(int(K), plan.config.k_over_d) for K in windows)
+
+
+# Worker-process state: the plan is installed once per worker, and the
+# latest problem (keyed by grid point for sweep-gap, else shared) is kept.
+# Tasks arrive in (point, trial) order, so each worker diagonalizes at most
+# once per Hamiltonian and holds one eigenbasis and phase table at a time.
 _WORKER_PLAN: "_SweepPlan | None" = None
-_WORKER_PROBLEMS: "dict[int, Problem]" = {}
+_WORKER_PROBLEM: "tuple[int, Problem] | None" = None
 
 
 def _init_worker(plan: "_SweepPlan | None") -> None:
-    global _WORKER_PLAN
+    global _WORKER_PLAN, _WORKER_PROBLEM
     _WORKER_PLAN = plan
-    _WORKER_PROBLEMS.clear()
+    _WORKER_PROBLEM = None
 
 
 def _worker_problem(point_index: int) -> Problem:
-    key = point_index if _WORKER_PLAN.kind == "sweep-gap" else -1
-    if key not in _WORKER_PROBLEMS:
-        if key == -1:
-            _WORKER_PROBLEMS[key] = build_problem(_WORKER_PLAN.config)
-        else:
-            _WORKER_PROBLEMS[key] = build_problem(
-                _WORKER_PLAN.config,
-                field_override=_WORKER_PLAN.points[point_index],
-            )
-    return _WORKER_PROBLEMS[key]
+    global _WORKER_PROBLEM
+    plan = _WORKER_PLAN
+    key = point_index if plan.kind == "sweep-gap" else -1
+    if _WORKER_PROBLEM is None or _WORKER_PROBLEM[0] != key:
+        _WORKER_PROBLEM = None  # release the previous eigenbasis before the next
+        field = None if key == -1 else plan.points[point_index]
+        _WORKER_PROBLEM = (key, build_problem(plan.config, field, _longest_signal(plan)))
+    return _WORKER_PROBLEM[1]
 
 
 def _worker_task(task: "tuple[int, int]"):
@@ -834,7 +862,7 @@ def _run_plan(plan: _SweepPlan) -> "tuple[list, tuple[tuple[float, ...], ...]]":
         try:
             outputs = [_worker_task(task) for task in tasks]
         finally:
-            _init_worker(None)  # release the sweep's problems (dense eigenvectors)
+            _init_worker(None)  # release the sweep's problem (dense eigenvectors)
     else:
         with ProcessPoolExecutor(
             max_workers=plan.config.workers,

@@ -343,7 +343,9 @@ def residual(fit: PropagatorFit, pair: HankelPair) -> float:
     return float(np.linalg.norm(pair.xp - fitted) / denom)
 
 
-def forecast(a_matrix: np.ndarray, pair: HankelPair, horizon: int) -> np.ndarray:
+def forecast(
+    propagator: "np.ndarray | PropagatorFit", pair: HankelPair, horizon: int
+) -> np.ndarray:
     """Extrapolate the signal by iterating the fitted propagator.
 
     Starting from the final snapshot column, each multiplication advances
@@ -351,22 +353,32 @@ def forecast(a_matrix: np.ndarray, pair: HankelPair, horizon: int) -> np.ndarray
     of the result is absolute step ``K + d + m``: column 0 coincides with
     the final observed sample when the fit is consistent, and later
     columns extend beyond the data. A zero horizon yields an empty block.
+
+    ``propagator`` is a square matrix ``A`` or a :class:`PropagatorFit`.
+    A fit iterates its ``r x r`` operator instead: since ``A = B U_r^H``,
+    step ``m`` is ``B Ã^m z`` with ``z = U_r^H x_last``, so only the
+    trailing rows of ``B`` are ever read.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     n_obs = pair.n_observables
-    a_matrix = np.asarray(a_matrix)
-    if a_matrix.shape != (pair.x.shape[0], pair.x.shape[0]):
-        raise ValueError("propagator shape does not match the snapshot pair")
-    if horizon == 0:
-        return np.empty((n_obs, 0), dtype=np.result_type(a_matrix, pair.x))
-    x = a_matrix @ pair.x[:, -1]
-    out = np.empty((n_obs, horizon), dtype=x.dtype)
-    out[:, 0] = x[-n_obs:]
-    for m in range(1, horizon):
-        x = a_matrix @ x
-        out[:, m] = x[-n_obs:]
-    return out
+    x_last = pair.x[:, -1]
+    if isinstance(propagator, PropagatorFit):
+        if propagator.b_matrix.shape[0] != len(x_last):
+            raise ValueError("fit state dimension does not match the snapshot pair")
+        step, read = propagator.reduced, propagator.b_matrix[-n_obs:]
+        z = propagator.pinv.left.conj().T @ x_last
+    else:
+        step = np.asarray(propagator)
+        if step.shape != (len(x_last), len(x_last)):
+            raise ValueError("propagator shape does not match the snapshot pair")
+        read = None
+        z = step @ x_last
+    states = np.empty((len(z), horizon), dtype=z.dtype)
+    for m in range(horizon):
+        states[:, m] = z
+        z = step @ z
+    return states[-n_obs:] if read is None else read @ states
 
 
 def estimate_eigenstate(

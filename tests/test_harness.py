@@ -16,6 +16,7 @@ from modmd import (
     ForecastResult,
     OUTPUT_DIR_ENV,
     PauliParseError,
+    SpectralDecomposition,
     SweepResult,
     build_observables,
     build_problem,
@@ -31,6 +32,7 @@ from modmd import (
     format_pauli_sum,
     load_config,
     measure_signal,
+    parse_pauli_sum,
     replay_manifest,
     residual,
     resolve_output_dir,
@@ -40,6 +42,7 @@ from modmd import (
     run_noise_sweep,
     run_single_solve,
     select_time_step,
+    shift_and_scale,
     to_dense,
     truncated_pinv,
 )
@@ -340,6 +343,43 @@ class TestBuildProblem:
         )
         with pytest.raises(ConfigError, match="holds only 1"):
             build_problem(config)
+
+    @pytest.mark.parametrize(
+        "text, solver",
+        [
+            ("1.0 XYZ\n0.5 ZZI\n-0.7 IXX\n0.3 YII\n", complex),  # odd Y counts
+            ("1.0 XYY\n0.5 ZZI\n-0.7 IXX\n0.3 YIY\n", float),  # even Y counts
+        ],
+        ids=["odd-y", "even-y"],
+    )
+    def test_hamiltonian_file_solver_path(self, tmp_path, monkeypatch, text, solver):
+        hfile = tmp_path / "h.txt"
+        hfile.write_text(text)
+        config = small_config(tfim_qubits=None, hamiltonian_file=str(hfile))
+        seen, eigh = [], np.linalg.eigh
+
+        def recording_eigh(a, *args, **kwargs):
+            seen.append(np.asarray(a).dtype)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        problem = build_problem(config)
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        assert seen == [np.dtype(solver)]
+        # Oracle: the complex Hermitian solver on the same rescaled matrix.
+        shifted, shift = shift_and_scale(
+            parse_pauli_sum(text), safety_fraction=config.safety_fraction
+        )
+        oracle = SpectralDecomposition(*eigh(to_dense(shifted).astype(complex)))
+        physical = shift.to_original(oracle.energies)
+        scale = np.max(np.abs(physical))
+        np.testing.assert_allclose(
+            problem.exact_energies, physical, rtol=0, atol=1e-12 * scale
+        )
+        observables = build_observables(config, problem, seed=3)
+        got = exact_signal(problem.spec, problem.phi0, observables, problem.dt, 40)
+        want = exact_signal(oracle, problem.phi0, observables, problem.dt, 40)
+        np.testing.assert_allclose(got.values, want.values, rtol=0, atol=1e-12)
 
     def test_reference_width_checked(self):
         with pytest.raises(ConfigError, match="does not address"):
@@ -658,9 +698,37 @@ class TestSweepDrivers:
 
     def test_serial_sweeps_release_worker_state(self):
         run_convergence_sweep(small_config(trials=1))
-        assert harness._WORKER_PLAN is None and harness._WORKER_PROBLEMS == {}
+        assert harness._WORKER_PLAN is None and harness._WORKER_PROBLEM is None
         run_gap_sweep(small_config(trials=1), (0.9, 1.0, 1.1))
-        assert harness._WORKER_PLAN is None and harness._WORKER_PROBLEMS == {}
+        assert harness._WORKER_PLAN is None and harness._WORKER_PROBLEM is None
+
+    def test_serial_gap_sweep_holds_one_problem_at_a_time(self, monkeypatch):
+        built, held = [], []
+
+        def recording_build_problem(*args, **kwargs):
+            held.append(harness._WORKER_PROBLEM)
+            problem = build_problem(*args, **kwargs)
+            built.append(problem)
+            return problem
+
+        monkeypatch.setattr(harness, "build_problem", recording_build_problem)
+        run_gap_sweep(small_config(trials=3), (0.9, 1.0, 1.1))
+        assert len(built) == 3  # once per field, not once per cell
+        assert held == [None, None, None]  # the previous field's problem is released
+
+    def test_sweep_problem_carries_the_longest_phase_table(self, monkeypatch):
+        tables = []
+
+        def recording_build_problem(*args, **kwargs):
+            problem = build_problem(*args, **kwargs)
+            tables.append(problem.phases.shape)
+            return problem
+
+        monkeypatch.setattr(harness, "build_problem", recording_build_problem)
+        run_convergence_sweep(small_config(k_grid=(16, 24), trials=1))
+        run_forecast_experiment(small_config(trials=1), (20, 30), 7)
+        # K + d + 1 samples at K = 24, d = 12; k* + horizon + 1 at k* = 30
+        assert tables == [(8, 37), (8, 38)]
 
     def test_parallel_workers_reproduce_serial_rows(self):
         serial = run_convergence_sweep(small_config())
@@ -670,6 +738,16 @@ class TestSweepDrivers:
             return [dataclasses.replace(r, wall_time_s=0.0) for r in rows]
 
         assert strip(parallel.rows) == strip(serial.rows)
+
+    def test_parallel_workers_reproduce_serial_gap_and_forecast_rows(self):
+        def outputs(workers):
+            config = small_config(workers=workers)
+            gap = run_gap_sweep(config, (0.9, 1.1))
+            fc = run_forecast_experiment(config, (20, 30), 7)
+            rows = [dataclasses.replace(r, wall_time_s=0.0) for r in gap.rows + fc.rows]
+            return rows, gap.exact_energies
+
+        assert outputs(2) == outputs(1)
 
 
 class TestEmitOutputs:
@@ -966,6 +1044,32 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.count("wrote") == 6
         assert (tmp_path / "out" / "sweep-k_results.csv").is_file()
+
+    def test_unwritable_output_dir_exits_before_sweep(self, tmp_path, monkeypatch, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory\n")
+        monkeypatch.setenv(OUTPUT_DIR_ENV, str(blocker / "out"))
+        calls = []
+        monkeypatch.setattr(
+            "modmd.cli.run_convergence_sweep", lambda *a, **k: calls.append(a)
+        )
+        path = write_config_file(tmp_path / "cfg.json", trials=1)
+        assert main(["sweep-k", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot create output directory")
+        assert err.count("\n") == 1
+        assert calls == []
+
+    def test_emit_failure_exit_code(self, tmp_path, monkeypatch, capsys):
+        def failing_emit(result, directory):
+            raise OSError(f"cannot write outputs under {directory}: disk full")
+
+        monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / "out"))
+        monkeypatch.setattr("modmd.cli.emit_outputs", failing_emit)
+        path = write_config_file(tmp_path / "cfg.json", trials=1)
+        assert main(["sweep-k", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write outputs under {tmp_path / 'out'}: disk full\n"
 
     def test_sweep_gap_requires_grid(self, tmp_path, capsys):
         path = write_config_file(tmp_path / "cfg.json")

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from modmd import (
     PauliString,
@@ -20,6 +21,7 @@ from modmd import (
     trotter_evolve,
     trotter_steps,
 )
+from modmd.simulate import phase_table
 
 
 def identity_sum(n_qubits):
@@ -45,6 +47,21 @@ def random_hermitian_sum(n_qubits, rng, n_terms=5):
             for lab in sorted(labels)
         ],
     )
+
+
+def complex_hermitian_sum(n_qubits, rng):
+    """A random Pauli sum with terms of one and three Y factors, so its
+    matrix has imaginary entries."""
+    labels = ["Y" + "X" * (n_qubits - 1), "YYY" + "Z" * (n_qubits - 3)]
+    extra = random_hermitian_sum(n_qubits, rng, n_terms=4)
+    terms = [(float(rng.standard_normal()), PauliString.from_label(lab)) for lab in labels]
+    return PauliSum.from_terms(n_qubits, terms + list(zip(extra.coefficients, extra.strings)))
+
+
+def complex_eigh_oracle(matrix):
+    """Eigensystem from the complex Hermitian solver, whatever the entries."""
+    energies, vectors = np.linalg.eigh(np.asarray(matrix, dtype=complex))
+    return SpectralDecomposition(energies, vectors)
 
 
 class TestStateVector:
@@ -105,8 +122,74 @@ class TestDiagonalize:
         with pytest.raises(ValueError):
             diagonalize(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
+    @staticmethod
+    def solver_dtypes(monkeypatch, matrix):
+        """``diagonalize(matrix)`` and the dtypes its eigensolver received."""
+        seen = []
+        eigh = np.linalg.eigh
+
+        def recording_eigh(a, *args, **kwargs):
+            seen.append(np.asarray(a).dtype)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        spec = diagonalize(matrix)
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        return spec, seen
+
+    @pytest.mark.parametrize(
+        "psum",
+        [
+            build_tfim(6, 1.0, 0.8),
+            PauliSum.from_terms(
+                5,
+                [
+                    (0.7, PauliString.from_label("XYYZI")),
+                    (-1.1, PauliString.from_label("YIYII")),
+                    (0.4, PauliString.from_label("ZZIXX")),
+                    (0.9, PauliString.from_label("IYXYZ")),
+                    (-0.3, PauliString.from_label("IIIIZ")),
+                ],
+            ),
+        ],
+        ids=["tfim", "even-y"],
+    )
+    def test_real_matrix_takes_real_solver(self, monkeypatch, psum):
+        matrix = to_dense(psum)
+        assert not np.any(matrix.imag)
+        oracle = complex_eigh_oracle(matrix)
+        spec, seen = self.solver_dtypes(monkeypatch, matrix)
+        assert seen == [np.dtype(float)]
+        scale = np.max(np.abs(oracle.energies))
+        np.testing.assert_allclose(spec.energies, oracle.energies, rtol=0, atol=1e-12 * scale)
+        rng = np.random.default_rng(31)
+        n = psum.n_qubits
+        phi0 = random_state(n, rng)
+        obs = [identity_sum(n), random_hermitian_sum(n, rng, n_terms=3)]
+        got = exact_signal(spec, phi0, obs, 0.3, 40, mode="complex")
+        want = exact_signal(oracle, phi0, obs, 0.3, 40, mode="complex")
+        np.testing.assert_allclose(got.values, want.values, rtol=0, atol=1e-12)
+
+    def test_complex_matrix_takes_complex_solver(self, monkeypatch):
+        matrix = to_dense(complex_hermitian_sum(4, np.random.default_rng(32)))
+        assert np.any(matrix.imag)
+        oracle = complex_eigh_oracle(matrix)
+        spec, seen = self.solver_dtypes(monkeypatch, matrix)
+        assert seen == [np.dtype(complex)]
+        np.testing.assert_array_equal(spec.energies, oracle.energies)
+
 
 class TestEvolve:
+    def test_complex_hamiltonian_matches_matrix_exponential(self):
+        rng = np.random.default_rng(33)
+        h = to_dense(complex_hermitian_sum(4, rng))
+        spec = diagonalize(h)
+        state = random_state(4, rng)
+        for t in (0.0, 0.4, 2.3):
+            expected = scipy.linalg.expm(-1j * t * h) @ state.amplitudes
+            evolved = evolve(spec, state, t)
+            np.testing.assert_allclose(evolved.amplitudes, expected, rtol=0, atol=1e-12)
+
     def test_zero_time_is_identity(self):
         rng = np.random.default_rng(1)
         spec = diagonalize(to_dense(build_tfim(3, 1.0, 1.0)))
@@ -384,19 +467,26 @@ class TestExactSignal:
         np.testing.assert_allclose(real.values, full.values.real, atol=1e-12)
 
     def test_matches_direct_matrix_vector_path(self):
-        """Eigenbasis evaluation agrees with literal evolve-then-project."""
+        """Eigenbasis evaluation agrees with literal evolve-then-project
+        (matrix exponential), for a real Hamiltonian and for a complex one
+        with complex observables."""
         rng = np.random.default_rng(22)
         h = random_hermitian_sum(3, rng)
-        spec = diagonalize(to_dense(h))
-        phi0 = random_state(3, rng)
-        obs = [h, identity_sum(3)]
+        real_case = (h, [h, identity_sum(3)], random_state(3, rng))
+        h = complex_hermitian_sum(3, rng)
+        obs = [h, complex_hermitian_sum(3, rng), identity_sum(3)]
+        assert all(np.any(to_dense(o).imag) for o in obs[:2])
+        complex_case = (h, obs, random_state(3, rng))
         dt, k_max = 0.6, 8
-        signal = exact_signal(spec, phi0, obs, dt, k_max, mode="complex")
-        for k in range(k_max + 1):
-            evolved = evolve(spec, phi0, k * dt)
-            for i, o in enumerate(obs):
-                direct = np.vdot(phi0.amplitudes, o.apply(evolved.amplitudes))
-                assert signal.values[i, k] == pytest.approx(direct, abs=1e-9)
+        for h, obs, phi0 in (real_case, complex_case):
+            dense = to_dense(h)
+            spec = diagonalize(dense)
+            signal = exact_signal(spec, phi0, obs, dt, k_max, mode="complex")
+            for k in range(k_max + 1):
+                evolved = scipy.linalg.expm(-1j * k * dt * dense) @ phi0.amplitudes
+                for i, o in enumerate(obs):
+                    direct = np.vdot(phi0.amplitudes, o.apply(evolved))
+                    assert signal.values[i, k] == pytest.approx(direct, abs=1e-9)
 
     def test_identity_signal_equals_overlap_autocorrelation(self):
         rng = np.random.default_rng(23)
@@ -422,6 +512,23 @@ class TestExactSignal:
             phi0 = random_state(3, rng)
             signal = exact_signal(spec, phi0, [obs], 0.5, 20, mode="complex")
             assert np.max(np.abs(signal.values)) <= obs.weight_l1 + 1e-10
+
+    def test_slice_of_shared_phase_table_matches_own_table(self):
+        rng = np.random.default_rng(25)
+        spec = diagonalize(to_dense(complex_hermitian_sum(4, rng)))
+        phi0 = random_state(4, rng)
+        obs = [identity_sum(4), complex_hermitian_sum(4, rng)]
+        dt = 0.7
+        shared = phase_table(spec, dt, 61)
+        assert shared.shape == (16, 61)
+        for k_max in (0, 9, 60):
+            own = exact_signal(spec, phi0, obs, dt, k_max, mode="complex")
+            sliced = exact_signal(spec, phi0, obs, dt, k_max, mode="complex", phases=shared)
+            np.testing.assert_allclose(sliced.values, own.values, rtol=0, atol=1e-13)
+        with pytest.raises(ValueError, match="does not cover"):
+            exact_signal(spec, phi0, obs, dt, 61, phases=shared)
+        with pytest.raises(ValueError, match="does not cover"):
+            exact_signal(spec, phi0, obs, dt, 5, phases=shared[:8])
 
     def test_invalid_arguments_rejected(self):
         spec = diagonalize(to_dense(build_tfim(2, 1.0, 1.0)))

@@ -642,6 +642,37 @@ class TestForecast:
         with pytest.raises(ValueError):
             forecast(a, pair, -1)
 
+    @staticmethod
+    def assert_fit_matches_full_matrix(pair, threshold, horizon):
+        fit = fitted(pair, threshold)
+        reduced = forecast(fit, pair, horizon)
+        full = forecast(fit.propagator(), pair, horizon)
+        assert reduced.shape == full.shape == (pair.n_observables, horizon)
+        assert np.linalg.norm(reduced - full) <= 1e-10 * np.linalg.norm(full)
+
+    def test_fit_path_matches_full_matrix_noisy(self):
+        rng = np.random.default_rng(41)
+        coeffs = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+        clean = mode_signal([-1.2, 0.3, 0.9, 1.7], coeffs, 1.0, 80)
+        noisy = clean.values + 1e-3 * rng.standard_normal((6, 80))
+        pair = build_hankel(MultiObservableSignal(6, 1.0, noisy.real, mode="real"), 10, 60)
+        fit = fitted(pair, 1e-2)
+        assert 0 < fit.rank < pair.x.shape[0]
+        self.assert_fit_matches_full_matrix(pair, 1e-2, 200)
+
+    @pytest.mark.parametrize("seed", [3, 17, 29])
+    @pytest.mark.parametrize("real", [True, False])
+    def test_fit_path_matches_full_matrix_low_rank(self, seed, real):
+        pair, _ = random_mode_pair(seed, real)
+        self.assert_fit_matches_full_matrix(pair, 1e-10, 120)
+
+    def test_fit_shape_checked(self):
+        signal = mode_signal([0.4], [[1.0]], 1.0, 12)
+        other = fitted(build_hankel(signal, 1, 6), 1e-12)
+        with pytest.raises(ValueError):
+            forecast(other, build_hankel(signal, 2, 6), 4)
+        assert forecast(other, build_hankel(signal, 1, 6), 0).shape == (1, 0)
+
 
 class TestEstimateEigenstate:
     def test_spin_chain_low_states_high_fidelity(self):
