@@ -13,7 +13,7 @@ import platform
 import re
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -88,6 +88,10 @@ _STREAM_MODMD = 1
 _STREAM_ODMD = 2
 
 _METHODS = ("modmd", "odmd")
+
+# Per-stage columns of *_timing.csv, in the order a cell runs them.
+_EIGEN_STAGES = ("signal_s", "hankel_s", "pinv_s", "eig_s", "residual_s")
+_FORECAST_STAGES = ("signal_s", "hankel_s", "pinv_s", "forecast_s")
 
 
 @dataclass(frozen=True)
@@ -509,8 +513,13 @@ def measure_signal(
     k_max: int,
     epsilon: float,
     seed: int,
+    clean: "MultiObservableSignal | None" = None,
 ) -> MultiObservableSignal:
-    """Real-mode signal over ``k_max + 1`` steps from the configured source."""
+    """Real-mode signal over ``k_max + 1`` steps from the configured source.
+
+    Gaussian noise is added to ``clean`` when given (a caller that already
+    holds the exact signal), else to a freshly computed exact signal.
+    """
     if config.signal_source == "shadow":
         return shadow_signal(
             problem.spec,
@@ -523,15 +532,21 @@ def measure_signal(
             seed,
             mode="real",
         )
-    clean = exact_signal(
-        problem.spec,
-        problem.phi0,
-        observables,
-        problem.dt,
-        k_max,
-        mode="real",
-        phases=problem.phases,
-    )
+    if clean is None:
+        clean = exact_signal(
+            problem.spec,
+            problem.phi0,
+            observables,
+            problem.dt,
+            k_max,
+            mode="real",
+            phases=problem.phases,
+        )
+    elif clean.values.shape != (len(observables), k_max + 1):
+        raise ValueError(
+            f"clean signal of shape {clean.values.shape} does not hold "
+            f"{len(observables)} observables over {k_max + 1} steps"
+        )
     return gaussian_noise_channel(clean, NoiseSpec(epsilon, seed, "both"))
 
 
@@ -548,6 +563,8 @@ class SweepRow:
     residual: float
     retained_rank: int
     wall_time_s: float
+    # Seconds per *_timing.csv stage column; left out of row equality.
+    stage_s: dict = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -618,6 +635,8 @@ class ForecastRow:
     rmse: "tuple[float, ...]"
     rmse_mean: float
     wall_time_s: float
+    # Seconds per *_timing.csv stage column; left out of row equality.
+    stage_s: dict = field(compare=False)
 
 
 class ForecastAggregate(NamedTuple):
@@ -660,6 +679,23 @@ class ForecastResult:
         return tuple(out)
 
 
+class _Laps:
+    """Wall-clock seconds of consecutive stages, each timed from the end
+    of the one before (the first from construction)."""
+
+    def __init__(self):
+        self.start = self._last = time.perf_counter()
+        self.seconds: "dict[str, float]" = {}
+
+    def lap(self, stage: str) -> None:
+        now = time.perf_counter()
+        self.seconds[stage] = now - self._last
+        self._last = now
+
+    def total(self) -> float:
+        return time.perf_counter() - self.start
+
+
 def _eigen_cell(
     config: ExperimentConfig,
     problem: Problem,
@@ -682,11 +718,14 @@ def _eigen_cell(
     rows = []
     for method in _METHODS:
         observables, stream = pools[method]
-        start = time.perf_counter()
+        laps = _Laps()
         seed = derive_seed(config.master_seed, point_index, trial, stream)
         signal = measure_signal(config, problem, observables, K + d, epsilon, seed)
+        laps.lap("signal_s")
         pair = build_hankel(signal, d, K)
+        laps.lap("hankel_s")
         fit = fit_propagator(pair, truncated_pinv(pair.x, delta))
+        laps.lap("pinv_s")
         try:
             estimate = extract_eigen(
                 fit,
@@ -702,6 +741,9 @@ def _eigen_cell(
                 exc.energies,
                 context=f"{sweep} point {point_value!r}, trial {trial}, {method}",
             ) from exc
+        laps.lap("eig_s")
+        fit_residual = residual(fit, pair)
+        laps.lap("residual_s")
         physical = problem.shift.to_original(estimate.energies)
         errors = np.abs(physical - reference)
         rows.append(
@@ -712,9 +754,10 @@ def _eigen_cell(
                 method=method,
                 energies=tuple(float(v) for v in physical),
                 abs_errors=tuple(float(v) for v in errors),
-                residual=residual(fit, pair),
+                residual=fit_residual,
                 retained_rank=fit.rank,
-                wall_time_s=time.perf_counter() - start,
+                wall_time_s=laps.total(),
+                stage_s=laps.seconds,
             )
         )
     return rows
@@ -739,7 +782,7 @@ def _forecast_cell(
     rows = []
     for method in _METHODS:
         observables, stream = pools[method]
-        start = time.perf_counter()
+        laps = _Laps()
         seed = derive_seed(config.master_seed, point_index, trial, stream)
         truth = exact_signal(
             problem.spec,
@@ -750,18 +793,22 @@ def _forecast_cell(
             mode="real",
             phases=problem.phases,
         )
-        if config.signal_source == "shadow":
-            measured = measure_signal(
-                config, problem, observables, k_star, config.noise_epsilon, seed
-            )
-        else:
-            measured = gaussian_noise_channel(
-                truth.prefix(k_star + 1),
-                NoiseSpec(config.noise_epsilon, seed, "both"),
-            )
+        measured = measure_signal(
+            config,
+            problem,
+            observables,
+            k_star,
+            config.noise_epsilon,
+            seed,
+            clean=truth.prefix(k_star + 1),
+        )
+        laps.lap("signal_s")
         pair = build_hankel(measured, d, K)
+        laps.lap("hankel_s")
         fit = fit_propagator(pair, truncated_pinv(pair.x, delta))
+        laps.lap("pinv_s")
         predicted = forecast(fit, pair, horizon + 1)[:, 1:]
+        laps.lap("forecast_s")
         held_out = truth.values[:, k_star + 1 :]
         rmse = np.sqrt(np.mean((predicted - held_out) ** 2, axis=1))
         rows.append(
@@ -772,7 +819,8 @@ def _forecast_cell(
                 method=method,
                 rmse=tuple(float(v) for v in rmse),
                 rmse_mean=float(np.mean(rmse)),
-                wall_time_s=time.perf_counter() - start,
+                wall_time_s=laps.total(),
+                stage_s=laps.seconds,
             )
         )
     return rows
@@ -1091,8 +1139,13 @@ def _svg_line_plot(
 _SCHEMA_NOTE = """\
 Values are written with repr() so parsing them back yields the exact
 float64 bit patterns. The companion *_timing.csv records wall-clock
-seconds per cell and is the only output file excluded from the
-bit-identical replay guarantee.
+seconds per cell and method: wall_time_s for the whole evaluation, then
+its stages in order, signal_s (signal, and a forecast's held-out truth),
+hankel_s (snapshot matrices), pinv_s (truncated pseudo-inverse and
+propagator fit), and either eig_s (eigenvalue extraction) and residual_s
+(fit residual) in an eigenvalue sweep, or forecast_s (propagator
+iteration) in a forecast. The stages sum to at most wall_time_s. It is
+the only output file excluded from the bit-identical replay guarantee.
 """
 
 
@@ -1234,7 +1287,10 @@ def emit_outputs(result, directory: "str | Path") -> "list[Path]":
     byte for byte.
     """
     directory = Path(directory)
-    layout = _forecast_layout if isinstance(result, ForecastResult) else _sweep_layout
+    if isinstance(result, ForecastResult):
+        layout, stages = _forecast_layout, _FORECAST_STAGES
+    else:
+        layout, stages = _sweep_layout, _EIGEN_STAGES
     header, rows, columns, plots = layout(result)
     name = result.sweep
     results_path = directory / f"{name}_results.csv"
@@ -1246,8 +1302,12 @@ def emit_outputs(result, directory: "str | Path") -> "list[Path]":
         _write_csv(results_path, header, rows)
         _write_csv(
             timing_path,
-            ["point_index", "trial", "method", "wall_time_s"],
-            [[r.point_index, r.trial, r.method, r.wall_time_s] for r in result.rows],
+            ["point_index", "trial", "method", "wall_time_s", *stages],
+            [
+                [r.point_index, r.trial, r.method, r.wall_time_s]
+                + [r.stage_s[stage] for stage in stages]
+                for r in result.rows
+            ],
         )
         schema_path.write_text(
             f"Columns of {results_path.name}:\n" + columns + "\n" + _SCHEMA_NOTE

@@ -32,6 +32,16 @@ CONJUGATE_PHASE_ATOL = 1e-8
 # reported as ill-conditioned (near-defective propagator).
 CONDITION_FLAG = 1e8
 
+# Relative cutoffs at or above this take the pseudo-inverse from the
+# eigendecomposition of the smaller Gram matrix; smaller ones take the full
+# SVD. The Gram squares the condition number, so a singular value
+# ``t * sigma_1`` carries a relative error of about ``eps / t^2``. This is the
+# smallest power of ten at which every retained singular value of a dense
+# 14-decade spectrum still agrees with the SVD's to sqrt(eps); the oracle
+# test in tests/test_solver.py checks that it holds here and fails a decade
+# lower.
+GRAM_MIN_THRESHOLD = 1e-4
+
 
 @dataclass(frozen=True, slots=True)
 class ModmdConfig:
@@ -91,7 +101,15 @@ class HankelPair:
 
 @dataclass(frozen=True, slots=True)
 class TruncatedPinv:
-    """Rank-truncated pseudo-inverse in factored SVD form."""
+    """Rank-truncated pseudo-inverse in factored SVD form.
+
+    ``left`` is ``U_r``, ``right`` is ``V_r^H`` and ``inv_singular`` is
+    ``1 / sigma_r``. ``singular_values`` holds all ``min(m, n)`` of them,
+    descending. On the Gram path (a threshold of at least
+    ``GRAM_MIN_THRESHOLD``) they are square roots of the Gram eigenvalues
+    clipped at zero: those below about ``sqrt(eps) * sigma_1`` are not
+    accurate values and only count against the threshold.
+    """
 
     left: np.ndarray
     inv_singular: np.ndarray
@@ -160,25 +178,62 @@ def truncated_pinv(matrix: np.ndarray, threshold: float) -> TruncatedPinv:
     ``threshold * sigma_max``.
 
     A value exactly at the cutoff is discarded. The factored form keeps
-    the full singular spectrum for diagnostics.
+    the full singular spectrum for diagnostics. A threshold of at least
+    ``GRAM_MIN_THRESHOLD`` takes the method of snapshots: the ``eigh`` of
+    the smaller Gram matrix, ``x^H x`` for a tall ``x`` or ``x x^H`` for a
+    wide one, gives ``sigma^2`` and one singular basis, and the other is
+    ``x V_r / sigma_r`` or ``U_r^H x / sigma_r``. Smaller thresholds, and
+    matrices whose squares leave the float range, take the full SVD.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
     matrix = np.asarray(matrix)
     if matrix.ndim != 2:
         raise ValueError("expected a 2-D matrix")
-    u, s, vh = np.linalg.svd(matrix, full_matrices=False)
-    if s[0] == 0.0:
-        raise DegenerateInputError("all-zero matrix has no pseudo-inverse")
-    rank = int(np.count_nonzero(s > threshold * s[0]))
+    factors = None
+    if threshold >= GRAM_MIN_THRESHOLD:
+        factors = _gram_factors(matrix, threshold)
+    if factors is None:
+        u, s, vh = np.linalg.svd(matrix, full_matrices=False)
+        if s[0] == 0.0:
+            raise DegenerateInputError("all-zero matrix has no pseudo-inverse")
+        rank = int(np.count_nonzero(s > threshold * s[0]))
+        factors = u[:, :rank], s, vh[:rank]
+    left, s, right = factors
+    rank = left.shape[1]
     return TruncatedPinv(
-        left=u[:, :rank],
+        left=left,
         inv_singular=1.0 / s[:rank],
-        right=vh[:rank],
+        right=right,
         singular_values=s,
         rank=rank,
         threshold=threshold,
     )
+
+
+def _gram_factors(
+    matrix: np.ndarray, threshold: float
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray] | None":
+    """``(U_r, sigma, V_r^H)`` of :func:`truncated_pinv` by the method of
+    snapshots, or None when the squares leave the float range:
+    ``trace(gram) = sum(sigma^2)`` bounds every Gram entry, so a finite
+    trace means no entry overflowed, and its lower bound keeps every
+    retained ``sigma^2`` above underflow. The zero matrix and non-finite
+    input fail it too, and reach the SVD's errors."""
+    tall = matrix.shape[0] >= matrix.shape[1]
+    adjoint = matrix.conj().T
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = adjoint @ matrix if tall else matrix @ adjoint
+    total = abs(np.trace(gram))
+    if not len(gram) * np.finfo(gram.dtype).tiny < threshold**2 * total < np.inf:
+        return None
+    eigvals, vectors = np.linalg.eigh(gram)
+    s = np.sqrt(np.clip(eigvals[::-1], 0.0, None))
+    rank = int(np.count_nonzero(s > threshold * s[0]))
+    basis = vectors[:, ::-1][:, :rank]
+    if tall:
+        return (matrix @ basis) / s[:rank], s, basis.conj().T
+    return basis, s, (basis.conj().T @ matrix) / s[:rank, None]
 
 
 @dataclass(frozen=True, slots=True)

@@ -500,6 +500,19 @@ class TestMeasureSignal:
         assert np.array_equal(a.values, b.values)
         assert not np.array_equal(a.values, c.values)
 
+    def test_given_clean_signal_draws_the_same_noise(self):
+        config = small_config(noise_epsilon=1e-2)
+        problem = build_problem(config)
+        pool = build_observables(config, problem, seed=2)
+        clean = exact_signal(
+            problem.spec, problem.phi0, pool, problem.dt, 10, phases=problem.phases
+        )
+        a = measure_signal(config, problem, pool, 10, 1e-2, seed=4)
+        b = measure_signal(config, problem, pool, 10, 1e-2, seed=4, clean=clean)
+        assert np.array_equal(a.values, b.values)
+        with pytest.raises(ValueError, match="clean signal"):
+            measure_signal(config, problem, pool, 9, 1e-2, seed=4, clean=clean)
+
     def test_shadow_source(self):
         config = small_config(
             tfim_qubits=2,
@@ -817,6 +830,32 @@ class TestEmitOutputs:
         text = (tmp_path / "sweep-k_schema.txt").read_text()
         assert "sweep-k_results.csv" in text
         assert "timing" in text
+
+    @pytest.mark.parametrize(
+        "kind, stages",
+        [
+            ("sweep-k", ["eig_s", "residual_s"]),
+            ("forecast", ["forecast_s"]),
+        ],
+    )
+    def test_timing_table_has_stage_columns(self, kind, stages, small_sweep, tmp_path):
+        if kind == "forecast":
+            config = small_config(noise_epsilon=0.0, svd_threshold=None)
+            result = run_forecast_experiment(config, (24,), 5)
+        else:
+            result = small_sweep
+        emit_outputs(result, tmp_path)
+        with (tmp_path / f"{kind}_timing.csv").open() as fh:
+            rows = list(csv.reader(fh))
+        stages = ["signal_s", "hankel_s", "pinv_s", *stages]
+        assert rows[0] == ["point_index", "trial", "method", "wall_time_s", *stages]
+        assert len(rows) == 1 + len(result.rows)
+        for row in rows[1:]:
+            wall, *parts = map(float, row[3:])
+            assert min(parts) >= 0.0
+            assert sum(parts) <= wall
+        schema = (tmp_path / f"{kind}_schema.txt").read_text()
+        assert all(stage in schema for stage in stages)
 
     def test_plots_cover_both_methods(self, small_sweep, tmp_path):
         emit_outputs(small_sweep, tmp_path)

@@ -21,7 +21,7 @@ from modmd import (
     trotter_evolve,
     trotter_steps,
 )
-from modmd.simulate import phase_table
+from modmd.simulate import HERMITICITY_RTOL, phase_table
 
 
 def identity_sum(n_qubits):
@@ -121,6 +121,29 @@ class TestDiagonalize:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError):
             diagonalize(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    def test_hermiticity_tolerance_is_relative_frobenius(self, complex_valued):
+        # 150 rows: two full strips and a partial one
+        rng = np.random.default_rng(8)
+        a, b = rng.standard_normal((2, 150, 150))
+        if complex_valued:
+            z, skew = a + 1j * b, 1j * (b + b.T)
+        else:
+            z, skew = a, b - b.T
+        h = z + z.conj().T
+        # M = H + c S has M - M^H = 2 c S, and |M| = |H| to first order in c
+        for factor, accepted in ((0.99, True), (1.01, False)):
+            c = factor * HERMITICITY_RTOL * np.linalg.norm(h) / (
+                2.0 * np.linalg.norm(skew)
+            )
+            matrix = h + c * skew
+            assert np.iscomplexobj(matrix) == complex_valued
+            if accepted:
+                diagonalize(matrix)
+            else:
+                with pytest.raises(ValueError, match="not Hermitian"):
+                    diagonalize(matrix)
 
     @staticmethod
     def solver_dtypes(monkeypatch, matrix):

@@ -37,7 +37,13 @@ from modmd import (
     truncated_pinv,
 )
 from modmd.harness import depth_for_window
-from modmd.solver import CONJUGATE_PHASE_ATOL, _merge_conjugate_pairs
+from modmd.solver import (
+    CONJUGATE_PHASE_ATOL,
+    GRAM_MIN_THRESHOLD,
+    TruncatedPinv,
+    _gram_factors,
+    _merge_conjugate_pairs,
+)
 
 
 def mode_signal(phases, coeffs, dt, n_steps):
@@ -175,6 +181,178 @@ class TestTruncatedPinv:
             truncated_pinv(np.eye(2), 1.0)
         with pytest.raises(ValueError):
             truncated_pinv(np.ones(3), 0.1)
+
+
+def svd_pinv(matrix, threshold):
+    """The full-SVD truncated pseudo-inverse: the oracle of the Gram path."""
+    u, s, vh = np.linalg.svd(matrix, full_matrices=False)
+    rank = int(np.count_nonzero(s > threshold * s[0]))
+    return TruncatedPinv(u[:, :rank], 1.0 / s[:rank], vh[:rank], s, rank, threshold)
+
+
+def random_orthonormal(rng, rows, cols, complex_valued):
+    z = rng.standard_normal((rows, cols))
+    if complex_valued:
+        z = z + 1j * rng.standard_normal((rows, cols))
+    return np.linalg.qr(z)[0]
+
+
+def with_singular_values(rng, rows, cols, singular, complex_valued):
+    """A ``rows x cols`` matrix with the given singular values and random
+    singular bases."""
+    k = len(singular)
+    u = random_orthonormal(rng, rows, k, complex_valued)
+    v = random_orthonormal(rng, cols, k, complex_valued)
+    return (u * singular) @ v.conj().T
+
+
+def noisy_mode_pair(seed, real, tall):
+    """Hankel pair of a few well-separated, slightly damped modes under
+    Gaussian noise of 1e-8 to 1e-4; ``tall`` picks more rows than columns."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 6))
+    low, high = (0.2, 2.9) if real else (-2.9, 2.9)
+    while True:
+        phases = np.sort(rng.uniform(low, high, size=m))
+        if m == 1 or np.min(np.diff(phases)) > 0.2:
+            break
+    damping = rng.uniform(0.97, 1.0, size=m)
+    n_obs = int(rng.integers(1, 4))
+    coeffs = rng.uniform(0.3, 1.0, size=(n_obs, m)) * np.exp(
+        2j * np.pi * rng.uniform(size=(n_obs, m))
+    )
+    if real:
+        phases = np.concatenate([phases, -phases])
+        damping = np.concatenate([damping, damping])
+        coeffs = np.concatenate([coeffs, coeffs.conj()], axis=1)
+    short, long = int(rng.integers(15, 40)), int(rng.integers(60, 100))
+    rows, cols = (long, short) if tall else (short, long)
+    d, K = max(1, rows // n_obs), cols - 1
+    k = np.arange(K + d + 1)
+    values = coeffs @ ((damping[:, None] ** k) * np.exp(-1j * np.outer(phases, k)))
+    noise = rng.standard_normal(values.shape) + 1j * rng.standard_normal(values.shape)
+    values = values + 10 ** rng.uniform(-8, -4) * noise
+    if real:
+        values = values.real
+    signal = MultiObservableSignal(
+        n_obs, 1.0, values, mode="real" if real else "complex"
+    )
+    return build_hankel(signal, d, K)
+
+
+def eigenvalue_distance(a, b):
+    """Largest distance from an eigenvalue of either set to the other set."""
+    gaps = np.abs(a[:, None] - b[None, :])
+    return max(gaps.min(axis=1).max(), gaps.min(axis=0).max())
+
+
+class TestGramPinv:
+    """The method-of-snapshots path against the full-SVD oracle."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+        st.booleans(),
+        st.sampled_from([1e-2, 1e-3]),
+    )
+    def test_fit_matches_svd_oracle(self, seed, real, tall, threshold):
+        pair = noisy_mode_pair(seed, real, tall)
+        assert (pair.x.shape[0] > pair.x.shape[1]) == tall
+        gram = truncated_pinv(pair.x, threshold)
+        oracle = svd_pinv(pair.x, threshold)
+        assert gram.rank == oracle.rank
+        assert gram.singular_values.shape == oracle.singular_values.shape
+        eig_gram = np.linalg.eigvals(fit_propagator(pair, gram).reduced)
+        eig_oracle = np.linalg.eigvals(fit_propagator(pair, oracle).reduced)
+        assert eigenvalue_distance(eig_gram, eig_oracle) <= 1e-10
+        x = pair.x
+        projected = x @ oracle.as_matrix() @ x
+        assert np.linalg.norm(x @ gram.as_matrix() @ x - projected) <= 1e-10 * (
+            np.linalg.norm(x)
+        )
+
+    @pytest.mark.parametrize("threshold", [1e-2, 1e-3, GRAM_MIN_THRESHOLD])
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    @pytest.mark.parametrize("shape", [(90, 30), (30, 90)])
+    def test_cluster_straddling_threshold(self, threshold, complex_valued, shape):
+        # four values above and four below the cut, the nearest 1e-4 from it
+        offsets = np.array([1e-2, 1e-3, 3e-4, 1e-4, -1e-4, -3e-4, -1e-3, -1e-2])
+        singular = np.concatenate([[1.0, 0.5, 0.2], threshold * (1.0 + offsets)])
+        singular = np.concatenate([singular, np.logspace(-7, -12, 6) * threshold])
+        rng = np.random.default_rng(11)
+        x = with_singular_values(rng, *shape, singular, complex_valued)
+        gram = truncated_pinv(x, threshold)
+        assert gram.rank == svd_pinv(x, threshold).rank == 7
+        np.testing.assert_allclose(
+            gram.singular_values[:7], singular[:7], rtol=1e-8, atol=0
+        )
+        np.testing.assert_allclose(
+            gram.left.conj().T @ gram.left, np.eye(7), rtol=0, atol=1e-6
+        )
+        np.testing.assert_allclose(
+            gram.right @ gram.right.conj().T, np.eye(7), rtol=0, atol=1e-6
+        )
+
+    def test_dispatch_on_threshold(self, monkeypatch):
+        calls = []
+        svd, eigh = np.linalg.svd, np.linalg.eigh
+
+        def counted_svd(matrix, *args, **kwargs):
+            calls.append(("svd", matrix.shape))
+            return svd(matrix, *args, **kwargs)
+
+        def counted_eigh(matrix, *args, **kwargs):
+            calls.append(("eigh", matrix.shape))
+            return eigh(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        x = np.random.default_rng(4).standard_normal((12, 5))
+        truncated_pinv(x, GRAM_MIN_THRESHOLD / 2)
+        assert calls == [("svd", (12, 5))]
+        calls.clear()
+        truncated_pinv(x, GRAM_MIN_THRESHOLD)
+        truncated_pinv(x.T, 1e-2)
+        # the Gram is always the smaller one
+        assert calls == [("eigh", (5, 5)), ("eigh", (5, 5))]
+
+    def test_out_of_range_squares_take_the_svd(self):
+        x = np.random.default_rng(5).standard_normal((12, 5))
+        for scale in (1e-170, 1e200):
+            assert _gram_factors(x * scale, 1e-2) is None
+            pinv = truncated_pinv(x * scale, 1e-2)
+            np.testing.assert_allclose(
+                pinv.singular_values, svd_pinv(x * scale, 1e-2).singular_values
+            )
+        with pytest.raises(DegenerateInputError):
+            truncated_pinv(np.zeros((4, 3)), 1e-2)
+
+    def test_cutoff_is_smallest_accurate_decade(self):
+        """Sets GRAM_MIN_THRESHOLD: on dense 14-decade spectra every retained
+        singular value from the Gram agrees with the SVD's to sqrt(eps) at the
+        constant, and not a decade below it."""
+        rng = np.random.default_rng(0)
+        matrices = [
+            with_singular_values(rng, *shape, np.logspace(0, -14, 40), cplx)
+            for _ in range(4)
+            for shape in ((120, 40), (40, 120))
+            for cplx in (False, True)
+        ]
+
+        def worst_error(threshold):
+            worst = 0.0
+            for x in matrices:
+                left, singular, _ = _gram_factors(x, threshold)
+                oracle = svd_pinv(x, threshold)
+                assert left.shape[1] == oracle.rank
+                kept = oracle.singular_values[: oracle.rank]
+                error = np.abs(singular[: oracle.rank] - kept) / kept
+                worst = max(worst, float(error.max()))
+            return worst
+
+        tolerance = math.sqrt(np.finfo(float).eps)
+        assert worst_error(GRAM_MIN_THRESHOLD) <= tolerance
+        assert worst_error(GRAM_MIN_THRESHOLD / 10) > tolerance
 
 
 class TestFitPropagator:
