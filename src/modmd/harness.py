@@ -8,6 +8,7 @@ import hashlib
 import importlib.metadata
 import json
 import math
+import numbers
 import os
 import platform
 import re
@@ -15,7 +16,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, get_args, get_type_hints
 
 import numpy as np
 import scipy
@@ -32,7 +33,7 @@ from .pauli import (
     shift_and_scale,
     to_dense,
 )
-from .shadows import NoiseSpec, gaussian_noise_channel, shadow_signal
+from .shadows import gaussian_noise_channel, shadow_signal
 from .simulate import (
     MultiObservableSignal,
     SpectralDecomposition,
@@ -130,6 +131,7 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
+        _check_numeric_kinds(self)
         if (self.tfim_qubits is None) == (self.hamiltonian_file is None):
             raise ConfigError(
                 "exactly one of tfim_qubits and hamiltonian_file must be set"
@@ -205,6 +207,28 @@ class ExperimentConfig:
             raise ConfigError("output_dir must not be empty")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
+
+
+_NUMERIC_KINDS = {
+    int: (numbers.Integral, "an integer"),
+    float: (numbers.Real, "a number"),
+}
+
+
+def _check_numeric_kinds(config: ExperimentConfig) -> None:
+    """Refuse a boolean, string or fraction in a field annotated ``int`` or
+    ``float`` and in ``k_grid``, before any value check (a JSON 1.5 would
+    otherwise fail late or be truncated); ``None`` passes where annotated."""
+    hints = get_type_hints(ExperimentConfig)
+    checks = [(name, hint, getattr(config, name)) for name, hint in hints.items()]
+    checks += [("k_grid entry", int, k) for k in config.k_grid]
+    for name, hint, value in checks:
+        optional = type(None) in get_args(hint)
+        kind = _NUMERIC_KINDS.get(get_args(hint)[0] if optional else hint)
+        if kind is None or (optional and value is None):
+            continue
+        if isinstance(value, bool) or not isinstance(value, kind[0]):
+            raise ConfigError(f"{name} must be {kind[1]}, got {value!r}")
 
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
@@ -547,7 +571,7 @@ def measure_signal(
             f"clean signal of shape {clean.values.shape} does not hold "
             f"{len(observables)} observables over {k_max + 1} steps"
         )
-    return gaussian_noise_channel(clean, NoiseSpec(epsilon, seed, "both"))
+    return gaussian_noise_channel(clean, epsilon, seed)
 
 
 @dataclass(frozen=True)
@@ -779,20 +803,24 @@ def _forecast_cell(
         "modmd": (build_observables(config, problem, obs_seed), _STREAM_MODMD),
         "odmd": ([identity_observable(problem.n_qubits)], _STREAM_ODMD),
     }
+    # One exact signal holds both methods' truth: the modmd observables,
+    # then the identity. The first method's laps also time it.
+    laps = _Laps()
+    truth = exact_signal(
+        problem.spec,
+        problem.phi0,
+        pools["modmd"][0] + pools["odmd"][0],
+        problem.dt,
+        k_star + horizon,
+        mode="real",
+        phases=problem.phases,
+    ).values
+    blocks = {"modmd": truth[:-1], "odmd": truth[-1:]}
     rows = []
     for method in _METHODS:
         observables, stream = pools[method]
-        laps = _Laps()
+        block = blocks[method]
         seed = derive_seed(config.master_seed, point_index, trial, stream)
-        truth = exact_signal(
-            problem.spec,
-            problem.phi0,
-            observables,
-            problem.dt,
-            k_star + horizon,
-            mode="real",
-            phases=problem.phases,
-        )
         measured = measure_signal(
             config,
             problem,
@@ -800,7 +828,9 @@ def _forecast_cell(
             k_star,
             config.noise_epsilon,
             seed,
-            clean=truth.prefix(k_star + 1),
+            clean=MultiObservableSignal(
+                len(observables), problem.dt, block[:, : k_star + 1]
+            ),
         )
         laps.lap("signal_s")
         pair = build_hankel(measured, d, K)
@@ -809,7 +839,7 @@ def _forecast_cell(
         laps.lap("pinv_s")
         predicted = forecast(fit, pair, horizon + 1)[:, 1:]
         laps.lap("forecast_s")
-        held_out = truth.values[:, k_star + 1 :]
+        held_out = block[:, k_star + 1 :]
         rmse = np.sqrt(np.mean((predicted - held_out) ** 2, axis=1))
         rows.append(
             ForecastRow(
@@ -823,6 +853,7 @@ def _forecast_cell(
                 stage_s=laps.seconds,
             )
         )
+        laps = _Laps()
     return rows
 
 

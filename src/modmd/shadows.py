@@ -16,7 +16,6 @@ import numpy as np
 
 from .pauli import PauliSum
 from .simulate import (
-    CompositeState,
     MultiObservableSignal,
     SpectralDecomposition,
     StateVector,
@@ -61,10 +60,6 @@ class RankTwoObservable:
         return 1 << (self.n_system_qubits + 1)
 
     @property
-    def trace(self) -> float:
-        return 0.0
-
-    @property
     def trace_square(self) -> float:
         """``Tr[Gamma^2]`` in closed form; drives the variance bound."""
         overlap = np.vdot(self.u, self.v)
@@ -86,39 +81,6 @@ class RankTwoObservable:
         """``<x| Gamma |x>`` from the overlaps ``<x|u>`` and ``<x|v>``."""
         z = xu * np.conj(xv)
         return 2.0 * z.real if self.part == "real" else -2.0 * z.imag
-
-
-@dataclass(frozen=True, slots=True)
-class ShadowSample:
-    """One randomized measurement: the measured row ``<b|U`` of the
-    rotation ``U`` at the observed outcome ``b``."""
-
-    row: np.ndarray
-
-    def __post_init__(self):
-        row = np.asarray(self.row, dtype=complex)
-        object.__setattr__(self, "row", row)
-        if row.ndim != 1 or len(row) < 2 or len(row) & (len(row) - 1):
-            raise ValueError(f"row must be a vector of length 2^n, got shape {row.shape}")
-
-
-@dataclass(frozen=True, slots=True)
-class NoiseSpec:
-    """Additive Gaussian corruption of a signal.
-
-    ``target`` picks which quadrature receives noise; components a signal
-    does not carry are left untouched.
-    """
-
-    epsilon: float
-    seed: int
-    target: str = "both"
-
-    def __post_init__(self):
-        if not (math.isfinite(self.epsilon) and self.epsilon >= 0.0):
-            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
-        if self.target not in ("real", "imag", "both"):
-            raise ValueError(f"target must be real/imag/both, got {self.target!r}")
 
 
 def build_gamma(
@@ -152,12 +114,13 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def sample_shadows(
-    state: CompositeState,
+    state: StateVector,
     n_samples: int,
     seed: int,
     unitary_fn=None,
-) -> "list[ShadowSample]":
-    """Randomized measurements of an ancilla probe state.
+) -> np.ndarray:
+    """Randomized measurements of an ancilla probe state, as a
+    ``(n_samples, D)`` array whose rows are the measured rows ``<b|U``.
 
     Under a Haar ``U`` and Born outcome ``b`` the conjugated row
     ``c = conj(<b|U)`` is uniform on the sphere reweighted by ``D |<c|psi>|^2``,
@@ -169,37 +132,37 @@ def sample_shadows(
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    dim = 1 << (state.n_system_qubits + 1)
+    dim = 1 << state.n_qubits
     psi = state.amplitudes / np.linalg.norm(state.amplitudes)
     rng = np.random.default_rng(seed)
     if unitary_fn is not None:
-        samples = []
-        for _ in range(n_samples):
+        rows = np.empty((n_samples, dim), dtype=complex)
+        for i in range(n_samples):
             u = unitary_fn(dim, rng)
             probs = np.abs(u @ psi) ** 2
-            samples.append(ShadowSample(u[rng.choice(dim, p=probs / probs.sum())].copy()))
-        return samples
+            rows[i] = u[rng.choice(dim, p=probs / probs.sum())]
+        return rows
     weight = rng.beta(2.0, dim - 1.0, size=n_samples)
     phase = np.exp(2j * np.pi * rng.random(n_samples))
     w = rng.standard_normal((n_samples, dim)) + 1j * rng.standard_normal((n_samples, dim))
     w -= np.outer(w @ psi.conj(), psi)
     w /= np.linalg.norm(w, axis=1, keepdims=True)
     c = (np.sqrt(weight) * phase)[:, None] * psi + np.sqrt(1.0 - weight)[:, None] * w
-    return [ShadowSample(row) for row in c.conj()]
+    return c.conj()
 
 
-def _estimate_batch(
-    samples: "list[ShadowSample]",
-    gammas: "list[RankTwoObservable]",
-) -> np.ndarray:
+def _estimate_batch(rows, gammas: "list[RankTwoObservable]") -> np.ndarray:
     """Mean single-shot estimates of several observables from one batch.
 
-    A shot with measured row ``r = <b|U`` gives ``(D+1) <b|U Gamma U*|b>``
-    (``Gamma`` is traceless), where ``<b|U u> = r @ u``.
+    ``rows`` holds one measured row ``r = <b|U`` per shot; a shot gives
+    ``(D+1) <b|U Gamma U*|b>`` (``Gamma`` is traceless), where
+    ``<b|U u> = r @ u``.
     """
-    if not samples:
+    rows = np.asarray(rows, dtype=complex)
+    if rows.ndim != 2:
+        raise ValueError(f"rows must be a (shots, D) array, got shape {rows.shape}")
+    if len(rows) == 0:
         raise ValueError("need at least one sample")
-    rows = np.stack([s.row for s in samples])  # raises on mixed widths
     dim = rows.shape[1]
     if any(g.dim != dim for g in gammas):
         raise ValueError("observable register width differs from samples")
@@ -208,45 +171,18 @@ def _estimate_batch(
     )
 
 
-def estimate_trace(samples: "list[ShadowSample]", gamma: RankTwoObservable) -> float:
-    """Unbiased estimate of ``Tr[rho Gamma]`` from recorded measurements.
+def estimate_trace(rows, gamma: RankTwoObservable) -> float:
+    """Unbiased estimate of ``Tr[rho Gamma]`` from recorded measurement rows.
 
     Inverts the depolarizing action of the random rotations:
-    each sample contributes ``(D+1) <b|U Gamma U*|b> - Tr[Gamma]``.
+    each row contributes ``(D+1) <b|U Gamma U*|b> - Tr[Gamma]``.
     """
-    return float(_estimate_batch(samples, [gamma])[0])
+    return float(_estimate_batch(rows, [gamma])[0])
 
 
 def variance_bound(gamma: RankTwoObservable) -> float:
     """Upper bound ``3 Tr[Gamma^2]`` on the single-shot estimator variance."""
     return 3.0 * gamma.trace_square
-
-
-def shot_budget(
-    n_observables: int,
-    max_weight_l1: float,
-    tolerance: float,
-    constant: float = 34.0,
-) -> int:
-    """Samples per time step for uniform accuracy over all observables.
-
-    Grows logarithmically with the observable count and quadratically
-    with the worst coefficient 1-norm over the target tolerance.
-    """
-    if n_observables < 1:
-        raise ValueError(f"n_observables must be >= 1, got {n_observables}")
-    if not max_weight_l1 > 0:
-        raise ValueError(f"max_weight_l1 must be positive, got {max_weight_l1}")
-    if not tolerance > 0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
-    if not constant > 0:
-        raise ValueError(f"constant must be positive, got {constant}")
-    return math.ceil(
-        constant
-        * math.log(max(n_observables, 2))
-        * max_weight_l1**2
-        / tolerance**2
-    )
 
 
 def shadow_signal(
@@ -272,8 +208,7 @@ def shadow_signal(
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     if not observables:
         raise ValueError("need at least one observable")
-    real_gammas = [build_gamma(o, phi0, phi_perp, "real") for o in observables]
-    gammas = list(real_gammas)
+    gammas = [build_gamma(o, phi0, phi_perp, "real") for o in observables]
     if mode == "complex":
         gammas += [build_gamma(o, phi0, phi_perp, "imag") for o in observables]
     elif mode != "real":
@@ -287,8 +222,8 @@ def shadow_signal(
             np.random.SeedSequence(entropy=seed, spawn_key=(k,)).generate_state(1)[0]
         )
         state = composite_state(phi_perp, phi0, spec, k * dt)
-        samples = sample_shadows(state, n_samples, step_seed, unitary_fn)
-        est = _estimate_batch(samples, gammas)
+        rows = sample_shadows(state, n_samples, step_seed, unitary_fn)
+        est = _estimate_batch(rows, gammas)
         if mode == "real":
             values[:, k] = est
         else:
@@ -297,25 +232,20 @@ def shadow_signal(
 
 
 def gaussian_noise_channel(
-    signal: MultiObservableSignal, noise: NoiseSpec
+    signal: MultiObservableSignal, epsilon: float, seed: int
 ) -> MultiObservableSignal:
-    """Add centered Gaussian noise to the targeted signal quadratures.
+    """Add centered Gaussian noise of scale ``epsilon`` to every signal part.
 
     Zero strength returns the values bit-for-bit. Draws are deterministic
-    under the spec's seed: the real-part field (when targeted) is drawn
-    first, then the imaginary-part field.
+    under ``seed``: the real-part field is drawn first, then, for a
+    complex signal, the imaginary-part field.
     """
-    if noise.epsilon == 0.0:
-        return MultiObservableSignal(
-            signal.n_observables, signal.dt, signal.values.copy(), signal.mode
-        )
-    rng = np.random.default_rng(noise.seed)
-    shape = signal.values.shape
+    if not (math.isfinite(epsilon) and epsilon >= 0.0):
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
     values = signal.values.copy()
-    hit_real = noise.target in ("real", "both")
-    hit_imag = noise.target in ("imag", "both")
-    if hit_real:
-        values = values + noise.epsilon * rng.standard_normal(shape)
-    if hit_imag and signal.mode != "real":
-        values = values + 1j * noise.epsilon * rng.standard_normal(shape)
+    if epsilon > 0.0:
+        rng = np.random.default_rng(seed)
+        values = values + epsilon * rng.standard_normal(values.shape)
+        if signal.mode != "real":
+            values = values + 1j * epsilon * rng.standard_normal(values.shape)
     return MultiObservableSignal(signal.n_observables, signal.dt, values, signal.mode)

@@ -88,27 +88,6 @@ class SpectralDecomposition:
 
 
 @dataclass(frozen=True, slots=True)
-class CompositeState:
-    """System register extended by one ancilla qubit (the leading qubit)."""
-
-    n_system_qubits: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        object.__setattr__(self, "amplitudes", amps)
-        if amps.shape != (1 << (self.n_system_qubits + 1),):
-            raise ValueError("amplitude length must be 2^(system qubits + 1)")
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_ATOL:
-            raise ValueError(f"composite norm {norm!r} is not 1 within {NORM_ATOL}")
-
-    @property
-    def n_qubits(self) -> int:
-        return self.n_system_qubits + 1
-
-
-@dataclass(frozen=True, slots=True)
 class MultiObservableSignal:
     """Time series of expectation values for several observables.
 
@@ -263,8 +242,9 @@ def composite_state(
     phi0: StateVector,
     spec: SpectralDecomposition,
     t: float,
-) -> CompositeState:
-    """Ancilla-entangled probe ``(|0>|phi_perp> + |1>|phi0(t)>)/sqrt(2)``.
+) -> StateVector:
+    """Ancilla-entangled probe ``(|0>|phi_perp> + |1>|phi0(t)>)/sqrt(2)``
+    on ``n + 1`` qubits.
 
     The ancilla is the leading qubit; ``phi0`` evolves for time ``t``
     under the Hamiltonian whose eigensystem is ``spec``.
@@ -276,7 +256,7 @@ def composite_state(
     amps = np.empty(2 * n, dtype=complex)
     amps[:n] = phi_perp.amplitudes / math.sqrt(2.0)
     amps[n:] = evolved.amplitudes / math.sqrt(2.0)
-    return CompositeState(phi0.n_qubits, amps)
+    return StateVector(phi0.n_qubits + 1, amps)
 
 
 def phase_table(spec: SpectralDecomposition, dt: float, n_steps: int) -> np.ndarray:

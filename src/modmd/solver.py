@@ -94,10 +94,6 @@ class HankelPair:
     d: int
     dt: float
 
-    @property
-    def n_columns(self) -> int:
-        return self.x.shape[1]
-
 
 @dataclass(frozen=True, slots=True)
 class TruncatedPinv:

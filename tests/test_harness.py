@@ -5,10 +5,13 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import modmd
 from modmd import (
     ConfigError,
     EigenvalueShortfallError,
@@ -178,6 +181,42 @@ class TestExperimentConfig:
             small_config(output_dir="")
         with pytest.raises(ConfigError, match="particle_number"):
             small_config(particle_number=-1)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("trials", 1.5),
+            ("workers", 1.5),
+            ("n_eig", 2.0),
+            ("master_seed", "5"),
+            ("trials", True),
+            ("tfim_qubits", False),
+            ("shadow_samples", 10.5),
+            ("noise_epsilon", True),
+            ("dt", "0.1"),
+            ("svd_threshold", "1e-3"),
+            ("k_over_d", None),
+        ],
+    )
+    def test_numeric_field_kinds(self, field, value):
+        data = config_to_dict(small_config())
+        data[field] = value
+        with pytest.raises(ConfigError, match=f"{field} must be"):
+            config_from_dict(data)
+
+    @pytest.mark.parametrize("entry", [10.7, 16.0, True, "16"])
+    def test_k_grid_entries_are_integers(self, entry):
+        data = config_to_dict(small_config())
+        data["k_grid"] = [16, entry]
+        with pytest.raises(ConfigError, match="k_grid entry must be an integer"):
+            config_from_dict(data)
+
+    def test_numpy_scalars_and_optional_nulls_accepted(self):
+        config = small_config(
+            trials=np.int64(2), k_grid=(np.int64(16),), noise_epsilon=np.float64(1e-8),
+            dt=None, svd_threshold=None, k_over_d=2,
+        )
+        assert config.trials == 2 and config.k_over_d == 2
 
     def test_shadow_source_pairs_with_samples(self):
         with pytest.raises(ConfigError, match="shadow_samples"):
@@ -743,6 +782,39 @@ class TestSweepDrivers:
         # K + d + 1 samples at K = 24, d = 12; k* + horizon + 1 at k* = 30
         assert tables == [(8, 37), (8, 38)]
 
+    def test_forecast_cell_takes_truth_from_one_exact_signal(self, monkeypatch):
+        calls = []
+
+        def counting_exact_signal(spec, phi0, observables, *args, **kwargs):
+            calls.append(len(observables))
+            return exact_signal(spec, phi0, observables, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "exact_signal", counting_exact_signal)
+        config = small_config(trials=2, n_observables=3)
+        result = run_forecast_experiment(config, (20, 30), 7)
+        # one call per (k*, trial) cell, on the modmd pool plus the identity
+        assert calls == [3 + 1] * 4
+        assert len(result.rows) == 8
+
+    def test_forecast_baseline_truth_matches_identity_signal(self):
+        config = small_config(trials=1, noise_epsilon=0.0)
+        result = run_forecast_experiment(config, (20,), 7)
+        problem = build_problem(config)
+        truth = exact_signal(
+            problem.spec, problem.phi0, [identity_observable(3)], problem.dt, 27
+        )
+        d, K = split_fit_window(20, config.k_over_d)
+        measured = measure_signal(
+            config, problem, [identity_observable(3)], 20, 0.0, 0,
+            clean=truth.prefix(21),
+        )
+        pair = build_hankel(measured, d, K)
+        fit = fit_propagator(pair, truncated_pinv(pair.x, config.svd_threshold))
+        predicted = harness.forecast(fit, pair, 8)[:, 1:]
+        rmse = np.sqrt(np.mean((predicted - truth.values[:, 21:]) ** 2))
+        (odmd,) = [r for r in result.rows if r.method == "odmd"]
+        assert odmd.rmse[0] == pytest.approx(rmse, rel=1e-8, abs=1e-14)
+
     def test_parallel_workers_reproduce_serial_rows(self):
         serial = run_convergence_sweep(small_config())
         parallel = run_convergence_sweep(small_config(workers=2))
@@ -1110,6 +1182,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == f"error: cannot write outputs under {tmp_path / 'out'}: disk full\n"
 
+    @pytest.mark.parametrize(
+        "field,value", [("trials", 1.5), ("workers", 1.5), ("k_grid", [10.7])]
+    )
+    def test_mistyped_config_field_exits_before_output_dir(
+        self, field, value, tmp_path, capsys
+    ):
+        data = config_to_dict(small_config(output_dir=str(tmp_path / "out")))
+        data[field] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        assert main(["sweep-k", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_sweep_gap_requires_grid(self, tmp_path, capsys):
         path = write_config_file(tmp_path / "cfg.json")
         assert main(["sweep-gap", "--config", str(path)]) == EXIT_CONFIG
@@ -1197,3 +1285,28 @@ class TestCli:
             assert (second / file.name).read_bytes() == file.read_bytes()
             compared += 1
         assert compared >= 5
+
+
+class TestPublicApi:
+    README = Path(__file__).resolve().parent.parent / "README.md"
+
+    def readme_imports(self):
+        blocks = re.findall(r"```python\n(.*?)```", self.README.read_text(), re.S)
+        return [
+            statement
+            for block in blocks
+            for statement in re.findall(r"^from modmd import \([^)]*\)", block, re.M)
+        ]
+
+    def test_readme_imports_resolve(self):
+        statements = self.readme_imports()
+        assert statements
+        for statement in statements:
+            exec(statement, {})
+            names = re.findall(r"\w+", statement.split("(", 1)[1])
+            assert set(names) <= set(modmd.__all__), statement
+
+    def test_all_entries_resolve_once(self):
+        assert len(modmd.__all__) == len(set(modmd.__all__))
+        for name in modmd.__all__:
+            assert hasattr(modmd, name), name

@@ -5,7 +5,6 @@ import pytest
 
 from modmd import (
     MultiObservableSignal,
-    NoiseSpec,
     RankTwoObservable,
     StateVector,
     build_gamma,
@@ -20,12 +19,10 @@ from modmd import (
     random_one_local,
     sample_shadows,
     shadow_signal,
-    shot_budget,
     to_dense,
     variance_bound,
 )
 from modmd.pauli import PauliString, PauliSum
-from modmd.shadows import ShadowSample
 
 
 def identity_sum(n_qubits):
@@ -62,7 +59,6 @@ class TestRankTwoObservable:
 
     def test_trace_is_exactly_zero(self):
         gamma = RankTwoObservable(2, self.u, self.v, "real")
-        assert gamma.trace == 0.0
         assert abs(np.trace(gamma.dense())) <= 1e-12
 
     def test_dense_is_hermitian_rank_two(self):
@@ -157,22 +153,27 @@ class TestHaarUnitary:
 
 
 class TestSampleShadows:
+    def test_probe_is_a_state_on_one_more_qubit(self):
+        spec, phi0, perp = two_qubit_probe()
+        state = composite_state(perp, phi0, spec, 0.3)
+        assert isinstance(state, StateVector)
+        assert state.n_qubits == 3
+
     def test_outcomes_within_register(self):
         # every measured row is a unit vector of the 3-qubit register
         spec, phi0, perp = two_qubit_probe()
         state = composite_state(perp, phi0, spec, 0.3)
-        samples = sample_shadows(state, 50, seed=1)
-        assert len(samples) == 50
-        rows = np.stack([s.row for s in samples])
+        rows = sample_shadows(state, 50, seed=1)
         assert rows.shape == (50, 8)
+        assert rows.dtype == complex
         np.testing.assert_allclose(np.linalg.norm(rows, axis=1), 1.0, atol=1e-12)
 
     def test_deterministic_per_seed(self):
         spec, phi0, perp = two_qubit_probe()
         state = composite_state(perp, phi0, spec, 0.3)
-        a = np.stack([s.row for s in sample_shadows(state, 20, seed=7)])
-        b = np.stack([s.row for s in sample_shadows(state, 20, seed=7)])
-        c = np.stack([s.row for s in sample_shadows(state, 20, seed=8)])
+        a = sample_shadows(state, 20, seed=7)
+        b = sample_shadows(state, 20, seed=7)
+        c = sample_shadows(state, 20, seed=8)
         np.testing.assert_array_equal(a, b)
         assert not np.any(np.all(a == c, axis=1))
 
@@ -183,9 +184,9 @@ class TestSampleShadows:
         state = composite_state(perp, phi0, spec, 0.0)
         support = set(np.flatnonzero(np.abs(state.amplitudes) > 1e-12))
         hook = lambda dim, rng: np.eye(dim, dtype=complex)
-        samples = sample_shadows(state, 200, seed=2, unitary_fn=hook)
-        outcomes = {int(np.flatnonzero(s.row)[0]) for s in samples}
-        assert all(np.count_nonzero(s.row) == 1 for s in samples)
+        rows = sample_shadows(state, 200, seed=2, unitary_fn=hook)
+        outcomes = {int(np.flatnonzero(row)[0]) for row in rows}
+        assert all(np.count_nonzero(row) == 1 for row in rows)
         assert outcomes <= support
 
     def test_born_statistics_at_fixed_rotation(self):
@@ -197,9 +198,8 @@ class TestSampleShadows:
         probs = np.abs(fixed @ state.amplitudes) ** 2
         probs /= probs.sum()
         q = 10_000
-        samples = sample_shadows(state, q, seed=777, unitary_fn=hook)
         # each recorded row is the rotation's row at the observed outcome
-        rows = np.stack([s.row for s in samples])
+        rows = sample_shadows(state, q, seed=777, unitary_fn=hook)
         matches = np.all(rows[:, None, :] == fixed[None, :, :], axis=2)
         assert np.all(matches.sum(axis=1) == 1)
         counts = np.bincount(np.argmax(matches, axis=1), minlength=8)
@@ -212,15 +212,6 @@ class TestSampleShadows:
         with pytest.raises(ValueError):
             sample_shadows(state, 0, seed=1)
 
-    def test_outcome_range_validated(self):
-        # a record must be one row of a rotation on a qubit register
-        with pytest.raises(ValueError):
-            ShadowSample(np.ones(6, dtype=complex))
-        with pytest.raises(ValueError):
-            ShadowSample(np.ones(1, dtype=complex))
-        with pytest.raises(ValueError):
-            ShadowSample(np.eye(8, dtype=complex))
-
 
 class TestDirectSampler:
     """The default row sampler against the Haar oracle (``unitary_fn``)."""
@@ -230,8 +221,8 @@ class TestDirectSampler:
     def draws(self, unitary_fn):
         spec, phi0, perp = three_qubit_probe()
         state = composite_state(perp, phi0, spec, 0.7)
-        samples = sample_shadows(state, self.Q, 97, unitary_fn)
-        return state.amplitudes, np.stack([s.row for s in samples]), phi0, perp
+        rows = sample_shadows(state, self.Q, 97, unitary_fn)
+        return state.amplitudes, rows, phi0, perp
 
     @staticmethod
     def mean_and_se(values):
@@ -272,8 +263,8 @@ class TestEstimateTrace:
         gamma = build_gamma(obs, phi0, perp, part="real")
         state = composite_state(perp, phi0, spec, 0.7)
         exact = gamma.expectation(state.amplitudes)
-        samples = sample_shadows(state, 10_000, seed=2024)
-        est = estimate_trace(samples, gamma)
+        rows = sample_shadows(state, 10_000, seed=2024)
+        est = estimate_trace(rows, gamma)
         assert abs(est - exact) <= 5.0 * np.sqrt(variance_bound(gamma) / 10_000)
 
     def test_linear_in_observable_scale(self):
@@ -282,9 +273,9 @@ class TestEstimateTrace:
         gamma = build_gamma(obs, phi0, perp, part="real")
         doubled = RankTwoObservable(3, 2.0 * gamma.u, gamma.v, "real")
         state = composite_state(perp, phi0, spec, 0.5)
-        samples = sample_shadows(state, 40, seed=3)
-        assert estimate_trace(samples, doubled) == pytest.approx(
-            2.0 * estimate_trace(samples, gamma), abs=1e-12
+        rows = sample_shadows(state, 40, seed=3)
+        assert estimate_trace(rows, doubled) == pytest.approx(
+            2.0 * estimate_trace(rows, gamma), abs=1e-12
         )
 
     def test_concatenated_batches_average(self):
@@ -294,7 +285,7 @@ class TestEstimateTrace:
         state = composite_state(perp, phi0, spec, 0.5)
         a = sample_shadows(state, 30, seed=4)
         b = sample_shadows(state, 10, seed=5)
-        merged = estimate_trace(a + b, gamma)
+        merged = estimate_trace(np.concatenate([a, b]), gamma)
         expected = (30 * estimate_trace(a, gamma) + 10 * estimate_trace(b, gamma)) / 40
         assert merged == pytest.approx(expected, abs=1e-12)
 
@@ -306,8 +297,8 @@ class TestEstimateTrace:
         gamma = build_gamma(obs, phi0, perp, part="real")
         rng = np.random.default_rng(5)
         n = 2000
-        samples = [ShadowSample(haar_unitary(16, rng)[i % 16]) for i in range(n)]
-        est = estimate_trace(samples, gamma)
+        rows = np.array([haar_unitary(16, rng)[i % 16] for i in range(n)])
+        est = estimate_trace(rows, gamma)
         assert abs(est) <= 5.0 * np.sqrt(variance_bound(gamma) / n)
 
     def test_enumerated_outcomes_give_exact_zero(self):
@@ -316,8 +307,8 @@ class TestEstimateTrace:
         _, phi0, perp = three_qubit_probe()
         obs = random_one_local(3, 1, seed=4)[0]
         gamma = build_gamma(obs, phi0, perp, part="real")
-        samples = [ShadowSample(row) for row in np.eye(16, dtype=complex)]
-        assert estimate_trace(samples, gamma) == pytest.approx(0.0, abs=1e-12)
+        rows = np.eye(16, dtype=complex)
+        assert estimate_trace(rows, gamma) == pytest.approx(0.0, abs=1e-12)
 
     def test_empty_batch_rejected(self):
         _, phi0, perp = three_qubit_probe()
@@ -329,7 +320,28 @@ class TestEstimateTrace:
         _, phi0, perp = three_qubit_probe()
         gamma = build_gamma(identity_sum(3), phi0, perp)
         with pytest.raises(ValueError):
-            estimate_trace([ShadowSample(np.eye(8, dtype=complex)[1])], gamma)
+            estimate_trace([np.eye(8, dtype=complex)[1]], gamma)
+
+    def test_malformed_rows_rejected(self):
+        # the batch must be a non-empty (shots, D) array, one row per shot
+        _, phi0, perp = three_qubit_probe()
+        gamma = build_gamma(identity_sum(3), phi0, perp)
+        for rows in (
+            np.ones(16, dtype=complex),
+            np.ones((2, 1, 16), dtype=complex),
+            np.ones((0, 16), dtype=complex),
+            np.ones((3, 6), dtype=complex),
+            [np.ones(16), np.ones(8)],
+        ):
+            with pytest.raises(ValueError):
+                estimate_trace(rows, gamma)
+
+    def test_list_of_rows_equals_array(self):
+        spec, phi0, perp = three_qubit_probe()
+        gamma = build_gamma(identity_sum(3), phi0, perp)
+        rows = sample_shadows(composite_state(perp, phi0, spec, 0.5), 5, seed=6)
+        assert estimate_trace(list(rows), gamma) == estimate_trace(rows, gamma)
+        assert estimate_trace([rows[0]], gamma) == estimate_trace(rows[:1], gamma)
 
 
 class TestVarianceBound:
@@ -350,51 +362,6 @@ class TestVarianceBound:
             assert variance_bound(gamma) == pytest.approx(
                 3.0 * np.trace(dense @ dense).real, abs=1e-9
             )
-
-
-class TestShotBudget:
-    def test_quadratic_in_inverse_tolerance(self):
-        fine = shot_budget(4, 2.0, 0.1)
-        coarse = shot_budget(4, 2.0, 0.2)
-        assert 3.9 <= fine / coarse <= 4.1
-
-    def test_single_observable_floor(self):
-        # the log factor saturates at ln 2 below two observables
-        assert shot_budget(1, 1.0, 1.0) == shot_budget(2, 1.0, 1.0) == 24
-
-    def test_monotone_in_observable_count(self):
-        budgets = [shot_budget(i, 1.0, 0.5) for i in (2, 4, 16, 256)]
-        assert budgets == sorted(budgets)
-
-    def test_empirical_coverage(self):
-        """The budgeted batch hits the target accuracy for >= 90% of
-        repetitions on a two-observable 3-qubit instance."""
-        spec, phi0, perp = three_qubit_probe()
-        obs_pair = random_one_local(3, 2, seed=9)
-        q = shot_budget(2, 1.0, 1.5)
-        assert q == 11
-        gammas = [build_gamma(o, phi0, perp) for o in obs_pair]
-        state = composite_state(perp, phi0, spec, 0.7)
-        exacts = [g.expectation(state.amplitudes) for g in gammas]
-        hits = 0
-        for rep in range(100):
-            samples = sample_shadows(state, q, 8000 + rep)
-            errs = [
-                abs(estimate_trace(samples, g) - ex)
-                for g, ex in zip(gammas, exacts)
-            ]
-            hits += max(errs) <= 1.5
-        assert hits >= 90
-
-    def test_invalid_arguments_rejected(self):
-        with pytest.raises(ValueError):
-            shot_budget(0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            shot_budget(1, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            shot_budget(1, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            shot_budget(1, 1.0, 1.0, constant=0.0)
 
 
 class TestShadowSignal:
@@ -499,44 +466,40 @@ class TestGaussianNoiseChannel:
         rng = np.random.default_rng(10)
         vals = rng.standard_normal((3, 7))
         signal = MultiObservableSignal(3, 1.0, vals, mode="real")
-        out = gaussian_noise_channel(signal, NoiseSpec(0.0, seed=1))
+        out = gaussian_noise_channel(signal, 0.0, seed=1)
         assert out is not signal
         np.testing.assert_array_equal(out.values, signal.values)
 
     def test_sample_deviation_matches_strength(self):
-        noisy = gaussian_noise_channel(
-            self.flat_signal(), NoiseSpec(0.02, seed=17, target="both")
-        )
+        noisy = gaussian_noise_channel(self.flat_signal(), 0.02, seed=17)
         assert abs(np.std(noisy.values) / 0.02 - 1.0) <= 0.05
         assert abs(np.mean(noisy.values)) <= 5 * 0.02 / np.sqrt(100_000)
 
     def test_real_signal_ignores_imag_target(self):
-        rng = np.random.default_rng(11)
-        vals = rng.standard_normal((2, 9))
-        signal = MultiObservableSignal(2, 1.0, vals, mode="real")
-        out = gaussian_noise_channel(signal, NoiseSpec(0.1, seed=3, target="imag"))
-        np.testing.assert_array_equal(out.values, signal.values)
+        # a real signal has no imaginary part: it gets the real field alone
+        signal = self.flat_signal()
+        out = gaussian_noise_channel(signal, 0.1, seed=3)
+        assert out.values.dtype == float
+        expected = 0.1 * np.random.default_rng(3).standard_normal((100, 1000))
+        np.testing.assert_array_equal(out.values, expected)
 
-    def test_complex_targets_hit_selected_quadratures(self):
+    def test_complex_signal_noisy_in_both_parts_real_first(self):
         signal = self.flat_signal("complex")
-        re_only = gaussian_noise_channel(signal, NoiseSpec(0.1, 4, target="real"))
-        im_only = gaussian_noise_channel(signal, NoiseSpec(0.1, 4, target="imag"))
-        both = gaussian_noise_channel(signal, NoiseSpec(0.1, 4, target="both"))
-        assert np.all(re_only.values.imag == 0.0)
-        assert np.all(im_only.values.real == 0.0)
-        # the real-part field draws first from the seeded stream
-        np.testing.assert_array_equal(both.values.real, re_only.values.real)
+        out = gaussian_noise_channel(signal, 0.1, seed=4)
+        rng = np.random.default_rng(4)
+        real_field = 0.1 * rng.standard_normal((100, 1000))
+        imag_field = 0.1 * rng.standard_normal((100, 1000))
+        np.testing.assert_array_equal(out.values.real, real_field)
+        np.testing.assert_array_equal(out.values.imag, imag_field)
 
     def test_deterministic_per_seed(self):
         signal = self.flat_signal()
-        a = gaussian_noise_channel(signal, NoiseSpec(0.5, seed=6))
-        b = gaussian_noise_channel(signal, NoiseSpec(0.5, seed=6))
+        a = gaussian_noise_channel(signal, 0.5, seed=6)
+        b = gaussian_noise_channel(signal, 0.5, seed=6)
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_noise_spec_validated(self):
-        with pytest.raises(ValueError):
-            NoiseSpec(-0.1, seed=0)
-        with pytest.raises(ValueError):
-            NoiseSpec(float("nan"), seed=0)
-        with pytest.raises(ValueError):
-            NoiseSpec(0.1, seed=0, target="everything")
+        signal = self.flat_signal()
+        for epsilon in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                gaussian_noise_channel(signal, epsilon, seed=0)
