@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
-import importlib.metadata
 import json
 import math
 import numbers
@@ -16,11 +15,12 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple, get_args, get_type_hints
+from typing import NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
-import scipy
+import numpy.random  # loaded lazily by numpy; keep its import out of timed sweeps
 
+from . import __version__
 from .errors import ConfigError, EigenvalueShortfallError
 from .pauli import (
     AffineShift,
@@ -131,7 +131,7 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        _check_numeric_kinds(self)
+        _check_field_kinds(self)
         if (self.tfim_qubits is None) == (self.hamiltonian_file is None):
             raise ConfigError(
                 "exactly one of tfim_qubits and hamiltonian_file must be set"
@@ -209,26 +209,34 @@ class ExperimentConfig:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
 
 
-_NUMERIC_KINDS = {
+_FIELD_KINDS = {
     int: (numbers.Integral, "an integer"),
     float: (numbers.Real, "a number"),
+    str: (str, "a string"),
 }
 
 
-def _check_numeric_kinds(config: ExperimentConfig) -> None:
-    """Refuse a boolean, string or fraction in a field annotated ``int`` or
-    ``float`` and in ``k_grid``, before any value check (a JSON 1.5 would
-    otherwise fail late or be truncated); ``None`` passes where annotated."""
-    hints = get_type_hints(ExperimentConfig)
-    checks = [(name, hint, getattr(config, name)) for name, hint in hints.items()]
-    checks += [("k_grid entry", int, k) for k in config.k_grid]
+def _check_field_kinds(config: ExperimentConfig) -> None:
+    """Refuse a value of the wrong kind in a field annotated ``int``,
+    ``float`` or ``str``, and in an entry of a ``tuple[...]`` field, before
+    any value check: a boolean, string or fraction where a number is due (a
+    JSON 1.5 would otherwise fail late or be truncated), or a non-string
+    where a string is. ``None`` passes where annotated."""
+    checks = []
+    for name, hint in get_type_hints(ExperimentConfig).items():
+        value = getattr(config, name)
+        if type(None) in get_args(hint):
+            if value is None:
+                continue
+            hint = get_args(hint)[0]
+        if get_origin(hint) is tuple:
+            checks += [(f"{name} entry", get_args(hint)[0], entry) for entry in value]
+        else:
+            checks.append((name, hint, value))
     for name, hint, value in checks:
-        optional = type(None) in get_args(hint)
-        kind = _NUMERIC_KINDS.get(get_args(hint)[0] if optional else hint)
-        if kind is None or (optional and value is None):
-            continue
-        if isinstance(value, bool) or not isinstance(value, kind[0]):
-            raise ConfigError(f"{name} must be {kind[1]}, got {value!r}")
+        kind, noun = _FIELD_KINDS[hint]
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ConfigError(f"{name} must be {noun}, got {value!r}")
 
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
@@ -1046,13 +1054,6 @@ def run_single_solve(config: ExperimentConfig) -> "tuple[SweepRow, SweepRow]":
     return rows[0], rows[1]
 
 
-def _package_version() -> str:
-    try:
-        return importlib.metadata.version("modmd")
-    except importlib.metadata.PackageNotFoundError:  # pragma: no cover
-        return "unknown"
-
-
 def _format_value(value) -> str:
     if isinstance(value, float):
         return repr(value)
@@ -1189,8 +1190,7 @@ def _manifest_payload(result) -> dict:
         "versions": {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "modmd": _package_version(),
+            "modmd": __version__,
         },
     }
     if isinstance(result, SweepResult):

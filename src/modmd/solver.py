@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DegenerateInputError, EigenvalueShortfallError
 from .pauli import PauliSum
@@ -28,8 +27,11 @@ from .simulate import (
 # absolute tolerance.
 CONJUGATE_PHASE_ATOL = 1e-8
 
-# Biorthogonal left/right pairings with |<l|r>| / (|l||r|) below this are
-# reported as ill-conditioned (near-defective propagator).
+# Left/right eigenvector pairings with |l||r| / |<l|r>| above this are
+# reported as ill-conditioned (near-defective propagator). The left rows are
+# the rows of the inverse right-eigenvector matrix; a pairing past 1e14 (an
+# exact Jordan block gives about 1/eps) or an exactly singular eigenvector
+# matrix reports the condition as inf.
 CONDITION_FLAG = 1e8
 
 # Relative cutoffs at or above this take the pseudo-inverse from the
@@ -307,8 +309,11 @@ def extract_eigen(
 
     ``propagator`` is a square matrix ``A`` or a :class:`PropagatorFit`,
     whose ``r x r`` reduced eigenproblem is solved and lifted (left rows
-    ``w^H U_r^H``, right vectors ``B v``); ``A``'s zero eigenvalues beyond
+    ``y U_r^H``, right vectors ``B v``); ``A``'s zero eigenvalues beyond
     rank ``r`` are not reported, and the fit's SVD diagnostics are kept.
+    One ``np.linalg.eig`` gives the eigenvalues and right vectors ``V``; the
+    left rows ``y`` are the selected rows of ``V^-1``, which satisfy
+    ``y A = lambda y`` and are biorthonormal to ``V``.
 
     Eigenvalues with modulus below ``magnitude_floor`` are dropped as
     noise artifacts; survivors are ordered by descending phase on the
@@ -319,7 +324,10 @@ def extract_eigen(
 
     Left rows are scaled biorthonormal to the right eigenvectors when
     the pairing is well conditioned; a near-defective pairing sets
-    ``ill_conditioned`` instead of failing.
+    ``ill_conditioned`` instead of failing. ``eigenvector_condition`` is
+    the largest ``|y||v| / |y v|`` over the reported modes, and ``inf`` when
+    one exceeds 1e14 or ``V`` is exactly singular (whose left rows then
+    come from ``pinv(V)``).
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -327,29 +335,30 @@ def extract_eigen(
         raise ValueError(f"n_eig must be >= 1, got {n_eig}")
     fit = propagator if isinstance(propagator, PropagatorFit) else None
     matrix = propagator if fit is None else fit.reduced
-    w, vl, vr = scipy.linalg.eig(matrix, left=True, right=True)
-    mask = np.abs(w) >= magnitude_floor
-    w, vl, vr = w[mask], vl[:, mask], vr[:, mask]
+    w, vr = np.linalg.eig(matrix)
+    keep = np.flatnonzero(np.abs(w) >= magnitude_floor)
     if merge_conjugates:
-        keep = _merge_conjugate_pairs(w)
-        w, vl, vr = w[keep], vl[:, keep], vr[:, keep]
-    order = np.argsort(-np.angle(w), kind="stable")
-    w, vl, vr = w[order], vl[:, order], vr[:, order]
-    if len(w) < n_eig:
-        raise EigenvalueShortfallError(n_eig, w, -np.angle(w) / dt)
-    w, vl, vr = w[:n_eig], vl[:, :n_eig], vr[:, :n_eig]
+        keep = keep[_merge_conjugate_pairs(w[keep])]
+    keep = keep[np.argsort(-np.angle(w[keep]), kind="stable")]
+    if len(keep) < n_eig:
+        raise EigenvalueShortfallError(n_eig, w[keep], -np.angle(w[keep]) / dt)
+    keep = keep[:n_eig]
+    try:
+        left_rows, singular = np.linalg.inv(vr)[keep], False
+    except np.linalg.LinAlgError:
+        left_rows, singular = np.linalg.pinv(vr)[keep], True
+    w, vr = w[keep], vr[:, keep]
     if fit is not None:
-        vl, vr = fit.pinv.left @ vl, fit.b_matrix @ vr
+        left_rows, vr = left_rows @ fit.pinv.left.conj().T, fit.b_matrix @ vr
         norms = np.linalg.norm(vr, axis=0)  # unit columns, as eig returns
         vr = vr / np.where(norms > 0.0, norms, 1.0)
 
-    left_rows = vl.conj().T
     pairing = np.sum(left_rows * vr.T, axis=1)
     size = np.linalg.norm(left_rows, axis=1) * np.linalg.norm(vr, axis=0)
     paired = np.abs(pairing) >= 1e-14 * size
     left_rows[paired] /= pairing[paired, None]
     condition = math.inf
-    if paired.all():
+    if paired.all() and not singular:
         condition = np.max(size / np.abs(pairing), initial=1.0)
 
     return ModmdEstimate(

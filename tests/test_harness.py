@@ -5,7 +5,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -209,6 +212,24 @@ class TestExperimentConfig:
         data = config_to_dict(small_config())
         data["k_grid"] = [16, entry]
         with pytest.raises(ConfigError, match="k_grid entry must be an integer"):
+            config_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("reference_bitstrings", [1000], "reference_bitstrings entry must be"),
+            ("reference_bitstrings", ["000", None], "reference_bitstrings entry must"),
+            ("observable_policy", 5, "observable_policy must be a string"),
+            ("signal_source", None, "signal_source must be a string"),
+            ("output_dir", ["out"], "output_dir must be a string"),
+            ("hamiltonian_file", 7, "hamiltonian_file must be a string"),
+            ("observable_file", True, "observable_file must be a string"),
+        ],
+    )
+    def test_string_field_kinds(self, field, value, message):
+        data = config_to_dict(small_config())
+        data[field] = value
+        with pytest.raises(ConfigError, match=message):
             config_from_dict(data)
 
     def test_numpy_scalars_and_optional_nulls_accepted(self):
@@ -895,7 +916,7 @@ class TestEmitOutputs:
         }
         assert data["sweep"] == "sweep-k"
         assert config_from_dict(data["config"]) == small_sweep.config
-        assert set(data["versions"]) == {"python", "numpy", "scipy", "modmd"}
+        assert set(data["versions"]) == {"python", "numpy", "modmd"}
 
     def test_schema_documents_results_file(self, small_sweep, tmp_path):
         emit_outputs(small_sweep, tmp_path)
@@ -1183,7 +1204,13 @@ class TestCli:
         assert err == f"error: cannot write outputs under {tmp_path / 'out'}: disk full\n"
 
     @pytest.mark.parametrize(
-        "field,value", [("trials", 1.5), ("workers", 1.5), ("k_grid", [10.7])]
+        "field,value",
+        [
+            ("trials", 1.5),
+            ("workers", 1.5),
+            ("k_grid", [10.7]),
+            ("reference_bitstrings", [1000]),
+        ],
     )
     def test_mistyped_config_field_exits_before_output_dir(
         self, field, value, tmp_path, capsys
@@ -1310,3 +1337,55 @@ class TestPublicApi:
         assert len(modmd.__all__) == len(set(modmd.__all__))
         for name in modmd.__all__:
             assert hasattr(modmd, name), name
+
+
+# Run in a fresh interpreter: imports modmd, runs a sweep-k and a forecast
+# through the CLI, and reports the modules the sweeps added, every scipy
+# module loaded, and the OpenBLAS libraries mapped into the process.
+_IMPORT_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import modmd
+from modmd.cli import main
+
+before = set(sys.modules)
+codes = [
+    main(["sweep-k", "--config", sys.argv[2]]),
+    main(["forecast", "--config", sys.argv[2], "--kstar-grid", "24", "--horizon", "5"]),
+]
+try:
+    with open("/proc/self/maps") as maps:
+        blas = sorted({
+            line.split()[-1] for line in maps
+            if "openblas" in line.rsplit("/", 1)[-1].lower()
+        })
+except OSError:
+    blas = None
+print(json.dumps({
+    "codes": codes,
+    "added": sorted(set(sys.modules) - before),
+    "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+    "blas": blas,
+}))
+"""
+
+
+class TestImportGuard:
+    def test_sweeps_load_no_scipy_and_no_new_modules(self, tmp_path):
+        src = Path(modmd.__file__).resolve().parents[1]
+        config = write_config_file(tmp_path / "cfg.json", trials=1, k_grid=(16, 24))
+        env = dict(os.environ, **{OUTPUT_DIR_ENV: str(tmp_path / "out")})
+        proc = subprocess.run(
+            [sys.executable, "-c", _IMPORT_PROBE, str(src), str(config)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout.splitlines()[-1])
+        assert report["codes"] == [EXIT_OK, EXIT_OK]
+        assert report["scipy"] == []
+        assert report["added"] == []
+        if report["blas"] is not None:
+            assert len(report["blas"]) <= 1, report["blas"]

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, strategies as st
 
 from modmd import (
@@ -38,8 +39,10 @@ from modmd import (
 )
 from modmd.harness import depth_for_window
 from modmd.solver import (
+    CONDITION_FLAG,
     CONJUGATE_PHASE_ATOL,
     GRAM_MIN_THRESHOLD,
+    PropagatorFit,
     TruncatedPinv,
     _gram_factors,
     _merge_conjugate_pairs,
@@ -499,6 +502,21 @@ class TestExtractEigen:
             extract_eigen(np.eye(2, dtype=complex), dt=1.0, n_eig=0)
 
 
+def assert_rows_match_up_to_phase(rows, oracle_rows):
+    """Each row equals its oracle up to a unit phase, within 1e-8 of the
+    oracle's norm."""
+    assert len(rows) == len(oracle_rows)
+    for mine, oracle in zip(rows, oracle_rows):
+        overlap = np.vdot(mine, oracle)
+        assert abs(overlap) > 0
+        np.testing.assert_allclose(
+            mine * overlap / abs(overlap),
+            oracle,
+            rtol=0,
+            atol=1e-8 * np.linalg.norm(oracle),
+        )
+
+
 def assert_matches_full_matrix(pair, threshold, dt, n_eig, merge_conjugates):
     """The reduced eigensolve against the full-matrix oracle
     ``extract_eigen(xp @ pinv(x))``: same eigenvalues, left rows equal up
@@ -511,15 +529,7 @@ def assert_matches_full_matrix(pair, threshold, dt, n_eig, merge_conjugates):
     np.testing.assert_allclose(
         reduced.eigenvalues, full.eigenvalues, rtol=0, atol=1e-10
     )
-    for mine, oracle in zip(reduced.left_vectors, full.left_vectors):
-        overlap = np.vdot(mine, oracle)
-        assert abs(overlap) > 0
-        np.testing.assert_allclose(
-            mine * overlap / abs(overlap),
-            oracle,
-            rtol=0,
-            atol=1e-8 * np.linalg.norm(oracle),
-        )
+    assert_rows_match_up_to_phase(reduced.left_vectors, full.left_vectors)
     assert reduced.eigenvector_condition == pytest.approx(
         full.eigenvector_condition, rel=1e-6
     )
@@ -608,6 +618,111 @@ class TestReducedEigenproblem:
     def test_random_low_rank_pairs(self, seed, real):
         pair, n_modes = random_mode_pair(seed, real)
         assert_matches_full_matrix(pair, 1e-10, 1.0, n_modes, merge_conjugates=real)
+
+
+def geev_extract(propagator, magnitude_floor=0.2, merge_conjugates=False):
+    """Oracle of :func:`extract_eigen`: scipy's geev left eigenvectors,
+    computed apart from the right ones, then selected, lifted and scaled as
+    ``extract_eigen`` does. Returns every survivor's eigenvalue, its
+    biorthonormal left row and the largest pairing condition (``inf`` when
+    a pairing vanishes)."""
+    fit = propagator if isinstance(propagator, PropagatorFit) else None
+    matrix = propagator if fit is None else fit.reduced
+    w, vl, vr = scipy.linalg.eig(matrix, left=True, right=True)
+    keep = np.flatnonzero(np.abs(w) >= magnitude_floor)
+    if merge_conjugates:
+        keep = keep[_merge_conjugate_pairs(w[keep])]
+    keep = keep[np.argsort(-np.angle(w[keep]), kind="stable")]
+    w, vl, vr = w[keep], vl[:, keep], vr[:, keep]
+    if fit is not None:
+        vl, vr = fit.pinv.left @ vl, fit.b_matrix @ vr
+        vr = vr / np.linalg.norm(vr, axis=0)
+    rows = vl.conj().T
+    pairing = np.sum(rows * vr.T, axis=1)
+    size = np.linalg.norm(rows, axis=1) * np.linalg.norm(vr, axis=0)
+    if np.any(np.abs(pairing) < 1e-14 * size):
+        return w, rows, math.inf
+    condition = np.max(size / np.abs(pairing), initial=1.0)
+    return w, rows / pairing[:, None], float(condition)
+
+
+def assert_matches_geev(propagator, dt, merge_conjugates=False):
+    """``extract_eigen`` on every survivor against :func:`geev_extract`
+    (a shortfall when there is none): eigenvalues to 1e-12 relative, the
+    same ``ill_conditioned`` flag, and below ``CONDITION_FLAG`` left rows
+    equal up to a unit phase and the condition to 1e-6 relative."""
+    w, rows, condition = geev_extract(propagator, merge_conjugates=merge_conjugates)
+    if not len(w):
+        with pytest.raises(EigenvalueShortfallError):
+            extract_eigen(propagator, dt, 1, merge_conjugates=merge_conjugates)
+        return
+    est = extract_eigen(propagator, dt, len(w), merge_conjugates=merge_conjugates)
+    np.testing.assert_allclose(est.eigenvalues, w, rtol=1e-12, atol=0)
+    assert est.ill_conditioned == (condition > CONDITION_FLAG)
+    if est.ill_conditioned:
+        return
+    assert est.eigenvector_condition == pytest.approx(condition, rel=1e-6)
+    assert_rows_match_up_to_phase(est.left_vectors, rows)
+
+
+def random_propagator(seed, real):
+    """A dense ``n x n`` Gaussian matrix scaled to a spectral radius near 1."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 13))
+    a = rng.standard_normal((n, n))
+    if not real:
+        a = a + 1j * rng.standard_normal((n, n))
+    return a / math.sqrt(n * (1 if real else 2))
+
+
+class TestGeevOracle:
+    """Left rows from the inverse of numpy's right eigenvectors reproduce
+    scipy's separately computed geev left eigenvectors."""
+
+    @pytest.mark.parametrize("real", [False, True])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_matrices(self, seed, real):
+        a = random_propagator(seed, real)
+        assert_matches_geev(a, 1.0)
+        if real:
+            assert_matches_geev(a, 1.0, merge_conjugates=True)
+
+    @pytest.mark.parametrize("threshold", [1e-2, 1e-3])
+    @pytest.mark.parametrize("real", [False, True])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_noisy_hankel_fits(self, seed, real, threshold):
+        fit = fitted(noisy_mode_pair(seed, real, tall=seed % 2 == 0), threshold)
+        assert_matches_geev(fit, 1.0, merge_conjugates=real)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+        st.sampled_from(["matrix", "tall fit", "wide fit"]),
+    )
+    def test_property(self, seed, real, kind):
+        if kind == "matrix":
+            propagator = random_propagator(seed, real)
+        else:
+            pair = noisy_mode_pair(seed, real, tall=kind == "tall fit")
+            propagator = fitted(pair, 1e-2)
+        assert_matches_geev(propagator, 1.0, merge_conjugates=real)
+
+    def test_jordan_block_flagged(self):
+        jordan = np.array([[1.0, 1.0], [0.0, 1.0]])
+        assert geev_extract(jordan)[2] > CONDITION_FLAG
+        est = extract_eigen(jordan, dt=1.0, n_eig=2)
+        assert est.ill_conditioned
+        assert est.eigenvector_condition > CONDITION_FLAG
+
+    def test_singular_right_vectors_flagged(self, monkeypatch):
+        lam = np.exp(-1j * np.array([0.3, 0.3]))
+        singular = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)
+        monkeypatch.setattr(np.linalg, "eig", lambda matrix: (lam, singular))
+        est = extract_eigen(np.diag(lam), dt=1.0, n_eig=2)
+        assert est.ill_conditioned
+        assert est.eigenvector_condition == math.inf
+        np.testing.assert_allclose(est.energies, [0.3, 0.3], atol=1e-12)
+        assert np.isfinite(est.left_vectors).all()
 
 
 class TestRunModmd:
