@@ -15,7 +15,7 @@ from .errors import (
 from .harness import (
     OBSERVABLE_POLICIES,
     SIGNAL_SOURCES,
-    SWEEP_ARGS,
+    SWEEP_KINDS,
     ExperimentConfig,
     config_from_dict,
     emit_outputs,
@@ -146,7 +146,8 @@ def _handle_sweep(args) -> int:
         "sweep-noise": run_noise_sweep,
         "forecast": run_forecast_experiment,
     }[args.verb]
-    kwargs = {n: _sweep_arg(args, sweep_args, n) for n in SWEEP_ARGS[args.verb]}
+    kwargs = {n: _sweep_arg(args, sweep_args, n) for n in SWEEP_KINDS[args.verb].args}
+    resolve_hamiltonian(config)  # a bad model or reference leaves no directory behind
     directory = resolve_output_dir(config)
     try:
         # Before the sweep, so an unusable directory costs no finished cells.
@@ -184,7 +185,7 @@ def _handle_validate(args) -> int:
             config.observable_file, hamiltonian.n_qubits, config.n_observables
         )
     dt = resolve_time_step(config)
-    delta = threshold_for(config, config.noise_epsilon)
+    delta = threshold_for(config)
     print("configuration valid")
     print(f"  qubits: {hamiltonian.n_qubits}  terms: {hamiltonian.num_terms}")
     print(f"  dt: {dt!r}  svd threshold: {delta!r}")

@@ -15,7 +15,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple, get_args, get_origin, get_type_hints
+from typing import Callable, NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 import numpy.random  # loaded lazily by numpy; keep its import out of timed sweeps
@@ -61,14 +61,36 @@ OBSERVABLE_POLICIES = (
 )
 SIGNAL_SOURCES = ("exact+gaussian", "shadow")
 
-# Driver arguments each sweep kind records in its manifest's ``sweep_args``
-# (the CLI flag of each has the same name): a ``*_grid`` is a list of
-# values of the given type, anything else a single value.
-SWEEP_ARGS = {
-    "sweep-k": {},
-    "sweep-gap": {"h_grid": float},
-    "sweep-noise": {"eps_grid": float},
-    "forecast": {"kstar_grid": int, "horizon": int},
+
+class SweepKind(NamedTuple):
+    """Declaration of one sweep kind.
+
+    ``point`` maps a grid value to the configuration fields it sets, so
+    each grid point runs on its own validated configuration (a forecast's
+    fit-window lengths set none). ``args`` are the driver arguments the
+    manifest records in ``sweep_args`` (the CLI flag of each has the same
+    name): a ``*_grid`` is a list of values of the given type, anything
+    else a single value. ``x_label`` and ``log_x`` describe the plots' x
+    axis.
+    """
+
+    point: "Callable[[float], dict]"
+    args: dict
+    x_label: str
+    log_x: bool = False
+
+
+SWEEP_KINDS = {
+    "sweep-k": SweepKind(lambda K: {"k_grid": (int(K),)}, {}, "snapshots K"),
+    "sweep-gap": SweepKind(
+        lambda h: {"tfim_field": h}, {"h_grid": float}, "transverse field h"
+    ),
+    "sweep-noise": SweepKind(
+        lambda eps: {"noise_epsilon": eps}, {"eps_grid": float}, "noise level", True
+    ),
+    "forecast": SweepKind(
+        lambda k_star: {}, {"kstar_grid": int, "horizon": int}, "fit-window length k*"
+    ),
 }
 
 # Configuration fields naming input files; a manifest records their sha256
@@ -103,7 +125,8 @@ class ExperimentConfig:
     or from a Pauli-sum text file (exactly one of the two). All sweep
     drivers consume the same configuration; grids specific to one sweep
     (field values, noise levels, fit-window lengths) are passed to the
-    driver directly and recorded in the run manifest.
+    driver directly and recorded in the run manifest. A grid value that
+    sets a field (:data:`SWEEP_KINDS`) is validated like that field.
     """
 
     tfim_qubits: "int | None" = None
@@ -138,6 +161,9 @@ class ExperimentConfig:
             )
         if self.tfim_qubits is not None and self.tfim_qubits < 2:
             raise ConfigError(f"tfim_qubits must be >= 2, got {self.tfim_qubits}")
+        for name in ("tfim_coupling", "tfim_field"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.hamiltonian_file is not None and not Path(self.hamiltonian_file).is_file():
             raise ConfigError(f"hamiltonian_file not found: {self.hamiltonian_file}")
         if self.particle_number is not None and self.particle_number < 0:
@@ -294,7 +320,7 @@ def read_run_file(path: "str | Path") -> "tuple[dict, str | None, dict]":
 
     Returns the configuration mapping, the sweep kind (``None`` for a plain
     configuration) and the manifest's driver arguments typed per
-    :data:`SWEEP_ARGS`. A manifest is refused when an input file whose
+    :data:`SWEEP_KINDS`. A manifest is refused when an input file whose
     sha256 it recorded has changed since.
     """
     try:
@@ -312,7 +338,7 @@ def read_run_file(path: "str | Path") -> "tuple[dict, str | None, dict]":
     recorded = data.get("input_sha256", {})
     if not all(isinstance(part, dict) for part in (config, args, recorded)):
         raise ConfigError(f"{path}: config, sweep_args, input_sha256 must be mappings")
-    if not isinstance(sweep, str) or sweep not in SWEEP_ARGS:
+    if not isinstance(sweep, str) or sweep not in SWEEP_KINDS:
         raise ConfigError(f"unknown sweep kind {sweep!r} in manifest")
     for name in _INPUT_FILE_FIELDS:
         if name in recorded and _sha256(config.get(name)) != recorded[name]:
@@ -320,7 +346,7 @@ def read_run_file(path: "str | Path") -> "tuple[dict, str | None, dict]":
                 f"{name} {config.get(name)!r} does not match the sha256 recorded "
                 f"in {path}; refusing to replay"
             )
-    kinds = SWEEP_ARGS[sweep]
+    kinds = SWEEP_KINDS[sweep].args
     typed = {name: _manifest_arg(args, name, kind) for name, kind in kinds.items()}
     return config, sweep, typed
 
@@ -358,11 +384,11 @@ def split_fit_window(k_star: int, k_over_d: float) -> "tuple[int, int]":
     return d, k_star - d
 
 
-def threshold_for(config: ExperimentConfig, epsilon: float) -> float:
+def threshold_for(config: ExperimentConfig) -> float:
     """Resolved SVD cutoff: explicit value, or ten times the noise level."""
     if config.svd_threshold is not None:
         return config.svd_threshold
-    return max(10.0 * epsilon, AUTO_THRESHOLD_FLOOR)
+    return max(10.0 * config.noise_epsilon, AUTO_THRESHOLD_FLOOR)
 
 
 def identity_observable(n_qubits: int) -> PauliSum:
@@ -443,20 +469,13 @@ def _sector_energies(spec, particle_number: int) -> np.ndarray:
     return spec.energies[mask]
 
 
-def resolve_hamiltonian(
-    config: ExperimentConfig, field_override: "float | None" = None
-) -> PauliSum:
-    """Load the configured operator and validate reference addressing.
-
-    ``field_override`` replaces the transverse-field strength so the gap
-    sweep can rebuild the model per grid point.
-    """
+def resolve_hamiltonian(config: ExperimentConfig) -> PauliSum:
+    """Load the configured operator and validate reference addressing."""
     if config.tfim_qubits is not None:
-        field = config.tfim_field if field_override is None else field_override
-        hamiltonian = build_tfim(config.tfim_qubits, config.tfim_coupling, field)
+        hamiltonian = build_tfim(
+            config.tfim_qubits, config.tfim_coupling, config.tfim_field
+        )
     else:
-        if field_override is not None:
-            raise ConfigError("field overrides require the TFIM source")
         hamiltonian = parse_pauli_sum(Path(config.hamiltonian_file).read_text())
     n_qubits = hamiltonian.n_qubits
     for bits in config.reference_bitstrings:
@@ -475,17 +494,13 @@ def resolve_time_step(config: ExperimentConfig) -> float:
     return select_time_step(-envelope, envelope)
 
 
-def build_problem(
-    config: ExperimentConfig,
-    field_override: "float | None" = None,
-    k_max: "int | None" = None,
-) -> Problem:
+def build_problem(config: ExperimentConfig, k_max: "int | None" = None) -> Problem:
     """Diagonalize the (rescaled) Hamiltonian and resolve run-wide state.
 
     With ``k_max`` set, the problem carries the phase table of exact
     signals over up to ``k_max + 1`` samples.
     """
-    hamiltonian = resolve_hamiltonian(config, field_override)
+    hamiltonian = resolve_hamiltonian(config)
     n_qubits = hamiltonian.n_qubits
 
     shifted, shift = shift_and_scale(
@@ -734,13 +749,13 @@ def _eigen_cell(
     sweep: str,
     point_index: int,
     point_value: float,
-    K: int,
-    epsilon: float,
-    delta: float,
     trial: int,
 ) -> "list[SweepRow]":
-    """Run both pipelines on one (point, trial) cell."""
+    """Run both pipelines on one (point, trial) cell at the configuration's
+    first K, noise level and SVD cutoff."""
+    K = config.k_grid[0]
     d = depth_for_window(K, config.k_over_d)
+    delta = threshold_for(config)
     obs_seed = derive_seed(config.master_seed, point_index, trial, _STREAM_OBSERVABLES)
     pools = {
         "modmd": (build_observables(config, problem, obs_seed), _STREAM_MODMD),
@@ -752,7 +767,9 @@ def _eigen_cell(
         observables, stream = pools[method]
         laps = _Laps()
         seed = derive_seed(config.master_seed, point_index, trial, stream)
-        signal = measure_signal(config, problem, observables, K + d, epsilon, seed)
+        signal = measure_signal(
+            config, problem, observables, K + d, config.noise_epsilon, seed
+        )
         laps.lap("signal_s")
         pair = build_hankel(signal, d, K)
         laps.lap("hankel_s")
@@ -805,7 +822,7 @@ def _forecast_cell(
 ) -> "list[ForecastRow]":
     """Fit on a prefix window, score predictions on the held-out tail."""
     d, K = split_fit_window(k_star, config.k_over_d)
-    delta = threshold_for(config, config.noise_epsilon)
+    delta = threshold_for(config)
     obs_seed = derive_seed(config.master_seed, point_index, trial, _STREAM_OBSERVABLES)
     pools = {
         "modmd": (build_observables(config, problem, obs_seed), _STREAM_MODMD),
@@ -867,48 +884,47 @@ def _forecast_cell(
 
 @dataclass(frozen=True)
 class _SweepPlan:
-    """Picklable description of all cells a sweep will execute."""
+    """Picklable description of all cells a sweep will execute: its grid
+    values and, per value, the configuration its cells run on."""
 
     kind: str
     config: ExperimentConfig
     points: "tuple[float, ...]"
+    configs: "tuple[ExperimentConfig, ...]"
     horizon: int = 0
 
 
+def _plan(kind: str, config: ExperimentConfig, points, horizon: int = 0) -> _SweepPlan:
+    """A sweep's plan, each grid point's configuration set per
+    :data:`SWEEP_KINDS` (and validated like the field it sets)."""
+    points = tuple(float(p) for p in points)
+    point = SWEEP_KINDS[kind].point
+    configs = tuple(dataclasses.replace(config, **point(p)) for p in points)
+    return _SweepPlan(kind, config, points, configs, horizon)
+
+
 def _evaluate_cell(plan: _SweepPlan, problem: Problem, point_index: int, trial: int):
-    value = plan.points[point_index]
-    config = plan.config
+    config, value = plan.configs[point_index], plan.points[point_index]
     if plan.kind == "forecast":
         return _forecast_cell(config, problem, point_index, int(value), plan.horizon, trial)
-    if plan.kind == "sweep-k":
-        K = int(value)
-        epsilon = config.noise_epsilon
-    elif plan.kind == "sweep-gap":
-        K = int(config.k_grid[0])
-        epsilon = config.noise_epsilon
-    else:
-        K = int(config.k_grid[0])
-        epsilon = float(value)
-    delta = threshold_for(config, epsilon)
-    return _eigen_cell(
-        config, problem, plan.kind, point_index, value, K, epsilon, delta, trial
-    )
+    return _eigen_cell(config, problem, plan.kind, point_index, value, trial)
 
 
 def _longest_signal(plan: _SweepPlan) -> int:
     """Largest ``k_max`` of any exact signal the plan's cells generate."""
     if plan.kind == "forecast":
         return int(max(plan.points)) + plan.horizon
-    windows = plan.points if plan.kind == "sweep-k" else plan.config.k_grid[:1]
-    return max(int(K) + depth_for_window(int(K), plan.config.k_over_d) for K in windows)
+    windows = [c.k_grid[0] for c in plan.configs]
+    return max(K + depth_for_window(K, plan.config.k_over_d) for K in windows)
 
 
 # Worker-process state: the plan is installed once per worker, and the
-# latest problem (keyed by grid point for sweep-gap, else shared) is kept.
-# Tasks arrive in (point, trial) order, so each worker diagonalizes at most
-# once per Hamiltonian and holds one eigenbasis and phase table at a time.
+# latest problem, keyed by its transverse field (the only problem input a
+# sweep varies), is kept. Tasks arrive in (point, trial) order, so each
+# worker diagonalizes at most once per Hamiltonian and holds one eigenbasis
+# and phase table at a time.
 _WORKER_PLAN: "_SweepPlan | None" = None
-_WORKER_PROBLEM: "tuple[int, Problem] | None" = None
+_WORKER_PROBLEM: "tuple[float, Problem] | None" = None
 
 
 def _init_worker(plan: "_SweepPlan | None") -> None:
@@ -919,12 +935,11 @@ def _init_worker(plan: "_SweepPlan | None") -> None:
 
 def _worker_problem(point_index: int) -> Problem:
     global _WORKER_PROBLEM
-    plan = _WORKER_PLAN
-    key = point_index if plan.kind == "sweep-gap" else -1
-    if _WORKER_PROBLEM is None or _WORKER_PROBLEM[0] != key:
+    config = _WORKER_PLAN.configs[point_index]
+    if _WORKER_PROBLEM is None or _WORKER_PROBLEM[0] != config.tfim_field:
         _WORKER_PROBLEM = None  # release the previous eigenbasis before the next
-        field = None if key == -1 else plan.points[point_index]
-        _WORKER_PROBLEM = (key, build_problem(plan.config, field, _longest_signal(plan)))
+        problem = build_problem(config, _longest_signal(_WORKER_PLAN))
+        _WORKER_PROBLEM = (config.tfim_field, problem)
     return _WORKER_PROBLEM[1]
 
 
@@ -966,7 +981,7 @@ def _run_plan(plan: _SweepPlan) -> "tuple[list, tuple[tuple[float, ...], ...]]":
 def _eigen_sweep(
     kind: str, config: ExperimentConfig, points, sweep_args: dict
 ) -> SweepResult:
-    plan = _SweepPlan(kind=kind, config=config, points=tuple(float(p) for p in points))
+    plan = _plan(kind, config, points)
     rows, exact_energies = _run_plan(plan)
     return SweepResult(
         sweep=kind,
@@ -1008,9 +1023,6 @@ def run_noise_sweep(
         raise ConfigError("the noise sweep needs a single fixed K in k_grid")
     if not eps_grid:
         raise ConfigError("eps_grid must not be empty")
-    for eps in eps_grid:
-        if not (math.isfinite(eps) and eps >= 0.0):
-            raise ConfigError(f"noise levels must be finite and >= 0, got {eps}")
     return _eigen_sweep(
         "sweep-noise", config, eps_grid, {"eps_grid": [float(e) for e in eps_grid]}
     )
@@ -1026,12 +1038,7 @@ def run_forecast_experiment(
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
     for k_star in kstar_grid:
         split_fit_window(int(k_star), config.k_over_d)
-    plan = _SweepPlan(
-        kind="forecast",
-        config=config,
-        points=tuple(float(k) for k in kstar_grid),
-        horizon=int(horizon),
-    )
+    plan = _plan("forecast", config, kstar_grid, int(horizon))
     rows, _ = _run_plan(plan)
     return ForecastResult(
         sweep=plan.kind,
@@ -1045,11 +1052,8 @@ def run_forecast_experiment(
 
 def run_single_solve(config: ExperimentConfig) -> "tuple[SweepRow, SweepRow]":
     """One-shot evaluation at the first configured K (trial 0)."""
-    problem = build_problem(config)
-    K = int(config.k_grid[0])
-    delta = threshold_for(config, config.noise_epsilon)
     rows = _eigen_cell(
-        config, problem, "solve", 0, float(K), K, config.noise_epsilon, delta, 0
+        config, build_problem(config), "solve", 0, float(config.k_grid[0]), 0
     )
     return rows[0], rows[1]
 
@@ -1202,15 +1206,6 @@ def _manifest_payload(result) -> dict:
     return payload
 
 
-# x axis of each sweep kind's plots: label, and whether it is logarithmic.
-_X_AXES = {
-    "sweep-k": ("snapshots K", False),
-    "sweep-gap": ("transverse field h", False),
-    "sweep-noise": ("noise level", True),
-    "forecast": ("fit-window length k*", False),
-}
-
-
 def _series(aggs, value) -> "list[tuple[str, list[float]]]":
     """Per method with aggregates, its name and ``value`` of each one."""
     methods = [m for m in _METHODS if any(a.method == m for a in aggs)]
@@ -1347,10 +1342,12 @@ def emit_outputs(result, directory: "str | Path") -> "list[Path]":
             json.dumps(_manifest_payload(result), indent=2, sort_keys=True) + "\n"
         )
         written = [results_path, timing_path, schema_path, manifest_path]
-        x_label, log_x = _X_AXES[name]
+        kind = SWEEP_KINDS[name]
         for suffix, title, y_label, series in plots:
             path = directory / f"{name}_{suffix}.svg"
-            _svg_line_plot(path, title, x_label, y_label, result.points, series, log_x)
+            _svg_line_plot(
+                path, title, kind.x_label, y_label, result.points, series, kind.log_x
+            )
             written.append(path)
         return written
     except OSError as exc:

@@ -246,7 +246,9 @@ def parse_pauli_sum(text: str) -> PauliSum:
         try:
             coeff = float(parts[0])
         except ValueError:
-            raise PauliParseError(lineno, f"bad coefficient {parts[0]!r}") from None
+            coeff = math.nan
+        if not math.isfinite(coeff):
+            raise PauliParseError(lineno, f"bad coefficient {parts[0]!r}")
         try:
             string = PauliString.from_label(parts[1])
         except ValueError as exc:

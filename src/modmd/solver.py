@@ -23,10 +23,6 @@ from .simulate import (
     evolve,
 )
 
-# Conjugate eigenvalue pairs are identified by phases canceling to this
-# absolute tolerance.
-CONJUGATE_PHASE_ATOL = 1e-8
-
 # Left/right eigenvector pairings with |l||r| / |<l|r>| above this are
 # reported as ill-conditioned (near-defective propagator). The left rows are
 # the rows of the inverse right-eigenvector matrix; a pairing past 1e14 (an
@@ -93,8 +89,6 @@ class HankelPair:
     x: np.ndarray
     xp: np.ndarray
     n_observables: int
-    d: int
-    dt: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,7 +108,6 @@ class TruncatedPinv:
     right: np.ndarray
     singular_values: np.ndarray
     rank: int
-    threshold: float
 
     def as_matrix(self) -> np.ndarray:
         return (self.right.conj().T * self.inv_singular) @ self.left.conj().T
@@ -168,7 +161,7 @@ def build_hankel(signal: MultiObservableSignal, d: int, K: int) -> HankelPair:
     for a in range(d):
         x[a * n_obs : (a + 1) * n_obs] = vals[:, a : a + K + 1]
         xp[a * n_obs : (a + 1) * n_obs] = vals[:, a + 1 : a + K + 2]
-    return HankelPair(x=x, xp=xp, n_observables=n_obs, d=d, dt=signal.dt)
+    return HankelPair(x=x, xp=xp, n_observables=n_obs)
 
 
 def truncated_pinv(matrix: np.ndarray, threshold: float) -> TruncatedPinv:
@@ -205,7 +198,6 @@ def truncated_pinv(matrix: np.ndarray, threshold: float) -> TruncatedPinv:
         right=right,
         singular_values=s,
         rank=rank,
-        threshold=threshold,
     )
 
 
@@ -266,38 +258,6 @@ def fit_propagator(pair: HankelPair, pinv: TruncatedPinv) -> PropagatorFit:
     )
 
 
-def _merge_conjugate_pairs(eigenvalues: np.ndarray) -> np.ndarray:
-    """Boolean mask keeping one member of each conjugate pair.
-
-    Real-valued signals produce propagator spectra closed under complex
-    conjugation, where both members encode one physical frequency. The
-    member with nonnegative phase (the negative-energy branch, which the
-    low-lying spectrum occupies after recentering) is kept.
-
-    Phases pair when ``|theta_i + theta_j| <= CONJUGATE_PHASE_ATOL``: in
-    each cluster of phase magnitudes chained within that tolerance, the
-    first ``min(#negative, #nonnegative)`` negative phases by index are
-    dropped. An unpaired phase of -pi (negative real eigenvalue) is kept.
-    """
-    args = np.angle(eigenvalues)
-    order = np.argsort(np.abs(args), kind="stable")
-    magnitudes = np.abs(args[order])
-    gaps = np.diff(magnitudes, prepend=magnitudes[:1])
-    cluster = np.cumsum(gaps > CONJUGATE_PHASE_ATOL)
-    negative = args[order] < 0
-    pairs = np.minimum(
-        np.bincount(cluster, weights=negative), np.bincount(cluster, weights=~negative)
-    )
-    # Negative phases sorted by (cluster, index); rank counts within a cluster.
-    neg, neg_cluster = order[negative], cluster[negative]
-    by = np.lexsort((neg, neg_cluster))
-    neg, neg_cluster = neg[by], neg_cluster[by]
-    rank = np.arange(len(neg)) - np.searchsorted(neg_cluster, neg_cluster)
-    keep = np.ones(len(eigenvalues), dtype=bool)
-    keep[neg[rank < pairs[neg_cluster]]] = False
-    return keep
-
-
 def extract_eigen(
     propagator: "np.ndarray | PropagatorFit",
     dt: float,
@@ -319,8 +279,12 @@ def extract_eigen(
     noise artifacts; survivors are ordered by descending phase on the
     principal branch, so index 0 is the lowest energy. Raises
     :class:`EigenvalueShortfallError` (carrying the survivors) when
-    fewer than ``n_eig`` remain. With ``merge_conjugates`` set, one
-    member of each conjugate pair of a real-signal spectrum is reported.
+    fewer than ``n_eig`` remain. With ``merge_conjugates`` set, the
+    operator must be real (a real-signal fit), and of each conjugate pair
+    of its spectrum only the member with nonnegative imaginary part, the
+    negative-energy branch the low-lying spectrum occupies after
+    recentering, is reported: LAPACK returns the pairs of a real matrix
+    exactly conjugate and its real eigenvalues with zero imaginary part.
 
     Left rows are scaled biorthonormal to the right eigenvectors when
     the pairing is well conditioned; a near-defective pairing sets
@@ -335,10 +299,12 @@ def extract_eigen(
         raise ValueError(f"n_eig must be >= 1, got {n_eig}")
     fit = propagator if isinstance(propagator, PropagatorFit) else None
     matrix = propagator if fit is None else fit.reduced
+    if merge_conjugates and np.iscomplexobj(matrix):
+        raise ValueError("merging conjugate pairs needs a real operator")
     w, vr = np.linalg.eig(matrix)
     keep = np.flatnonzero(np.abs(w) >= magnitude_floor)
     if merge_conjugates:
-        keep = keep[_merge_conjugate_pairs(w[keep])]
+        keep = keep[w[keep].imag >= 0]
     keep = keep[np.argsort(-np.angle(w[keep]), kind="stable")]
     if len(keep) < n_eig:
         raise EigenvalueShortfallError(n_eig, w[keep], -np.angle(w[keep]) / dt)

@@ -65,7 +65,6 @@ from modmd.harness import (
     depth_for_window,
     identity_observable,
     parse_observable_file,
-    resolve_hamiltonian,
     resolve_time_step,
     split_fit_window,
     threshold_for,
@@ -170,6 +169,10 @@ class TestExperimentConfig:
             small_config(noise_epsilon=-1e-3)
         with pytest.raises(ConfigError, match="noise_epsilon"):
             small_config(noise_epsilon=float("inf"))
+        with pytest.raises(ConfigError, match="tfim_coupling must be finite"):
+            small_config(tfim_coupling=float("nan"))
+        with pytest.raises(ConfigError, match="tfim_field must be finite"):
+            small_config(tfim_field=float("-inf"))
         with pytest.raises(ConfigError, match="trials"):
             small_config(trials=0)
         with pytest.raises(ConfigError, match="n_eig"):
@@ -333,12 +336,12 @@ class TestSeedsAndWindows:
             split_fit_window(1, 2.0)
 
     def test_threshold_explicit(self):
-        assert threshold_for(small_config(), 0.5) == 1e-6
+        assert threshold_for(small_config(noise_epsilon=0.5)) == 1e-6
 
     def test_threshold_derived(self):
-        config = small_config(svd_threshold=None)
-        assert threshold_for(config, 1e-3) == pytest.approx(1e-2)
-        assert threshold_for(config, 0.0) == 1e-12
+        config = small_config(svd_threshold=None, noise_epsilon=1e-3)
+        assert threshold_for(config) == pytest.approx(1e-2)
+        assert threshold_for(dataclasses.replace(config, noise_epsilon=0.0)) == 1e-12
 
 
 class TestResolveOutputDir:
@@ -447,19 +450,9 @@ class TestBuildProblem:
         with pytest.raises(ConfigError, match="does not address"):
             build_problem(small_config(reference_bitstrings=("0a0",)))
 
-    def test_field_override_requires_tfim(self, tmp_path):
-        hfile = diagonal_hamiltonian_file(tmp_path)
-        config = small_config(
-            tfim_qubits=None,
-            hamiltonian_file=str(hfile),
-            reference_bitstrings=("001",),
-        )
-        with pytest.raises(ConfigError, match="TFIM"):
-            resolve_hamiltonian(config, field_override=0.5)
-
-    def test_field_override_changes_spectrum(self):
-        low = build_problem(small_config(), field_override=0.5)
-        high = build_problem(small_config(), field_override=1.5)
+    def test_tfim_field_changes_spectrum(self):
+        low = build_problem(small_config(tfim_field=0.5))
+        high = build_problem(small_config(tfim_field=1.5))
         assert low.exact_energies[0] != high.exact_energies[0]
 
     def test_explicit_observables_resolved(self, tmp_path):
@@ -689,7 +682,7 @@ class TestSweepDrivers:
         assert result.points == (0.9, 1.1)
         assert result.exact_energies[0] != result.exact_energies[1]
         for h, energies in zip(result.points, result.exact_energies):
-            problem = build_problem(small_config(), field_override=h)
+            problem = build_problem(small_config(tfim_field=h))
             assert energies == problem.exact_energies[:2]
         assert result.sweep_args == {"h_grid": [0.9, 1.1]}
         assert len(result.rows) == 2 * 1 * 2
@@ -1225,6 +1218,65 @@ class TestCli:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "reference, hamiltonian, message",
+        [
+            ("00a0", None, "reference bitstring '00a0' does not address 4 qubits"),
+            ("000", None, "reference bitstring '000' does not address 4 qubits"),
+            ("0000", "1.0 ZIII\nnan XIII\n", "line 2: bad coefficient 'nan'"),
+        ],
+        ids=["bad-character", "too-short", "nan-coefficient"],
+    )
+    def test_bad_model_exits_before_output_dir(
+        self, reference, hamiltonian, message, tmp_path, capsys
+    ):
+        model = {"tfim_qubits": 4}
+        if hamiltonian is not None:
+            (tmp_path / "h.txt").write_text(hamiltonian)
+            model = {"tfim_qubits": None, "hamiltonian_file": str(tmp_path / "h.txt")}
+        path = write_config_file(
+            tmp_path / "cfg.json",
+            reference_bitstrings=(reference,),
+            output_dir=str(tmp_path / "out"),
+            **model,
+        )
+        assert main(["sweep-k", "--config", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sweep-gap", "--h-grid", "0.5,nan"], "tfim_field must be finite, got nan"),
+            (["sweep-k", "--tfim-field", "inf"], "tfim_field must be finite, got inf"),
+        ],
+        ids=["h-grid-nan", "tfim-field-inf"],
+    )
+    def test_non_finite_field_exit_code(self, argv, message, tmp_path, capsys):
+        path = write_config_file(
+            tmp_path / "cfg.json", trials=1, output_dir=str(tmp_path / "out")
+        )
+        assert main(argv[:1] + ["--config", str(path)] + argv[1:]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_every_sweep_kind_is_wired(self, tmp_path, monkeypatch):
+        """Each kind in the table has a CLI verb taking its driver arguments,
+        a CLI and a replay driver of that kind, and an x axis label."""
+        monkeypatch.setattr(
+            harness, "_run_plan", lambda plan: ([], ((),) * len(plan.points))
+        )
+        monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / "out"))
+        path = write_config_file(tmp_path / "cfg.json", trials=1)
+        for kind, declared in harness.SWEEP_KINDS.items():
+            assert declared.x_label
+            flags = []
+            for name in declared.args:  # 2 is a valid grid entry and horizon
+                flags += ["--" + name.replace("_", "-"), "2"]
+            assert main([kind, "--config", str(path)] + flags) == EXIT_OK
+            manifest = tmp_path / "out" / f"{kind}_manifest.json"
+            assert json.loads(manifest.read_text())["sweep"] == kind
+            assert replay_manifest(manifest).sweep == kind
+
     def test_sweep_gap_requires_grid(self, tmp_path, capsys):
         path = write_config_file(tmp_path / "cfg.json")
         assert main(["sweep-gap", "--config", str(path)]) == EXIT_CONFIG
@@ -1269,7 +1321,8 @@ class TestCli:
     def test_every_field_and_sweep_arg_has_a_flag(self, verb):
         dests = vars(build_parser().parse_args([verb]))
         names = [f.name for f in dataclasses.fields(ExperimentConfig)]
-        for name in names + list(harness.SWEEP_ARGS.get(verb, {})):
+        kind = harness.SWEEP_KINDS.get(verb)
+        for name in names + list(kind.args if kind else {}):
             assert name in dests, f"{verb} has no flag for {name}"
 
     def test_forecast_with_flag_grids(self, tmp_path, monkeypatch):

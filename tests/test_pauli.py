@@ -89,8 +89,9 @@ class TestParsePauliSum:
             parse_pauli_sum("1.0 ZA")
 
     def test_bad_coefficient_reports_line_number(self):
-        with pytest.raises(PauliParseError, match="line 2"):
-            parse_pauli_sum("1.0 Z\nnope Z")
+        for bad in ("nope", "nan", "inf", "-inf"):
+            with pytest.raises(PauliParseError, match=f"line 2: bad coefficient '{bad}'"):
+                parse_pauli_sum(f"1.0 Z\n{bad} Z")
 
     def test_inconsistent_widths_report_offending_line(self):
         with pytest.raises(PauliParseError, match="line 3"):

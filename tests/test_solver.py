@@ -40,12 +40,10 @@ from modmd import (
 from modmd.harness import depth_for_window
 from modmd.solver import (
     CONDITION_FLAG,
-    CONJUGATE_PHASE_ATOL,
     GRAM_MIN_THRESHOLD,
     PropagatorFit,
     TruncatedPinv,
     _gram_factors,
-    _merge_conjugate_pairs,
 )
 
 
@@ -60,8 +58,13 @@ def mode_signal(phases, coeffs, dt, n_steps):
     )
 
 
+# Phases of a conjugate pair cancel to this tolerance in merge_by_loop.
+CONJUGATE_PHASE_ATOL = 1e-8
+
+
 def merge_by_loop(eigenvalues):
-    """Greedy pairwise conjugate merge: the reference for the vectorised rule."""
+    """Greedy pairwise conjugate merge by phase tolerance: the reference for
+    the realness rule of ``extract_eigen`` on a real operator."""
     args = np.angle(eigenvalues)
     keep = np.ones(len(eigenvalues), dtype=bool)
     used = np.zeros(len(eigenvalues), dtype=bool)
@@ -76,6 +79,19 @@ def merge_by_loop(eigenvalues):
                 used[i] = used[j] = True
                 break
     return keep
+
+
+def rotation(theta):
+    """Real 2 x 2 block with the conjugate eigenvalues ``exp(+-i theta)``."""
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, -s], [s, c]])
+
+
+def turned(blocks, seed):
+    """Real block-diagonal operator in a random orthonormal basis."""
+    a = scipy.linalg.block_diag(*blocks)
+    q = np.linalg.qr(np.random.default_rng(seed).standard_normal(a.shape))[0]
+    return q @ a @ q.T
 
 
 def fitted(pair, threshold):
@@ -190,7 +206,7 @@ def svd_pinv(matrix, threshold):
     """The full-SVD truncated pseudo-inverse: the oracle of the Gram path."""
     u, s, vh = np.linalg.svd(matrix, full_matrices=False)
     rank = int(np.count_nonzero(s > threshold * s[0]))
-    return TruncatedPinv(u[:, :rank], 1.0 / s[:rank], vh[:rank], s, rank, threshold)
+    return TruncatedPinv(u[:, :rank], 1.0 / s[:rank], vh[:rank], s, rank)
 
 
 def random_orthonormal(rng, rows, cols, complex_valued):
@@ -438,50 +454,61 @@ class TestExtractEigen:
         assert err.energies[0] == pytest.approx(0.25)
 
     def test_conjugate_pair_merge_keeps_nonnegative_phase(self):
-        a = np.diag([np.exp(1j * 0.4), np.exp(-1j * 0.4)])
+        a = rotation(0.4)
         est = extract_eigen(a, dt=1.0, n_eig=1, merge_conjugates=True)
         assert est.n_eig == 1
         # the nonnegative-phase member encodes the negative energy branch
         assert est.energies[0] == pytest.approx(-0.4)
 
-    def test_merge_leaves_unpaired_values_alone(self):
-        a = np.diag([np.exp(1j * 0.4), np.exp(-1j * 0.9)])
-        est = extract_eigen(a, dt=1.0, n_eig=2, merge_conjugates=True)
-        np.testing.assert_allclose(est.energies, [-0.4, 0.9], atol=1e-12)
-
     def test_unpaired_negative_real_eigenvalue_kept(self):
-        # -1 has phase +pi, or -pi when its imaginary part is -0.0
-        for minus_one in (complex(-1.0, 0.0), complex(-1.0, -0.0)):
-            values = np.array([minus_one, np.exp(-1j * 0.4), np.exp(1j * 0.4)])
-            np.testing.assert_array_equal(
-                _merge_conjugate_pairs(values), [True, False, True]
-            )
-        a = np.diag([-1.0 + 0j, np.exp(-1j * 0.4)])
+        a = turned([[[-1.0]], rotation(0.4)], seed=3)
         est = extract_eigen(a, dt=1.0, n_eig=2, merge_conjugates=True)
-        np.testing.assert_allclose(est.energies, [-math.pi, 0.4], atol=1e-12)
+        np.testing.assert_allclose(est.energies, [-math.pi, -0.4], atol=1e-12)
 
     def test_conjugate_pair_near_minus_one_merged(self):
-        values = np.array([np.exp(1j * (math.pi - 1e-9)), complex(-1.0, -0.0)])
-        np.testing.assert_array_equal(_merge_conjugate_pairs(values), [True, False])
+        a = turned([rotation(math.pi - 1e-9)], seed=4)
+        est = extract_eigen(a, dt=1.0, n_eig=1, merge_conjugates=True)
+        assert est.energies[0] == pytest.approx(-(math.pi - 1e-9), abs=1e-12)
+        with pytest.raises(EigenvalueShortfallError):
+            extract_eigen(a, dt=1.0, n_eig=2, merge_conjugates=True)
+
+    def test_merge_needs_a_real_operator(self):
+        a = np.diag([np.exp(1j * 0.4), np.exp(-1j * 0.4)])
+        with pytest.raises(ValueError, match="real operator"):
+            extract_eigen(a, dt=1.0, n_eig=1, merge_conjugates=True)
 
     @given(
         st.lists(
             st.tuples(
                 st.sampled_from([0.0, 0.3, 1.1, 2.5, math.pi]),
-                st.sampled_from([-1.0, 1.0]),
                 st.floats(-1e-10, 1e-10),
             ),
-            max_size=12,
-        )
+            min_size=1,
+            max_size=8,
+        ),
+        st.integers(0, 2**32 - 1),
     )
-    def test_merge_matches_pairwise_loop(self, draws):
-        """Phases drawn from clusters far apart, members within 1e-10 of
-        their center: the vectorised rule drops what the greedy loop does."""
-        phases = np.array([sign * (center + jit) for center, sign, jit in draws])
-        values = np.exp(1j * phases)
-        np.testing.assert_array_equal(
-            _merge_conjugate_pairs(values), merge_by_loop(values)
+    def test_merge_matches_pairwise_loop(self, draws, seed):
+        """Real operators whose eigenphases lie in clusters far apart, pair
+        members within 1e-10 of their center, in a random basis: the
+        realness rule keeps what the greedy loop keeps."""
+        blocks = [
+            rotation(center + jit) if 0.0 < center < math.pi else [[math.cos(center)]]
+            for center, jit in draws
+        ]
+        a = turned(blocks, seed)
+        w = np.linalg.eig(a)[0]
+        kept = w[merge_by_loop(w)]
+        est = extract_eigen(
+            a, dt=1.0, n_eig=len(kept), magnitude_floor=0.0, merge_conjugates=True
         )
+        np.testing.assert_array_equal(
+            np.sort_complex(est.eigenvalues), np.sort_complex(kept)
+        )
+        with pytest.raises(EigenvalueShortfallError):
+            extract_eigen(
+                a, dt=1.0, n_eig=len(kept) + 1, magnitude_floor=0.0, merge_conjugates=True
+            )
 
     def test_left_vectors_satisfy_eigen_relation(self):
         rng = np.random.default_rng(7)
@@ -631,7 +658,7 @@ def geev_extract(propagator, magnitude_floor=0.2, merge_conjugates=False):
     w, vl, vr = scipy.linalg.eig(matrix, left=True, right=True)
     keep = np.flatnonzero(np.abs(w) >= magnitude_floor)
     if merge_conjugates:
-        keep = keep[_merge_conjugate_pairs(w[keep])]
+        keep = keep[merge_by_loop(w[keep])]
     keep = keep[np.argsort(-np.angle(w[keep]), kind="stable")]
     w, vl, vr = w[keep], vl[:, keep], vr[:, keep]
     if fit is not None:
@@ -860,11 +887,7 @@ class TestResidual:
     def test_zero_propagator_gives_unit_residual(self):
         # xp is orthogonal to the row space of x, so the fit is A = 0
         pair = HankelPair(
-            x=np.array([[1.0, 0.0]]),
-            xp=np.array([[0.0, 2.0]]),
-            n_observables=1,
-            d=1,
-            dt=1.0,
+            x=np.array([[1.0, 0.0]]), xp=np.array([[0.0, 2.0]]), n_observables=1
         )
         fit = fitted(pair, 1e-12)
         np.testing.assert_array_equal(fit.propagator(), np.zeros((1, 1)))
@@ -886,9 +909,7 @@ class TestResidual:
         )
 
     def test_zero_target_rejected(self):
-        pair = HankelPair(
-            x=np.ones((1, 3)), xp=np.zeros((1, 3)), n_observables=1, d=1, dt=1.0
-        )
+        pair = HankelPair(x=np.ones((1, 3)), xp=np.zeros((1, 3)), n_observables=1)
         with pytest.raises(DegenerateInputError):
             residual(fitted(pair, 0.5), pair)
 
