@@ -147,14 +147,24 @@ def _handle_sweep(args) -> int:
         "forecast": run_forecast_experiment,
     }[args.verb]
     kwargs = {n: _sweep_arg(args, sweep_args, n) for n in SWEEP_KINDS[args.verb].args}
-    resolve_hamiltonian(config)  # a bad model or reference leaves no directory behind
     directory = resolve_output_dir(config)
+    created = [level for level in (directory, *directory.parents) if not level.exists()]
     try:
         # Before the sweep, so an unusable directory costs no finished cells.
         directory.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {directory}: {exc}") from None
-    result = driver(config, **kwargs)
+    try:
+        result = driver(config, **kwargs)
+    except BaseException:
+        # A failed sweep leaves no directory behind: remove, deepest first,
+        # the levels made above that are still empty.
+        for level in created:
+            try:
+                level.rmdir()
+            except OSError:
+                break
+        raise
     try:
         written = emit_outputs(result, directory)
     except OSError as exc:

@@ -14,7 +14,13 @@ class PauliParseError(ModmdError, ValueError):
 
     def __init__(self, line_number: int, message: str):
         self.line_number = line_number
+        self.detail = message
         super().__init__(f"line {line_number}: {message}")
+
+    def __reduce__(self):
+        # ``args`` holds the formatted message, which ``__init__`` does not
+        # take; a worker process's error must survive the pickle round trip.
+        return type(self), (self.line_number, self.detail)
 
 
 class ResourceCapError(ModmdError, RuntimeError):
@@ -46,6 +52,7 @@ class EigenvalueShortfallError(ModmdError, RuntimeError):
         self.requested = requested
         self.survivors = survivors
         self.energies = energies
+        self.context = context
         message = (
             f"requested {requested} eigenvalues but only {len(survivors)} "
             f"survived magnitude filtering"
@@ -53,6 +60,9 @@ class EigenvalueShortfallError(ModmdError, RuntimeError):
         if context:
             message += f" ({context})"
         super().__init__(message)
+
+    def __reduce__(self):
+        return type(self), (self.requested, self.survivors, self.energies, self.context)
 
 
 class ConfigError(ModmdError, ValueError):

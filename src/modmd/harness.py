@@ -249,7 +249,7 @@ def _check_field_kinds(config: ExperimentConfig) -> None:
     JSON 1.5 would otherwise fail late or be truncated), or a non-string
     where a string is. ``None`` passes where annotated."""
     checks = []
-    for name, hint in get_type_hints(ExperimentConfig).items():
+    for name, hint in _FIELD_HINTS.items():
         value = getattr(config, name)
         if type(None) in get_args(hint):
             if value is None:
@@ -265,8 +265,11 @@ def _check_field_kinds(config: ExperimentConfig) -> None:
             raise ConfigError(f"{name} must be {noun}, got {value!r}")
 
 
-_CONFIG_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
-_TUPLE_FIELDS = {"reference_bitstrings", "k_grid"}
+# Read once: resolving the annotations costs more than the rest of a
+# configuration's checks, and a sweep builds one configuration per point.
+_FIELD_HINTS = get_type_hints(ExperimentConfig)
+_CONFIG_FIELDS = set(_FIELD_HINTS)
+_TUPLE_FIELDS = {name for name, h in _FIELD_HINTS.items() if get_origin(h) is tuple}
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -477,6 +480,11 @@ def resolve_hamiltonian(config: ExperimentConfig) -> PauliSum:
         )
     else:
         hamiltonian = parse_pauli_sum(Path(config.hamiltonian_file).read_text())
+    if not 0.0 < hamiltonian.weight_l1 < math.inf:
+        raise ConfigError(
+            "Hamiltonian coefficient 1-norm must be finite and nonzero, "
+            f"got {hamiltonian.weight_l1}"
+        )
     n_qubits = hamiltonian.n_qubits
     for bits in config.reference_bitstrings:
         if len(bits) != n_qubits or set(bits) - {"0", "1"}:
@@ -557,16 +565,20 @@ def measure_signal(
     config: ExperimentConfig,
     problem: Problem,
     observables: "list[PauliSum]",
-    k_max: int,
-    epsilon: float,
+    clean: MultiObservableSignal,
     seed: int,
-    clean: "MultiObservableSignal | None" = None,
 ) -> MultiObservableSignal:
-    """Real-mode signal over ``k_max + 1`` steps from the configured source.
+    """Real-mode signal of ``observables`` from the configured source.
 
-    Gaussian noise is added to ``clean`` when given (a caller that already
-    holds the exact signal), else to a freshly computed exact signal.
+    ``clean`` is their exact signal: the Gaussian source adds noise of the
+    configured level to it, and the shadow source estimates a signal over
+    as many steps.
     """
+    if clean.n_observables != len(observables):
+        raise ValueError(
+            f"clean signal holds {clean.n_observables} observables, "
+            f"not {len(observables)}"
+        )
     if config.signal_source == "shadow":
         return shadow_signal(
             problem.spec,
@@ -574,27 +586,12 @@ def measure_signal(
             problem.phi_perp,
             observables,
             problem.dt,
-            k_max,
+            clean.n_steps - 1,
             config.shadow_samples,
             seed,
             mode="real",
         )
-    if clean is None:
-        clean = exact_signal(
-            problem.spec,
-            problem.phi0,
-            observables,
-            problem.dt,
-            k_max,
-            mode="real",
-            phases=problem.phases,
-        )
-    elif clean.values.shape != (len(observables), k_max + 1):
-        raise ValueError(
-            f"clean signal of shape {clean.values.shape} does not hold "
-            f"{len(observables)} observables over {k_max + 1} steps"
-        )
-    return gaussian_noise_channel(clean, epsilon, seed)
+    return gaussian_noise_channel(clean, config.noise_epsilon, seed)
 
 
 @dataclass(frozen=True)
@@ -743,143 +740,56 @@ class _Laps:
         return time.perf_counter() - self.start
 
 
-def _eigen_cell(
-    config: ExperimentConfig,
-    problem: Problem,
-    sweep: str,
-    point_index: int,
-    point_value: float,
-    trial: int,
-) -> "list[SweepRow]":
-    """Run both pipelines on one (point, trial) cell at the configuration's
-    first K, noise level and SVD cutoff."""
-    K = config.k_grid[0]
-    d = depth_for_window(K, config.k_over_d)
-    delta = threshold_for(config)
-    obs_seed = derive_seed(config.master_seed, point_index, trial, _STREAM_OBSERVABLES)
-    pools = {
-        "modmd": (build_observables(config, problem, obs_seed), _STREAM_MODMD),
-        "odmd": ([identity_observable(problem.n_qubits)], _STREAM_ODMD),
-    }
-    reference = np.asarray(problem.exact_energies[: config.n_eig])
-    rows = []
-    for method in _METHODS:
-        observables, stream = pools[method]
-        laps = _Laps()
-        seed = derive_seed(config.master_seed, point_index, trial, stream)
-        signal = measure_signal(
-            config, problem, observables, K + d, config.noise_epsilon, seed
-        )
-        laps.lap("signal_s")
-        pair = build_hankel(signal, d, K)
-        laps.lap("hankel_s")
-        fit = fit_propagator(pair, truncated_pinv(pair.x, delta))
-        laps.lap("pinv_s")
-        try:
-            estimate = extract_eigen(
-                fit,
-                problem.dt,
-                config.n_eig,
-                magnitude_floor=config.magnitude_floor,
-                merge_conjugates=True,
-            )
-        except EigenvalueShortfallError as exc:
-            raise EigenvalueShortfallError(
-                exc.requested,
-                exc.survivors,
-                exc.energies,
-                context=f"{sweep} point {point_value!r}, trial {trial}, {method}",
-            ) from exc
-        laps.lap("eig_s")
-        fit_residual = residual(fit, pair)
-        laps.lap("residual_s")
-        physical = problem.shift.to_original(estimate.energies)
-        errors = np.abs(physical - reference)
-        rows.append(
-            SweepRow(
-                point_index=point_index,
-                point_value=float(point_value),
-                trial=trial,
-                method=method,
-                energies=tuple(float(v) for v in physical),
-                abs_errors=tuple(float(v) for v in errors),
-                residual=fit_residual,
-                retained_rank=fit.rank,
-                wall_time_s=laps.total(),
-                stage_s=laps.seconds,
-            )
-        )
-    return rows
+def _eigen_row(head, config, problem, fit, pair, held_out, laps) -> SweepRow:
+    """Score a fit by its eigenvalues' distance from the exact levels.
 
-
-def _forecast_cell(
-    config: ExperimentConfig,
-    problem: Problem,
-    point_index: int,
-    k_star: int,
-    horizon: int,
-    trial: int,
-) -> "list[ForecastRow]":
-    """Fit on a prefix window, score predictions on the held-out tail."""
-    d, K = split_fit_window(k_star, config.k_over_d)
-    delta = threshold_for(config)
-    obs_seed = derive_seed(config.master_seed, point_index, trial, _STREAM_OBSERVABLES)
-    pools = {
-        "modmd": (build_observables(config, problem, obs_seed), _STREAM_MODMD),
-        "odmd": ([identity_observable(problem.n_qubits)], _STREAM_ODMD),
-    }
-    # One exact signal holds both methods' truth: the modmd observables,
-    # then the identity. The first method's laps also time it.
-    laps = _Laps()
-    truth = exact_signal(
-        problem.spec,
-        problem.phi0,
-        pools["modmd"][0] + pools["odmd"][0],
+    Both scorers take the row's ``(point_index, value, trial, method)``,
+    the cell's configuration and problem, the fit and its Hankel pair, the
+    held-out samples (none outside a forecast) and the method's laps.
+    """
+    estimate = extract_eigen(
+        fit,
         problem.dt,
-        k_star + horizon,
-        mode="real",
-        phases=problem.phases,
-    ).values
-    blocks = {"modmd": truth[:-1], "odmd": truth[-1:]}
-    rows = []
-    for method in _METHODS:
-        observables, stream = pools[method]
-        block = blocks[method]
-        seed = derive_seed(config.master_seed, point_index, trial, stream)
-        measured = measure_signal(
-            config,
-            problem,
-            observables,
-            k_star,
-            config.noise_epsilon,
-            seed,
-            clean=MultiObservableSignal(
-                len(observables), problem.dt, block[:, : k_star + 1]
-            ),
-        )
-        laps.lap("signal_s")
-        pair = build_hankel(measured, d, K)
-        laps.lap("hankel_s")
-        fit = fit_propagator(pair, truncated_pinv(pair.x, delta))
-        laps.lap("pinv_s")
-        predicted = forecast(fit, pair, horizon + 1)[:, 1:]
-        laps.lap("forecast_s")
-        held_out = block[:, k_star + 1 :]
-        rmse = np.sqrt(np.mean((predicted - held_out) ** 2, axis=1))
-        rows.append(
-            ForecastRow(
-                point_index=point_index,
-                k_star=k_star,
-                trial=trial,
-                method=method,
-                rmse=tuple(float(v) for v in rmse),
-                rmse_mean=float(np.mean(rmse)),
-                wall_time_s=laps.total(),
-                stage_s=laps.seconds,
-            )
-        )
-        laps = _Laps()
-    return rows
+        config.n_eig,
+        magnitude_floor=config.magnitude_floor,
+        merge_conjugates=True,
+    )
+    laps.lap("eig_s")
+    fit_residual = residual(fit, pair)
+    laps.lap("residual_s")
+    physical = problem.shift.to_original(estimate.energies)
+    errors = np.abs(physical - np.asarray(problem.exact_energies[: config.n_eig]))
+    point_index, value, trial, method = head
+    return SweepRow(
+        point_index=point_index,
+        point_value=float(value),
+        trial=trial,
+        method=method,
+        energies=tuple(float(v) for v in physical),
+        abs_errors=tuple(float(v) for v in errors),
+        residual=fit_residual,
+        retained_rank=fit.rank,
+        wall_time_s=laps.total(),
+        stage_s=laps.seconds,
+    )
+
+
+def _forecast_row(head, config, problem, fit, pair, held_out, laps) -> ForecastRow:
+    """Score a fit by the RMSE of its predictions of the held-out tail."""
+    predicted = forecast(fit, pair, held_out.shape[1] + 1)[:, 1:]
+    laps.lap("forecast_s")
+    rmse = np.sqrt(np.mean((predicted - held_out) ** 2, axis=1))
+    point_index, value, trial, method = head
+    return ForecastRow(
+        point_index=point_index,
+        k_star=int(value),
+        trial=trial,
+        method=method,
+        rmse=tuple(float(v) for v in rmse),
+        rmse_mean=float(np.mean(rmse)),
+        wall_time_s=laps.total(),
+        stage_s=laps.seconds,
+    )
 
 
 @dataclass(frozen=True)
@@ -903,19 +813,73 @@ def _plan(kind: str, config: ExperimentConfig, points, horizon: int = 0) -> _Swe
     return _SweepPlan(kind, config, points, configs, horizon)
 
 
-def _evaluate_cell(plan: _SweepPlan, problem: Problem, point_index: int, trial: int):
-    config, value = plan.configs[point_index], plan.points[point_index]
+def _window(plan: _SweepPlan, point_index: int) -> "tuple[int, int]":
+    """``(d, K)`` of a grid point's cells: a forecast splits its fit-window
+    length k*, an eigenvalue sweep pairs its K with its depth."""
+    config = plan.configs[point_index]
     if plan.kind == "forecast":
-        return _forecast_cell(config, problem, point_index, int(value), plan.horizon, trial)
-    return _eigen_cell(config, problem, plan.kind, point_index, value, trial)
+        return split_fit_window(int(plan.points[point_index]), config.k_over_d)
+    K = config.k_grid[0]
+    return depth_for_window(K, config.k_over_d), K
 
 
 def _longest_signal(plan: _SweepPlan) -> int:
     """Largest ``k_max`` of any exact signal the plan's cells generate."""
-    if plan.kind == "forecast":
-        return int(max(plan.points)) + plan.horizon
-    windows = [c.k_grid[0] for c in plan.configs]
-    return max(K + depth_for_window(K, plan.config.k_over_d) for K in windows)
+    windows = [_window(plan, pi) for pi in range(len(plan.points))]
+    return max(K + d for d, K in windows) + plan.horizon
+
+
+def _evaluate_cell(plan: _SweepPlan, problem: Problem, point_index: int, trial: int):
+    """Both methods' rows of one (point, trial) cell.
+
+    One exact signal holds both methods' clean samples, and a forecast's
+    held-out tail: the modmd observables, then the identity. The modmd
+    row's ``signal_s`` also times it. Each method then measures its
+    samples, builds the Hankel pair, fits and scores the fit.
+    """
+    config, value = plan.configs[point_index], plan.points[point_index]
+    d, K = _window(plan, point_index)
+    score = _forecast_row if plan.kind == "forecast" else _eigen_row
+    obs_seed = derive_seed(config.master_seed, point_index, trial, _STREAM_OBSERVABLES)
+    pools = {
+        "modmd": (build_observables(config, problem, obs_seed), _STREAM_MODMD),
+        "odmd": ([identity_observable(problem.n_qubits)], _STREAM_ODMD),
+    }
+    laps = _Laps()
+    truth = exact_signal(
+        problem.spec,
+        problem.phi0,
+        pools["modmd"][0] + pools["odmd"][0],
+        problem.dt,
+        K + d + plan.horizon,
+        mode="real",
+        phases=problem.phases,
+    ).values
+    blocks = {"modmd": truth[:-1], "odmd": truth[-1:]}
+    rows = []
+    for method in _METHODS:
+        observables, stream = pools[method]
+        fitted, held_out = np.split(blocks[method], [K + d + 1], axis=1)
+        clean = MultiObservableSignal(len(observables), problem.dt, fitted)
+        seed = derive_seed(config.master_seed, point_index, trial, stream)
+        signal = measure_signal(config, problem, observables, clean, seed)
+        laps.lap("signal_s")
+        pair = build_hankel(signal, d, K)
+        laps.lap("hankel_s")
+        fit = fit_propagator(pair, truncated_pinv(pair.x, threshold_for(config)))
+        laps.lap("pinv_s")
+        head = (point_index, value, trial, method)
+        try:
+            rows.append(score(head, config, problem, fit, pair, held_out, laps))
+        except EigenvalueShortfallError as exc:
+            raise EigenvalueShortfallError(
+                exc.requested,
+                exc.survivors,
+                exc.energies,
+                context=f"{plan.kind} point {value!r}, trial {trial}, {method}",
+            ) from exc
+        laps = _Laps()
+    return rows
 
 
 # Worker-process state: the plan is installed once per worker, and the
@@ -1052,9 +1016,8 @@ def run_forecast_experiment(
 
 def run_single_solve(config: ExperimentConfig) -> "tuple[SweepRow, SweepRow]":
     """One-shot evaluation at the first configured K (trial 0)."""
-    rows = _eigen_cell(
-        config, build_problem(config), "solve", 0, float(config.k_grid[0]), 0
-    )
+    plan = _SweepPlan("solve", config, (float(config.k_grid[0]),), (config,))
+    rows = _evaluate_cell(plan, build_problem(config), 0, 0)
     return rows[0], rows[1]
 
 

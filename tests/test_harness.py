@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -36,6 +37,7 @@ from modmd import (
     build_hankel,
     fit_propagator,
     format_pauli_sum,
+    gaussian_noise_channel,
     load_config,
     measure_signal,
     parse_pauli_sum,
@@ -69,6 +71,9 @@ from modmd.harness import (
     split_fit_window,
     threshold_for,
 )
+
+
+ONE_NORM = "Hamiltonian coefficient 1-norm must be finite and nonzero"
 
 
 def small_config(**overrides):
@@ -530,15 +535,17 @@ class TestParseObservableFile:
             parse_observable_file(str(path), 2, 1)
 
 
+def clean_signal(problem, observables, k_max):
+    return exact_signal(problem.spec, problem.phi0, observables, problem.dt, k_max)
+
+
 class TestMeasureSignal:
     def test_noiseless_matches_exact_signal(self):
         config = small_config(noise_epsilon=0.0)
         problem = build_problem(config)
         pool = build_observables(config, problem, seed=2)
-        measured = measure_signal(config, problem, pool, 10, 0.0, seed=4)
-        clean = exact_signal(
-            problem.spec, problem.phi0, pool, problem.dt, 10, mode="real"
-        )
+        clean = clean_signal(problem, pool, 10)
+        measured = measure_signal(config, problem, pool, clean, seed=4)
         assert np.array_equal(measured.values, clean.values)
         assert measured.mode == "real"
         assert measured.dt == problem.dt
@@ -547,24 +554,35 @@ class TestMeasureSignal:
         config = small_config(noise_epsilon=1e-2)
         problem = build_problem(config)
         pool = build_observables(config, problem, seed=2)
-        a = measure_signal(config, problem, pool, 10, 1e-2, seed=4)
-        b = measure_signal(config, problem, pool, 10, 1e-2, seed=4)
-        c = measure_signal(config, problem, pool, 10, 1e-2, seed=5)
+        clean = clean_signal(problem, pool, 10)
+        a = measure_signal(config, problem, pool, clean, seed=4)
+        b = measure_signal(config, problem, pool, clean, seed=4)
+        c = measure_signal(config, problem, pool, clean, seed=5)
         assert np.array_equal(a.values, b.values)
         assert not np.array_equal(a.values, c.values)
 
     def test_given_clean_signal_draws_the_same_noise(self):
+        """The noise is the channel's at the configured level, and the clean
+        signal is left untouched."""
         config = small_config(noise_epsilon=1e-2)
         problem = build_problem(config)
         pool = build_observables(config, problem, seed=2)
-        clean = exact_signal(
-            problem.spec, problem.phi0, pool, problem.dt, 10, phases=problem.phases
-        )
-        a = measure_signal(config, problem, pool, 10, 1e-2, seed=4)
-        b = measure_signal(config, problem, pool, 10, 1e-2, seed=4, clean=clean)
-        assert np.array_equal(a.values, b.values)
-        with pytest.raises(ValueError, match="clean signal"):
-            measure_signal(config, problem, pool, 9, 1e-2, seed=4, clean=clean)
+        clean = clean_signal(problem, pool, 10)
+        before = clean.values.copy()
+        measured = measure_signal(config, problem, pool, clean, seed=4)
+        want = gaussian_noise_channel(clean, 1e-2, 4)
+        assert np.array_equal(measured.values, want.values)
+        assert np.array_equal(clean.values, before)
+
+    def test_clean_signal_of_wrong_observable_count_refused(self):
+        config = small_config()
+        problem = build_problem(config)
+        pool = build_observables(config, problem, seed=2)
+        clean = clean_signal(problem, pool, 10)
+        with pytest.raises(ValueError, match="clean signal holds 2 observables, not 1"):
+            measure_signal(config, problem, pool[:1], clean, seed=4)
+        with pytest.raises(ValueError, match="clean signal holds 2 observables, not 3"):
+            measure_signal(config, problem, pool + pool[:1], clean, seed=4)
 
     def test_shadow_source(self):
         config = small_config(
@@ -577,10 +595,12 @@ class TestMeasureSignal:
         )
         problem = build_problem(config)
         pool = build_observables(config, problem, seed=2)
-        a = measure_signal(config, problem, pool, 2, 0.0, seed=9)
-        b = measure_signal(config, problem, pool, 2, 0.0, seed=9)
+        clean = clean_signal(problem, pool, 2)
+        a = measure_signal(config, problem, pool, clean, seed=9)
+        b = measure_signal(config, problem, pool, clean, seed=9)
         assert a.values.shape == (1, 3)
         assert np.array_equal(a.values, b.values)
+        assert not np.array_equal(a.values, clean.values)
         assert np.max(np.abs(a.values)) <= 9.0  # (dim + 1) per-sample cap
 
 
@@ -620,15 +640,14 @@ class TestSweepDrivers:
         problem = build_problem(config)
         K = 24
         d = depth_for_window(K, config.k_over_d)
+        # The cell's one exact signal: the modmd pool (stream 0), then the
+        # identity, whose row is the baseline's truth.
+        obs_seed = derive_seed(config.master_seed, 1, 1, 0)
+        pool = build_observables(config, problem, obs_seed)
+        truth = clean_signal(problem, pool + [identity_observable(3)], K + d)
+        clean = modmd.MultiObservableSignal(1, problem.dt, truth.values[-1:])
         seed = derive_seed(config.master_seed, 1, 1, 2)  # stream 2 is the baseline
-        signal = measure_signal(
-            config,
-            problem,
-            [identity_observable(3)],
-            K + d,
-            config.noise_epsilon,
-            seed,
-        )
+        signal = measure_signal(config, problem, [identity_observable(3)], clean, seed)
         pair = build_hankel(signal, d, K)
         pinv = truncated_pinv(pair.x, config.svd_threshold)
         fit = fit_propagator(pair, pinv)
@@ -796,7 +815,8 @@ class TestSweepDrivers:
         # K + d + 1 samples at K = 24, d = 12; k* + horizon + 1 at k* = 30
         assert tables == [(8, 37), (8, 38)]
 
-    def test_forecast_cell_takes_truth_from_one_exact_signal(self, monkeypatch):
+    @pytest.mark.parametrize("kind", list(harness.SWEEP_KINDS))
+    def test_cell_takes_truth_from_one_exact_signal(self, kind, monkeypatch):
         calls = []
 
         def counting_exact_signal(spec, phi0, observables, *args, **kwargs):
@@ -805,8 +825,16 @@ class TestSweepDrivers:
 
         monkeypatch.setattr(harness, "exact_signal", counting_exact_signal)
         config = small_config(trials=2, n_observables=3)
-        result = run_forecast_experiment(config, (20, 30), 7)
-        # one call per (k*, trial) cell, on the modmd pool plus the identity
+        result = {
+            "sweep-k": lambda: run_convergence_sweep(
+                dataclasses.replace(config, k_grid=(16, 24))
+            ),
+            "sweep-gap": lambda: run_gap_sweep(config, (0.9, 1.1)),
+            "sweep-noise": lambda: run_noise_sweep(config, (1e-8, 1e-6)),
+            "forecast": lambda: run_forecast_experiment(config, (20, 30), 7),
+        }[kind]()
+        assert result.sweep == kind
+        # one call per (point, trial) cell, on the modmd pool plus the identity
         assert calls == [3 + 1] * 4
         assert len(result.rows) == 8
 
@@ -819,8 +847,7 @@ class TestSweepDrivers:
         )
         d, K = split_fit_window(20, config.k_over_d)
         measured = measure_signal(
-            config, problem, [identity_observable(3)], 20, 0.0, 0,
-            clean=truth.prefix(21),
+            config, problem, [identity_observable(3)], truth.prefix(21), 0
         )
         pair = build_hankel(measured, d, K)
         fit = fit_propagator(pair, truncated_pinv(pair.x, config.svd_threshold))
@@ -1162,6 +1189,59 @@ class TestCli:
         assert "survived" in err
         assert "solve point" in err
 
+    @pytest.mark.parametrize(
+        "error",
+        [
+            EigenvalueShortfallError(4, np.array([0.5j]), np.array([-1.0]), "cell 3"),
+            PauliParseError(2, "bad coefficient 'x'"),
+        ],
+        ids=["shortfall", "parse"],
+    )
+    def test_errors_survive_pickle_round_trip(self, error):
+        """A worker process's error reaches the parent intact."""
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is type(error)
+        assert str(copy) == str(error)
+        assert vars(copy).keys() == vars(error).keys()
+
+    def test_shortfall_exit_code_with_workers(self, tmp_path, capsys):
+        path = write_config_file(
+            tmp_path / "cfg.json", trials=1, output_dir=str(tmp_path / "out")
+        )
+        argv = ["sweep-k", "--config", str(path), "--svd-threshold", "0.9999999"]
+        assert main(argv + ["--workers", "2"]) == EXIT_SHORTFALL
+        err = capsys.readouterr().err
+        assert err.startswith("error: requested 2 eigenvalues") and err.count("\n") == 1
+        assert "sweep-k point 16.0, trial 0, modmd" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_malformed_observable_file_exit_code(self, workers, tmp_path, capsys):
+        obs = tmp_path / "obs.txt"
+        obs.write_text("1.0 ZII\n\n0.5 IXI\n-0.5 QQQ\n")
+        path = write_config_file(
+            tmp_path / "cfg.json",
+            trials=1,
+            observable_policy="explicit",
+            observable_file=str(obs),
+            output_dir=str(tmp_path / "out" / "nested"),
+            workers=workers,
+        )
+        assert main(["sweep-k", "--config", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: line 2: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_failed_sweep_keeps_an_existing_directory(self, tmp_path, capsys):
+        (tmp_path / "out").mkdir()
+        path = write_config_file(
+            tmp_path / "cfg.json", trials=1, output_dir=str(tmp_path / "out" / "run")
+        )
+        argv = ["sweep-gap", "--config", str(path), "--h-grid", "nan"]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: tfim_field must be finite, got nan\n"
+        assert (tmp_path / "out").is_dir()
+        assert not (tmp_path / "out" / "run").exists()
+
     def test_sweep_k_writes_outputs(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / "out"))
         path = write_config_file(tmp_path / "cfg.json", trials=1)
@@ -1224,8 +1304,18 @@ class TestCli:
             ("00a0", None, "reference bitstring '00a0' does not address 4 qubits"),
             ("000", None, "reference bitstring '000' does not address 4 qubits"),
             ("0000", "1.0 ZIII\nnan XIII\n", "line 2: bad coefficient 'nan'"),
+            ("0000", "1e308 ZIII\n1e308 ZIII\n", f"{ONE_NORM}, got inf"),
+            ("0000", "1e308 ZIII\n1e308 XIII\n", f"{ONE_NORM}, got inf"),
+            ("0000", "0.0 ZIII\n", f"{ONE_NORM}, got 0.0"),
         ],
-        ids=["bad-character", "too-short", "nan-coefficient"],
+        ids=[
+            "bad-character",
+            "too-short",
+            "nan-coefficient",
+            "merged-overflow",
+            "one-norm-overflow",
+            "zero-operator",
+        ],
     )
     def test_bad_model_exits_before_output_dir(
         self, reference, hamiltonian, message, tmp_path, capsys
@@ -1243,6 +1333,8 @@ class TestCli:
         assert main(["sweep-k", "--config", str(path)]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
+        assert main(["validate-config", "--config", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -1258,6 +1350,7 @@ class TestCli:
         )
         assert main(argv[:1] + ["--config", str(path)] + argv[1:]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_every_sweep_kind_is_wired(self, tmp_path, monkeypatch):
         """Each kind in the table has a CLI verb taking its driver arguments,
