@@ -658,9 +658,9 @@ class SweepResult:
                     point_value=point,
                     method=method,
                     n_trials=len(group),
-                    mean_energies=tuple(energies.mean(axis=0)),
-                    mean_errors=tuple(errors.mean(axis=0)),
-                    std_errors=tuple(errors.std(axis=0)),
+                    mean_energies=tuple(map(float, energies.mean(axis=0))),
+                    mean_errors=tuple(map(float, errors.mean(axis=0))),
+                    std_errors=tuple(map(float, errors.std(axis=0))),
                     mean_residual=float(np.mean([g.residual for g in group])),
                     mean_rank=float(np.mean([g.retained_rank for g in group])),
                 )

@@ -177,24 +177,6 @@ def evolve(spec: SpectralDecomposition, state: StateVector, t: float) -> StateVe
     return StateVector(state.n_qubits, v @ coeffs)
 
 
-def trotter_steps(
-    num_terms: int, max_coefficient: float, dt: float, tolerance: float
-) -> int:
-    """Step count for a first-order product formula over one interval.
-
-    Scales as ``ceil(M^2 * kmax^2 * dt^2 / tolerance)`` and never drops
-    below one step.
-    """
-    if num_terms < 1:
-        raise ValueError("num_terms must be >= 1")
-    if max_coefficient < 0 or dt < 0:
-        raise ValueError("max_coefficient and dt must be nonnegative")
-    if not tolerance > 0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
-    r = math.ceil((num_terms * max_coefficient * dt) ** 2 / tolerance)
-    return max(r, 1)
-
-
 def trotter_evolve(
     psum: PauliSum, state: StateVector, t: float, r: int
 ) -> StateVector:

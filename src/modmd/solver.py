@@ -15,13 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, EigenvalueShortfallError
-from .pauli import PauliSum
-from .simulate import (
-    MultiObservableSignal,
-    SpectralDecomposition,
-    StateVector,
-    evolve,
-)
+from .simulate import MultiObservableSignal
 
 # Left/right eigenvector pairings with |l||r| / |<l|r>| above this are
 # reported as ill-conditioned (near-defective propagator). The left rows are
@@ -39,43 +33,6 @@ CONDITION_FLAG = 1e8
 # test in tests/test_solver.py checks that it holds here and fails a decade
 # lower.
 GRAM_MIN_THRESHOLD = 1e-4
-
-
-@dataclass(frozen=True, slots=True)
-class ModmdConfig:
-    """Solver hyperparameters.
-
-    ``d`` is the number of stacked time shifts (state dimension is
-    ``d * n_observables``), ``K + 1`` the number of least-squares
-    snapshots, ``svd_threshold`` the relative singular-value cutoff, and
-    ``magnitude_floor`` the modulus below which propagator eigenvalues
-    are treated as noise artifacts.
-    """
-
-    d: int
-    K: int
-    dt: float
-    svd_threshold: float
-    n_eig: int
-    magnitude_floor: float = 0.2
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
-        if self.K < 1:
-            raise ValueError(f"K must be >= 1, got {self.K}")
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if not 0.0 < self.svd_threshold < 1.0:
-            raise ValueError(
-                f"svd_threshold must lie in (0, 1), got {self.svd_threshold}"
-            )
-        if self.n_eig < 1:
-            raise ValueError(f"n_eig must be >= 1, got {self.n_eig}")
-        if not 0.0 <= self.magnitude_floor < 1.0:
-            raise ValueError(
-                f"magnitude_floor must lie in [0, 1), got {self.magnitude_floor}"
-            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,24 +77,16 @@ class ModmdEstimate:
     Arrays are aligned: entry ``n`` holds the ``n``-th retained
     eigenvalue (descending phase, i.e. ascending energy), its energy
     ``-arg(lambda_n) / dt``, its modulus, and the matched left
-    eigenvector row. ``singular_values`` and ``retained_rank`` describe
-    the least-squares truncation when the estimate came from a
-    :class:`PropagatorFit`.
+    eigenvector row. The least-squares truncation of a fit is described
+    by its :class:`TruncatedPinv` (``fit.pinv``).
     """
 
     eigenvalues: np.ndarray
     energies: np.ndarray
     magnitudes: np.ndarray
     left_vectors: np.ndarray
-    dt: float
     eigenvector_condition: float
     ill_conditioned: bool
-    singular_values: np.ndarray | None = None
-    retained_rank: int | None = None
-
-    @property
-    def n_eig(self) -> int:
-        return len(self.eigenvalues)
 
 
 def build_hankel(signal: MultiObservableSignal, d: int, K: int) -> HankelPair:
@@ -270,7 +219,7 @@ def extract_eigen(
     ``propagator`` is a square matrix ``A`` or a :class:`PropagatorFit`,
     whose ``r x r`` reduced eigenproblem is solved and lifted (left rows
     ``y U_r^H``, right vectors ``B v``); ``A``'s zero eigenvalues beyond
-    rank ``r`` are not reported, and the fit's SVD diagnostics are kept.
+    rank ``r`` are not reported.
     One ``np.linalg.eig`` gives the eigenvalues and right vectors ``V``; the
     left rows ``y`` are the selected rows of ``V^-1``, which satisfy
     ``y A = lambda y`` and are biorthonormal to ``V``.
@@ -332,28 +281,8 @@ def extract_eigen(
         energies=-np.angle(w) / dt,
         magnitudes=np.abs(w),
         left_vectors=left_rows,
-        dt=dt,
         eigenvector_condition=float(condition),
         ill_conditioned=bool(condition > CONDITION_FLAG),
-        singular_values=None if fit is None else fit.pinv.singular_values,
-        retained_rank=None if fit is None else fit.rank,
-    )
-
-
-def run_modmd(signal: MultiObservableSignal, config: ModmdConfig) -> ModmdEstimate:
-    """Full pipeline: Hankel pair, truncated least squares, eigen extraction.
-
-    Conjugate-pair merging switches on automatically for real-mode
-    signals. One observable makes this the single-signal method exactly;
-    there is no separate code path.
-    """
-    pair = build_hankel(signal, config.d, config.K)
-    return extract_eigen(
-        fit_propagator(pair, truncated_pinv(pair.x, config.svd_threshold)),
-        config.dt,
-        config.n_eig,
-        magnitude_floor=config.magnitude_floor,
-        merge_conjugates=signal.mode == "real",
     )
 
 
@@ -407,76 +336,17 @@ def forecast(
     return states[-n_obs:] if read is None else read @ states
 
 
-def estimate_eigenstate(
-    estimate: ModmdEstimate,
-    n: int,
-    spec: SpectralDecomposition,
-    phi0: StateVector,
-    observables: "list[PauliSum]",
-) -> StateVector:
-    """Reconstruct the ``n``-th eigenstate from a left eigenvector.
-
-    The left row weights the library of states ``O_i exp(-i H a dt)
-    |phi0>`` (time shift ``a``, observable ``i``); the weighted sum is
-    normalized. Requires the estimate's state dimension to be a multiple
-    of the observable count.
-    """
-    if not 0 <= n < estimate.n_eig:
-        raise ValueError(f"eigenstate index {n} outside [0, {estimate.n_eig})")
-    z = estimate.left_vectors[n]
-    n_obs = len(observables)
-    if n_obs < 1 or len(z) % n_obs != 0:
-        raise ValueError(
-            f"state dimension {len(z)} is not a multiple of "
-            f"{n_obs} observables"
-        )
-    d = len(z) // n_obs
-    acc = np.zeros(1 << phi0.n_qubits, dtype=complex)
-    for a in range(d):
-        shifted = evolve(spec, phi0, a * estimate.dt).amplitudes
-        for i, obs in enumerate(observables):
-            coeff = z[a * n_obs + i]
-            if coeff != 0.0:
-                acc += coeff * obs.apply(shifted)
-    return StateVector.normalized(phi0.n_qubits, acc)
-
-
-def select_time_step(
-    e_min_bound: float,
-    e_max_bound: float,
-    gap_bounds: "tuple[float, ...] | list[float]" = (),
-    safety: float = 1.0,
-) -> float:
+def select_time_step(e_min_bound: float, e_max_bound: float) -> float:
     """Sampling interval guaranteeing unambiguous eigenphases.
 
-    ``gap_bounds`` holds upper bounds on the consecutive low-lying gaps
-    ``E_1 - E_0, E_2 - E_1, ...`` when known. The step solves
-    ``dt = safety * 2 pi / (range + max_n(gap_n - cum_n))`` where
-    ``cum_n`` accumulates the gaps below level ``n``; with no gap
-    information the fallback is ``safety * 2 pi / (2 range)``. The
-    result always satisfies ``dt * range < 2 pi``; gap bounds too small
-    for that to survive rounding raise :class:`ValueError`.
+    ``dt = 2 pi / (2 range)``: the phases ``E dt`` of energies inside the
+    bounds then span ``dt * range = pi``, half a turn, so no two levels
+    alias.
     """
     spread = e_max_bound - e_min_bound
-    if not spread > 0:
+    if not 0.0 < spread < math.inf:
         raise ValueError(f"need e_max_bound > e_min_bound, got spread {spread}")
-    if not 0.0 < safety <= 1.0:
-        raise ValueError(f"safety must lie in (0, 1], got {safety}")
-    gaps = [float(g) for g in gap_bounds]
-    if any(g <= 0 for g in gaps):
-        raise ValueError("gap bounds must be positive")
-    if gaps:
-        cum = 0.0
-        extra = 0.0
-        for g in gaps:
-            extra = max(extra, g - cum)
-            cum += g
-    else:
-        extra = spread
-    dt = safety * 2.0 * math.pi / (spread + extra)
-    if not dt * spread < 2.0 * math.pi:
-        raise ValueError(f"gap bounds {gaps} round dt * range up to 2 pi")
-    return dt
+    return math.pi / spread
 
 
 def ground_energy_error_bound(

@@ -923,6 +923,30 @@ class TestEmitOutputs:
         assert float(first[6]) == small_sweep.rows[0].energies[0]
         assert float(first[10]) == small_sweep.rows[0].residual
 
+    @pytest.mark.parametrize(
+        "kind, flags",
+        [
+            ("sweep-k", []),
+            ("sweep-gap", ["--h-grid", "0.5,0.8"]),
+            ("sweep-noise", ["--eps-grid", "1e-8,1e-6"]),
+            ("forecast", ["--kstar-grid", "24", "--horizon", "5"]),
+        ],
+    )
+    def test_every_results_cell_is_a_number(self, kind, flags, tmp_path):
+        """Trial and aggregate rows alike: every column but the two text
+        ones holds an int or float literal, or nothing."""
+        assert len(harness.SWEEP_KINDS) == 4
+        path = write_config_file(tmp_path / "cfg.json")
+        out = tmp_path / "out"
+        assert main([kind, "--config", str(path), "--output-dir", str(out)] + flags) == 0
+        with (out / f"{kind}_results.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert {"trial", "mean", "std"} <= {row["kind"] for row in rows}
+        for row in rows:
+            for column, cell in row.items():
+                if column not in ("kind", "method") and cell:
+                    float(cell)
+
     def test_manifest_payload(self, small_sweep, tmp_path):
         emit_outputs(small_sweep, tmp_path)
         data = json.loads((tmp_path / "sweep-k_manifest.json").read_text())

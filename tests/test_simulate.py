@@ -19,7 +19,6 @@ from modmd import (
     exact_signal,
     to_dense,
     trotter_evolve,
-    trotter_steps,
 )
 from modmd.simulate import HERMITICITY_RTOL, phase_table
 
@@ -324,44 +323,6 @@ class TestTrotterEvolve:
         state = StateVector(2, np.eye(4, dtype=complex)[0])
         with pytest.raises(ValueError):
             trotter_evolve(h, state, 1.0, 0)
-
-
-class TestTrotterSteps:
-    def test_unit_arguments(self):
-        assert trotter_steps(1, 1.0, 1.0, 1.0) == 1
-
-    def test_formula_arithmetic(self):
-        assert trotter_steps(2, 1.0, 1.0, 0.1) == 40
-
-    def test_computed_step_count_meets_tolerance(self):
-        """The budget keeps the empirical operator error within a small
-        multiple of the requested tolerance (the bound tracks the loose
-        square norm, so the constant lands well under one)."""
-        h = build_tfim(3, 1.0, 1.0)
-        spec = diagonalize(to_dense(h))
-        t = 0.5
-        eps1 = 1e-2
-        r = trotter_steps(h.num_terms, h.weight_inf, t, eps1)
-        exact_u = (
-            spec.eigenvectors
-            @ np.diag(np.exp(-1j * spec.energies * t))
-            @ spec.eigenvectors.conj().T
-        )
-        cols = []
-        for b in range(8):
-            amps = np.zeros(8, dtype=complex)
-            amps[b] = 1.0
-            cols.append(trotter_evolve(h, StateVector(3, amps), t, r).amplitudes)
-        error = np.linalg.norm(np.array(cols).T - exact_u, 2)
-        assert error <= 1.0 * eps1
-
-    def test_invalid_arguments_rejected(self):
-        with pytest.raises(ValueError):
-            trotter_steps(0, 1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            trotter_steps(1, 1.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            trotter_steps(1, -1.0, 1.0, 1.0)
 
 
 class TestBuildReferenceSuperposition:
