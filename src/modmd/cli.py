@@ -210,24 +210,20 @@ def build_parser() -> argparse.ArgumentParser:
         "multi-observable real-time signals.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    verbs = {}
-    for verb, handler, text in (
-        ("sweep-k", _handle_sweep, "error versus snapshot count"),
-        ("sweep-gap", _handle_sweep, "error versus spectral gap at fixed K"),
-        ("sweep-noise", _handle_sweep, "error versus noise level at fixed K"),
-        ("forecast", _handle_sweep, "held-out signal prediction"),
-        ("solve", _handle_solve, "single eigenvalue estimate at the first K"),
-        ("validate-config", _handle_validate, "check a configuration and exit"),
-    ):
-        verbs[verb] = sub.add_parser(verb, help=text)
-        _add_config_arguments(verbs[verb])
-        verbs[verb].set_defaults(handler=handler)
-    verbs["sweep-gap"].add_argument("--h-grid", type=_csv(float), metavar="H1,H2,...")
-    verbs["sweep-noise"].add_argument(
-        "--eps-grid", type=_csv(float), metavar="E1,E2,..."
-    )
-    verbs["forecast"].add_argument("--kstar-grid", type=_csv(int), metavar="K1,K2,...")
-    verbs["forecast"].add_argument("--horizon", type=int)
+    verbs = {kind: (_handle_sweep, k.help, k.args) for kind, k in SWEEP_KINDS.items()}
+    verbs["solve"] = (_handle_solve, "single eigenvalue estimate at the first K", {})
+    verbs["validate-config"] = (_handle_validate, "check a configuration and exit", {})
+    for verb, (handler, text, sweep_args) in verbs.items():
+        verb_parser = sub.add_parser(verb, help=text)
+        _add_config_arguments(verb_parser)
+        verb_parser.set_defaults(handler=handler)
+        for name, kind in sweep_args.items():
+            flag, letter = "--" + name.replace("_", "-"), name[0].upper()
+            if name.endswith("_grid"):
+                metavar = f"{letter}1,{letter}2,..."
+                verb_parser.add_argument(flag, type=_csv(kind), metavar=metavar)
+            else:
+                verb_parser.add_argument(flag, type=kind)
     return parser
 
 

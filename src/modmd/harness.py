@@ -63,33 +63,39 @@ SIGNAL_SOURCES = ("exact+gaussian", "shadow")
 
 
 class SweepKind(NamedTuple):
-    """Declaration of one sweep kind.
+    """Declaration of one sweep kind, which is also a CLI verb.
 
     ``point`` maps a grid value to the configuration fields it sets, so
     each grid point runs on its own validated configuration (a forecast's
     fit-window lengths set none). ``args`` are the driver arguments the
     manifest records in ``sweep_args`` (the CLI flag of each has the same
-    name): a ``*_grid`` is a list of values of the given type, anything
-    else a single value. ``x_label`` and ``log_x`` describe the plots' x
-    axis.
+    name): a ``*_grid`` is a list of values of the given type (a kind
+    without one sweeps ``k_grid``), anything else a single value.
+    ``x_label`` and ``log_x`` describe the plots' x axis, ``help`` the verb.
     """
 
     point: "Callable[[float], dict]"
     args: dict
     x_label: str
+    help: str
     log_x: bool = False
 
 
 SWEEP_KINDS = {
-    "sweep-k": SweepKind(lambda K: {"k_grid": (int(K),)}, {}, "snapshots K"),
+    "sweep-k": SweepKind(
+        lambda K: {"k_grid": (int(K),)}, {}, "snapshots K", "error versus snapshot count"
+    ),
     "sweep-gap": SweepKind(
-        lambda h: {"tfim_field": h}, {"h_grid": float}, "transverse field h"
+        lambda h: {"tfim_field": h}, {"h_grid": float}, "transverse field h",
+        "error versus spectral gap at fixed K",
     ),
     "sweep-noise": SweepKind(
-        lambda eps: {"noise_epsilon": eps}, {"eps_grid": float}, "noise level", True
+        lambda eps: {"noise_epsilon": eps}, {"eps_grid": float}, "noise level",
+        "error versus noise level at fixed K", True,
     ),
     "forecast": SweepKind(
-        lambda k_star: {}, {"kstar_grid": int, "horizon": int}, "fit-window length k*"
+        lambda k_star: {}, {"kstar_grid": int, "horizon": int}, "fit-window length k*",
+        "held-out signal prediction",
     ),
 }
 
@@ -206,6 +212,11 @@ class ExperimentConfig:
             raise ConfigError(
                 f"noise_epsilon must be finite and >= 0, got {self.noise_epsilon}"
             )
+        if self.svd_threshold is None and not 10.0 * self.noise_epsilon < 1.0:
+            raise ConfigError(
+                "svd_threshold null derives a cutoff of 10 * noise_epsilon, which "
+                f"must lie below 1; got noise_epsilon {self.noise_epsilon}"
+            )
         if self.signal_source not in SIGNAL_SOURCES:
             raise ConfigError(
                 f"signal_source must be one of {SIGNAL_SOURCES}, "
@@ -307,15 +318,24 @@ def _sha256(path) -> "str | None":
         return None
 
 
-def _manifest_arg(args: dict, name: str, kind):
-    """One driver argument of a manifest: a list of ``kind`` values for a
-    ``*_grid``, else one value (an ``int`` accepts JSON integers only)."""
-    value = args.get(name)
-    grid = name.endswith("_grid")
-    vals = value if grid else [value]
-    if grid != isinstance(value, list) or any(type(v) not in (int, kind) for v in vals):
-        raise ConfigError(f"sweep_args.{name} is missing or malformed: {value!r}")
-    return tuple(kind(v) for v in vals) if grid else kind(value)
+def _driver_args(kind: str, args: dict) -> dict:
+    """A sweep kind's driver arguments from a call or a manifest, as the
+    manifest records them: a ``*_grid`` is a non-empty list, each value is
+    checked like a configuration field of its type, and an ``int`` is >= 1."""
+    typed = {}
+    for name, hint in SWEEP_KINDS[kind].args.items():
+        value = args.get(name)
+        grid, listed = name.endswith("_grid"), isinstance(value, (list, tuple))
+        values = value if listed else [value]
+        number = _FIELD_KINDS[hint][0]
+        if grid != listed or not values or any(
+            isinstance(v, bool) or not isinstance(v, number) for v in values
+        ):
+            raise ConfigError(f"sweep_args.{name} is missing or malformed: {value!r}")
+        if not grid and hint is int and value < 1:
+            raise ConfigError(f"sweep_args.{name} must be >= 1, got {value}")
+        typed[name] = [hint(v) for v in values] if grid else hint(value)
+    return typed
 
 
 def read_run_file(path: "str | Path") -> "tuple[dict, str | None, dict]":
@@ -349,9 +369,7 @@ def read_run_file(path: "str | Path") -> "tuple[dict, str | None, dict]":
                 f"{name} {config.get(name)!r} does not match the sha256 recorded "
                 f"in {path}; refusing to replay"
             )
-    kinds = SWEEP_KINDS[sweep].args
-    typed = {name: _manifest_arg(args, name, kind) for name, kind in kinds.items()}
-    return config, sweep, typed
+    return config, sweep, _driver_args(sweep, args)
 
 
 def load_config(path: "str | Path") -> ExperimentConfig:
@@ -457,19 +475,22 @@ def parse_observable_file(path: str, n_qubits: int, count: int) -> "tuple[PauliS
     return tuple(out)
 
 
-def _sector_energies(spec, particle_number: int) -> np.ndarray:
-    """Eigenvalues whose eigenstates carry the requested particle number.
+def _sector_energies(dense: np.ndarray, particle_number: int) -> np.ndarray:
+    """Eigenvalues of the block of ``dense`` on the basis states whose
+    popcount is ``particle_number``.
 
-    The number operator is diagonal in the computational basis with
-    eigenvalue popcount(index); an eigenstate belongs to the sector when
-    its expectation rounds to the declared count.
+    The number operator is diagonal in the computational basis, so the
+    block is the sector's Hamiltonian when no entry couples it to the rest;
+    otherwise the Hamiltonian does not conserve the number and is refused.
     """
-    dim = spec.dimension
-    pops = np.array([bin(i).count("1") for i in range(dim)], dtype=float)
-    weights = np.abs(spec.eigenvectors) ** 2
-    number = pops @ weights
-    mask = np.abs(number - particle_number) < 0.5
-    return spec.energies[mask]
+    inside = np.array([i.bit_count() == particle_number for i in range(len(dense))])
+    coupling = np.abs(dense[np.ix_(inside, ~inside)]).max(initial=0.0)
+    if coupling > 1e-12 * np.abs(dense).max():
+        raise ConfigError(
+            "particle_number needs a number-conserving Hamiltonian; this one "
+            f"couples sector {particle_number} to others"
+        )
+    return np.linalg.eigvalsh(dense[np.ix_(inside, inside)])
 
 
 def resolve_hamiltonian(config: ExperimentConfig) -> PauliSum:
@@ -514,20 +535,21 @@ def build_problem(config: ExperimentConfig, k_max: "int | None" = None) -> Probl
     shifted, shift = shift_and_scale(
         hamiltonian, safety_fraction=config.safety_fraction
     )
-    spec = diagonalize(to_dense(shifted))
+    dense = to_dense(shifted)
+    sector = config.particle_number
+    levels = None if sector is None else _sector_energies(dense, sector)
+    spec = diagonalize(dense)
+    del dense  # before the phase table; the eigenbasis replaces it
+    levels = spec.energies if levels is None else levels
+    if len(levels) < config.n_eig:
+        where = f"particle sector {sector}" if sector is not None else "the spectrum"
+        raise ConfigError(
+            f"{where} holds only {len(levels)} levels, need {config.n_eig}"
+        )
     phi0 = build_reference_superposition(n_qubits, list(config.reference_bitstrings))
     phi_perp = _orthogonal_companion(phi0)
     dt = resolve_time_step(config)
-
-    shifted_energies = spec.energies
-    if config.particle_number is not None:
-        shifted_energies = _sector_energies(spec, config.particle_number)
-        if len(shifted_energies) < config.n_eig:
-            raise ConfigError(
-                f"particle sector {config.particle_number} holds only "
-                f"{len(shifted_energies)} levels, need {config.n_eig}"
-            )
-    physical = shift.to_original(shifted_energies)
+    physical = shift.to_original(levels)
 
     explicit = None
     if config.observable_policy == "explicit":
@@ -637,38 +659,6 @@ def _groups(points, rows):
 
 
 @dataclass(frozen=True)
-class SweepResult:
-    """Raw rows plus provenance for one eigenvalue sweep."""
-
-    sweep: str
-    config: ExperimentConfig
-    points: "tuple[float, ...]"
-    sweep_args: dict
-    exact_energies: "tuple[tuple[float, ...], ...]"
-    rows: "tuple[SweepRow, ...]"
-
-    def aggregates(self) -> "tuple[AggregateRow, ...]":
-        out = []
-        for pi, point, method, group in _groups(self.points, self.rows):
-            energies = np.array([g.energies for g in group])
-            errors = np.array([g.abs_errors for g in group])
-            out.append(
-                AggregateRow(
-                    point_index=pi,
-                    point_value=point,
-                    method=method,
-                    n_trials=len(group),
-                    mean_energies=tuple(map(float, energies.mean(axis=0))),
-                    mean_errors=tuple(map(float, errors.mean(axis=0))),
-                    std_errors=tuple(map(float, errors.std(axis=0))),
-                    mean_residual=float(np.mean([g.residual for g in group])),
-                    mean_rank=float(np.mean([g.retained_rank for g in group])),
-                )
-            )
-        return tuple(out)
-
-
-@dataclass(frozen=True)
 class ForecastRow:
     """Held-out prediction quality for one fit window and trial."""
 
@@ -695,32 +685,51 @@ class ForecastAggregate(NamedTuple):
     std_rmse: float
 
 
+def _eigen_aggregate(pi, point, method, group) -> AggregateRow:
+    energies = np.array([g.energies for g in group])
+    errors = np.array([g.abs_errors for g in group])
+    return AggregateRow(
+        point_index=pi,
+        point_value=point,
+        method=method,
+        n_trials=len(group),
+        mean_energies=tuple(map(float, energies.mean(axis=0))),
+        mean_errors=tuple(map(float, errors.mean(axis=0))),
+        std_errors=tuple(map(float, errors.std(axis=0))),
+        mean_residual=float(np.mean([g.residual for g in group])),
+        mean_rank=float(np.mean([g.retained_rank for g in group])),
+    )
+
+
+def _forecast_aggregate(pi, point, method, group) -> ForecastAggregate:
+    vals = [r.rmse_mean for r in group]
+    return ForecastAggregate(
+        point_index=pi,
+        point_value=point,
+        method=method,
+        n_trials=len(vals),
+        mean_rmse=float(np.mean(vals)),
+        std_rmse=float(np.std(vals)),
+    )
+
+
 @dataclass(frozen=True)
-class ForecastResult:
-    """Raw rows plus provenance for one forecasting experiment."""
+class SweepResult:
+    """Raw rows plus provenance for one sweep of any kind, with the
+    reference levels of each grid point's problem."""
 
     sweep: str
     config: ExperimentConfig
     points: "tuple[float, ...]"
     sweep_args: dict
-    horizon: int
-    rows: "tuple[ForecastRow, ...]"
+    exact_energies: "tuple[tuple[float, ...], ...]"
+    rows: "tuple[SweepRow | ForecastRow, ...]"
 
-    def aggregates(self) -> "tuple[ForecastAggregate, ...]":
-        out = []
-        for pi, point, method, group in _groups(self.points, self.rows):
-            vals = [r.rmse_mean for r in group]
-            out.append(
-                ForecastAggregate(
-                    point_index=pi,
-                    point_value=point,
-                    method=method,
-                    n_trials=len(vals),
-                    mean_rmse=float(np.mean(vals)),
-                    std_rmse=float(np.std(vals)),
-                )
-            )
-        return tuple(out)
+    def aggregates(self) -> "tuple[AggregateRow | ForecastAggregate, ...]":
+        """Across-trial statistics per grid point and method."""
+        forecast = self.sweep == "forecast"
+        aggregate = _forecast_aggregate if forecast else _eigen_aggregate
+        return tuple(aggregate(*g) for g in _groups(self.points, self.rows))
 
 
 class _Laps:
@@ -795,38 +804,38 @@ def _forecast_row(head, config, problem, fit, pair, held_out, laps) -> ForecastR
 @dataclass(frozen=True)
 class _SweepPlan:
     """Picklable description of all cells a sweep will execute: its grid
-    values and, per value, the configuration its cells run on."""
+    values and, per value, the configuration its cells run on and their
+    ``(d, K)`` window."""
 
     kind: str
     config: ExperimentConfig
     points: "tuple[float, ...]"
     configs: "tuple[ExperimentConfig, ...]"
+    windows: "tuple[tuple[int, int], ...]"
     horizon: int = 0
 
 
 def _plan(kind: str, config: ExperimentConfig, points, horizon: int = 0) -> _SweepPlan:
     """A sweep's plan, each grid point's configuration set per
-    :data:`SWEEP_KINDS` (and validated like the field it sets)."""
+    :data:`SWEEP_KINDS` (and validated like the field it sets). A forecast
+    splits each fit-window length k*; each point of an eigenvalue sweep must
+    hold a single K, which it pairs with its depth."""
     points = tuple(float(p) for p in points)
     point = SWEEP_KINDS[kind].point
     configs = tuple(dataclasses.replace(config, **point(p)) for p in points)
-    return _SweepPlan(kind, config, points, configs, horizon)
-
-
-def _window(plan: _SweepPlan, point_index: int) -> "tuple[int, int]":
-    """``(d, K)`` of a grid point's cells: a forecast splits its fit-window
-    length k*, an eigenvalue sweep pairs its K with its depth."""
-    config = plan.configs[point_index]
-    if plan.kind == "forecast":
-        return split_fit_window(int(plan.points[point_index]), config.k_over_d)
-    K = config.k_grid[0]
-    return depth_for_window(K, config.k_over_d), K
+    if kind == "forecast":
+        windows = tuple(split_fit_window(int(p), config.k_over_d) for p in points)
+    elif any(len(c.k_grid) != 1 for c in configs):
+        raise ConfigError(f"{kind} needs a single fixed K, got k_grid {config.k_grid}")
+    else:
+        ks = [c.k_grid[0] for c in configs]
+        windows = tuple((depth_for_window(K, config.k_over_d), K) for K in ks)
+    return _SweepPlan(kind, config, points, configs, windows, horizon)
 
 
 def _longest_signal(plan: _SweepPlan) -> int:
     """Largest ``k_max`` of any exact signal the plan's cells generate."""
-    windows = [_window(plan, pi) for pi in range(len(plan.points))]
-    return max(K + d for d, K in windows) + plan.horizon
+    return max(K + d for d, K in plan.windows) + plan.horizon
 
 
 def _evaluate_cell(plan: _SweepPlan, problem: Problem, point_index: int, trial: int):
@@ -838,7 +847,7 @@ def _evaluate_cell(plan: _SweepPlan, problem: Problem, point_index: int, trial: 
     samples, builds the Hankel pair, fits and scores the fit.
     """
     config, value = plan.configs[point_index], plan.points[point_index]
-    d, K = _window(plan, point_index)
+    d, K = plan.windows[point_index]
     score = _forecast_row if plan.kind == "forecast" else _eigen_row
     obs_seed = derive_seed(config.master_seed, point_index, trial, _STREAM_OBSERVABLES)
     pools = {
@@ -942,37 +951,27 @@ def _run_plan(plan: _SweepPlan) -> "tuple[list, tuple[tuple[float, ...], ...]]":
     return rows, tuple(exact[pi] for pi in range(len(plan.points)))
 
 
-def _eigen_sweep(
-    kind: str, config: ExperimentConfig, points, sweep_args: dict
-) -> SweepResult:
-    plan = _plan(kind, config, points)
-    rows, exact_energies = _run_plan(plan)
-    return SweepResult(
-        sweep=kind,
-        config=config,
-        points=plan.points,
-        sweep_args=sweep_args,
-        exact_energies=exact_energies,
-        rows=tuple(rows),
-    )
+def _run_sweep(kind: str, config: ExperimentConfig, **args) -> SweepResult:
+    """Run a sweep of any kind in :data:`SWEEP_KINDS` on its driver
+    arguments: check them, plan every grid point, run its cells."""
+    sweep_args = _driver_args(kind, args)
+    if kind == "sweep-gap" and config.tfim_qubits is None:
+        raise ConfigError("the gap sweep varies the transverse field of a TFIM source")
+    grids = [v for name, v in sweep_args.items() if name.endswith("_grid")]
+    grid = grids[0] if grids else config.k_grid
+    plan = _plan(kind, config, grid, sweep_args.get("horizon", 0))
+    rows, exact = _run_plan(plan)
+    return SweepResult(kind, config, plan.points, sweep_args, exact, tuple(rows))
 
 
 def run_convergence_sweep(config: ExperimentConfig) -> SweepResult:
     """Error versus snapshot count for both pipelines on shared seeds."""
-    return _eigen_sweep("sweep-k", config, config.k_grid, {})
+    return _run_sweep("sweep-k", config)
 
 
 def run_gap_sweep(config: ExperimentConfig, h_grid: "tuple[float, ...]") -> SweepResult:
     """Error versus transverse field (hence spectral gap) at fixed K."""
-    if config.tfim_qubits is None:
-        raise ConfigError("the gap sweep varies the transverse field of a TFIM source")
-    if len(config.k_grid) != 1:
-        raise ConfigError("the gap sweep needs a single fixed K in k_grid")
-    if not h_grid:
-        raise ConfigError("h_grid must not be empty")
-    return _eigen_sweep(
-        "sweep-gap", config, h_grid, {"h_grid": [float(h) for h in h_grid]}
-    )
+    return _run_sweep("sweep-gap", config, h_grid=h_grid)
 
 
 def run_noise_sweep(
@@ -983,40 +982,20 @@ def run_noise_sweep(
     Under the derived-threshold policy (``svd_threshold: null``) each
     grid point regularizes at ten times its own noise level.
     """
-    if len(config.k_grid) != 1:
-        raise ConfigError("the noise sweep needs a single fixed K in k_grid")
-    if not eps_grid:
-        raise ConfigError("eps_grid must not be empty")
-    return _eigen_sweep(
-        "sweep-noise", config, eps_grid, {"eps_grid": [float(e) for e in eps_grid]}
-    )
+    return _run_sweep("sweep-noise", config, eps_grid=eps_grid)
 
 
 def run_forecast_experiment(
     config: ExperimentConfig, kstar_grid: "tuple[int, ...]", horizon: int
-) -> ForecastResult:
+) -> SweepResult:
     """Held-out signal prediction for a grid of fit-window lengths."""
-    if not kstar_grid:
-        raise ConfigError("kstar_grid must not be empty")
-    if horizon < 1:
-        raise ConfigError(f"horizon must be >= 1, got {horizon}")
-    for k_star in kstar_grid:
-        split_fit_window(int(k_star), config.k_over_d)
-    plan = _plan("forecast", config, kstar_grid, int(horizon))
-    rows, _ = _run_plan(plan)
-    return ForecastResult(
-        sweep=plan.kind,
-        config=config,
-        points=plan.points,
-        sweep_args={"kstar_grid": [int(k) for k in kstar_grid], "horizon": int(horizon)},
-        horizon=int(horizon),
-        rows=tuple(rows),
-    )
+    return _run_sweep("forecast", config, kstar_grid=kstar_grid, horizon=horizon)
 
 
 def run_single_solve(config: ExperimentConfig) -> "tuple[SweepRow, SweepRow]":
     """One-shot evaluation at the first configured K (trial 0)."""
-    plan = _SweepPlan("solve", config, (float(config.k_grid[0]),), (config,))
+    plan = _plan("sweep-k", config, config.k_grid[:1])
+    plan = dataclasses.replace(plan, kind="solve")  # names solve in a shortfall
     rows = _evaluate_cell(plan, build_problem(config), 0, 0)
     return rows[0], rows[1]
 
@@ -1154,14 +1133,13 @@ def _manifest_payload(result) -> dict:
         "sweep_args": result.sweep_args,
         "config": config_to_dict(result.config),
         "points": list(result.points),
+        "exact_energies": [list(e) for e in result.exact_energies],
         "versions": {
             "python": platform.python_version(),
             "numpy": np.__version__,
             "modmd": __version__,
         },
     }
-    if isinstance(result, SweepResult):
-        payload["exact_energies"] = [list(e) for e in result.exact_energies]
     for name in _INPUT_FILE_FIELDS:
         if getattr(result.config, name) is not None:
             digest = _sha256(getattr(result.config, name))
@@ -1231,7 +1209,7 @@ def _sweep_layout(result: SweepResult):
     return header, rows, columns, plots
 
 
-def _forecast_layout(result: ForecastResult):
+def _forecast_layout(result: SweepResult):
     """Results header and rows, schema column lines and plot of a
     forecasting experiment, as :func:`_sweep_layout`."""
     n_obs = result.config.n_observables
@@ -1258,7 +1236,8 @@ def _forecast_layout(result: ForecastResult):
         "  trial      trial index; empty on aggregate rows\n"
         "  method     modmd | odmd (single-observable baseline)\n"
         "  n_trials   trial count behind an aggregate row; empty otherwise\n"
-        f"  rmse_mean  RMSE over the {result.horizon} held-out steps, averaged\n"
+        "  rmse_mean  RMSE over the "
+        f"{result.sweep_args['horizon']} held-out steps, averaged\n"
         "             over that method's observables\n"
         "  rmse_i     per-observable RMSE; single-observable rows leave\n"
         "             columns beyond rmse_0 empty\n"
@@ -1276,7 +1255,7 @@ def emit_outputs(result, directory: "str | Path") -> "list[Path]":
     byte for byte.
     """
     directory = Path(directory)
-    if isinstance(result, ForecastResult):
+    if result.sweep == "forecast":
         layout, stages = _forecast_layout, _FORECAST_STAGES
     else:
         layout, stages = _sweep_layout, _EIGEN_STAGES
@@ -1322,10 +1301,4 @@ def replay_manifest(path: "str | Path"):
     config, sweep, sweep_args = read_run_file(path)
     if sweep is None:
         raise ConfigError(f"{path} is not a run manifest")
-    driver = {
-        "sweep-k": run_convergence_sweep,
-        "sweep-gap": run_gap_sweep,
-        "sweep-noise": run_noise_sweep,
-        "forecast": run_forecast_experiment,
-    }[sweep]
-    return driver(config_from_dict(config), **sweep_args)
+    return _run_sweep(sweep, config_from_dict(config), **sweep_args)

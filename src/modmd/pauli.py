@@ -198,22 +198,11 @@ class PauliSum:
         """Sum of coefficient magnitudes; an upper bound on the 2-norm."""
         return float(sum(abs(c) for c in self.coefficients))
 
-    @property
-    def weight_inf(self) -> float:
-        return float(max((abs(c) for c in self.coefficients), default=0.0))
-
     def scaled(self, factor: float) -> "PauliSum":
         return PauliSum(
             self.n_qubits,
             tuple(factor * c for c in self.coefficients),
             self.strings,
-        )
-
-    def plus_identity(self, coefficient: float) -> "PauliSum":
-        return PauliSum(
-            self.n_qubits,
-            self.coefficients + (float(coefficient),),
-            self.strings + (PauliString.identity(self.n_qubits),),
         )
 
     def apply(self, amplitudes: np.ndarray) -> np.ndarray:
@@ -367,50 +356,37 @@ def random_one_local(n_qubits: int, count: int, seed: int) -> list[PauliSum]:
 
 @dataclass(frozen=True, slots=True)
 class AffineShift:
-    """Invertible affine map between original and rescaled energy axes.
+    """Invertible linear map between original and rescaled energy axes.
 
-    ``shifted = scale * (original - offset)``; :meth:`to_original` undoes
-    the map exactly.
+    ``shifted = scale * original``; :meth:`to_original` undoes the map.
     """
 
     scale: float
-    offset: float
 
     def __post_init__(self):
         if self.scale == 0.0 or not math.isfinite(self.scale):
             raise ValueError(f"scale must be finite and nonzero, got {self.scale}")
-        if not math.isfinite(self.offset):
-            raise ValueError(f"offset must be finite, got {self.offset}")
 
     def to_shifted(self, energy):
-        return self.scale * (np.asarray(energy) - self.offset)
+        return self.scale * np.asarray(energy)
 
     def to_original(self, energy):
-        return np.asarray(energy) / self.scale + self.offset
+        return np.asarray(energy) / self.scale
 
 
 def shift_and_scale(
-    psum: PauliSum,
-    bound: float | None = None,
-    safety_fraction: float = 0.9,
-    lower: float | None = None,
-    upper: float | None = None,
+    psum: PauliSum, safety_fraction: float = 0.9
 ) -> tuple[PauliSum, AffineShift]:
-    """Rescale (and optionally recenter) a Hamiltonian into ``[-C*pi, C*pi]``.
+    """Rescale a Hamiltonian into ``[-C*pi, C*pi]``.
 
     Parameters
     ----------
     psum : PauliSum
-        Operator to transform.
-    bound : float, optional
-        Upper bound on the spectral radius. Defaults to the coefficient
-        1-norm, which always dominates the 2-norm.
+        Operator to transform. Its coefficient 1-norm, which always
+        dominates the 2-norm, bounds the spectral radius.
     safety_fraction : float
         ``C`` in ``(0, 1)``; the transformed spectrum stays strictly
         inside ``[-C*pi, C*pi]`` so eigenphases cannot wrap.
-    lower, upper : float, optional
-        Known spectral bounds. When both are given the map recenters at
-        their midpoint before scaling; otherwise the offset is zero.
 
     Returns
     -------
@@ -420,23 +396,10 @@ def shift_and_scale(
     """
     if not 0.0 < safety_fraction < 1.0:
         raise ValueError(f"safety_fraction must lie in (0, 1), got {safety_fraction}")
-    if (lower is None) != (upper is None):
-        raise ValueError("lower and upper bounds must be supplied together")
-    if lower is not None:
-        if not upper > lower:
-            raise ValueError(f"need upper > lower, got [{lower}, {upper}]")
-        offset = 0.5 * (lower + upper)
-        half_range = 0.5 * (upper - lower)
-    else:
-        offset = 0.0
-        half_range = psum.weight_l1 if bound is None else float(bound)
-        if half_range <= 0.0:
-            raise DegenerateInputError(
-                "spectral bound must be positive; the zero operator "
-                "cannot be rescaled"
-            )
+    half_range = psum.weight_l1
+    if half_range <= 0.0:
+        raise DegenerateInputError(
+            "spectral bound must be positive; the zero operator cannot be rescaled"
+        )
     scale = safety_fraction * math.pi / half_range
-    shifted = psum.scaled(scale)
-    if offset != 0.0:
-        shifted = shifted.plus_identity(-scale * offset)
-    return shifted, AffineShift(scale=scale, offset=offset)
+    return psum.scaled(scale), AffineShift(scale=scale)

@@ -20,7 +20,6 @@ from modmd import (
     ConfigError,
     EigenvalueShortfallError,
     ExperimentConfig,
-    ForecastResult,
     OUTPUT_DIR_ENV,
     PauliParseError,
     SpectralDecomposition,
@@ -92,6 +91,16 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def hopping_chain(n_qubits):
+    """XX+YY nearest-neighbour hopping: it conserves the particle number and
+    is degenerate across sectors."""
+    lines = []
+    for i in range(n_qubits - 1):
+        for axis in "XY":
+            lines.append(f"0.5 {'I' * i}{axis * 2}{'I' * (n_qubits - i - 2)}")
+    return "\n".join(lines) + "\n"
 
 
 def write_config_file(path, **overrides):
@@ -246,6 +255,13 @@ class TestExperimentConfig:
             dt=None, svd_threshold=None, k_over_d=2,
         )
         assert config.trials == 2 and config.k_over_d == 2
+
+    def test_auto_threshold_stays_below_one(self):
+        config = small_config(svd_threshold=None, noise_epsilon=0.099)
+        assert threshold_for(config) < 1.0
+        with pytest.raises(ConfigError, match=r"10 \* noise_epsilon"):
+            small_config(svd_threshold=None, noise_epsilon=0.1)
+        assert small_config(svd_threshold=1e-2, noise_epsilon=0.2).noise_epsilon == 0.2
 
     def test_shadow_source_pairs_with_samples(self):
         with pytest.raises(ConfigError, match="shadow_samples"):
@@ -410,6 +426,44 @@ class TestBuildProblem:
             reference_bitstrings=("001",),
         )
         with pytest.raises(ConfigError, match="holds only 1"):
+            build_problem(config)
+
+    @pytest.mark.parametrize("n_qubits, sector", [(4, 2), (6, 2), (6, 3), (6, 4)])
+    def test_particle_sector_energies_are_the_sector_block(
+        self, tmp_path, n_qubits, sector
+    ):
+        """The XX+YY hopping chain is degenerate across sectors, where an
+        eigenvector of the full matrix may mix them."""
+        hfile = tmp_path / "hopping.txt"
+        hfile.write_text(hopping_chain(n_qubits))
+        config = small_config(
+            tfim_qubits=None,
+            hamiltonian_file=str(hfile),
+            particle_number=sector,
+            reference_bitstrings=("1" * sector + "0" * (n_qubits - sector),),
+        )
+        dense = to_dense(parse_pauli_sum(hfile.read_text()))
+        inside = [i for i in range(1 << n_qubits) if bin(i).count("1") == sector]
+        oracle = np.linalg.eigvalsh(dense[np.ix_(inside, inside)])
+        np.testing.assert_allclose(
+            build_problem(config).exact_energies, oracle, rtol=0, atol=1e-12
+        )
+
+    def test_particle_sector_needs_number_conserving_hamiltonian(self, tmp_path):
+        hfile = tmp_path / "h.txt"
+        hfile.write_text("1.0 XII\n0.5 ZZI\n")
+        config = small_config(
+            tfim_qubits=None,
+            hamiltonian_file=str(hfile),
+            particle_number=1,
+            reference_bitstrings=("001",),
+        )
+        with pytest.raises(ConfigError, match="number-conserving"):
+            build_problem(config)
+
+    def test_full_spectrum_too_small(self):
+        config = small_config(tfim_qubits=2, reference_bitstrings=("00",), n_eig=5)
+        with pytest.raises(ConfigError, match="spectrum holds only 4 levels, need 5"):
             build_problem(config)
 
     @pytest.mark.parametrize(
@@ -741,8 +795,8 @@ class TestSweepDrivers:
     def test_forecast_rows(self):
         config = small_config(svd_threshold=None, noise_epsilon=0.0)
         result = run_forecast_experiment(config, (24, 36), 5)
-        assert isinstance(result, ForecastResult)
-        assert result.horizon == 5
+        assert isinstance(result, SweepResult)
+        assert result.sweep_args == {"kstar_grid": [24, 36], "horizon": 5}
         agg = result.aggregates()[0]
         assert (agg.point_value, agg.method, agg.n_trials) == (24.0, "modmd", 2)
         first = [r.rmse_mean for r in result.rows if r.point_index == 0][::2]
@@ -752,6 +806,48 @@ class TestSweepDrivers:
             expected_len = 2 if row.method == "modmd" else 1
             assert len(row.rmse) == expected_len
             assert row.rmse_mean == pytest.approx(np.mean(row.rmse))
+
+    def test_forecast_records_each_points_exact_energies(self):
+        result = run_forecast_experiment(small_config(trials=1), (24, 36), 5)
+        expected = build_problem(small_config()).exact_energies[:2]
+        assert result.exact_energies == (expected, expected)
+
+    def test_driver_arguments_checked_like_fields(self):
+        result = run_forecast_experiment(
+            small_config(trials=1), (np.int64(24),), np.int64(5)
+        )
+        assert result.sweep_args == {"kstar_grid": [24], "horizon": 5}
+        assert type(result.sweep_args["horizon"]) is int
+        result = run_gap_sweep(small_config(trials=1), [np.float64(0.9)])
+        assert result.sweep_args == {"h_grid": [0.9]}
+        for h_grid in ((True,), (0.9, "1.1"), 0.9, [], None):
+            with pytest.raises(ConfigError, match="h_grid is missing or malformed"):
+                run_gap_sweep(small_config(), h_grid)
+        for horizon in (True, 2.0, (5,)):
+            with pytest.raises(ConfigError, match="horizon is missing or malformed"):
+                run_forecast_experiment(small_config(), (24,), horizon)
+        with pytest.raises(ConfigError, match="horizon must be >= 1, got -1"):
+            run_forecast_experiment(small_config(), (24,), -1)
+
+    @pytest.mark.parametrize(
+        "kind, k_grid, args, message",
+        [
+            ("forecast", (16,), {"kstar_grid": (24, 1), "horizon": 5}, "too short"),
+            ("sweep-noise", (16,), {"eps_grid": (1e-3, 0.1)}, r"10 \* noise_epsilon"),
+            ("sweep-gap", (16, 24), {"h_grid": (0.9,)}, "single fixed K"),
+        ],
+        ids=["forecast-window", "noise-threshold", "gap-k-grid"],
+    )
+    def test_bad_grid_point_refused_before_any_cell(
+        self, kind, k_grid, args, message, monkeypatch
+    ):
+        def no_cells(plan):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(harness, "_run_plan", no_cells)
+        config = small_config(svd_threshold=None, k_grid=k_grid)
+        with pytest.raises(ConfigError, match=message):
+            harness._run_sweep(kind, config, **args)
 
     def test_forecast_recovers_consistent_signal(self):
         config = small_config(svd_threshold=None, noise_epsilon=0.0)
@@ -1374,6 +1470,64 @@ class TestCli:
         )
         assert main(argv[:1] + ["--config", str(path)] + argv[1:]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                "sweep-noise --tfim-qubits 4 --reference 0000 --reference 1111 "
+                "--k-grid 20 --trials 1 --n-eig 2 --svd-threshold auto "
+                "--eps-grid 0.001,0.1",
+                "svd_threshold null derives a cutoff of 10 * noise_epsilon",
+            ),
+            (
+                "sweep-k --tfim-qubits 4 --reference 0000 --k-grid 20 --trials 1 "
+                "--svd-threshold auto --noise-epsilon 0.2",
+                "svd_threshold null derives a cutoff of 10 * noise_epsilon",
+            ),
+            (
+                "solve --tfim-qubits 4 --reference 0000 --k-grid 20 "
+                "--svd-threshold auto --noise-epsilon 0.2",
+                "svd_threshold null derives a cutoff of 10 * noise_epsilon",
+            ),
+            (
+                "validate-config --tfim-qubits 4 --reference 0000 "
+                "--svd-threshold auto --noise-epsilon 0.2",
+                "svd_threshold null derives a cutoff of 10 * noise_epsilon",
+            ),
+            (
+                "sweep-k --tfim-qubits 2 --reference 00 --reference 11 "
+                "--n-observables 6 --k-grid 40 --trials 2 --n-eig 5 "
+                "--noise-epsilon 0 --svd-threshold 1e-6",
+                "the spectrum holds only 4 levels, need 5",
+            ),
+        ],
+        ids=["noise-grid-auto", "sweep-k-auto", "solve-auto", "validate-auto", "n-eig"],
+    )
+    def test_impossible_run_exits_before_output(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(argv.split() + ["--output-dir", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_non_conserving_sector_exit_code(self, workers, tmp_path, capsys):
+        (tmp_path / "h.txt").write_text("1.0 XII\n0.5 ZZI\n")
+        path = write_config_file(
+            tmp_path / "cfg.json",
+            tfim_qubits=None,
+            hamiltonian_file=str(tmp_path / "h.txt"),
+            particle_number=1,
+            reference_bitstrings=("001",),
+            workers=workers,
+            output_dir=str(tmp_path / "out"),
+        )
+        assert main(["sweep-k", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: particle_number needs a number-conserving")
+        assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
     def test_every_sweep_kind_is_wired(self, tmp_path, monkeypatch):
