@@ -17,6 +17,7 @@ from .harness import (
     SIGNAL_SOURCES,
     SWEEP_KINDS,
     ExperimentConfig,
+    check_levels,
     config_from_dict,
     emit_outputs,
     parse_observable_file,
@@ -31,6 +32,7 @@ from .harness import (
     run_single_solve,
     threshold_for,
 )
+from .pauli import to_dense
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -190,6 +192,7 @@ def _handle_solve(args) -> int:
 def _handle_validate(args) -> int:
     config, _ = _config_from_args(args)
     hamiltonian = resolve_hamiltonian(config)
+    check_levels(config, to_dense(hamiltonian))
     if config.observable_policy == "explicit":
         parse_observable_file(
             config.observable_file, hamiltonian.n_qubits, config.n_observables

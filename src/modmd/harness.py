@@ -320,10 +320,15 @@ def _sha256(path) -> "str | None":
 
 def _driver_args(kind: str, args: dict) -> dict:
     """A sweep kind's driver arguments from a call or a manifest, as the
-    manifest records them: a ``*_grid`` is a non-empty list, each value is
-    checked like a configuration field of its type, and an ``int`` is >= 1."""
+    manifest records them: a key the kind does not declare is refused, a
+    ``*_grid`` is a non-empty list, each value is checked like a
+    configuration field of its type, and an ``int`` is >= 1."""
+    declared = SWEEP_KINDS[kind].args
+    unknown = sorted(set(args) - set(declared))
+    if unknown:
+        raise ConfigError(f"sweep_args.{unknown[0]} is not an argument of {kind}")
     typed = {}
-    for name, hint in SWEEP_KINDS[kind].args.items():
+    for name, hint in declared.items():
         value = args.get(name)
         grid, listed = name.endswith("_grid"), isinstance(value, (list, tuple))
         values = value if listed else [value]
@@ -475,22 +480,32 @@ def parse_observable_file(path: str, n_qubits: int, count: int) -> "tuple[PauliS
     return tuple(out)
 
 
-def _sector_energies(dense: np.ndarray, particle_number: int) -> np.ndarray:
-    """Eigenvalues of the block of ``dense`` on the basis states whose
-    popcount is ``particle_number``.
+def check_levels(config: ExperimentConfig, dense: np.ndarray) -> "np.ndarray | None":
+    """Refuse a run whose spectrum, or particle sector, holds fewer than
+    ``n_eig`` levels; return the sector's basis-state mask (``None``
+    without a sector).
 
-    The number operator is diagonal in the computational basis, so the
-    block is the sector's Hamiltonian when no entry couples it to the rest;
-    otherwise the Hamiltonian does not conserve the number and is refused.
+    Levels are counted, not solved for. The number operator is diagonal
+    in the computational basis, so the sector's block of ``dense`` is its
+    Hamiltonian when no entry couples it to the rest; otherwise the
+    Hamiltonian does not conserve the number and is refused.
     """
-    inside = np.array([i.bit_count() == particle_number for i in range(len(dense))])
-    coupling = np.abs(dense[np.ix_(inside, ~inside)]).max(initial=0.0)
-    if coupling > 1e-12 * np.abs(dense).max():
-        raise ConfigError(
-            "particle_number needs a number-conserving Hamiltonian; this one "
-            f"couples sector {particle_number} to others"
-        )
-    return np.linalg.eigvalsh(dense[np.ix_(inside, inside)])
+    sector = config.particle_number
+    inside = None
+    count, where = len(dense), "the spectrum"
+    if sector is not None:
+        inside = np.array([i.bit_count() == sector for i in range(len(dense))])
+        count, where = int(inside.sum()), f"particle sector {sector}"
+    if count < config.n_eig:
+        raise ConfigError(f"{where} holds only {count} levels, need {config.n_eig}")
+    if inside is not None:
+        coupling = np.abs(dense[np.ix_(inside, ~inside)]).max(initial=0.0)
+        if coupling > 1e-12 * np.abs(dense).max():
+            raise ConfigError(
+                "particle_number needs a number-conserving Hamiltonian; this one "
+                f"couples sector {sector} to others"
+            )
+    return inside
 
 
 def resolve_hamiltonian(config: ExperimentConfig) -> PauliSum:
@@ -536,16 +551,11 @@ def build_problem(config: ExperimentConfig, k_max: "int | None" = None) -> Probl
         hamiltonian, safety_fraction=config.safety_fraction
     )
     dense = to_dense(shifted)
-    sector = config.particle_number
-    levels = None if sector is None else _sector_energies(dense, sector)
+    inside = check_levels(config, dense)
+    block = None if inside is None else dense[np.ix_(inside, inside)]
     spec = diagonalize(dense)
     del dense  # before the phase table; the eigenbasis replaces it
-    levels = spec.energies if levels is None else levels
-    if len(levels) < config.n_eig:
-        where = f"particle sector {sector}" if sector is not None else "the spectrum"
-        raise ConfigError(
-            f"{where} holds only {len(levels)} levels, need {config.n_eig}"
-        )
+    levels = spec.energies if block is None else np.linalg.eigvalsh(block)
     phi0 = build_reference_superposition(n_qubits, list(config.reference_bitstrings))
     phi_perp = _orthogonal_companion(phi0)
     dt = resolve_time_step(config)

@@ -10,6 +10,7 @@ of a bitstring label is the index of the matching basis state.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,9 +18,6 @@ import numpy as np
 from .errors import DegenerateInputError, PauliParseError, ResourceCapError
 
 AXES = "IXYZ"
-
-# Dense matrices above this many qubits are refused outright.
-DENSE_QUBIT_CAP = 14
 
 
 @dataclass(frozen=True, slots=True)
@@ -287,13 +285,17 @@ def build_tfim(n_qubits: int, coupling: float, field: float) -> PauliSum:
 def to_dense(psum: PauliSum) -> np.ndarray:
     """Dense complex matrix of a Pauli sum.
 
-    Refuses registers above :data:`DENSE_QUBIT_CAP` qubits. Each string
-    contributes one nonzero per column, so assembly is O(terms * 2^n).
+    Refuses, before allocating, a register whose matrix and eigenbasis
+    (two complex ``2^n x 2^n`` arrays) would not fit in physical memory.
+    Each string contributes one nonzero per column, so assembly is
+    O(terms * 2^n).
     """
-    if psum.n_qubits > DENSE_QUBIT_CAP:
+    need, have = 2 * 16 * 4**psum.n_qubits, _physical_memory_bytes()
+    if need > have:
         raise ResourceCapError(
-            f"dense matrix on {psum.n_qubits} qubits exceeds the "
-            f"{DENSE_QUBIT_CAP}-qubit cap"
+            f"dense matrix and eigenbasis on {psum.n_qubits} qubits need "
+            f"{need / 1e9:.1f} GB, more than the {have / 1e9:.1f} GB of "
+            "physical memory"
         )
     n = 1 << psum.n_qubits
     out = np.zeros((n, n), dtype=complex)
@@ -303,6 +305,10 @@ def to_dense(psum: PauliSum) -> np.ndarray:
         vals = c * (1j) ** n_y * (-1.0) ** _parity(idx, s.z_mask)
         out[idx ^ s.x_mask, idx] += vals
     return out
+
+
+def _physical_memory_bytes() -> int:
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 def sort_by_weight(psum: PauliSum) -> PauliSum:

@@ -135,6 +135,14 @@ def diagonalize(matrix: np.ndarray) -> SpectralDecomposition:
     imaginary part (TFIM, or any Pauli sum whose terms all carry an even
     number of Y factors) takes the real-symmetric solver, several times
     faster than the complex one.
+
+    A matrix of even dimension that equals its index reversal exactly
+    (one commuting with the global spin flip ``X^n``, such as any TFIM)
+    is centrosymmetric and splits into two half-size blocks (Cantoni and
+    Butler, Linear Algebra Appl. 13, 275 (1976)): with ``J`` the
+    reversal, ``[[A, B], [JBJ, JAJ]]`` has the eigenvectors
+    ``[s; +-Js]/sqrt(2)`` for the eigenvectors ``s`` of ``A +- BJ``.
+    Two half-size solves cost about a quarter of the full one.
     """
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -144,8 +152,29 @@ def diagonalize(matrix: np.ndarray) -> SpectralDecomposition:
     scale = max(float(np.linalg.norm(matrix)), 1.0)
     if _antihermitian_sq(matrix) > (HERMITICITY_RTOL * scale) ** 2:
         raise ValueError("matrix is not Hermitian within tolerance")
-    energies, vectors = np.linalg.eigh(matrix)
-    return SpectralDecomposition(energies, vectors)
+    dim = len(matrix)
+    if dim % 2 or not np.array_equal(matrix, matrix[::-1, ::-1]):
+        energies, vectors = np.linalg.eigh(matrix)
+        return SpectralDecomposition(energies, vectors)
+    half = dim // 2
+    a, bj = matrix[:half, :half], matrix[:half, half:][:, ::-1]
+    blocks = [np.linalg.eigh(a + bj), np.linalg.eigh(a - bj)]
+    energies = np.concatenate([e for e, _ in blocks])
+    # Place in the ascending order that each block eigenvector lands in;
+    # writing the lifted blocks there avoids a permuted copy of the basis.
+    # Row n of ``lifted`` is eigenvector n, so each write is a contiguous
+    # row (scattered columns cost three times as much at D = 1024).
+    order = np.argsort(energies, kind="stable")
+    place = np.empty(dim, dtype=int)
+    place[order] = np.arange(dim)
+    lifted = np.empty((dim, dim), dtype=complex)
+    for (_, s), sign, rows in zip(blocks, (1.0, -1.0), np.split(place, 2)):
+        rows_of_s = s.T.copy()
+        rows_of_s /= math.sqrt(2.0)
+        lifted[rows, :half] = rows_of_s
+        rows_of_s *= sign
+        lifted[rows, half:] = rows_of_s[:, ::-1]
+    return SpectralDecomposition(energies[order], lifted.T)
 
 
 def _antihermitian_sq(matrix: np.ndarray) -> float:

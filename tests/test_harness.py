@@ -53,7 +53,7 @@ from modmd import (
     to_dense,
     truncated_pinv,
 )
-from modmd import harness
+from modmd import harness, pauli
 from modmd.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -467,27 +467,52 @@ class TestBuildProblem:
             build_problem(config)
 
     @pytest.mark.parametrize(
-        "text, solver",
+        "overrides, message",
         [
-            ("1.0 XYZ\n0.5 ZZI\n-0.7 IXX\n0.3 YII\n", complex),  # odd Y counts
-            ("1.0 XYY\n0.5 ZZI\n-0.7 IXX\n0.3 YIY\n", float),  # even Y counts
+            (
+                dict(tfim_qubits=2, reference_bitstrings=("00",), n_eig=5),
+                "the spectrum holds only 4 levels, need 5",
+            ),
+            (
+                dict(particle_number=0, n_eig=2),
+                "particle sector 0 holds only 1 levels, need 2",
+            ),
+        ],
+        ids=["spectrum", "sector"],
+    )
+    def test_level_shortfall_pays_no_eigensolve(self, monkeypatch, overrides, message):
+        def no_eigensolve(*args, **kwargs):
+            raise AssertionError("eigensolve before the level count")
+
+        monkeypatch.setattr(harness, "diagonalize", no_eigensolve)
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
+        with pytest.raises(ConfigError, match=message):
+            build_problem(small_config(**overrides))
+
+    @pytest.mark.parametrize(
+        "text, calls",
+        [
+            # odd Y counts: complex, and not spin-flip symmetric
+            ("1.0 XYZ\n0.5 ZZI\n-0.7 IXX\n0.3 YII\n", [(complex, 8)]),
+            # even Y counts, even Y+Z counts: real, two half-size blocks
+            ("1.0 XYY\n0.5 ZZI\n-0.7 IXX\n0.3 YIY\n", [(float, 4), (float, 4)]),
         ],
         ids=["odd-y", "even-y"],
     )
-    def test_hamiltonian_file_solver_path(self, tmp_path, monkeypatch, text, solver):
+    def test_hamiltonian_file_solver_path(self, tmp_path, monkeypatch, text, calls):
         hfile = tmp_path / "h.txt"
         hfile.write_text(text)
         config = small_config(tfim_qubits=None, hamiltonian_file=str(hfile))
         seen, eigh = [], np.linalg.eigh
 
         def recording_eigh(a, *args, **kwargs):
-            seen.append(np.asarray(a).dtype)
+            seen.append((np.asarray(a).dtype, len(a)))
             return eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
         problem = build_problem(config)
         monkeypatch.setattr(np.linalg, "eigh", eigh)
-        assert seen == [np.dtype(solver)]
+        assert seen == [(np.dtype(dtype), size) for dtype, size in calls]
         # Oracle: the complex Hermitian solver on the same rescaled matrix.
         shifted, shift = shift_and_scale(
             parse_pauli_sum(text), safety_fraction=config.safety_fraction
@@ -828,6 +853,10 @@ class TestSweepDrivers:
                 run_forecast_experiment(small_config(), (24,), horizon)
         with pytest.raises(ConfigError, match="horizon must be >= 1, got -1"):
             run_forecast_experiment(small_config(), (24,), -1)
+        with pytest.raises(ConfigError, match="horizn is not an argument of forecast"):
+            harness._run_sweep(
+                "forecast", small_config(), kstar_grid=(24,), horizon=5, horizn=50
+            )
 
     @pytest.mark.parametrize(
         "kind, k_grid, args, message",
@@ -1205,6 +1234,12 @@ class TestEmitOutputs:
             ("forecast", {"kstar_grid": [24.5], "horizon": 5}, "kstar_grid"),
             ("forecast", {"kstar_grid": [24], "horizon": [5]}, "horizon"),
             ("sweep-k", [], "must be mappings"),
+            (
+                "forecast",
+                {"kstar_grid": [24], "horizon": 5, "horizn": 50},
+                "sweep_args.horizn is not an argument of forecast",
+            ),
+            ("sweep-k", {"h_grid": [0.5]}, "sweep_args.h_grid is not an argument"),
         ],
     )
     def test_malformed_manifest_grids_rejected(
@@ -1296,10 +1331,17 @@ class TestCli:
         assert rc == EXIT_CONFIG
         assert "line 1" in capsys.readouterr().err
 
-    def test_resource_cap_exit_code(self, capsys):
-        rc = main(["solve", "--tfim-qubits", "15", "--reference", "0" * 15])
+    def test_resource_cap_exit_code(self, monkeypatch, capsys):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("allocated a dense matrix above the cap")
+
+        # 14 qubits: a 4.3 GB matrix and as large an eigenbasis
+        monkeypatch.setattr(pauli, "_physical_memory_bytes", lambda: int(7.8e9))
+        monkeypatch.setattr(pauli.np, "zeros", no_allocation)
+        rc = main(["solve", "--tfim-qubits", "14", "--reference", "0" * 14])
         assert rc == EXIT_RESOURCE
-        assert "14-qubit cap" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "GB of physical memory" in err and err.count("\n") == 1
 
     def test_shortfall_exit_code(self, tmp_path, capsys):
         path = write_config_file(tmp_path / "cfg.json")
@@ -1502,8 +1544,15 @@ class TestCli:
                 "--noise-epsilon 0 --svd-threshold 1e-6",
                 "the spectrum holds only 4 levels, need 5",
             ),
+            (
+                "validate-config --tfim-qubits 2 --reference 00 --n-eig 5",
+                "the spectrum holds only 4 levels, need 5",
+            ),
         ],
-        ids=["noise-grid-auto", "sweep-k-auto", "solve-auto", "validate-auto", "n-eig"],
+        ids=[
+            "noise-grid-auto", "sweep-k-auto", "solve-auto", "validate-auto", "n-eig",
+            "validate-n-eig",
+        ],
     )
     def test_impossible_run_exits_before_output(self, argv, message, tmp_path, capsys):
         out = tmp_path / "out"
@@ -1529,6 +1578,32 @@ class TestCli:
         assert err.startswith("error: particle_number needs a number-conserving")
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    def test_validate_refuses_non_conserving_sector(self, tmp_path, capsys):
+        (tmp_path / "h.txt").write_text("1.0 XII\n0.5 ZZI\n")
+        argv = [
+            "validate-config", "--hamiltonian-file", str(tmp_path / "h.txt"),
+            "--particle-number", "1", "--reference", "001", "--n-eig", "2",
+        ]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: particle_number needs a number-conserving")
+        assert err.count("\n") == 1
+
+    def test_unknown_manifest_sweep_arg_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "sweep": "forecast",
+                    "config": config_to_dict(small_config()),
+                    "sweep_args": {"kstar_grid": [24], "horizon": 5, "horizn": 50},
+                }
+            )
+        )
+        assert main(["forecast", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "error: sweep_args.horizn is not an argument of forecast\n"
 
     def test_every_sweep_kind_is_wired(self, tmp_path, monkeypatch):
         """Each kind in the table has a CLI verb taking its driver arguments,

@@ -21,6 +21,7 @@ from modmd import (
     sort_by_weight,
     to_dense,
 )
+from modmd import pauli
 
 PAULI_MATRICES = {
     "I": np.eye(2, dtype=complex),
@@ -220,11 +221,29 @@ class TestToDense:
             atol=1e-12,
         )
 
-    def test_register_above_cap_rejected(self):
+    def test_register_above_cap_rejected(self, monkeypatch):
+        monkeypatch.setattr(pauli, "_physical_memory_bytes", lambda: 2**30)
         psum = PauliSum.from_terms(
             15, [(1.0, PauliString.single(15, 0, "Z"))]
         )
         with pytest.raises(ResourceCapError):
+            to_dense(psum)
+
+    @pytest.mark.parametrize("n_qubits, refused", [(13, False), (14, True)])
+    def test_cap_counts_matrix_and_eigenbasis(self, monkeypatch, n_qubits, refused):
+        """On 7.8 GB, 13 qubits (2 x 1.07 GB) pass and 14 (2 x 4.3 GB) are
+        refused before any allocation."""
+
+        class Allocated(Exception):
+            pass
+
+        def no_allocation(*args, **kwargs):
+            raise Allocated
+
+        monkeypatch.setattr(pauli, "_physical_memory_bytes", lambda: int(7.8e9))
+        monkeypatch.setattr(pauli.np, "zeros", no_allocation)
+        psum = build_tfim(n_qubits, 1.0, 1.0)
+        with pytest.raises(ResourceCapError if refused else Allocated):
             to_dense(psum)
 
 

@@ -63,6 +63,29 @@ def complex_eigh_oracle(matrix):
     return SpectralDecomposition(energies, vectors)
 
 
+def solver_calls(monkeypatch, matrix):
+    """``diagonalize(matrix)`` and the dtype and size of each matrix its
+    eigensolver received."""
+    seen = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(a, *args, **kwargs):
+        seen.append((np.asarray(a).dtype, len(a)))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    spec = diagonalize(matrix)
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    return spec, seen
+
+
+def centrosymmetric(matrix):
+    """``(M + J M J) / 2`` with ``J`` the index reversal. Each entry and
+    its mirror sum the same two numbers, so the result equals its
+    reversal exactly."""
+    return (matrix + matrix[::-1, ::-1]) / 2.0
+
+
 class TestStateVector:
     def test_norm_enforced(self):
         with pytest.raises(ValueError):
@@ -144,26 +167,13 @@ class TestDiagonalize:
                 with pytest.raises(ValueError, match="not Hermitian"):
                     diagonalize(matrix)
 
-    @staticmethod
-    def solver_dtypes(monkeypatch, matrix):
-        """``diagonalize(matrix)`` and the dtypes its eigensolver received."""
-        seen = []
-        eigh = np.linalg.eigh
-
-        def recording_eigh(a, *args, **kwargs):
-            seen.append(np.asarray(a).dtype)
-            return eigh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
-        spec = diagonalize(matrix)
-        monkeypatch.setattr(np.linalg, "eigh", eigh)
-        return spec, seen
-
     @pytest.mark.parametrize(
-        "psum",
+        "psum, calls",
         [
-            build_tfim(6, 1.0, 0.8),
-            PauliSum.from_terms(
+            # spin-flip symmetric: two real blocks of half the dimension
+            (build_tfim(6, 1.0, 0.8), [(float, 32), (float, 32)]),
+            # XYYZI has an odd count of Y and Z factors: one full solve
+            (PauliSum.from_terms(
                 5,
                 [
                     (0.7, PauliString.from_label("XYYZI")),
@@ -172,16 +182,16 @@ class TestDiagonalize:
                     (0.9, PauliString.from_label("IYXYZ")),
                     (-0.3, PauliString.from_label("IIIIZ")),
                 ],
-            ),
+            ), [(float, 32)]),
         ],
         ids=["tfim", "even-y"],
     )
-    def test_real_matrix_takes_real_solver(self, monkeypatch, psum):
+    def test_real_matrix_takes_real_solver(self, monkeypatch, psum, calls):
         matrix = to_dense(psum)
         assert not np.any(matrix.imag)
         oracle = complex_eigh_oracle(matrix)
-        spec, seen = self.solver_dtypes(monkeypatch, matrix)
-        assert seen == [np.dtype(float)]
+        spec, seen = solver_calls(monkeypatch, matrix)
+        assert seen == [(np.dtype(dtype), size) for dtype, size in calls]
         scale = np.max(np.abs(oracle.energies))
         np.testing.assert_allclose(spec.energies, oracle.energies, rtol=0, atol=1e-12 * scale)
         rng = np.random.default_rng(31)
@@ -196,9 +206,76 @@ class TestDiagonalize:
         matrix = to_dense(complex_hermitian_sum(4, np.random.default_rng(32)))
         assert np.any(matrix.imag)
         oracle = complex_eigh_oracle(matrix)
-        spec, seen = self.solver_dtypes(monkeypatch, matrix)
-        assert seen == [np.dtype(complex)]
+        spec, seen = solver_calls(monkeypatch, matrix)
+        assert seen == [(np.dtype(complex), 16)]
         np.testing.assert_array_equal(spec.energies, oracle.energies)
+
+
+class TestSpinFlipSplit:
+    """A matrix equal to its index reversal is solved as two half-size
+    blocks; the full complex ``eigh`` is the oracle."""
+
+    @staticmethod
+    def assert_matches_oracle(matrix, spec, n_qubits, seed):
+        oracle = complex_eigh_oracle(matrix)
+        scale = max(np.max(np.abs(oracle.energies)), 1.0)
+        np.testing.assert_allclose(
+            spec.energies, oracle.energies, rtol=0, atol=1e-12 * scale
+        )
+        vectors = spec.eigenvectors
+        np.testing.assert_allclose(
+            vectors.conj().T @ vectors, np.eye(len(matrix)), rtol=0, atol=1e-12
+        )
+        # The signal sums whole eigenspaces, so it is the same for any
+        # basis of a degenerate level.
+        rng = np.random.default_rng(seed)
+        phi0 = random_state(n_qubits, rng)
+        obs = [identity_sum(n_qubits), random_hermitian_sum(n_qubits, rng, n_terms=3)]
+        for mode in ("real", "complex"):
+            got = exact_signal(spec, phi0, obs, 0.3, 40, mode=mode)
+            want = exact_signal(oracle, phi0, obs, 0.3, 40, mode=mode)
+            np.testing.assert_allclose(got.values, want.values, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("field", [0.7, 0.0], ids=["h=0.7", "h=0"])
+    @pytest.mark.parametrize("n_qubits", range(2, 11))
+    def test_tfim_chain(self, monkeypatch, n_qubits, field):
+        matrix = to_dense(build_tfim(n_qubits, 1.0, field))
+        spec, seen = solver_calls(monkeypatch, matrix)
+        half = 1 << (n_qubits - 1)
+        assert seen == [(np.dtype(float), half), (np.dtype(float), half)]
+        self.assert_matches_oracle(matrix, spec, n_qubits, seed=n_qubits)
+
+    @pytest.mark.parametrize("complex_valued", [False, True], ids=["real", "complex"])
+    def test_random_centrosymmetric(self, monkeypatch, complex_valued):
+        rng = np.random.default_rng(41)
+        z = rng.standard_normal((32, 32))
+        if complex_valued:
+            z = z + 1j * rng.standard_normal((32, 32))
+        matrix = centrosymmetric((z + z.conj().T) / 2.0)
+        assert np.array_equal(matrix, matrix[::-1, ::-1])
+        spec, seen = solver_calls(monkeypatch, matrix)
+        dtype = np.dtype(complex if complex_valued else float)
+        assert seen == [(dtype, 16), (dtype, 16)]
+        self.assert_matches_oracle(matrix, spec, 5, seed=42)
+
+    def test_one_ulp_off_takes_full_solve(self, monkeypatch):
+        matrix = to_dense(build_tfim(5, 1.0, 0.7)).real.copy()
+        i, j = 1, 3  # their mirror entries (30, 28) keep the old value
+        assert matrix[i, j] != 0.0
+        matrix[i, j] = matrix[j, i] = np.nextafter(matrix[i, j], np.inf)
+        spec, seen = solver_calls(monkeypatch, matrix)
+        assert seen == [(np.dtype(float), 32)]
+        self.assert_matches_oracle(matrix, spec, 5, seed=43)
+
+    def test_odd_dimension_takes_full_solve(self, monkeypatch):
+        rng = np.random.default_rng(44)
+        z = rng.standard_normal((7, 7))
+        matrix = centrosymmetric(z + z.T)
+        assert np.array_equal(matrix, matrix[::-1, ::-1])
+        spec, seen = solver_calls(monkeypatch, matrix)
+        assert seen == [(np.dtype(float), 7)]
+        oracle = complex_eigh_oracle(matrix)
+        np.testing.assert_allclose(spec.energies, oracle.energies, rtol=0, atol=1e-12)
 
 
 class TestEvolve:
