@@ -27,6 +27,7 @@ from .pauli import (
     PauliString,
     PauliSum,
     build_tfim,
+    one_local_pool,
     parse_pauli_sum,
     partial_sum_observables,
     random_one_local,
@@ -41,7 +42,6 @@ from .simulate import (
     build_reference_superposition,
     diagonalize,
     exact_signal,
-    phase_table,
 )
 from .solver import (
     build_hankel,
@@ -180,6 +180,13 @@ class ExperimentConfig:
             raise ConfigError("reference_bitstrings must not be empty")
         if len(set(self.reference_bitstrings)) != len(self.reference_bitstrings):
             raise ConfigError("reference_bitstrings contains duplicates")
+        if self.particle_number is not None:
+            for bits in self.reference_bitstrings:
+                if bits.count("1") != self.particle_number:
+                    raise ConfigError(
+                        f"reference bitstring {bits!r} lies outside particle "
+                        f"sector {self.particle_number}"
+                    )
         if self.observable_policy not in OBSERVABLE_POLICIES:
             raise ConfigError(
                 f"observable_policy must be one of {OBSERVABLE_POLICIES}, "
@@ -425,9 +432,9 @@ def identity_observable(n_qubits: int) -> PauliSum:
 class Problem:
     """Resolved physical model shared by every cell of a sweep.
 
-    ``phases`` is the :func:`~modmd.simulate.phase_table` of ``spec`` and
-    ``dt`` that every exact signal of the sweep slices, or ``None`` when
-    each signal builds its own.
+    ``signals`` maps each observable a cell can measure (see
+    :func:`_observable_pool`) to its real exact signal, one row of the
+    problem's ``k_max + 1`` samples; it is empty without ``k_max``.
     """
 
     n_qubits: int
@@ -439,7 +446,7 @@ class Problem:
     dt: float
     exact_energies: "tuple[float, ...]"
     explicit_observables: "tuple[PauliSum, ...] | None"
-    phases: "np.ndarray | None" = None
+    signals: "dict[PauliSum, np.ndarray]" = field(default_factory=dict)
 
 
 def _orthogonal_companion(phi0: StateVector) -> StateVector:
@@ -541,8 +548,9 @@ def resolve_time_step(config: ExperimentConfig) -> float:
 def build_problem(config: ExperimentConfig, k_max: "int | None" = None) -> Problem:
     """Diagonalize the (rescaled) Hamiltonian and resolve run-wide state.
 
-    With ``k_max`` set, the problem carries the phase table of exact
-    signals over up to ``k_max + 1`` samples.
+    With ``k_max`` set, the problem carries the exact signal over
+    ``k_max + 1`` samples of every observable its cells can measure, from
+    one :func:`~modmd.simulate.exact_signal` call.
     """
     hamiltonian = resolve_hamiltonian(config)
     n_qubits = hamiltonian.n_qubits
@@ -554,7 +562,7 @@ def build_problem(config: ExperimentConfig, k_max: "int | None" = None) -> Probl
     inside = check_levels(config, dense)
     block = None if inside is None else dense[np.ix_(inside, inside)]
     spec = diagonalize(dense)
-    del dense  # before the phase table; the eigenbasis replaces it
+    del dense  # the eigenbasis replaces it
     levels = spec.energies if block is None else np.linalg.eigvalsh(block)
     phi0 = build_reference_superposition(n_qubits, list(config.reference_bitstrings))
     phi_perp = _orthogonal_companion(phi0)
@@ -566,6 +574,11 @@ def build_problem(config: ExperimentConfig, k_max: "int | None" = None) -> Probl
         explicit = parse_observable_file(
             config.observable_file, n_qubits, config.n_observables
         )
+    signals = {}
+    if k_max is not None:
+        pool = _observable_pool(config, hamiltonian, explicit)
+        truth = exact_signal(spec, phi0, pool, dt, k_max, mode="real").values
+        signals = dict(zip(pool, truth))
     return Problem(
         n_qubits=n_qubits,
         hamiltonian=hamiltonian,
@@ -576,8 +589,27 @@ def build_problem(config: ExperimentConfig, k_max: "int | None" = None) -> Probl
         dt=dt,
         exact_energies=tuple(float(e) for e in physical),
         explicit_observables=explicit,
-        phases=None if k_max is None else phase_table(spec, dt, k_max + 1),
+        signals=signals,
     )
+
+
+def _observable_pool(
+    config: ExperimentConfig,
+    hamiltonian: PauliSum,
+    explicit: "tuple[PauliSum, ...] | None",
+) -> "list[PauliSum]":
+    """Every observable a cell of ``config`` can measure, each once: those
+    :func:`build_observables` can return under any seed, then the identity
+    of the single-observable baseline."""
+    policy = config.observable_policy
+    candidates = []
+    if policy == "random-1-local":
+        candidates = list(one_local_pool(hamiltonian.n_qubits))
+    elif policy == "hamiltonian-partial-sums":
+        candidates = partial_sum_observables(hamiltonian, config.n_observables)
+    elif policy == "explicit":
+        candidates = list(explicit)
+    return list(dict.fromkeys(candidates + [identity_observable(hamiltonian.n_qubits)]))
 
 
 def build_observables(
@@ -851,10 +883,11 @@ def _longest_signal(plan: _SweepPlan) -> int:
 def _evaluate_cell(plan: _SweepPlan, problem: Problem, point_index: int, trial: int):
     """Both methods' rows of one (point, trial) cell.
 
-    One exact signal holds both methods' clean samples, and a forecast's
-    held-out tail: the modmd observables, then the identity. The modmd
-    row's ``signal_s`` also times it. Each method then measures its
-    samples, builds the Hankel pair, fits and scores the fit.
+    The problem's exact signals hold both methods' clean samples, and a
+    forecast's held-out tail: the cell stacks the rows of the modmd
+    observables, then the identity, and the modmd row's ``signal_s`` also
+    times that. Each method then measures its samples, builds the Hankel
+    pair, fits and scores the fit.
     """
     config, value = plan.configs[point_index], plan.points[point_index]
     d, K = plan.windows[point_index]
@@ -865,15 +898,9 @@ def _evaluate_cell(plan: _SweepPlan, problem: Problem, point_index: int, trial: 
         "odmd": ([identity_observable(problem.n_qubits)], _STREAM_ODMD),
     }
     laps = _Laps()
-    truth = exact_signal(
-        problem.spec,
-        problem.phi0,
-        pools["modmd"][0] + pools["odmd"][0],
-        problem.dt,
-        K + d + plan.horizon,
-        mode="real",
-        phases=problem.phases,
-    ).values
+    n_steps = K + d + plan.horizon + 1
+    observed = pools["modmd"][0] + pools["odmd"][0]
+    truth = np.stack([problem.signals[o][:n_steps] for o in observed])
     blocks = {"modmd": truth[:-1], "odmd": truth[-1:]}
     rows = []
     for method in _METHODS:
@@ -905,7 +932,7 @@ def _evaluate_cell(plan: _SweepPlan, problem: Problem, point_index: int, trial: 
 # latest problem, keyed by its transverse field (the only problem input a
 # sweep varies), is kept. Tasks arrive in (point, trial) order, so each
 # worker diagonalizes at most once per Hamiltonian and holds one eigenbasis
-# and phase table at a time.
+# at a time.
 _WORKER_PLAN: "_SweepPlan | None" = None
 _WORKER_PROBLEM: "tuple[float, Problem] | None" = None
 
@@ -1006,7 +1033,7 @@ def run_single_solve(config: ExperimentConfig) -> "tuple[SweepRow, SweepRow]":
     """One-shot evaluation at the first configured K (trial 0)."""
     plan = _plan("sweep-k", config, config.k_grid[:1])
     plan = dataclasses.replace(plan, kind="solve")  # names solve in a shortfall
-    rows = _evaluate_cell(plan, build_problem(config), 0, 0)
+    rows = _evaluate_cell(plan, build_problem(config, _longest_signal(plan)), 0, 0)
     return rows[0], rows[1]
 
 

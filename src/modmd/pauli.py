@@ -9,6 +9,7 @@ of a bitstring label is the index of the matching basis state.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -283,7 +284,8 @@ def build_tfim(n_qubits: int, coupling: float, field: float) -> PauliSum:
 
 
 def to_dense(psum: PauliSum) -> np.ndarray:
-    """Dense complex matrix of a Pauli sum.
+    """Dense matrix of a Pauli sum: real when every string has an even
+    number of Y factors (so a real phase), complex otherwise.
 
     Refuses, before allocating, a register whose matrix and eigenbasis
     (two complex ``2^n x 2^n`` arrays) would not fit in physical memory.
@@ -298,12 +300,13 @@ def to_dense(psum: PauliSum) -> np.ndarray:
             "physical memory"
         )
     n = 1 << psum.n_qubits
-    out = np.zeros((n, n), dtype=complex)
+    y_counts = [(s.x_mask & s.z_mask).bit_count() for s in psum.strings]
+    real = all(n_y % 2 == 0 for n_y in y_counts)
+    out = np.zeros((n, n), dtype=float if real else complex)
     idx = np.arange(n)
-    for c, s in zip(psum.coefficients, psum.strings):
-        n_y = (s.x_mask & s.z_mask).bit_count()
-        vals = c * (1j) ** n_y * (-1.0) ** _parity(idx, s.z_mask)
-        out[idx ^ s.x_mask, idx] += vals
+    for c, s, n_y in zip(psum.coefficients, psum.strings, y_counts):
+        phase = (-1.0) ** (n_y // 2) if real else (1j) ** n_y
+        out[idx ^ s.x_mask, idx] += c * phase * (-1.0) ** _parity(idx, s.z_mask)
     return out
 
 
@@ -342,22 +345,29 @@ def partial_sum_observables(psum: PauliSum, count: int) -> list[PauliSum]:
     return out
 
 
+@functools.cache
+def one_local_pool(n_qubits: int) -> "tuple[PauliSum, ...]":
+    """The ``3 * n_qubits`` single-qubit Paulis X, Y, Z on each qubit in
+    turn, coefficient 1; built once per register width."""
+    return tuple(
+        PauliSum(n_qubits, (1.0,), (PauliString.single(n_qubits, q, axis),))
+        for q in range(n_qubits)
+        for axis in AXES[1:]
+    )
+
+
 def random_one_local(n_qubits: int, count: int, seed: int) -> list[PauliSum]:
     """Draw distinct single-qubit Pauli observables, coefficient 1.
 
-    The pool has ``3 * n_qubits`` entries (X, Y, Z on each qubit); draws
-    are uniform without replacement and deterministic under ``seed``.
+    Draws are entries of :func:`one_local_pool`, uniform without
+    replacement and deterministic under ``seed``.
     """
-    pool = 3 * n_qubits
-    if not 1 <= count <= pool:
-        raise ValueError(f"count must lie in [1, {pool}], got {count}")
+    pool = one_local_pool(n_qubits)
+    if not 1 <= count <= len(pool):
+        raise ValueError(f"count must lie in [1, {len(pool)}], got {count}")
     rng = np.random.default_rng(seed)
-    picks = rng.choice(pool, size=count, replace=False)
-    out = []
-    for p in picks:
-        string = PauliString.single(n_qubits, int(p) // 3, AXES[1 + int(p) % 3])
-        out.append(PauliSum(n_qubits, (1.0,), (string,)))
-    return out
+    picks = rng.choice(len(pool), size=count, replace=False)
+    return [pool[p] for p in picks]
 
 
 @dataclass(frozen=True, slots=True)

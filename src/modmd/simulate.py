@@ -19,6 +19,9 @@ NORM_ATOL = 1e-10
 HERMITICITY_RTOL = 1e-10
 # Rows per strip of the Hermiticity check: its only temporaries are strips.
 _HERMITICITY_STRIP = 64
+# Samples per column block of an exact signal's phase sum: its phase
+# temporaries hold D x _PHASE_BLOCK entries, however long the signal.
+_PHASE_BLOCK = 32
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,7 +150,7 @@ def diagonalize(matrix: np.ndarray) -> SpectralDecomposition:
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
-    if not np.any(matrix.imag):
+    if np.iscomplexobj(matrix) and not np.any(matrix.imag):
         matrix = matrix.real
     scale = max(float(np.linalg.norm(matrix)), 1.0)
     if _antihermitian_sq(matrix) > (HERMITICITY_RTOL * scale) ** 2:
@@ -270,18 +273,6 @@ def composite_state(
     return StateVector(phi0.n_qubits + 1, amps)
 
 
-def phase_table(spec: SpectralDecomposition, dt: float, n_steps: int) -> np.ndarray:
-    """Pure phases ``exp(-i E_n dt k)``, row ``n``, column ``k < n_steps``.
-
-    Built in place, so the table is the only allocation. One table serves
-    every signal of a spectrum and step: a signal over ``k_max + 1``
-    samples reads its first ``k_max + 1`` columns.
-    """
-    table = np.empty((spec.dimension, n_steps), dtype=complex)
-    np.multiply.outer(-1j * dt * spec.energies, np.arange(n_steps), out=table)
-    return np.exp(table, out=table)
-
-
 def exact_signal(
     spec: SpectralDecomposition,
     phi0: StateVector,
@@ -289,7 +280,6 @@ def exact_signal(
     dt: float,
     k_max: int,
     mode: str = "real",
-    phases: "np.ndarray | None" = None,
 ) -> MultiObservableSignal:
     """Noise-free overlap signals ``<phi0| O_i exp(-i H k dt) |phi0>``.
 
@@ -297,10 +287,11 @@ def exact_signal(
     ``w_i = V^dag O_i phi0`` the signal is a sum of pure phases,
     ``sum_n conj(w_i[n]) b[n] exp(-i E_n k dt)``. One product
     ``conj([phi0, O_1 phi0, ...]) @ V`` gives every ``conj(b)`` and
-    ``conj(w_i)`` without copying ``V``, and one more with the first
-    ``k_max + 1`` columns of ``phases``, a :func:`phase_table` of ``spec``
-    and ``dt`` shared by the caller, gives all samples; without one, a
-    table of exactly ``k_max + 1`` columns is built.
+    ``conj(w_i)`` without copying ``V``. The phases are summed in blocks
+    of ``_PHASE_BLOCK`` samples: block ``j`` starting at step ``s_j`` is
+    ``(c * exp(-i E dt s_j)) @ exp(-i E dt m)`` over ``m`` in the block,
+    each shift its own ``exp`` (no drift from repeated products), so no
+    ``D x (k_max + 1)`` table is ever held.
     """
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
@@ -308,13 +299,6 @@ def exact_signal(
         raise ValueError(f"dt must be positive, got {dt}")
     if not observables:
         raise ValueError("need at least one observable")
-    if phases is None:
-        phases = phase_table(spec, dt, k_max + 1)
-    elif phases.shape[0] != spec.dimension or phases.shape[1] <= k_max:
-        raise ValueError(
-            f"phase table of shape {phases.shape} does not cover "
-            f"{spec.dimension} levels and {k_max + 1} steps"
-        )
     stack = np.empty((len(observables) + 1, spec.dimension), dtype=complex)
     stack[0] = phi0.amplitudes
     for i, obs in enumerate(observables):
@@ -323,7 +307,15 @@ def exact_signal(
         stack[i + 1] = obs.apply(phi0.amplitudes)
     projected = stack.conj() @ spec.eigenvectors
     coeffs = projected[1:] * projected[0].conj()
-    values = coeffs @ phases[:, : k_max + 1]
+    rate = -1j * dt * spec.energies
+    n_steps = k_max + 1
+    width = min(_PHASE_BLOCK, n_steps)
+    base = np.exp(np.multiply.outer(rate, np.arange(width)))
+    values = np.empty((len(observables), n_steps), dtype=complex)
+    for start in range(0, n_steps, width):
+        stop = min(start + width, n_steps)
+        shifted = coeffs * np.exp(rate * start)
+        values[:, start:stop] = shifted @ base[:, : stop - start]
     if mode == "real":
         values = values.real
     return MultiObservableSignal(len(observables), dt, values, mode)

@@ -295,7 +295,8 @@ def residual(fit: PropagatorFit, pair: HankelPair) -> float:
         raise DegenerateInputError("all-zero shifted matrix has no residual")
     pinv = fit.pinv
     fitted = (fit.b_matrix * pinv.singular_values[: pinv.rank]) @ pinv.right
-    return float(np.linalg.norm(pair.xp - fitted) / denom)
+    fitted -= pair.xp  # in place: the norm of A x - xp equals that of xp - A x
+    return float(np.linalg.norm(fitted) / denom)
 
 
 def forecast(

@@ -40,6 +40,7 @@ from modmd import (
     load_config,
     measure_signal,
     parse_pauli_sum,
+    partial_sum_observables,
     replay_manifest,
     residual,
     resolve_output_dir,
@@ -63,6 +64,7 @@ from modmd.cli import (
     main,
 )
 from modmd.harness import (
+    OBSERVABLE_POLICIES,
     depth_for_window,
     identity_observable,
     parse_observable_file,
@@ -423,7 +425,7 @@ class TestBuildProblem:
             tfim_qubits=None,
             hamiltonian_file=str(hfile),
             particle_number=3,
-            reference_bitstrings=("001",),
+            reference_bitstrings=("111",),
         )
         with pytest.raises(ConfigError, match="holds only 1"):
             build_problem(config)
@@ -474,7 +476,7 @@ class TestBuildProblem:
                 "the spectrum holds only 4 levels, need 5",
             ),
             (
-                dict(particle_number=0, n_eig=2),
+                dict(particle_number=0, reference_bitstrings=("000",), n_eig=2),
                 "particle sector 0 holds only 1 levels, need 2",
             ),
         ],
@@ -592,6 +594,70 @@ class TestObservablePools:
         problem = build_problem(config)
         pool = build_observables(config, problem, seed=7)
         assert [o.strings[0].label for o in pool] == ["ZII", "IZI"]
+
+
+class TestProblemSignals:
+    """``Problem.signals`` holds each observable a cell can measure,
+    computed once per problem."""
+
+    @pytest.fixture
+    def policy_configs(self, tmp_path):
+        obs = tmp_path / "obs.txt"
+        obs.write_text("1.0 ZII\n\n0.5 IXI\n-0.5 IIX\n\n1.0 III\n")
+        return {
+            "identity-only": small_config(observable_policy="identity-only", n_observables=1),
+            "random-1-local": small_config(n_observables=4),
+            "hamiltonian-partial-sums": small_config(
+                observable_policy="hamiltonian-partial-sums", n_observables=6
+            ),
+            "explicit": small_config(
+                observable_policy="explicit", observable_file=str(obs), n_observables=3
+            ),
+        }
+
+    @pytest.mark.parametrize("policy", OBSERVABLE_POLICIES)
+    def test_rows_match_the_exact_signal_oracle(self, policy, policy_configs):
+        config = policy_configs[policy]
+        problem = build_problem(config, 40)
+        identity = identity_observable(3)
+        expected = {
+            "identity-only": lambda: [identity],
+            "random-1-local": lambda: list(pauli.one_local_pool(3)) + [identity],
+            # the sixth partial sum is the zero operator
+            "hamiltonian-partial-sums": lambda: partial_sum_observables(
+                problem.hamiltonian, 6
+            ) + [identity],
+            # the file's third observable is the identity itself
+            "explicit": lambda: list(problem.explicit_observables),
+        }[policy]()
+        assert list(problem.signals) == expected
+        for obs, row in problem.signals.items():
+            oracle = exact_signal(problem.spec, problem.phi0, [obs], problem.dt, 40)
+            assert row.shape == (41,)
+            scale = max(obs.weight_l1, 1.0)
+            np.testing.assert_allclose(row, oracle.values[0], rtol=0, atol=1e-12 * scale)
+        for seed in range(5):
+            for obs in build_observables(config, problem, seed):
+                assert obs in problem.signals
+
+    def test_no_k_max_computes_nothing(self, monkeypatch):
+        def no_signal(*args, **kwargs):
+            raise AssertionError("exact signal without k_max")
+
+        monkeypatch.setattr(harness, "exact_signal", no_signal)
+        assert build_problem(small_config()).signals == {}
+
+    def test_problem_holds_no_level_by_step_array(self):
+        k_max = 100
+        problem = build_problem(small_config(n_observables=2), k_max)
+        dim = problem.spec.dimension
+        arrays = [getattr(problem, f.name) for f in dataclasses.fields(problem)]
+        arrays += list(problem.signals.values())
+        arrays += [problem.spec.energies, problem.spec.eigenvectors]
+        for value in arrays:
+            if isinstance(value, np.ndarray):
+                assert value.size < dim * (k_max + 1)
+        assert all(row.shape == (k_max + 1,) for row in problem.signals.values())
 
 
 class TestParseObservableFile:
@@ -926,19 +992,19 @@ class TestSweepDrivers:
         assert len(built) == 3  # once per field, not once per cell
         assert held == [None, None, None]  # the previous field's problem is released
 
-    def test_sweep_problem_carries_the_longest_phase_table(self, monkeypatch):
-        tables = []
+    def test_sweep_problem_carries_the_longest_signals(self, monkeypatch):
+        lengths = []
 
         def recording_build_problem(*args, **kwargs):
             problem = build_problem(*args, **kwargs)
-            tables.append(problem.phases.shape)
+            lengths.append({len(row) for row in problem.signals.values()})
             return problem
 
         monkeypatch.setattr(harness, "build_problem", recording_build_problem)
         run_convergence_sweep(small_config(k_grid=(16, 24), trials=1))
         run_forecast_experiment(small_config(trials=1), (20, 30), 7)
         # K + d + 1 samples at K = 24, d = 12; k* + horizon + 1 at k* = 30
-        assert tables == [(8, 37), (8, 38)]
+        assert lengths == [{37}, {38}]
 
     @pytest.mark.parametrize("kind", list(harness.SWEEP_KINDS))
     def test_cell_takes_truth_from_one_exact_signal(self, kind, monkeypatch):
@@ -959,9 +1025,21 @@ class TestSweepDrivers:
             "forecast": lambda: run_forecast_experiment(config, (20, 30), 7),
         }[kind]()
         assert result.sweep == kind
-        # one call per (point, trial) cell, on the modmd pool plus the identity
-        assert calls == [3 + 1] * 4
+        # one call per problem (one per field of a gap sweep), on the 3n
+        # single-qubit Paulis plus the identity; no call per cell
+        assert calls == [3 * 3 + 1] * (2 if kind == "sweep-gap" else 1)
         assert len(result.rows) == 8
+
+    def test_single_solve_takes_truth_from_one_exact_signal(self, monkeypatch):
+        calls = []
+
+        def counting_exact_signal(spec, phi0, observables, dt, k_max, **kwargs):
+            calls.append((len(observables), k_max))
+            return exact_signal(spec, phi0, observables, dt, k_max, **kwargs)
+
+        monkeypatch.setattr(harness, "exact_signal", counting_exact_signal)
+        run_single_solve(small_config(k_grid=(16, 24)))
+        assert calls == [(3 * 3 + 1, 16 + 8)]  # K + d at the first K
 
     def test_forecast_baseline_truth_matches_identity_signal(self):
         config = small_config(trials=1, noise_epsilon=0.0)
@@ -1589,6 +1667,46 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: particle_number needs a number-conserving")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "verb", ["validate-config", "solve", "sweep-k", "forecast", "replay"]
+    )
+    def test_reference_outside_the_sector_exit_code(self, verb, workers, tmp_path, capsys):
+        """A reference outside the particle sector has no weight on the
+        sector's levels; every entry point refuses it before any output."""
+        hfile = tmp_path / "h.txt"
+        hfile.write_text(hopping_chain(4).replace("0.5", "1.0") + "0.3 ZIII\n")
+        out = tmp_path / "out"
+        if verb == "replay":
+            config = config_to_dict(
+                small_config(
+                    tfim_qubits=None,
+                    hamiltonian_file=str(hfile),
+                    particle_number=2,
+                    reference_bitstrings=("1100",),
+                    workers=workers,
+                    output_dir=str(out),
+                )
+            )
+            config["reference_bitstrings"] = ["0000", "1000"]
+            manifest = tmp_path / "m.json"
+            manifest.write_text(
+                json.dumps({"sweep": "sweep-k", "config": config, "sweep_args": {}})
+            )
+            argv = ["sweep-k", "--config", str(manifest)]
+        else:
+            argv = [
+                verb, "--hamiltonian-file", str(hfile), "--particle-number", "2",
+                "--reference", "0000", "--reference", "1000",
+                "--workers", str(workers), "--output-dir", str(out),
+            ]
+            if verb == "forecast":
+                argv += ["--kstar-grid", "20", "--horizon", "5"]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "error: reference bitstring '0000' lies outside particle sector 2\n"
+        assert not out.exists()
 
     def test_unknown_manifest_sweep_arg_exit_code(self, tmp_path, capsys):
         path = tmp_path / "m.json"

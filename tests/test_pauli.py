@@ -221,6 +221,24 @@ class TestToDense:
             atol=1e-12,
         )
 
+    @pytest.mark.parametrize(
+        "psum, dtype",
+        [
+            (build_tfim(4, 1.0, 0.7), float),
+            (parse_pauli_sum("1.0 XYY\n0.5 ZZI\n-0.7 IXX\n0.3 YIY\n"), float),
+            (parse_pauli_sum("0.5 XXII\n0.5 YYII\n0.5 IIXX\n0.5 IIYY\n"), float),
+            (parse_pauli_sum("1.0 XYZ\n0.5 ZZI\n-0.7 IXX\n0.3 YII\n"), complex),
+        ],
+        ids=["tfim", "even-y", "hopping", "odd-y"],
+    )
+    def test_real_sum_gives_real_matrix(self, psum, dtype):
+        """A sum whose strings all carry an even number of Y factors has
+        a real matrix, with the entries of the complex construction."""
+        dense = to_dense(psum)
+        assert dense.dtype == np.dtype(dtype)
+        terms = [(c, s.label) for c, s in psum.terms]
+        np.testing.assert_array_equal(dense, dense_from_labels(psum.n_qubits, terms))
+
     def test_register_above_cap_rejected(self, monkeypatch):
         monkeypatch.setattr(pauli, "_physical_memory_bytes", lambda: 2**30)
         psum = PauliSum.from_terms(
@@ -360,6 +378,29 @@ class TestRandomOneLocal:
     def test_oversized_pool_rejected(self):
         with pytest.raises(ValueError):
             random_one_local(2, 7, seed=0)
+
+    def test_pool_is_x_y_z_on_each_qubit_in_turn(self):
+        pool = pauli.one_local_pool(3)
+        assert [p.strings[0].label for p in pool] == [
+            "XII", "YII", "ZII", "IXI", "IYI", "IZI", "IIX", "IIY", "IIZ"
+        ]
+        assert all(p.coefficients == (1.0,) for p in pool)
+        assert pauli.one_local_pool(3) is pool  # built once per width
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_draws_are_pool_entries_in_rng_order(self, seed):
+        """The same ``rng.choice`` draw picks the same observables, in the
+        same order, as building each draw's string from its index."""
+        n, count = 5, 7
+        picks = np.random.default_rng(seed).choice(3 * n, size=count, replace=False)
+        expected = [
+            PauliSum(n, (1.0,), (PauliString.single(n, int(p) // 3, "XYZ"[int(p) % 3]),))
+            for p in picks
+        ]
+        drawn = random_one_local(n, count, seed=seed)
+        assert drawn == expected
+        pool = pauli.one_local_pool(n)
+        assert all(any(d is p for p in pool) for d in drawn)
 
 
 class TestShiftAndScale:

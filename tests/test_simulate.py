@@ -17,10 +17,11 @@ from modmd import (
     diagonalize,
     evolve,
     exact_signal,
+    shift_and_scale,
     to_dense,
     trotter_evolve,
 )
-from modmd.simulate import HERMITICITY_RTOL, phase_table
+from modmd.simulate import HERMITICITY_RTOL
 
 
 def identity_sum(n_qubits):
@@ -574,22 +575,29 @@ class TestExactSignal:
             signal = exact_signal(spec, phi0, [obs], 0.5, 20, mode="complex")
             assert np.max(np.abs(signal.values)) <= obs.weight_l1 + 1e-10
 
-    def test_slice_of_shared_phase_table_matches_own_table(self):
+    @pytest.mark.parametrize("mode", ["complex", "real"])
+    @pytest.mark.parametrize("k_max", [0, 1, 31, 32, 33, 700])
+    def test_column_blocks_match_direct_phase_sum(self, k_max, mode):
+        """The blocks of 32 samples meet without a gap or an overlap, and
+        700 steps of shifts build up no drift: every sample matches the
+        full ``exp`` table within 1e-12 of the coefficients' 1-norm."""
         rng = np.random.default_rng(25)
-        spec = diagonalize(to_dense(complex_hermitian_sum(4, rng)))
+        h, _ = shift_and_scale(complex_hermitian_sum(4, rng))
+        spec = diagonalize(to_dense(h))
         phi0 = random_state(4, rng)
         obs = [identity_sum(4), complex_hermitian_sum(4, rng)]
-        dt = 0.7
-        shared = phase_table(spec, dt, 61)
-        assert shared.shape == (16, 61)
-        for k_max in (0, 9, 60):
-            own = exact_signal(spec, phi0, obs, dt, k_max, mode="complex")
-            sliced = exact_signal(spec, phi0, obs, dt, k_max, mode="complex", phases=shared)
-            np.testing.assert_allclose(sliced.values, own.values, rtol=0, atol=1e-13)
-        with pytest.raises(ValueError, match="does not cover"):
-            exact_signal(spec, phi0, obs, dt, 61, phases=shared)
-        with pytest.raises(ValueError, match="does not cover"):
-            exact_signal(spec, phi0, obs, dt, 5, phases=shared[:8])
+        dt = 1.0
+        got = exact_signal(spec, phi0, obs, dt, k_max, mode=mode)
+        v = spec.eigenvectors
+        b = v.conj().T @ phi0.amplitudes
+        coeffs = np.array([(v.conj().T @ o.apply(phi0.amplitudes)).conj() * b for o in obs])
+        table = np.exp(-1j * dt * np.outer(spec.energies, np.arange(k_max + 1)))
+        want = coeffs @ table
+        if mode == "real":
+            want = want.real
+        assert got.values.shape == want.shape == (2, k_max + 1)
+        bound = 1e-12 * np.abs(coeffs).sum(axis=1, keepdims=True)
+        assert np.all(np.abs(got.values - want) <= bound)
 
     def test_invalid_arguments_rejected(self):
         spec = diagonalize(to_dense(build_tfim(2, 1.0, 1.0)))

@@ -903,6 +903,43 @@ class TestResidual:
             fitted(clean_pair, 1e-12), clean_pair
         )
 
+    @staticmethod
+    def noisy_mode_pair(real):
+        rng = np.random.default_rng(16)
+        signal = mode_signal([0.4, 1.2, -0.7], rng.standard_normal((3, 3)), 1.0, 400)
+        values = signal.values + 1e-3 * rng.standard_normal(signal.values.shape)
+        if real:
+            signal = MultiObservableSignal(3, 1.0, values.real, mode="real")
+        else:
+            signal = MultiObservableSignal(3, 1.0, values, mode="complex")
+        return build_hankel(signal, d=20, K=360)
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_matches_the_out_of_place_difference_bit_for_bit(self, real):
+        pair = self.noisy_mode_pair(real)
+        fit = fitted(pair, 1e-2)
+        pinv = fit.pinv
+        model = (fit.b_matrix * pinv.singular_values[: pinv.rank]) @ pinv.right
+        oracle = float(np.linalg.norm(pair.xp - model) / np.linalg.norm(pair.xp))
+        assert residual(fit, pair) == oracle
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_allocates_one_snapshot_sized_array(self, real):
+        """The model ``A x`` is the only array of the snapshots' size: the
+        difference is taken in place, not in a second one."""
+        import tracemalloc
+
+        pair = self.noisy_mode_pair(real)
+        fit = fitted(pair, 1e-2)
+        assert fit.rank <= 10  # so the rank-sized factors stay small
+        tracemalloc.start()
+        try:
+            residual(fit, pair)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * pair.x.nbytes
+
     def test_zero_target_rejected(self):
         pair = HankelPair(x=np.ones((1, 3)), xp=np.zeros((1, 3)), n_observables=1)
         with pytest.raises(DegenerateInputError):
