@@ -17,14 +17,11 @@ from .harness import (
     SIGNAL_SOURCES,
     SWEEP_KINDS,
     ExperimentConfig,
-    check_levels,
     config_from_dict,
     emit_outputs,
-    parse_observable_file,
     read_run_file,
-    resolve_hamiltonian,
+    resolve_inputs,
     resolve_output_dir,
-    resolve_time_step,
     run_convergence_sweep,
     run_forecast_experiment,
     run_gap_sweep,
@@ -32,7 +29,6 @@ from .harness import (
     run_single_solve,
     threshold_for,
 )
-from .pauli import to_dense
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -191,17 +187,10 @@ def _handle_solve(args) -> int:
 
 def _handle_validate(args) -> int:
     config, _ = _config_from_args(args)
-    hamiltonian = resolve_hamiltonian(config)
-    check_levels(config, to_dense(hamiltonian))
-    if config.observable_policy == "explicit":
-        parse_observable_file(
-            config.observable_file, hamiltonian.n_qubits, config.n_observables
-        )
-    dt = resolve_time_step(config)
-    delta = threshold_for(config)
+    hamiltonian, *_, dt = resolve_inputs(config)
     print("configuration valid")
     print(f"  qubits: {hamiltonian.n_qubits}  terms: {hamiltonian.num_terms}")
-    print(f"  dt: {dt!r}  svd threshold: {delta!r}")
+    print(f"  dt: {dt!r}  svd threshold: {threshold_for(config)!r}")
     print(f"  output dir: {resolve_output_dir(config)}")
     return EXIT_OK
 

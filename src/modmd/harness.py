@@ -20,10 +20,9 @@ from typing import Callable, NamedTuple, get_args, get_origin, get_type_hints
 import numpy as np
 import numpy.random  # loaded lazily by numpy; keep its import out of timed sweeps
 
-from . import __version__
-from .errors import ConfigError, EigenvalueShortfallError
+from . import __version__, pauli
+from .errors import ConfigError, EigenvalueShortfallError, ResourceCapError
 from .pauli import (
-    AffineShift,
     PauliString,
     PauliSum,
     build_tfim,
@@ -432,20 +431,21 @@ def identity_observable(n_qubits: int) -> PauliSum:
 class Problem:
     """Resolved physical model shared by every cell of a sweep.
 
-    ``signals`` maps each observable a cell can measure (see
-    :func:`_observable_pool`) to its real exact signal, one row of the
-    problem's ``k_max + 1`` samples; it is empty without ``k_max``.
+    ``observables`` is the policy's pool (see :func:`resolve_inputs`), which
+    :func:`build_observables` draws from or returns. ``signals`` maps each
+    of them, and the identity of the single-observable baseline, to its real
+    exact signal, one row of the problem's ``k_max + 1`` samples; it is
+    empty without ``k_max``.
     """
 
     n_qubits: int
-    hamiltonian: PauliSum
     spec: SpectralDecomposition
-    shift: AffineShift
+    scale: float
     phi0: StateVector
     phi_perp: StateVector
     dt: float
     exact_energies: "tuple[float, ...]"
-    explicit_observables: "tuple[PauliSum, ...] | None"
+    observables: "tuple[PauliSum, ...]"
     signals: "dict[PauliSum, np.ndarray]" = field(default_factory=dict)
 
 
@@ -545,84 +545,88 @@ def resolve_time_step(config: ExperimentConfig) -> float:
     return select_time_step(-envelope, envelope)
 
 
+def resolve_inputs(config: ExperimentConfig):
+    """Everything ``config`` fixes short of the spectrum, checked as every
+    run checks it: ``(hamiltonian, scale, dense, inside, observables, dt)``.
+
+    ``dense`` is the rescaled Hamiltonian's matrix (``scale`` maps physical
+    energies onto it), ``inside`` the particle sector's mask from
+    :func:`check_levels`, and ``observables`` the policy's pool: the 3n
+    single-qubit Paulis a random policy draws from, or the fixed list of
+    any other policy. A pool smaller than ``n_observables``, or a shadow
+    shot block larger than physical memory, is refused.
+    """
+    hamiltonian = resolve_hamiltonian(config)
+    n_qubits, policy = hamiltonian.n_qubits, config.observable_policy
+    count = config.n_observables
+    if policy == "random-1-local":
+        observables = one_local_pool(n_qubits)
+    elif policy == "hamiltonian-partial-sums":
+        offered = min(count, hamiltonian.num_terms + 1)
+        observables = tuple(partial_sum_observables(hamiltonian, offered))
+    elif policy == "explicit":
+        observables = parse_observable_file(config.observable_file, n_qubits, count)
+    else:
+        observables = (identity_observable(n_qubits),)
+    if len(observables) < count:
+        raise ConfigError(f"{policy} offers {len(observables)} observables, not {count}")
+    if config.shadow_samples is not None:
+        # sample_shadows and _estimate_batch hold about four complex
+        # (shots, 2^(n+1)) arrays at once in every time step.
+        need = 4 * 16 * config.shadow_samples * 2 ** (n_qubits + 1)
+        have = pauli._physical_memory_bytes()
+        if need > have:
+            raise ResourceCapError(
+                f"a block of {config.shadow_samples} shots on {n_qubits} qubits "
+                f"needs {need / 1e9:.1f} GB, more than the {have / 1e9:.1f} GB "
+                "of physical memory"
+            )
+    shifted, scale = shift_and_scale(hamiltonian, config.safety_fraction)
+    dense = to_dense(shifted)
+    inside = check_levels(config, dense)
+    return hamiltonian, scale, dense, inside, observables, resolve_time_step(config)
+
+
 def build_problem(config: ExperimentConfig, k_max: "int | None" = None) -> Problem:
     """Diagonalize the (rescaled) Hamiltonian and resolve run-wide state.
 
     With ``k_max`` set, the problem carries the exact signal over
-    ``k_max + 1`` samples of every observable its cells can measure, from
-    one :func:`~modmd.simulate.exact_signal` call.
+    ``k_max + 1`` samples of its observables and the identity, from one
+    :func:`~modmd.simulate.exact_signal` call.
     """
-    hamiltonian = resolve_hamiltonian(config)
+    hamiltonian, scale, dense, inside, observables, dt = resolve_inputs(config)
     n_qubits = hamiltonian.n_qubits
-
-    shifted, shift = shift_and_scale(
-        hamiltonian, safety_fraction=config.safety_fraction
-    )
-    dense = to_dense(shifted)
-    inside = check_levels(config, dense)
     block = None if inside is None else dense[np.ix_(inside, inside)]
     spec = diagonalize(dense)
     del dense  # the eigenbasis replaces it
     levels = spec.energies if block is None else np.linalg.eigvalsh(block)
     phi0 = build_reference_superposition(n_qubits, list(config.reference_bitstrings))
-    phi_perp = _orthogonal_companion(phi0)
-    dt = resolve_time_step(config)
-    physical = shift.to_original(levels)
-
-    explicit = None
-    if config.observable_policy == "explicit":
-        explicit = parse_observable_file(
-            config.observable_file, n_qubits, config.n_observables
-        )
     signals = {}
     if k_max is not None:
-        pool = _observable_pool(config, hamiltonian, explicit)
+        pool = list(dict.fromkeys(observables + (identity_observable(n_qubits),)))
         truth = exact_signal(spec, phi0, pool, dt, k_max, mode="real").values
         signals = dict(zip(pool, truth))
     return Problem(
         n_qubits=n_qubits,
-        hamiltonian=hamiltonian,
         spec=spec,
-        shift=shift,
+        scale=scale,
         phi0=phi0,
-        phi_perp=phi_perp,
+        phi_perp=_orthogonal_companion(phi0),
         dt=dt,
-        exact_energies=tuple(float(e) for e in physical),
-        explicit_observables=explicit,
+        exact_energies=tuple(float(e) for e in levels / scale),
+        observables=observables,
         signals=signals,
     )
-
-
-def _observable_pool(
-    config: ExperimentConfig,
-    hamiltonian: PauliSum,
-    explicit: "tuple[PauliSum, ...] | None",
-) -> "list[PauliSum]":
-    """Every observable a cell of ``config`` can measure, each once: those
-    :func:`build_observables` can return under any seed, then the identity
-    of the single-observable baseline."""
-    policy = config.observable_policy
-    candidates = []
-    if policy == "random-1-local":
-        candidates = list(one_local_pool(hamiltonian.n_qubits))
-    elif policy == "hamiltonian-partial-sums":
-        candidates = partial_sum_observables(hamiltonian, config.n_observables)
-    elif policy == "explicit":
-        candidates = list(explicit)
-    return list(dict.fromkeys(candidates + [identity_observable(hamiltonian.n_qubits)]))
 
 
 def build_observables(
     config: ExperimentConfig, problem: Problem, seed: int
 ) -> "list[PauliSum]":
-    """Observable pool for one cell; random policies redraw under ``seed``."""
-    if config.observable_policy == "identity-only":
-        return [identity_observable(problem.n_qubits)]
+    """Observables of one cell: a random policy draws ``n_observables`` of
+    ``problem.observables`` under ``seed``, any other returns them all."""
     if config.observable_policy == "random-1-local":
         return random_one_local(problem.n_qubits, config.n_observables, seed=seed)
-    if config.observable_policy == "hamiltonian-partial-sums":
-        return partial_sum_observables(problem.hamiltonian, config.n_observables)
-    return list(problem.explicit_observables)
+    return list(problem.observables)
 
 
 def measure_signal(
@@ -808,7 +812,7 @@ def _eigen_row(head, config, problem, fit, pair, held_out, laps) -> SweepRow:
     laps.lap("eig_s")
     fit_residual = residual(fit, pair)
     laps.lap("residual_s")
-    physical = problem.shift.to_original(estimate.energies)
+    physical = estimate.energies / problem.scale
     errors = np.abs(physical - np.asarray(problem.exact_energies[: config.n_eig]))
     point_index, value, trial, method = head
     return SweepRow(

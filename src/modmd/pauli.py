@@ -370,29 +370,9 @@ def random_one_local(n_qubits: int, count: int, seed: int) -> list[PauliSum]:
     return [pool[p] for p in picks]
 
 
-@dataclass(frozen=True, slots=True)
-class AffineShift:
-    """Invertible linear map between original and rescaled energy axes.
-
-    ``shifted = scale * original``; :meth:`to_original` undoes the map.
-    """
-
-    scale: float
-
-    def __post_init__(self):
-        if self.scale == 0.0 or not math.isfinite(self.scale):
-            raise ValueError(f"scale must be finite and nonzero, got {self.scale}")
-
-    def to_shifted(self, energy):
-        return self.scale * np.asarray(energy)
-
-    def to_original(self, energy):
-        return np.asarray(energy) / self.scale
-
-
 def shift_and_scale(
     psum: PauliSum, safety_fraction: float = 0.9
-) -> tuple[PauliSum, AffineShift]:
+) -> tuple[PauliSum, float]:
     """Rescale a Hamiltonian into ``[-C*pi, C*pi]``.
 
     Parameters
@@ -406,16 +386,16 @@ def shift_and_scale(
 
     Returns
     -------
-    (PauliSum, AffineShift)
-        The transformed operator and the map from original to shifted
-        energies (invert with :meth:`AffineShift.to_original`).
+    (PauliSum, float)
+        The transformed operator and the factor ``scale`` that maps
+        original energies onto it (``shifted = scale * original``).
     """
     if not 0.0 < safety_fraction < 1.0:
         raise ValueError(f"safety_fraction must lie in (0, 1), got {safety_fraction}")
     half_range = psum.weight_l1
-    if half_range <= 0.0:
+    if not 0.0 < half_range < math.inf:
         raise DegenerateInputError(
-            "spectral bound must be positive; the zero operator cannot be rescaled"
+            f"spectral bound must be positive and finite, got {half_range}"
         )
     scale = safety_fraction * math.pi / half_range
-    return psum.scaled(scale), AffineShift(scale=scale)
+    return psum.scaled(scale), scale

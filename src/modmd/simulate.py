@@ -57,9 +57,6 @@ class StateVector:
             raise DegenerateInputError("cannot normalize the zero vector")
         return cls(n_qubits, raw / norm)
 
-    def overlap(self, other: "StateVector") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
 
 @dataclass(frozen=True, slots=True)
 class SpectralDecomposition:

@@ -54,7 +54,7 @@ from modmd import (
     to_dense,
     truncated_pinv,
 )
-from modmd import harness, pauli
+from modmd import cli, harness, pauli
 from modmd.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -516,11 +516,11 @@ class TestBuildProblem:
         monkeypatch.setattr(np.linalg, "eigh", eigh)
         assert seen == [(np.dtype(dtype), size) for dtype, size in calls]
         # Oracle: the complex Hermitian solver on the same rescaled matrix.
-        shifted, shift = shift_and_scale(
+        shifted, factor = shift_and_scale(
             parse_pauli_sum(text), safety_fraction=config.safety_fraction
         )
         oracle = SpectralDecomposition(*eigh(to_dense(shifted).astype(complex)))
-        physical = shift.to_original(oracle.energies)
+        physical = oracle.energies / factor
         scale = np.max(np.abs(physical))
         np.testing.assert_allclose(
             problem.exact_energies, physical, rtol=0, atol=1e-12 * scale
@@ -550,11 +550,14 @@ class TestBuildProblem:
             n_observables=2,
         )
         problem = build_problem(config)
-        assert len(problem.explicit_observables) == 2
-        assert problem.explicit_observables[1].num_terms == 2
+        assert len(problem.observables) == 2
+        assert problem.observables[1].num_terms == 2
 
     def test_random_policy_has_no_explicit_pool(self):
-        assert build_problem(small_config()).explicit_observables is None
+        """The random policy's pool is every single-qubit Pauli, not a file."""
+        problem = build_problem(small_config(n_observables=2))
+        assert problem.observables == pauli.one_local_pool(3)
+        assert len(problem.observables) == 9
 
 
 class TestObservablePools:
@@ -583,7 +586,7 @@ class TestObservablePools:
         problem = build_problem(config)
         pool = build_observables(config, problem, seed=0)
         assert [o.num_terms for o in pool] == [5, 4, 3]
-        assert np.allclose(to_dense(pool[0]), to_dense(problem.hamiltonian))
+        assert np.allclose(to_dense(pool[0]), to_dense(build_tfim(3, 1.0, 1.0)))
 
     def test_explicit_pool_comes_from_file(self, tmp_path):
         obs = tmp_path / "obs.txt"
@@ -625,10 +628,10 @@ class TestProblemSignals:
             "random-1-local": lambda: list(pauli.one_local_pool(3)) + [identity],
             # the sixth partial sum is the zero operator
             "hamiltonian-partial-sums": lambda: partial_sum_observables(
-                problem.hamiltonian, 6
+                build_tfim(3, 1.0, 1.0), 6
             ) + [identity],
             # the file's third observable is the identity itself
-            "explicit": lambda: list(problem.explicit_observables),
+            "explicit": lambda: list(problem.observables),
         }[policy]()
         assert list(problem.signals) == expected
         for obs, row in problem.signals.items():
@@ -639,6 +642,15 @@ class TestProblemSignals:
         for seed in range(5):
             for obs in build_observables(config, problem, seed):
                 assert obs in problem.signals
+
+    @pytest.mark.parametrize("policy", OBSERVABLE_POLICIES)
+    def test_cells_draw_only_from_the_problem_pool(self, policy, policy_configs):
+        config = policy_configs[policy]
+        problem = build_problem(config)
+        for seed in range(5):
+            drawn = build_observables(config, problem, seed)
+            assert len(drawn) == config.n_observables
+            assert all(obs in problem.observables for obs in drawn)
 
     def test_no_k_max_computes_nothing(self, monkeypatch):
         def no_signal(*args, **kwargs):
@@ -799,7 +811,7 @@ class TestSweepDrivers:
         estimate = extract_eigen(
             fit, problem.dt, config.n_eig, merge_conjugates=True
         )
-        physical = problem.shift.to_original(estimate.energies)
+        physical = estimate.energies / problem.scale
         row = next(
             r
             for r in small_sweep.rows
@@ -1829,6 +1841,84 @@ class TestCli:
             assert (second / file.name).read_bytes() == file.read_bytes()
             compared += 1
         assert compared >= 5
+
+
+# Configurations ``ExperimentConfig`` accepts but a run refuses: the CLI
+# flags, the exit code and the one error line every entry point prints.
+_REFUSED = {
+    "random-pool": (
+        "--tfim-qubits 2 --reference 00 --reference 11 --n-observables 7",
+        EXIT_CONFIG,
+        "random-1-local offers 6 observables, not 7",
+    ),
+    "partial-sum-pool": (
+        "--tfim-qubits 2 --reference 00 --reference 11 --n-observables 5 "
+        "--observable-policy hamiltonian-partial-sums",
+        EXIT_CONFIG,
+        "hamiltonian-partial-sums offers 4 observables, not 5",
+    ),
+    "n-eig": (
+        "--tfim-qubits 2 --reference 00 --n-eig 5",
+        EXIT_CONFIG,
+        "the spectrum holds only 4 levels, need 5",
+    ),
+    "sector": (
+        "--hamiltonian-file {hfile} --particle-number 1 --reference 001 --n-eig 2",
+        EXIT_CONFIG,
+        "particle_number needs a number-conserving Hamiltonian; this one "
+        "couples sector 1 to others",
+    ),
+    # physical memory reads 0.1 GB
+    "shot-block": (
+        "--tfim-qubits 4 --reference 0000 --signal-source shadow "
+        "--shadow-samples 100000",
+        EXIT_RESOURCE,
+        "a block of 100000 shots on 4 qubits needs 0.2 GB, more than the "
+        "0.1 GB of physical memory",
+    ),
+}
+
+
+class TestRefusalParity:
+    """Every entry point resolves a configuration through the same checks."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("row", sorted(_REFUSED))
+    def test_every_entry_point_refuses_alike(
+        self, row, workers, tmp_path, monkeypatch, capsys
+    ):
+        flags, code, message = _REFUSED[row]
+        (tmp_path / "h.txt").write_text("1.0 XII\n0.5 ZZI\n")
+        out = tmp_path / "out"
+        flags = flags.format(hfile=tmp_path / "h.txt").split() + [
+            "--k-grid", "8", "--trials", "1", "--workers", str(workers),
+            "--output-dir", str(out),
+        ]
+        monkeypatch.setattr(pauli, "_physical_memory_bytes", lambda: 10**8)
+        config = cli._config_from_args(build_parser().parse_args(["sweep-k"] + flags))[0]
+        manifest = tmp_path / "m.json"
+        manifest.write_text(
+            json.dumps({"sweep": "sweep-k", "config": config_to_dict(config)})
+        )
+        # validate-config first: it neither diagonalizes nor samples
+        for argv in (
+            ["validate-config"] + flags,
+            ["solve"] + flags,
+            ["sweep-k"] + flags,
+            ["sweep-k", "--config", str(manifest)],
+        ):
+            assert main(argv) == code, argv[0]
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not out.exists()
+
+    def test_validate_config_never_diagonalizes(self, tmp_path, monkeypatch, capsys):
+        def no_eigensolve(*args, **kwargs):
+            raise AssertionError("validate-config diagonalized")
+
+        monkeypatch.setattr(harness, "diagonalize", no_eigensolve)
+        path = write_config_file(tmp_path / "cfg.json")
+        assert main(["validate-config", "--config", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("configuration valid\n")
 
 
 class TestPublicApi:

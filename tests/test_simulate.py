@@ -96,11 +96,6 @@ class TestStateVector:
         state = StateVector.normalized(1, np.array([3.0, 4.0], dtype=complex))
         np.testing.assert_allclose(np.abs(state.amplitudes), [0.6, 0.8])
 
-    def test_overlap(self):
-        plus = StateVector.normalized(1, np.array([1.0, 1.0], dtype=complex))
-        zero = StateVector(1, np.array([1.0, 0.0], dtype=complex))
-        assert plus.overlap(zero) == pytest.approx(1.0 / math.sqrt(2.0))
-
 
 class TestDiagonalize:
     def test_diagonal_input(self):
