@@ -187,9 +187,9 @@ def _handle_solve(args) -> int:
 
 def _handle_validate(args) -> int:
     config, _ = _config_from_args(args)
-    hamiltonian, *_, dt = resolve_inputs(config)
+    shifted, *_, dt = resolve_inputs(config)
     print("configuration valid")
-    print(f"  qubits: {hamiltonian.n_qubits}  terms: {hamiltonian.num_terms}")
+    print(f"  qubits: {shifted.n_qubits}  terms: {shifted.num_terms}")
     print(f"  dt: {dt!r}  svd threshold: {threshold_for(config)!r}")
     print(f"  output dir: {resolve_output_dir(config)}")
     return EXIT_OK

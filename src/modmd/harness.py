@@ -11,6 +11,7 @@ import numbers
 import os
 import platform
 import re
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -166,9 +167,8 @@ class ExperimentConfig:
             )
         if self.tfim_qubits is not None and self.tfim_qubits < 2:
             raise ConfigError(f"tfim_qubits must be >= 2, got {self.tfim_qubits}")
-        for name in ("tfim_coupling", "tfim_field"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.tfim_qubits is not None and self.tfim_coupling == self.tfim_field == 0.0:
+            raise ConfigError("tfim_coupling and tfim_field cannot both be zero")
         if self.hamiltonian_file is not None and not Path(self.hamiltonian_file).is_file():
             raise ConfigError(f"hamiltonian_file not found: {self.hamiltonian_file}")
         if self.particle_number is not None and self.particle_number < 0:
@@ -208,13 +208,13 @@ class ExperimentConfig:
         if not self.k_over_d > 1.0:
             raise ConfigError(f"k_over_d must exceed 1, got {self.k_over_d}")
         for k in self.k_grid:
-            if depth_for_window(int(k), self.k_over_d) < 1 or int(k) < 2:
+            if int(k) < 2:
                 raise ConfigError(f"k_grid entry {k} is too small for K/d splitting")
         if self.svd_threshold is not None and not 0.0 < self.svd_threshold < 1.0:
             raise ConfigError(
                 f"svd_threshold must lie in (0, 1) or be null, got {self.svd_threshold}"
             )
-        if not (math.isfinite(self.noise_epsilon) and self.noise_epsilon >= 0.0):
+        if not self.noise_epsilon >= 0.0:
             raise ConfigError(
                 f"noise_epsilon must be finite and >= 0, got {self.noise_epsilon}"
             )
@@ -263,8 +263,9 @@ def _check_field_kinds(config: ExperimentConfig) -> None:
     """Refuse a value of the wrong kind in a field annotated ``int``,
     ``float`` or ``str``, and in an entry of a ``tuple[...]`` field, before
     any value check: a boolean, string or fraction where a number is due (a
-    JSON 1.5 would otherwise fail late or be truncated), or a non-string
-    where a string is. ``None`` passes where annotated."""
+    JSON 1.5 would otherwise fail late or be truncated), a non-string where
+    a string is, or a nan, an infinity or a number beyond the float range
+    where a float is. ``None`` passes where annotated."""
     checks = []
     for name, hint in _FIELD_HINTS.items():
         value = getattr(config, name)
@@ -280,6 +281,8 @@ def _check_field_kinds(config: ExperimentConfig) -> None:
         kind, noun = _FIELD_KINDS[hint]
         if isinstance(value, bool) or not isinstance(value, kind):
             raise ConfigError(f"{name} must be {noun}, got {value!r}")
+        if hint is float and not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"{name} must be finite, got {value}")
 
 
 # Read once: resolving the annotations costs more than the rest of a
@@ -487,32 +490,21 @@ def parse_observable_file(path: str, n_qubits: int, count: int) -> "tuple[PauliS
     return tuple(out)
 
 
-def check_levels(config: ExperimentConfig, dense: np.ndarray) -> "np.ndarray | None":
-    """Refuse a run whose spectrum, or particle sector, holds fewer than
-    ``n_eig`` levels; return the sector's basis-state mask (``None``
-    without a sector).
+def _sector_block(dense: np.ndarray, sector: int) -> np.ndarray:
+    """The block of ``dense`` on the basis states holding ``sector`` ones.
 
-    Levels are counted, not solved for. The number operator is diagonal
-    in the computational basis, so the sector's block of ``dense`` is its
-    Hamiltonian when no entry couples it to the rest; otherwise the
-    Hamiltonian does not conserve the number and is refused.
+    The number operator is diagonal in the computational basis, so that
+    block is the sector's Hamiltonian when no entry couples it to the rest;
+    otherwise the Hamiltonian does not conserve the number and is refused.
     """
-    sector = config.particle_number
-    inside = None
-    count, where = len(dense), "the spectrum"
-    if sector is not None:
-        inside = np.array([i.bit_count() == sector for i in range(len(dense))])
-        count, where = int(inside.sum()), f"particle sector {sector}"
-    if count < config.n_eig:
-        raise ConfigError(f"{where} holds only {count} levels, need {config.n_eig}")
-    if inside is not None:
-        coupling = np.abs(dense[np.ix_(inside, ~inside)]).max(initial=0.0)
-        if coupling > 1e-12 * np.abs(dense).max():
-            raise ConfigError(
-                "particle_number needs a number-conserving Hamiltonian; this one "
-                f"couples sector {sector} to others"
-            )
-    return inside
+    inside = np.array([i.bit_count() == sector for i in range(len(dense))])
+    coupling = np.abs(dense[np.ix_(inside, ~inside)]).max(initial=0.0)
+    if coupling > 1e-12 * np.abs(dense).max():
+        raise ConfigError(
+            "particle_number needs a number-conserving Hamiltonian; this one "
+            f"couples sector {sector} to others"
+        )
+    return dense[np.ix_(inside, inside)]
 
 
 def resolve_hamiltonian(config: ExperimentConfig) -> PauliSum:
@@ -547,14 +539,16 @@ def resolve_time_step(config: ExperimentConfig) -> float:
 
 def resolve_inputs(config: ExperimentConfig):
     """Everything ``config`` fixes short of the spectrum, checked as every
-    run checks it: ``(hamiltonian, scale, dense, inside, observables, dt)``.
+    run checks it: ``(shifted, scale, observables, dt)``.
 
-    ``dense`` is the rescaled Hamiltonian's matrix (``scale`` maps physical
-    energies onto it), ``inside`` the particle sector's mask from
-    :func:`check_levels`, and ``observables`` the policy's pool: the 3n
+    ``shifted`` is the rescaled Hamiltonian (``scale`` maps physical
+    energies onto it) and ``observables`` the policy's pool: the 3n
     single-qubit Paulis a random policy draws from, or the fixed list of
-    any other policy. A pool smaller than ``n_observables``, or a shadow
-    shot block larger than physical memory, is refused.
+    any other policy. Refused are a pool smaller than ``n_observables``, a
+    shadow shot block or a dense matrix larger than physical memory, and a
+    spectrum or particle sector of fewer than ``n_eig`` levels. Levels are
+    counted from the register width; a matrix is built only to check that
+    a particle sector's Hamiltonian conserves the number.
     """
     hamiltonian = resolve_hamiltonian(config)
     n_qubits, policy = hamiltonian.n_qubits, config.observable_policy
@@ -582,9 +576,16 @@ def resolve_inputs(config: ExperimentConfig):
                 "of physical memory"
             )
     shifted, scale = shift_and_scale(hamiltonian, config.safety_fraction)
-    dense = to_dense(shifted)
-    inside = check_levels(config, dense)
-    return hamiltonian, scale, dense, inside, observables, resolve_time_step(config)
+    pauli._check_dense_memory(n_qubits)
+    sector = config.particle_number
+    count, where = 2**n_qubits, "the spectrum"
+    if sector is not None:
+        count, where = math.comb(n_qubits, sector), f"particle sector {sector}"
+    if count < config.n_eig:
+        raise ConfigError(f"{where} holds only {count} levels, need {config.n_eig}")
+    if sector is not None:
+        _sector_block(to_dense(shifted), sector)
+    return shifted, scale, observables, resolve_time_step(config)
 
 
 def build_problem(config: ExperimentConfig, k_max: "int | None" = None) -> Problem:
@@ -594,9 +595,10 @@ def build_problem(config: ExperimentConfig, k_max: "int | None" = None) -> Probl
     ``k_max + 1`` samples of its observables and the identity, from one
     :func:`~modmd.simulate.exact_signal` call.
     """
-    hamiltonian, scale, dense, inside, observables, dt = resolve_inputs(config)
-    n_qubits = hamiltonian.n_qubits
-    block = None if inside is None else dense[np.ix_(inside, inside)]
+    shifted, scale, observables, dt = resolve_inputs(config)
+    n_qubits, sector = shifted.n_qubits, config.particle_number
+    dense = to_dense(shifted)
+    block = None if sector is None else _sector_block(dense, sector)
     spec = diagonalize(dense)
     del dense  # the eigenbasis replaces it
     levels = spec.energies if block is None else np.linalg.eigvalsh(block)

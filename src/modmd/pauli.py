@@ -93,15 +93,6 @@ class PauliString:
         return "".join(chars)
 
     @property
-    def weight(self) -> int:
-        """Number of non-identity tensor factors."""
-        return (self.x_mask | self.z_mask).bit_count()
-
-    @property
-    def is_identity(self) -> bool:
-        return self.x_mask == 0 and self.z_mask == 0
-
-    @property
     def sort_key(self) -> tuple[int, int]:
         """Canonical encoding used to break ties deterministically."""
         return (self.x_mask, self.z_mask)
@@ -287,18 +278,11 @@ def to_dense(psum: PauliSum) -> np.ndarray:
     """Dense matrix of a Pauli sum: real when every string has an even
     number of Y factors (so a real phase), complex otherwise.
 
-    Refuses, before allocating, a register whose matrix and eigenbasis
-    (two complex ``2^n x 2^n`` arrays) would not fit in physical memory.
-    Each string contributes one nonzero per column, so assembly is
-    O(terms * 2^n).
+    Refuses, before allocating, a register too wide for
+    :func:`_check_dense_memory`. Each string contributes one nonzero per
+    column, so assembly is O(terms * 2^n).
     """
-    need, have = 2 * 16 * 4**psum.n_qubits, _physical_memory_bytes()
-    if need > have:
-        raise ResourceCapError(
-            f"dense matrix and eigenbasis on {psum.n_qubits} qubits need "
-            f"{need / 1e9:.1f} GB, more than the {have / 1e9:.1f} GB of "
-            "physical memory"
-        )
+    _check_dense_memory(psum.n_qubits)
     n = 1 << psum.n_qubits
     y_counts = [(s.x_mask & s.z_mask).bit_count() for s in psum.strings]
     real = all(n_y % 2 == 0 for n_y in y_counts)
@@ -308,6 +292,18 @@ def to_dense(psum: PauliSum) -> np.ndarray:
         phase = (-1.0) ** (n_y // 2) if real else (1j) ** n_y
         out[idx ^ s.x_mask, idx] += c * phase * (-1.0) ** _parity(idx, s.z_mask)
     return out
+
+
+def _check_dense_memory(n_qubits: int) -> None:
+    """Refuse a register whose matrix and eigenbasis (counted as two complex
+    ``2^n x 2^n`` arrays) would not fit in physical memory."""
+    need, have = 2 * 16 * 4**n_qubits, _physical_memory_bytes()
+    if need > have:
+        raise ResourceCapError(
+            f"dense matrix and eigenbasis on {n_qubits} qubits need "
+            f"{need / 1e9:.1f} GB, more than the {have / 1e9:.1f} GB of "
+            "physical memory"
+        )
 
 
 def _physical_memory_bytes() -> int:

@@ -191,10 +191,6 @@ class PropagatorFit:
     def rank(self) -> int:
         return self.pinv.rank
 
-    def propagator(self) -> np.ndarray:
-        """The full square propagator ``A = B U_r^H``."""
-        return self.b_matrix @ self.pinv.left.conj().T
-
 
 def fit_propagator(pair: HankelPair, pinv: TruncatedPinv) -> PropagatorFit:
     """Least-squares propagator of a snapshot pair, given the truncated

@@ -189,6 +189,8 @@ class TestExperimentConfig:
             small_config(tfim_coupling=float("nan"))
         with pytest.raises(ConfigError, match="tfim_field must be finite"):
             small_config(tfim_field=float("-inf"))
+        with pytest.raises(ConfigError, match="tfim_coupling must be finite"):
+            small_config(tfim_coupling=10**400)  # beyond the float range
         with pytest.raises(ConfigError, match="trials"):
             small_config(trials=0)
         with pytest.raises(ConfigError, match="n_eig"):
@@ -462,6 +464,17 @@ class TestBuildProblem:
         )
         with pytest.raises(ConfigError, match="number-conserving"):
             build_problem(config)
+
+    def test_one_dense_matrix_without_a_sector(self, monkeypatch):
+        built = []
+
+        def counted(psum):
+            built.append(psum.n_qubits)
+            return to_dense(psum)
+
+        monkeypatch.setattr(harness, "to_dense", counted)
+        build_problem(small_config())
+        assert built == [3]
 
     def test_full_spectrum_too_small(self):
         config = small_config(tfim_qubits=2, reference_bitstrings=("00",), n_eig=5)
@@ -1421,17 +1434,20 @@ class TestCli:
         assert rc == EXIT_CONFIG
         assert "line 1" in capsys.readouterr().err
 
-    def test_resource_cap_exit_code(self, monkeypatch, capsys):
+    def test_resource_cap_exit_code(self, monkeypatch, tmp_path, capsys):
         def no_allocation(*args, **kwargs):
             raise AssertionError("allocated a dense matrix above the cap")
 
         # 14 qubits: a 4.3 GB matrix and as large an eigenbasis
         monkeypatch.setattr(pauli, "_physical_memory_bytes", lambda: int(7.8e9))
         monkeypatch.setattr(pauli.np, "zeros", no_allocation)
-        rc = main(["solve", "--tfim-qubits", "14", "--reference", "0" * 14])
-        assert rc == EXIT_RESOURCE
-        err = capsys.readouterr().err
-        assert "GB of physical memory" in err and err.count("\n") == 1
+        out = tmp_path / "out"
+        for verb in ("validate-config", "solve", "sweep-k"):
+            argv = [verb, "--tfim-qubits", "14", "--reference", "0" * 14]
+            assert main(argv + ["--output-dir", str(out)]) == EXIT_RESOURCE, verb
+            err = capsys.readouterr().err
+            assert "GB of physical memory" in err and err.count("\n") == 1
+            assert not out.exists()
 
     def test_shortfall_exit_code(self, tmp_path, capsys):
         path = write_config_file(tmp_path / "cfg.json")
@@ -1593,8 +1609,10 @@ class TestCli:
         [
             (["sweep-gap", "--h-grid", "0.5,nan"], "tfim_field must be finite, got nan"),
             (["sweep-k", "--tfim-field", "inf"], "tfim_field must be finite, got inf"),
+            (["solve", "--dt", "inf"], "dt must be finite, got inf"),
+            (["sweep-k", "--k-over-d", "inf"], "k_over_d must be finite, got inf"),
         ],
-        ids=["h-grid-nan", "tfim-field-inf"],
+        ids=["h-grid-nan", "tfim-field-inf", "dt-inf", "k-over-d-inf"],
     )
     def test_non_finite_field_exit_code(self, argv, message, tmp_path, capsys):
         path = write_config_file(
@@ -1638,10 +1656,15 @@ class TestCli:
                 "validate-config --tfim-qubits 2 --reference 00 --n-eig 5",
                 "the spectrum holds only 4 levels, need 5",
             ),
+            (
+                "sweep-gap --tfim-qubits 4 --reference 0000 --k-grid 20 --trials 1 "
+                "--tfim-coupling 0 --h-grid 1,0",
+                "tfim_coupling and tfim_field cannot both be zero",
+            ),
         ],
         ids=[
             "noise-grid-auto", "sweep-k-auto", "solve-auto", "validate-auto", "n-eig",
-            "validate-n-eig",
+            "validate-n-eig", "gap-grid-zero-couplings",
         ],
     )
     def test_impossible_run_exits_before_output(self, argv, message, tmp_path, capsys):
@@ -1843,8 +1866,8 @@ class TestCli:
         assert compared >= 5
 
 
-# Configurations ``ExperimentConfig`` accepts but a run refuses: the CLI
-# flags, the exit code and the one error line every entry point prints.
+# Configurations a run refuses: the CLI flags, the exit code and the one
+# error line every entry point prints.
 _REFUSED = {
     "random-pool": (
         "--tfim-qubits 2 --reference 00 --reference 11 --n-observables 7",
@@ -1876,6 +1899,11 @@ _REFUSED = {
         "a block of 100000 shots on 4 qubits needs 0.2 GB, more than the "
         "0.1 GB of physical memory",
     ),
+    "tfim-zero": (
+        "--tfim-qubits 4 --reference 0000 --tfim-coupling 0 --tfim-field 0",
+        EXIT_CONFIG,
+        "tfim_coupling and tfim_field cannot both be zero",
+    ),
 }
 
 
@@ -1895,11 +1923,15 @@ class TestRefusalParity:
             "--output-dir", str(out),
         ]
         monkeypatch.setattr(pauli, "_physical_memory_bytes", lambda: 10**8)
-        config = cli._config_from_args(build_parser().parse_args(["sweep-k"] + flags))[0]
+        # the flags as a manifest's config, which the replay checks
+        args = build_parser().parse_args(["sweep-k"] + flags)
+        config = {
+            f.name: getattr(args, f.name)
+            for f in dataclasses.fields(ExperimentConfig)
+            if getattr(args, f.name) is not None
+        }
         manifest = tmp_path / "m.json"
-        manifest.write_text(
-            json.dumps({"sweep": "sweep-k", "config": config_to_dict(config)})
-        )
+        manifest.write_text(json.dumps({"sweep": "sweep-k", "config": config}))
         # validate-config first: it neither diagonalizes nor samples
         for argv in (
             ["validate-config"] + flags,
@@ -1918,6 +1950,19 @@ class TestRefusalParity:
         monkeypatch.setattr(harness, "diagonalize", no_eigensolve)
         path = write_config_file(tmp_path / "cfg.json")
         assert main(["validate-config", "--config", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("configuration valid\n")
+
+    def test_validate_config_builds_no_matrix(self, monkeypatch, capsys):
+        """Levels and the memory cap are counted from the register width."""
+
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("validate-config allocated a dense matrix")
+
+        # 13 qubits pass the cap on 7.8 GB of physical memory
+        monkeypatch.setattr(pauli, "_physical_memory_bytes", lambda: int(7.8e9))
+        monkeypatch.setattr(pauli.np, "zeros", no_allocation)
+        argv = ["validate-config", "--tfim-qubits", "13", "--reference", "0" * 13]
+        assert main(argv) == EXIT_OK
         assert capsys.readouterr().out.startswith("configuration valid\n")
 
 
