@@ -498,8 +498,8 @@ def _sector_block(dense: np.ndarray, sector: int) -> np.ndarray:
     otherwise the Hamiltonian does not conserve the number and is refused.
     """
     inside = np.array([i.bit_count() == sector for i in range(len(dense))])
-    coupling = np.abs(dense[np.ix_(inside, ~inside)]).max(initial=0.0)
-    if coupling > 1e-12 * np.abs(dense).max():
+    coupling = pauli._largest_magnitude(dense[np.ix_(inside, ~inside)])
+    if coupling > 1e-12 * pauli._largest_magnitude(dense):
         raise ConfigError(
             "particle_number needs a number-conserving Hamiltonian; this one "
             f"couples sector {sector} to others"
@@ -597,11 +597,11 @@ def build_problem(config: ExperimentConfig, k_max: "int | None" = None) -> Probl
     """
     shifted, scale, observables, dt = resolve_inputs(config)
     n_qubits, sector = shifted.n_qubits, config.particle_number
-    dense = to_dense(shifted)
-    block = None if sector is None else _sector_block(dense, sector)
-    spec = diagonalize(dense)
-    del dense  # the eigenbasis replaces it
-    levels = spec.energies if block is None else np.linalg.eigvalsh(block)
+    if sector is not None:
+        levels = np.linalg.eigvalsh(_sector_block(to_dense(shifted), sector))
+    spec = diagonalize(to_dense(shifted))  # held nowhere else: freed before the basis
+    if sector is None:
+        levels = spec.energies
     phi0 = build_reference_superposition(n_qubits, list(config.reference_bitstrings))
     signals = {}
     if k_max is not None:

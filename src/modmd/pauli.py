@@ -296,7 +296,11 @@ def to_dense(psum: PauliSum) -> np.ndarray:
 
 def _check_dense_memory(n_qubits: int) -> None:
     """Refuse a register whose matrix and eigenbasis (counted as two complex
-    ``2^n x 2^n`` arrays) would not fit in physical memory."""
+    ``2^n x 2^n`` arrays) would not fit in physical memory.
+
+    The count covers a complex sum and over-counts a real one: its matrix
+    and eigenbasis are real, and the spin-flip split frees the matrix
+    before it allocates the basis."""
     need, have = 2 * 16 * 4**n_qubits, _physical_memory_bytes()
     if need > have:
         raise ResourceCapError(
@@ -304,6 +308,16 @@ def _check_dense_memory(n_qubits: int) -> None:
             f"{need / 1e9:.1f} GB, more than the {have / 1e9:.1f} GB of "
             "physical memory"
         )
+
+
+def _largest_magnitude(m: np.ndarray) -> float:
+    """``max |m_ij|`` (0 if empty), with no temporary the size of ``m``:
+    from the extremes of a real matrix, in strips of 64 rows of a complex
+    one."""
+    if np.iscomplexobj(m):
+        strips = range(0, len(m), 64)
+        return max((np.abs(m[i : i + 64]).max(initial=0.0) for i in strips), default=0.0)
+    return max(m.max(initial=0.0), -m.min(initial=0.0))
 
 
 def _physical_memory_bytes() -> int:

@@ -63,17 +63,19 @@ class SpectralDecomposition:
     """Eigensystem of a Hermitian operator.
 
     ``energies`` ascend; ``eigenvectors[:, n]`` is the unit eigenvector
-    for ``energies[n]``.
+    for ``energies[n]``. The eigenvectors keep the dtype of the matrix
+    they came from: real (float64) for a real symmetric matrix, complex
+    otherwise.
     """
 
     energies: np.ndarray
     eigenvectors: np.ndarray
 
     def __post_init__(self):
+        vectors = self.eigenvectors
+        dtype = float if np.isrealobj(vectors) else complex
         object.__setattr__(self, "energies", np.asarray(self.energies, dtype=float))
-        object.__setattr__(
-            self, "eigenvectors", np.asarray(self.eigenvectors, dtype=complex)
-        )
+        object.__setattr__(self, "eigenvectors", np.asarray(vectors, dtype=dtype))
         if self.energies.ndim != 1 or self.eigenvectors.shape != (
             len(self.energies),
             len(self.energies),
@@ -143,6 +145,11 @@ def diagonalize(matrix: np.ndarray) -> SpectralDecomposition:
     reversal, ``[[A, B], [JBJ, JAJ]]`` has the eigenvectors
     ``[s; +-Js]/sqrt(2)`` for the eigenvectors ``s`` of ``A +- BJ``.
     Two half-size solves cost about a quarter of the full one.
+
+    The eigenbasis is real when the matrix is. Once ``A +- BJ`` are
+    formed the matrix is no longer referenced here, so a caller that
+    holds no other reference lets it be freed before the basis is
+    allocated.
     """
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -158,7 +165,9 @@ def diagonalize(matrix: np.ndarray) -> SpectralDecomposition:
         return SpectralDecomposition(energies, vectors)
     half = dim // 2
     a, bj = matrix[:half, :half], matrix[:half, half:][:, ::-1]
-    blocks = [np.linalg.eigh(a + bj), np.linalg.eigh(a - bj)]
+    sums = [a + bj, a - bj]
+    del matrix, a, bj  # each sum is freed, too, once its block is solved
+    blocks = [np.linalg.eigh(sums.pop(0)) for _ in range(2)]
     energies = np.concatenate([e for e, _ in blocks])
     # Place in the ascending order that each block eigenvector lands in;
     # writing the lifted blocks there avoids a permuted copy of the basis.
@@ -167,7 +176,7 @@ def diagonalize(matrix: np.ndarray) -> SpectralDecomposition:
     order = np.argsort(energies, kind="stable")
     place = np.empty(dim, dtype=int)
     place[order] = np.arange(dim)
-    lifted = np.empty((dim, dim), dtype=complex)
+    lifted = np.empty((dim, dim), dtype=blocks[0][1].dtype)
     for (_, s), sign, rows in zip(blocks, (1.0, -1.0), np.split(place, 2)):
         rows_of_s = s.T.copy()
         rows_of_s /= math.sqrt(2.0)
@@ -198,12 +207,29 @@ def evolve(spec: SpectralDecomposition, state: StateVector, t: float) -> StateVe
     """Apply ``exp(-i H t)`` through the eigenbasis of ``H``.
 
     The coefficients ``V^dag psi`` are formed as ``conj(conj(psi) @ V)``,
-    which never copies the eigenvector matrix.
+    which never copies the eigenvector matrix; a real ``V`` meets the
+    complex state in real products (:func:`_matmul`).
     """
     v = spec.eigenvectors
-    coeffs = (state.amplitudes.conj() @ v).conj()
+    coeffs = _matmul(state.amplitudes.conj(), v).conj()
     coeffs *= np.exp(-1j * spec.energies * t)
-    return StateVector(state.n_qubits, v @ coeffs)
+    return StateVector(state.n_qubits, _matmul(v, coeffs))
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for a vector or row stack and a square matrix, in real
+    products when one factor is real and the other complex.
+
+    numpy casts the real factor of a mixed product to a complex copy, a
+    D x D one when that factor is a real eigenbasis. Here the real and
+    imaginary parts of the complex factor share one real product instead.
+    """
+    if np.iscomplexobj(a) == np.iscomplexobj(b):
+        return a @ b
+    if not np.iscomplexobj(a):
+        return _matmul(b.T, a.T).T
+    parts = np.stack([a.real, a.imag]) @ b
+    return parts[0] + 1j * parts[1]
 
 
 def trotter_evolve(
@@ -284,7 +310,8 @@ def exact_signal(
     ``w_i = V^dag O_i phi0`` the signal is a sum of pure phases,
     ``sum_n conj(w_i[n]) b[n] exp(-i E_n k dt)``. One product
     ``conj([phi0, O_1 phi0, ...]) @ V`` gives every ``conj(b)`` and
-    ``conj(w_i)`` without copying ``V``. The phases are summed in blocks
+    ``conj(w_i)`` without copying ``V`` (in real products for a real
+    ``V``, :func:`_matmul`). The phases are summed in blocks
     of ``_PHASE_BLOCK`` samples: block ``j`` starting at step ``s_j`` is
     ``(c * exp(-i E dt s_j)) @ exp(-i E dt m)`` over ``m`` in the block,
     each shift its own ``exp`` (no drift from repeated products), so no
@@ -302,7 +329,7 @@ def exact_signal(
         if obs.n_qubits != phi0.n_qubits:
             raise ValueError(f"observable {i} register width mismatch")
         stack[i + 1] = obs.apply(phi0.amplitudes)
-    projected = stack.conj() @ spec.eigenvectors
+    projected = _matmul(stack.conj(), spec.eigenvectors)
     coeffs = projected[1:] * projected[0].conj()
     rate = -1j * dt * spec.energies
     n_steps = k_max + 1

@@ -476,6 +476,23 @@ class TestBuildProblem:
         build_problem(small_config())
         assert built == [3]
 
+    def test_holds_one_matrix_sized_array_at_a_time(self):
+        """The real TFIM matrix is freed before its real eigenbasis is
+        allocated: the peak stays near two ``8 * 4^n``-byte arrays (the
+        basis and the half-size block solutions while they are lifted)."""
+        import tracemalloc
+
+        n = 9
+        config = small_config(tfim_qubits=n, reference_bitstrings=("0" * n,))
+        tracemalloc.start()
+        try:
+            problem = build_problem(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 8 * 4**n
+        assert problem.spec.eigenvectors.dtype == np.float64
+
     def test_full_spectrum_too_small(self):
         config = small_config(tfim_qubits=2, reference_bitstrings=("00",), n_eig=5)
         with pytest.raises(ConfigError, match="spectrum holds only 4 levels, need 5"):

@@ -259,6 +259,38 @@ class TestToDense:
             to_dense(psum)
 
 
+class TestLargestMagnitude:
+    """``_largest_magnitude`` is ``np.abs(m).max()``, without the full-size
+    array of magnitudes."""
+
+    @pytest.mark.parametrize("complex_valued", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("shape", [(130, 70), (64, 64), (1, 3), (0, 5), (5, 0)])
+    def test_matches_abs_max(self, complex_valued, shape):
+        rng = np.random.default_rng(51)
+        m = rng.standard_normal(shape)
+        if complex_valued:
+            m = m + 1j * rng.standard_normal(shape)
+        assert pauli._largest_magnitude(m) == np.abs(m).max(initial=0.0)
+
+    def test_negative_extreme_of_a_real_matrix(self):
+        assert pauli._largest_magnitude(np.array([[-3.0, 2.0], [1.0, 0.5]])) == 3.0
+
+    @pytest.mark.parametrize("complex_valued", [False, True], ids=["real", "complex"])
+    def test_no_full_size_temporary(self, complex_valued):
+        import tracemalloc
+
+        m = np.random.default_rng(52).standard_normal((512, 512))
+        if complex_valued:
+            m = m * (1 + 1j)
+        tracemalloc.start()
+        try:
+            pauli._largest_magnitude(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m.nbytes / 4
+
+
 class TestSortByWeight:
     def test_magnitude_descending(self):
         psum = PauliSum.from_terms(

@@ -274,6 +274,81 @@ class TestSpinFlipSplit:
         np.testing.assert_allclose(spec.energies, oracle.energies, rtol=0, atol=1e-12)
 
 
+class TestRealEigenbasis:
+    """A real matrix keeps a real eigenbasis on both solver paths, and
+    every consumer of it agrees with the complex ``eigh`` oracle."""
+
+    EVEN_Y = PauliSum.from_terms(
+        4,
+        [
+            (0.7, PauliString.from_label("XYYZ")),
+            (-1.1, PauliString.from_label("YIYI")),
+            (0.4, PauliString.from_label("ZZIX")),
+            (-0.3, PauliString.from_label("IIIZ")),
+        ],
+    )
+
+    @pytest.mark.parametrize(
+        "psum, n_solves",
+        [(build_tfim(5, 1.0, 0.7), 2), (EVEN_Y, 1)],
+        ids=["split", "full"],
+    )
+    def test_real_sum_gives_float_basis(self, monkeypatch, psum, n_solves):
+        matrix = to_dense(psum)
+        assert matrix.dtype == np.float64
+        spec, seen = solver_calls(monkeypatch, matrix)
+        assert len(seen) == n_solves
+        assert spec.eigenvectors.dtype == np.float64
+
+    @pytest.mark.parametrize("split", [True, False], ids=["split", "full"])
+    def test_complex_sum_keeps_complex_basis(self, monkeypatch, split):
+        rng = np.random.default_rng(45)
+        z = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        matrix = (z + z.conj().T) / 2.0
+        if split:
+            matrix = centrosymmetric(matrix)
+        spec, seen = solver_calls(monkeypatch, matrix)
+        assert len(seen) == (2 if split else 1)
+        assert spec.eigenvectors.dtype == np.complex128
+
+    @pytest.mark.parametrize(
+        "psum", [build_tfim(5, 1.0, 0.7), EVEN_Y], ids=["split", "full"]
+    )
+    def test_consumers_match_complex_oracle(self, psum):
+        matrix = to_dense(psum)
+        spec, oracle = diagonalize(matrix), complex_eigh_oracle(matrix)
+        n = psum.n_qubits
+        rng = np.random.default_rng(46)
+        phi0, phi_perp = random_state(n, rng), random_state(n, rng)
+        obs = [identity_sum(n), random_hermitian_sum(n, rng, n_terms=3), psum]
+        for mode in ("real", "complex"):
+            got = exact_signal(spec, phi0, obs, 0.3, 40, mode=mode)
+            want = exact_signal(oracle, phi0, obs, 0.3, 40, mode=mode)
+            np.testing.assert_allclose(got.values, want.values, rtol=0, atol=1e-12)
+        for t in (0.0, 0.9, 7.3):
+            got = composite_state(phi_perp, phi0, spec, t)
+            want = composite_state(phi_perp, phi0, oracle, t)
+            np.testing.assert_allclose(
+                got.amplitudes, want.amplitudes, rtol=0, atol=1e-12
+            )
+
+    def test_evolve_allocates_no_basis_sized_array(self):
+        """A complex state meets a real basis in real products: numpy's
+        mixed product would first copy the basis to complex."""
+        import tracemalloc
+
+        spec = diagonalize(to_dense(build_tfim(8, 1.0, 0.7)))
+        state = random_state(8, np.random.default_rng(47))
+        assert spec.eigenvectors.dtype == np.float64
+        tracemalloc.start()
+        try:
+            evolve(spec, state, 0.7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < spec.eigenvectors.nbytes / 8
+
+
 class TestEvolve:
     def test_complex_hamiltonian_matches_matrix_exponential(self):
         rng = np.random.default_rng(33)
