@@ -438,11 +438,13 @@ class Problem:
     :func:`build_observables` draws from or returns. ``signals`` maps each
     of them, and the identity of the single-observable baseline, to its real
     exact signal, one row of the problem's ``k_max + 1`` samples; it is
-    empty without ``k_max``.
+    empty without ``k_max``. ``spec`` is the eigenbasis, which only the
+    shadow source reads once the signals exist: it is None for a problem
+    of any other source built with ``k_max``.
     """
 
     n_qubits: int
-    spec: SpectralDecomposition
+    spec: "SpectralDecomposition | None"
     scale: float
     phi0: StateVector
     phi_perp: StateVector
@@ -593,7 +595,8 @@ def build_problem(config: ExperimentConfig, k_max: "int | None" = None) -> Probl
 
     With ``k_max`` set, the problem carries the exact signal over
     ``k_max + 1`` samples of its observables and the identity, from one
-    :func:`~modmd.simulate.exact_signal` call.
+    :func:`~modmd.simulate.exact_signal` call, and keeps the eigenbasis
+    only for the shadow source, whose samples evolve the state through it.
     """
     shifted, scale, observables, dt = resolve_inputs(config)
     n_qubits, sector = shifted.n_qubits, config.particle_number
@@ -608,6 +611,8 @@ def build_problem(config: ExperimentConfig, k_max: "int | None" = None) -> Probl
         pool = list(dict.fromkeys(observables + (identity_observable(n_qubits),)))
         truth = exact_signal(spec, phi0, pool, dt, k_max, mode="real").values
         signals = dict(zip(pool, truth))
+    if config.signal_source != "shadow" and k_max is not None:
+        spec = None  # nothing reads the basis again: free it for the cells
     return Problem(
         n_qubits=n_qubits,
         spec=spec,
@@ -937,8 +942,8 @@ def _evaluate_cell(plan: _SweepPlan, problem: Problem, point_index: int, trial: 
 # Worker-process state: the plan is installed once per worker, and the
 # latest problem, keyed by its transverse field (the only problem input a
 # sweep varies), is kept. Tasks arrive in (point, trial) order, so each
-# worker diagonalizes at most once per Hamiltonian and holds one eigenbasis
-# at a time.
+# worker diagonalizes at most once per Hamiltonian and holds one problem
+# (its signals, and a shadow run's eigenbasis) at a time.
 _WORKER_PLAN: "_SweepPlan | None" = None
 _WORKER_PROBLEM: "tuple[float, Problem] | None" = None
 
@@ -953,7 +958,7 @@ def _worker_problem(point_index: int) -> Problem:
     global _WORKER_PROBLEM
     config = _WORKER_PLAN.configs[point_index]
     if _WORKER_PROBLEM is None or _WORKER_PROBLEM[0] != config.tfim_field:
-        _WORKER_PROBLEM = None  # release the previous eigenbasis before the next
+        _WORKER_PROBLEM = None  # release the previous problem before the next
         problem = build_problem(config, _longest_signal(_WORKER_PLAN))
         _WORKER_PROBLEM = (config.tfim_field, problem)
     return _WORKER_PROBLEM[1]
@@ -980,7 +985,7 @@ def _run_plan(plan: _SweepPlan) -> "tuple[list, tuple[tuple[float, ...], ...]]":
         try:
             outputs = [_worker_task(task) for task in tasks]
         finally:
-            _init_worker(None)  # release the sweep's problem (dense eigenvectors)
+            _init_worker(None)  # release the sweep's problem (signals, shadow basis)
     else:
         with ProcessPoolExecutor(
             max_workers=plan.config.workers,

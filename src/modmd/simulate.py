@@ -176,13 +176,13 @@ def diagonalize(matrix: np.ndarray) -> SpectralDecomposition:
     order = np.argsort(energies, kind="stable")
     place = np.empty(dim, dtype=int)
     place[order] = np.arange(dim)
+    # Each block's vectors are freed once written, and each half is written
+    # from a contiguous row stack (a reversed view would be buffered).
     lifted = np.empty((dim, dim), dtype=blocks[0][1].dtype)
-    for (_, s), sign, rows in zip(blocks, (1.0, -1.0), np.split(place, 2)):
-        rows_of_s = s.T.copy()
-        rows_of_s /= math.sqrt(2.0)
-        lifted[rows, :half] = rows_of_s
-        rows_of_s *= sign
-        lifted[rows, half:] = rows_of_s[:, ::-1]
+    for sign, rows in zip((1.0, -1.0), np.split(place, 2)):
+        s = blocks.pop(0)[1]
+        lifted[rows, :half] = np.divide(s.T, math.sqrt(2.0), order="C")
+        lifted[rows, half:] = np.divide(s[::-1].T, sign * math.sqrt(2.0), order="C")
     return SpectralDecomposition(energies[order], lifted.T)
 
 
@@ -217,12 +217,13 @@ def evolve(spec: SpectralDecomposition, state: StateVector, t: float) -> StateVe
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` for a vector or row stack and a square matrix, in real
+    """``a @ b`` for any two vector or matrix factors, in real
     products when one factor is real and the other complex.
 
-    numpy casts the real factor of a mixed product to a complex copy, a
-    D x D one when that factor is a real eigenbasis. Here the real and
-    imaginary parts of the complex factor share one real product instead.
+    numpy casts the real factor of a mixed product to a complex copy: a
+    D x D one for a real eigenbasis, a snapshot-sized one for the solver's
+    real ``U_r`` and ``B``. Here the real and imaginary parts of the
+    complex factor share one real product instead.
     """
     if np.iscomplexobj(a) == np.iscomplexobj(b):
         return a @ b

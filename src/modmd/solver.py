@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, EigenvalueShortfallError
-from .simulate import MultiObservableSignal
+from .simulate import MultiObservableSignal, _matmul
 
 # Left/right eigenvector pairings with |l||r| / |<l|r>| above this are
 # reported as ill-conditioned (near-defective propagator). The left rows are
@@ -40,7 +40,9 @@ class HankelPair:
     """Time-aligned snapshot matrices ``x`` and its one-step shift ``xp``.
 
     Row ``a * n_observables + i`` of ``x`` holds observable ``i`` delayed
-    by ``a`` steps; column ``k`` is time ``k * dt``.
+    by ``a`` steps; column ``k`` is time ``k * dt``. From
+    :func:`build_hankel` both are read-only column windows of one
+    ``K + 2``-column array, so they share memory.
     """
 
     x: np.ndarray
@@ -93,7 +95,8 @@ def build_hankel(signal: MultiObservableSignal, d: int, K: int) -> HankelPair:
     """Stack ``d`` time shifts of every observable into a snapshot pair.
 
     Requires ``signal.n_steps >= K + d + 1`` so that both matrices have
-    ``K + 1`` fully populated columns.
+    ``K + 1`` fully populated columns. ``x`` and ``xp`` are the first and
+    last ``K + 1`` columns of one read-only block-Hankel array.
     """
     if d < 1 or K < 1:
         raise ValueError(f"need d >= 1 and K >= 1, got d={d}, K={K}")
@@ -105,12 +108,11 @@ def build_hankel(signal: MultiObservableSignal, d: int, K: int) -> HankelPair:
         )
     n_obs = signal.n_observables
     vals = signal.values
-    x = np.empty((d * n_obs, K + 1), dtype=vals.dtype)
-    xp = np.empty_like(x)
+    stack = np.empty((d * n_obs, K + 2), dtype=vals.dtype)
     for a in range(d):
-        x[a * n_obs : (a + 1) * n_obs] = vals[:, a : a + K + 1]
-        xp[a * n_obs : (a + 1) * n_obs] = vals[:, a + 1 : a + K + 2]
-    return HankelPair(x=x, xp=xp, n_observables=n_obs)
+        stack[a * n_obs : (a + 1) * n_obs] = vals[:, a : a + K + 2]
+    stack.flags.writeable = False  # a write through xp would change x
+    return HankelPair(x=stack[:, :-1], xp=stack[:, 1:], n_observables=n_obs)
 
 
 def truncated_pinv(matrix: np.ndarray, threshold: float) -> TruncatedPinv:
@@ -167,12 +169,14 @@ def _gram_factors(
     if not len(gram) * np.finfo(gram.dtype).tiny < threshold**2 * total < np.inf:
         return None
     eigvals, vectors = np.linalg.eigh(gram)
+    del gram
     s = np.sqrt(np.clip(eigvals[::-1], 0.0, None))
     rank = int(np.count_nonzero(s > threshold * s[0]))
-    basis = vectors[:, ::-1][:, :rank]
-    if tall:
-        return (matrix @ basis) / s[:rank], s, basis.conj().T
-    return basis, s, (basis.conj().T @ matrix) / s[:rank, None]
+    basis = vectors[:, ::-1][:, :rank].copy()  # frees the other eigenvectors
+    del vectors
+    lifted = matrix @ basis if tall else basis.conj().T @ matrix
+    lifted /= s[:rank] if tall else s[:rank, None]
+    return (lifted, s, basis.conj().T) if tall else (basis, s, lifted)
 
 
 @dataclass(frozen=True, slots=True)
@@ -197,7 +201,8 @@ def fit_propagator(pair: HankelPair, pinv: TruncatedPinv) -> PropagatorFit:
     pseudo-inverse of ``pair.x`` from :func:`truncated_pinv`."""
     if pinv.left.shape[0] != pair.x.shape[0] or pinv.right.shape[1] != pair.x.shape[1]:
         raise ValueError("pseudo-inverse shape does not match the snapshot pair")
-    b_matrix = (pair.xp @ pinv.right.conj().T) * pinv.inv_singular
+    b_matrix = pair.xp @ pinv.right.conj().T
+    b_matrix *= pinv.inv_singular
     return PropagatorFit(
         pinv=pinv, b_matrix=b_matrix, reduced=pinv.left.conj().T @ b_matrix
     )
@@ -260,7 +265,9 @@ def extract_eigen(
         left_rows, singular = np.linalg.pinv(vr)[keep], True
     w, vr = w[keep], vr[:, keep]
     if fit is not None:
-        left_rows, vr = left_rows @ fit.pinv.left.conj().T, fit.b_matrix @ vr
+        # real products for real factors: no complex copy of U_r or B
+        left_rows = _matmul(left_rows, fit.pinv.left.conj().T)
+        vr = _matmul(fit.b_matrix, vr)
         norms = np.linalg.norm(vr, axis=0)  # unit columns, as eig returns
         vr = vr / np.where(norms > 0.0, norms, 1.0)
 

@@ -1,5 +1,8 @@
 """Shared pytest hooks: surface acceptance PASS/FAIL lines in the summary,
-and run property tests without a per-example deadline."""
+run property tests without a per-example deadline, and measure the peak
+memory of one call."""
+
+import tracemalloc
 
 import pytest
 from hypothesis import settings
@@ -10,6 +13,23 @@ settings.register_profile("modmd", deadline=None)
 settings.load_profile("modmd")
 
 _CRITERION_LINES = []
+
+
+@pytest.fixture
+def traced_peak():
+    """``traced_peak(fn, *args, **kwargs)`` calls ``fn`` under
+    ``tracemalloc`` and returns ``(result, peak)``: the peak bytes of
+    Python and numpy allocations made during the call. Tracing stops when
+    the call returns or raises, before any assertion on the peak."""
+
+    def _measure(fn, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            return fn(*args, **kwargs), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return _measure
 
 
 @pytest.fixture

@@ -476,22 +476,23 @@ class TestBuildProblem:
         build_problem(small_config())
         assert built == [3]
 
-    def test_holds_one_matrix_sized_array_at_a_time(self):
+    def test_holds_one_matrix_sized_array_at_a_time(self, traced_peak):
         """The real TFIM matrix is freed before its real eigenbasis is
         allocated: the peak stays near two ``8 * 4^n``-byte arrays (the
         basis and the half-size block solutions while they are lifted)."""
-        import tracemalloc
-
         n = 9
         config = small_config(tfim_qubits=n, reference_bitstrings=("0" * n,))
-        tracemalloc.start()
-        try:
-            problem = build_problem(config)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        problem, peak = traced_peak(build_problem, config)
         assert peak < 2.5 * 8 * 4**n
         assert problem.spec.eigenvectors.dtype == np.float64
+
+    def test_exact_run_releases_the_basis_once_signals_exist(self):
+        config = small_config()
+        assert build_problem(config, 40).spec is None
+        assert build_problem(config).spec is not None
+        shadow = small_config(signal_source="shadow", shadow_samples=16)
+        spec = build_problem(shadow, 40).spec
+        assert spec is not None and spec.dimension == 8
 
     def test_full_spectrum_too_small(self):
         config = small_config(tfim_qubits=2, reference_bitstrings=("00",), n_eig=5)
@@ -664,8 +665,9 @@ class TestProblemSignals:
             "explicit": lambda: list(problem.observables),
         }[policy]()
         assert list(problem.signals) == expected
+        spec = build_problem(config).spec  # a problem built with k_max keeps none
         for obs, row in problem.signals.items():
-            oracle = exact_signal(problem.spec, problem.phi0, [obs], problem.dt, 40)
+            oracle = exact_signal(spec, problem.phi0, [obs], problem.dt, 40)
             assert row.shape == (41,)
             scale = max(obs.weight_l1, 1.0)
             np.testing.assert_allclose(row, oracle.values[0], rtol=0, atol=1e-12 * scale)
@@ -691,11 +693,13 @@ class TestProblemSignals:
 
     def test_problem_holds_no_level_by_step_array(self):
         k_max = 100
-        problem = build_problem(small_config(n_observables=2), k_max)
-        dim = problem.spec.dimension
+        config = small_config(n_observables=2)
+        problem = build_problem(config, k_max)
+        spec = build_problem(config).spec
+        dim = spec.dimension
         arrays = [getattr(problem, f.name) for f in dataclasses.fields(problem)]
         arrays += list(problem.signals.values())
-        arrays += [problem.spec.energies, problem.spec.eigenvectors]
+        arrays += [spec.energies, spec.eigenvectors]
         for value in arrays:
             if isinstance(value, np.ndarray):
                 assert value.size < dim * (k_max + 1)

@@ -276,18 +276,11 @@ class TestLargestMagnitude:
         assert pauli._largest_magnitude(np.array([[-3.0, 2.0], [1.0, 0.5]])) == 3.0
 
     @pytest.mark.parametrize("complex_valued", [False, True], ids=["real", "complex"])
-    def test_no_full_size_temporary(self, complex_valued):
-        import tracemalloc
-
+    def test_no_full_size_temporary(self, complex_valued, traced_peak):
         m = np.random.default_rng(52).standard_normal((512, 512))
         if complex_valued:
             m = m * (1 + 1j)
-        tracemalloc.start()
-        try:
-            pauli._largest_magnitude(m)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(pauli._largest_magnitude, m)
         assert peak < m.nbytes / 4
 
 

@@ -254,6 +254,16 @@ class TestSpinFlipSplit:
         assert seen == [(dtype, 16), (dtype, 16)]
         self.assert_matches_oracle(matrix, spec, 5, seed=42)
 
+    def test_lift_holds_each_block_once(self, traced_peak):
+        """Each block's vectors are freed once lifted, and each half of a
+        row is written from a contiguous stack: the peak is the basis, both
+        blocks and one stack, 1.75 x ``8 * 4^n`` bytes for a real basis."""
+        n = 9
+        matrix = to_dense(build_tfim(n, 1.0, 0.7))
+        spec, peak = traced_peak(diagonalize, matrix)
+        assert spec.eigenvectors.dtype == np.float64
+        assert peak < 1.85 * 8 * 4**n
+
     def test_one_ulp_off_takes_full_solve(self, monkeypatch):
         matrix = to_dense(build_tfim(5, 1.0, 0.7)).real.copy()
         i, j = 1, 3  # their mirror entries (30, 28) keep the old value
@@ -332,20 +342,13 @@ class TestRealEigenbasis:
                 got.amplitudes, want.amplitudes, rtol=0, atol=1e-12
             )
 
-    def test_evolve_allocates_no_basis_sized_array(self):
+    def test_evolve_allocates_no_basis_sized_array(self, traced_peak):
         """A complex state meets a real basis in real products: numpy's
         mixed product would first copy the basis to complex."""
-        import tracemalloc
-
         spec = diagonalize(to_dense(build_tfim(8, 1.0, 0.7)))
         state = random_state(8, np.random.default_rng(47))
         assert spec.eigenvectors.dtype == np.float64
-        tracemalloc.start()
-        try:
-            evolve(spec, state, 0.7)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(evolve, spec, state, 0.7)
         assert peak < spec.eigenvectors.nbytes / 8
 
 

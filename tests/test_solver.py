@@ -149,6 +149,21 @@ class TestBuildHankel:
         pair = build_hankel(signal, d=3, K=7)
         np.testing.assert_array_equal(pair.x[:, 1:], pair.xp[:, :-1])
 
+    def test_pair_is_two_read_only_windows_of_one_array(self):
+        signal = MultiObservableSignal(2, 0.5, np.arange(20.0).reshape(2, 10))
+        pair = build_hankel(signal, d=3, K=5)
+        assert np.shares_memory(pair.x, pair.xp)
+        for view in (pair.x, pair.xp):
+            with pytest.raises(ValueError, match="read-only"):
+                view[0, 0] = -1.0
+
+    def test_allocates_one_snapshot_array(self, traced_peak):
+        """``x`` and ``xp`` share one array of ``K + 2`` columns, not two
+        of ``K + 1``."""
+        signal = MultiObservableSignal(6, 1.0, np.ones((6, 701)))
+        pair, peak = traced_peak(build_hankel, signal, 200, 500)
+        assert peak <= 1.05 * pair.x.nbytes
+
     def test_insufficient_samples_rejected(self):
         signal = MultiObservableSignal(1, 1.0, np.ones((1, 5)), mode="real")
         with pytest.raises(ValueError, match="requires 6"):
@@ -870,6 +885,39 @@ class TestRunModmd:
             assert est.energies[0] >= phases[0] - 1e-6
 
 
+class TestSolverMemory:
+    """Peaks at a 10-qubit convergence sweep's largest cell (6 observables,
+    d = 200, K = 500), on a real signal of many modes whose fit keeps a
+    rank of about two thirds of the K + 1 columns."""
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        rng = np.random.default_rng(18)
+        signal = mode_signal(
+            rng.uniform(-2.5, 2.5, 225), rng.standard_normal((6, 225)), 1.0, 701
+        )
+        noise = 1e-3 * rng.standard_normal(signal.values.shape)
+        values = signal.values.real + noise
+        return build_hankel(MultiObservableSignal(6, 1.0, values), d=200, K=500)
+
+    def test_fit_holds_its_factors_and_little_else(self, pair, traced_peak):
+        """The fit keeps ``U_r``, ``B`` and ``V_r``; ``B`` is scaled in
+        place, and the Gram eigenvectors beyond rank ``r`` are freed."""
+        fit, peak = traced_peak(
+            lambda: fit_propagator(pair, truncated_pinv(pair.x, 1e-2))
+        )
+        assert 0.5 < fit.rank / pair.x.shape[1] < 0.8
+        assert peak < 2.2 * pair.x.nbytes
+
+    def test_lifting_makes_no_complex_copy(self, pair, traced_peak):
+        """The real ``U_r`` and ``B`` meet the complex eigenvectors in real
+        products: a complex copy of ``B`` alone would take twice its bytes."""
+        fit = fit_propagator(pair, truncated_pinv(pair.x, 1e-2))
+        estimate, peak = traced_peak(extract_eigen, fit, 1.0, 3, merge_conjugates=True)
+        assert len(estimate.energies) == 3
+        assert peak < 1.5 * fit.b_matrix.nbytes
+
+
 class TestResidual:
     def test_consistent_fit_has_negligible_residual(self):
         signal = mode_signal([0.4, 1.2], [[1.0, 0.7]], 1.0, 24)
@@ -921,20 +969,13 @@ class TestResidual:
         assert residual(fit, pair) == oracle
 
     @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
-    def test_allocates_one_snapshot_sized_array(self, real):
+    def test_allocates_one_snapshot_sized_array(self, real, traced_peak):
         """The model ``A x`` is the only array of the snapshots' size: the
         difference is taken in place, not in a second one."""
-        import tracemalloc
-
         pair = self.noisy_mode_pair(real)
         fit = fitted(pair, 1e-2)
         assert fit.rank <= 10  # so the rank-sized factors stay small
-        tracemalloc.start()
-        try:
-            residual(fit, pair)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(residual, fit, pair)
         assert peak < 1.5 * pair.x.nbytes
 
     def test_zero_target_rejected(self):
