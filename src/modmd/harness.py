@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple, get_args, get_origin, get_type_hints
 import numpy as np
 import numpy.random  # loaded lazily by numpy; keep its import out of timed sweeps
 
-from . import __version__, pauli
+from . import __version__, pauli, shadows
 from .errors import ConfigError, EigenvalueShortfallError, ResourceCapError
 from .pauli import (
     PauliString,
@@ -567,15 +567,13 @@ def resolve_inputs(config: ExperimentConfig):
     if len(observables) < count:
         raise ConfigError(f"{policy} offers {len(observables)} observables, not {count}")
     if config.shadow_samples is not None:
-        # sample_shadows and _estimate_batch hold about four complex
-        # (shots, 2^(n+1)) arrays at once in every time step.
-        need = 4 * 16 * config.shadow_samples * 2 ** (n_qubits + 1)
+        need = shadows._block_bytes(count, config.shadow_samples)
         have = pauli._physical_memory_bytes()
         if need > have:
             raise ResourceCapError(
-                f"a block of {config.shadow_samples} shots on {n_qubits} qubits "
-                f"needs {need / 1e9:.1f} GB, more than the {have / 1e9:.1f} GB "
-                "of physical memory"
+                f"{config.shadow_samples} shots of {count} observables need "
+                f"{need / 1e9:.1f} GB per step block, more than the "
+                f"{have / 1e9:.1f} GB of physical memory"
             )
     shifted, scale = shift_and_scale(hamiltonian, config.safety_fraction)
     pauli._check_dense_memory(n_qubits)
@@ -596,7 +594,7 @@ def build_problem(config: ExperimentConfig, k_max: "int | None" = None) -> Probl
     With ``k_max`` set, the problem carries the exact signal over
     ``k_max + 1`` samples of its observables and the identity, from one
     :func:`~modmd.simulate.exact_signal` call, and keeps the eigenbasis
-    only for the shadow source, whose samples evolve the state through it.
+    only for the shadow source, whose sampler reads exact overlaps through it.
     """
     shifted, scale, observables, dt = resolve_inputs(config)
     n_qubits, sector = shifted.n_qubits, config.particle_number

@@ -19,8 +19,11 @@ from .simulate import (
     MultiObservableSignal,
     SpectralDecomposition,
     StateVector,
-    composite_state,
+    exact_signal,
 )
+
+_STEP_BLOCK = 32  # time steps drawn from one generator: bounds a call's memory
+_PIVOT_TOL = 1e-10  # squared Cholesky pivots below this times |f_j|^2 are zero
 
 
 @dataclass(frozen=True, slots=True)
@@ -195,40 +198,70 @@ def shadow_signal(
     n_samples: int,
     seed: int,
     mode: str = "real",
-    unitary_fn=None,
 ) -> MultiObservableSignal:
     """Overlap signals estimated from randomized measurements.
 
-    One batch of ``n_samples`` measurements is drawn per time step and
-    shared by all observables (and by both quadratures in complex mode).
-    Batch seeds derive deterministically from ``seed`` and the step
-    index, so results are independent of evaluation order.
+    One batch of ``n_samples`` shots per time step serves all observables
+    (and both quadratures in complex mode). A shot reads only the overlaps
+    ``<c|f>`` of its row (:func:`sample_shadows`) with ``f = [v, u_1, ...]``,
+    drawn from their exact law (README, "Classical-shadow signals") in
+    O(shots * m^2) per step. Steps are drawn in blocks of ``_STEP_BLOCK``,
+    block ``b`` from ``SeedSequence(seed, spawn_key=(b,))``, component ``j``
+    after those before it, so adding observables leaves earlier rows
+    bit-identical.
     """
-    if k_max < 0:
-        raise ValueError(f"k_max must be >= 0, got {k_max}")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    if mode not in ("real", "complex"):
+        raise ValueError(f"mode must be 'real' or 'complex', got {mode!r}")
     if not observables:
         raise ValueError("need at least one observable")
-    gammas = [build_gamma(o, phi0, phi_perp, "real") for o in observables]
-    if mode == "complex":
-        gammas += [build_gamma(o, phi0, phi_perp, "imag") for o in observables]
-    elif mode != "real":
-        raise ValueError(f"mode must be 'real' or 'complex', got {mode!r}")
-    n_obs = len(observables)
-    values = np.empty(
-        (n_obs, k_max + 1), dtype=float if mode == "real" else complex
+    # one call per observable: a shared product would round each one's
+    # signal differently with different companions
+    signal = np.array(
+        [exact_signal(spec, phi0, [o], dt, k_max, "complex").values[0] for o in observables]
     )
-    for k in range(k_max + 1):
-        step_seed = int(
-            np.random.SeedSequence(entropy=seed, spawn_key=(k,)).generate_state(1)[0]
-        )
-        state = composite_state(phi_perp, phi0, spec, k * dt)
-        rows = sample_shadows(state, n_samples, step_seed, unitary_fn)
-        est = _estimate_batch(rows, gammas)
-        if mode == "real":
-            values[:, k] = est
-        else:
-            values[:, k] = est[:n_obs] + 1j * est[n_obs:]
-    return MultiObservableSignal(n_obs, dt, values, mode)
+    gammas = [build_gamma(o, phi0, phi_perp) for o in observables]
+    f = [gammas[0].v] + [g.u for g in gammas]
+    m, dim, n_steps = len(f), len(f[0]), k_max + 1
+    gram = np.array([[np.vdot(g, h) for g in f] for h in f])  # [j, l] = <f_l|f_j>
+    # <psi_k|f>: |v|^2 / sqrt(2), then conj(s_i(k)) / sqrt(2)
+    q_all = np.column_stack([np.full(n_steps, gram[0, 0]), signal.T.conj()]) / math.sqrt(2)
+    values = np.empty((m - 1, n_steps), dtype=float if mode == "real" else complex)
+    for block, start in enumerate(range(0, n_steps, _STEP_BLOCK)):
+        steps, q = slice(start, start + _STEP_BLOCK), q_all[start : start + _STEP_BLOCK]
+        shape = (len(q), n_samples)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block,)))
+        weight = rng.beta(2.0, dim - 1.0, size=shape)
+        a = np.sqrt(weight) * np.exp(2j * np.pi * rng.random(shape))
+        rest, stick = np.sqrt(1.0 - weight), np.ones(shape)
+        chol, z = np.zeros((len(q), m, m), dtype=complex), []
+        for j in range(m):
+            cut = rng.beta(1.0, dim - 2.0 - j, size=shape) if j < dim - 2 else 1.0
+            z.append(np.sqrt(stick * cut) * np.exp(2j * np.pi * rng.random(shape)))
+            stick *= 1.0 - cut
+            row, gj = chol[:, j], gram[j, : j + 1] - q[:, j, None] * q[:, : j + 1].conj()
+            for l in range(j):
+                dot = np.sum(row[:, :l] * chol[:, l, :l].conj(), axis=1)
+                diag = chol[:, l, l]
+                np.divide(gj[:, l] - dot, diag, out=row[:, l], where=diag != 0)
+            pivot = gj[:, j].real - np.sum(np.abs(row[:, :j]) ** 2, axis=1)
+            row[:, j] = np.sqrt(np.where(pivot > _PIVOT_TOL * gram[j, j].real, pivot, 0.0))
+            mix = sum(z[l] * row[:, l, None] for l in range(j + 1))
+            overlap = a * q[:, j, None] + rest * mix
+            if j == 0:
+                on_v = overlap
+            else:  # (D+1) 2Re / -2Im of <c|u_j> <c|v>*, as one complex mean
+                est = 2 * (dim + 1) * np.mean(overlap.conj() * on_v, axis=1)
+                values[j - 1, steps] = est.real if mode == "real" else est
+    return MultiObservableSignal(m - 1, dt, values, mode)
+
+
+def _block_bytes(n_observables: int, n_samples: int) -> int:
+    """Peak bytes of one :func:`shadow_signal` step block: the m = I + 1
+    draws ``z`` and 9 more complex (steps, shots) arrays (tracemalloc read
+    7.6-8.6)."""
+    return (n_observables + 10) * _STEP_BLOCK * n_samples * 16
 
 
 def gaussian_noise_channel(

@@ -1917,8 +1917,8 @@ _REFUSED = {
         "--tfim-qubits 4 --reference 0000 --signal-source shadow "
         "--shadow-samples 100000",
         EXIT_RESOURCE,
-        "a block of 100000 shots on 4 qubits needs 0.2 GB, more than the "
-        "0.1 GB of physical memory",
+        "100000 shots of 6 observables need 0.8 GB per step block, more than "
+        "the 0.1 GB of physical memory",
     ),
     "tfim-zero": (
         "--tfim-qubits 4 --reference 0000 --tfim-coupling 0 --tfim-field 0",
