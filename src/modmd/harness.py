@@ -34,7 +34,7 @@ from .pauli import (
     shift_and_scale,
     to_dense,
 )
-from .shadows import gaussian_noise_channel, shadow_signal
+from .shadows import _sample_signal, gaussian_noise_channel
 from .simulate import (
     MultiObservableSignal,
     SpectralDecomposition,
@@ -436,11 +436,10 @@ class Problem:
 
     ``observables`` is the policy's pool (see :func:`resolve_inputs`), which
     :func:`build_observables` draws from or returns. ``signals`` maps each
-    of them, and the identity of the single-observable baseline, to its real
-    exact signal, one row of the problem's ``k_max + 1`` samples; it is
-    empty without ``k_max``. ``spec`` is the eigenbasis, which only the
-    shadow source reads once the signals exist: it is None for a problem
-    of any other source built with ``k_max``.
+    of them, and the identity of the single-observable baseline, to its
+    complex exact signal, one row of the problem's ``k_max + 1`` samples;
+    it is empty without ``k_max``. ``spec``, the eigenbasis, is None once
+    the signals exist: only a problem built without ``k_max`` holds it.
     """
 
     n_qubits: int
@@ -591,10 +590,9 @@ def resolve_inputs(config: ExperimentConfig):
 def build_problem(config: ExperimentConfig, k_max: "int | None" = None) -> Problem:
     """Diagonalize the (rescaled) Hamiltonian and resolve run-wide state.
 
-    With ``k_max`` set, the problem carries the exact signal over
+    With ``k_max`` set, the problem carries the complex exact signal over
     ``k_max + 1`` samples of its observables and the identity, from one
-    :func:`~modmd.simulate.exact_signal` call, and keeps the eigenbasis
-    only for the shadow source, whose sampler reads exact overlaps through it.
+    :func:`~modmd.simulate.exact_signal` call, and drops the eigenbasis.
     """
     shifted, scale, observables, dt = resolve_inputs(config)
     n_qubits, sector = shifted.n_qubits, config.particle_number
@@ -607,9 +605,8 @@ def build_problem(config: ExperimentConfig, k_max: "int | None" = None) -> Probl
     signals = {}
     if k_max is not None:
         pool = list(dict.fromkeys(observables + (identity_observable(n_qubits),)))
-        truth = exact_signal(spec, phi0, pool, dt, k_max, mode="real").values
+        truth = exact_signal(spec, phi0, pool, dt, k_max, mode="complex").values
         signals = dict(zip(pool, truth))
-    if config.signal_source != "shadow" and k_max is not None:
         spec = None  # nothing reads the basis again: free it for the cells
     return Problem(
         n_qubits=n_qubits,
@@ -644,8 +641,8 @@ def measure_signal(
     """Real-mode signal of ``observables`` from the configured source.
 
     ``clean`` is their exact signal: the Gaussian source adds noise of the
-    configured level to it, and the shadow source estimates a signal over
-    as many steps.
+    configured level to its real part, and the shadow source, which needs
+    it complex, samples a signal over as many steps from its overlaps.
     """
     if clean.n_observables != len(observables):
         raise ValueError(
@@ -653,18 +650,13 @@ def measure_signal(
             f"not {len(observables)}"
         )
     if config.signal_source == "shadow":
-        return shadow_signal(
-            problem.spec,
-            problem.phi0,
-            problem.phi_perp,
-            observables,
-            problem.dt,
-            clean.n_steps - 1,
-            config.shadow_samples,
-            seed,
-            mode="real",
+        if clean.mode != "complex":
+            raise ValueError("the shadow source samples from a complex clean signal")
+        return _sample_signal(
+            clean, observables, problem.phi0, problem.phi_perp, config.shadow_samples, seed, "real"
         )
-    return gaussian_noise_channel(clean, config.noise_epsilon, seed)
+    real = MultiObservableSignal(clean.n_observables, clean.dt, clean.values.real)
+    return gaussian_noise_channel(real, config.noise_epsilon, seed)
 
 
 @dataclass(frozen=True)
@@ -915,7 +907,7 @@ def _evaluate_cell(plan: _SweepPlan, problem: Problem, point_index: int, trial: 
     for method in _METHODS:
         observables, stream = pools[method]
         fitted, held_out = np.split(blocks[method], [K + d + 1], axis=1)
-        clean = MultiObservableSignal(len(observables), problem.dt, fitted)
+        clean = MultiObservableSignal(len(observables), problem.dt, fitted, "complex")
         seed = derive_seed(config.master_seed, point_index, trial, stream)
         signal = measure_signal(config, problem, observables, clean, seed)
         laps.lap("signal_s")
@@ -925,7 +917,7 @@ def _evaluate_cell(plan: _SweepPlan, problem: Problem, point_index: int, trial: 
         laps.lap("pinv_s")
         head = (point_index, value, trial, method)
         try:
-            rows.append(score(head, config, problem, fit, pair, held_out, laps))
+            rows.append(score(head, config, problem, fit, pair, held_out.real, laps))
         except EigenvalueShortfallError as exc:
             raise EigenvalueShortfallError(
                 exc.requested,
@@ -941,7 +933,7 @@ def _evaluate_cell(plan: _SweepPlan, problem: Problem, point_index: int, trial: 
 # latest problem, keyed by its transverse field (the only problem input a
 # sweep varies), is kept. Tasks arrive in (point, trial) order, so each
 # worker diagonalizes at most once per Hamiltonian and holds one problem
-# (its signals, and a shadow run's eigenbasis) at a time.
+# (its energies and exact signals) at a time.
 _WORKER_PLAN: "_SweepPlan | None" = None
 _WORKER_PROBLEM: "tuple[float, Problem] | None" = None
 
@@ -983,7 +975,7 @@ def _run_plan(plan: _SweepPlan) -> "tuple[list, tuple[tuple[float, ...], ...]]":
         try:
             outputs = [_worker_task(task) for task in tasks]
         finally:
-            _init_worker(None)  # release the sweep's problem (signals, shadow basis)
+            _init_worker(None)  # release the sweep's problem and its signals
     else:
         with ProcessPoolExecutor(
             max_workers=plan.config.workers,

@@ -199,7 +199,22 @@ def shadow_signal(
     seed: int,
     mode: str = "real",
 ) -> MultiObservableSignal:
-    """Overlap signals estimated from randomized measurements.
+    """Overlap signals estimated from randomized measurements by
+    :func:`_sample_signal`, from the exact overlaps of one complex
+    :func:`~modmd.simulate.exact_signal` call per observable."""
+    if not observables:
+        raise ValueError("need at least one observable")
+    # one call per observable, so companions leave each one's rounding alone
+    rows = [exact_signal(spec, phi0, [o], dt, k_max, "complex").values[0] for o in observables]
+    exact = MultiObservableSignal(len(rows), dt, np.array(rows), "complex")
+    return _sample_signal(exact, observables, phi0, phi_perp, n_samples, seed, mode)
+
+
+def _sample_signal(
+    exact: MultiObservableSignal, observables, phi0, phi_perp, n_samples, seed, mode
+) -> MultiObservableSignal:
+    """Randomized-measurement estimate of the complex signals ``exact`` of
+    ``observables``, over as many steps.
 
     One batch of ``n_samples`` shots per time step serves all observables
     (and both quadratures in complex mode). A shot reads only the overlaps
@@ -214,19 +229,12 @@ def shadow_signal(
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     if mode not in ("real", "complex"):
         raise ValueError(f"mode must be 'real' or 'complex', got {mode!r}")
-    if not observables:
-        raise ValueError("need at least one observable")
-    # one call per observable: a shared product would round each one's
-    # signal differently with different companions
-    signal = np.array(
-        [exact_signal(spec, phi0, [o], dt, k_max, "complex").values[0] for o in observables]
-    )
     gammas = [build_gamma(o, phi0, phi_perp) for o in observables]
     f = [gammas[0].v] + [g.u for g in gammas]
-    m, dim, n_steps = len(f), len(f[0]), k_max + 1
+    m, dim, n_steps = len(f), len(f[0]), exact.n_steps
     gram = np.array([[np.vdot(g, h) for g in f] for h in f])  # [j, l] = <f_l|f_j>
     # <psi_k|f>: |v|^2 / sqrt(2), then conj(s_i(k)) / sqrt(2)
-    q_all = np.column_stack([np.full(n_steps, gram[0, 0]), signal.T.conj()]) / math.sqrt(2)
+    q_all = np.column_stack([np.full(n_steps, gram[0, 0]), exact.values.T.conj()]) / math.sqrt(2)
     values = np.empty((m - 1, n_steps), dtype=float if mode == "real" else complex)
     for block, start in enumerate(range(0, n_steps, _STEP_BLOCK)):
         steps, q = slice(start, start + _STEP_BLOCK), q_all[start : start + _STEP_BLOCK]
@@ -254,11 +262,11 @@ def shadow_signal(
             else:  # (D+1) 2Re / -2Im of <c|u_j> <c|v>*, as one complex mean
                 est = 2 * (dim + 1) * np.mean(overlap.conj() * on_v, axis=1)
                 values[j - 1, steps] = est.real if mode == "real" else est
-    return MultiObservableSignal(m - 1, dt, values, mode)
+    return MultiObservableSignal(m - 1, exact.dt, values, mode)
 
 
 def _block_bytes(n_observables: int, n_samples: int) -> int:
-    """Peak bytes of one :func:`shadow_signal` step block: the m = I + 1
+    """Peak bytes of one :func:`_sample_signal` step block: the m = I + 1
     draws ``z`` and 9 more complex (steps, shots) arrays (tracemalloc read
     7.6-8.6)."""
     return (n_observables + 10) * _STEP_BLOCK * n_samples * 16

@@ -486,13 +486,17 @@ class TestBuildProblem:
         assert peak < 2.5 * 8 * 4**n
         assert problem.spec.eigenvectors.dtype == np.float64
 
-    def test_exact_run_releases_the_basis_once_signals_exist(self):
-        config = small_config()
-        assert build_problem(config, 40).spec is None
-        assert build_problem(config).spec is not None
-        shadow = small_config(signal_source="shadow", shadow_samples=16)
-        spec = build_problem(shadow, 40).spec
-        assert spec is not None and spec.dimension == 8
+    def test_sweep_problem_holds_no_basis_whatever_its_source(self):
+        """A problem built with ``k_max`` keeps its exact signals, never its
+        eigenbasis; one built without keeps the basis."""
+        for config in (
+            small_config(),
+            small_config(signal_source="shadow", shadow_samples=16, noise_epsilon=0.0),
+        ):
+            problem = build_problem(config, 40)
+            assert problem.spec is None and problem.signals
+            spec = build_problem(config).spec
+            assert spec is not None and spec.dimension == 8
 
     def test_full_spectrum_too_small(self):
         config = small_config(tfim_qubits=2, reference_bitstrings=("00",), n_eig=5)
@@ -667,8 +671,8 @@ class TestProblemSignals:
         assert list(problem.signals) == expected
         spec = build_problem(config).spec  # a problem built with k_max keeps none
         for obs, row in problem.signals.items():
-            oracle = exact_signal(spec, problem.phi0, [obs], problem.dt, 40)
-            assert row.shape == (41,)
+            oracle = exact_signal(spec, problem.phi0, [obs], problem.dt, 40, mode="complex")
+            assert row.shape == (41,) and row.dtype == complex
             scale = max(obs.weight_l1, 1.0)
             np.testing.assert_allclose(row, oracle.values[0], rtol=0, atol=1e-12 * scale)
         for seed in range(5):
@@ -726,8 +730,8 @@ class TestParseObservableFile:
             parse_observable_file(str(path), 2, 1)
 
 
-def clean_signal(problem, observables, k_max):
-    return exact_signal(problem.spec, problem.phi0, observables, problem.dt, k_max)
+def clean_signal(problem, observables, k_max, mode="real"):
+    return exact_signal(problem.spec, problem.phi0, observables, problem.dt, k_max, mode)
 
 
 class TestMeasureSignal:
@@ -765,6 +769,19 @@ class TestMeasureSignal:
         assert np.array_equal(measured.values, want.values)
         assert np.array_equal(clean.values, before)
 
+    def test_complex_clean_signal_draws_the_noise_of_its_real_part(self):
+        """A sweep's cells hand over complex rows: the Gaussian source
+        measures their real part, bit for bit as the channel does."""
+        config = small_config(noise_epsilon=1e-2)
+        problem = build_problem(config)
+        pool = build_observables(config, problem, seed=2)
+        clean = clean_signal(problem, pool, 10, mode="complex")
+        measured = measure_signal(config, problem, pool, clean, seed=4)
+        real = modmd.MultiObservableSignal(len(pool), problem.dt, clean.values.real)
+        want = gaussian_noise_channel(real, 1e-2, 4)
+        assert measured.mode == "real"
+        assert np.array_equal(measured.values, want.values)
+
     def test_clean_signal_of_wrong_observable_count_refused(self):
         config = small_config()
         problem = build_problem(config)
@@ -786,13 +803,46 @@ class TestMeasureSignal:
         )
         problem = build_problem(config)
         pool = build_observables(config, problem, seed=2)
-        clean = clean_signal(problem, pool, 2)
+        clean = clean_signal(problem, pool, 2, mode="complex")
         a = measure_signal(config, problem, pool, clean, seed=9)
         b = measure_signal(config, problem, pool, clean, seed=9)
-        assert a.values.shape == (1, 3)
+        assert a.values.shape == (1, 3) and a.mode == "real"
         assert np.array_equal(a.values, b.values)
-        assert not np.array_equal(a.values, clean.values)
+        assert not np.array_equal(a.values, clean.values.real)
         assert np.max(np.abs(a.values)) <= 9.0  # (dim + 1) per-sample cap
+
+    def test_shadow_source_refuses_a_real_clean_signal(self):
+        """Real rows have no imaginary part to sample from: the shadow
+        source would bias every estimate, so it refuses them."""
+        config = small_config(signal_source="shadow", shadow_samples=16, noise_epsilon=0.0)
+        problem = build_problem(config)
+        pool = build_observables(config, problem, seed=2)
+        with pytest.raises(ValueError, match="complex clean signal"):
+            measure_signal(config, problem, pool, clean_signal(problem, pool, 4), seed=9)
+
+    def test_shadow_source_samples_the_problem_signals(self):
+        """A sweep problem's pooled overlaps give the per-observable
+        ``shadow_signal`` oracle's estimate over three step blocks, and a
+        cell's first row does not depend on its companions."""
+        config = small_config(signal_source="shadow", shadow_samples=16, noise_epsilon=0.0)
+        k_max, seed = 70, 9
+        problem = build_problem(config, k_max)
+        spec = build_problem(config).spec
+        pool = build_observables(config, problem, seed=2) + [identity_observable(3)]
+
+        def measured(observables):
+            rows = np.stack([problem.signals[o] for o in observables])
+            clean = modmd.MultiObservableSignal(len(observables), problem.dt, rows, "complex")
+            return measure_signal(config, problem, observables, clean, seed).values
+
+        oracle = modmd.shadow_signal(
+            spec, problem.phi0, problem.phi_perp, pool, problem.dt, k_max,
+            config.shadow_samples, seed,
+        )
+        got = measured(pool)
+        assert got.shape == (3, k_max + 1)
+        np.testing.assert_allclose(got, oracle.values, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(measured(pool[:1])[0], got[0])
 
 
 class TestSweepDrivers:
