@@ -8,6 +8,7 @@ import sys
 
 from .errors import (
     ConfigError,
+    DegenerateInputError,
     EigenvalueShortfallError,
     PauliParseError,
     ResourceCapError,
@@ -224,7 +225,7 @@ def main(argv: "list[str] | None" = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ConfigError, PauliParseError) as exc:
+    except (ConfigError, DegenerateInputError, PauliParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ResourceCapError as exc:

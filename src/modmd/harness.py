@@ -39,9 +39,9 @@ from .simulate import (
     MultiObservableSignal,
     SpectralDecomposition,
     StateVector,
+    _phase_sums,
     build_reference_superposition,
     diagonalize,
-    exact_signal,
 )
 from .solver import (
     build_hankel,
@@ -440,6 +440,8 @@ class Problem:
     complex exact signal, one row of the problem's ``k_max + 1`` samples;
     it is empty without ``k_max``. ``spec``, the eigenbasis, is None once
     the signals exist: only a problem built without ``k_max`` holds it.
+    A sector run's ``spec`` is its block's eigensystem, over the sector's
+    basis states in ascending index order.
     """
 
     n_qubits: int
@@ -491,23 +493,6 @@ def parse_observable_file(path: str, n_qubits: int, count: int) -> "tuple[PauliS
     return tuple(out)
 
 
-def _sector_block(dense: np.ndarray, sector: int) -> np.ndarray:
-    """The block of ``dense`` on the basis states holding ``sector`` ones.
-
-    The number operator is diagonal in the computational basis, so that
-    block is the sector's Hamiltonian when no entry couples it to the rest;
-    otherwise the Hamiltonian does not conserve the number and is refused.
-    """
-    inside = np.array([i.bit_count() == sector for i in range(len(dense))])
-    coupling = pauli._largest_magnitude(dense[np.ix_(inside, ~inside)])
-    if coupling > 1e-12 * pauli._largest_magnitude(dense):
-        raise ConfigError(
-            "particle_number needs a number-conserving Hamiltonian; this one "
-            f"couples sector {sector} to others"
-        )
-    return dense[np.ix_(inside, inside)]
-
-
 def resolve_hamiltonian(config: ExperimentConfig) -> PauliSum:
     """Load the configured operator and validate reference addressing."""
     if config.tfim_qubits is not None:
@@ -547,9 +532,9 @@ def resolve_inputs(config: ExperimentConfig):
     single-qubit Paulis a random policy draws from, or the fixed list of
     any other policy. Refused are a pool smaller than ``n_observables``, a
     shadow shot block or a dense matrix larger than physical memory, and a
-    spectrum or particle sector of fewer than ``n_eig`` levels. Levels are
-    counted from the register width; a matrix is built only to check that
-    a particle sector's Hamiltonian conserves the number.
+    spectrum or particle sector of fewer than ``n_eig`` levels. Levels and
+    memory count the dimension a run solves, ``2^n`` or ``C(n, N)``; no
+    matrix is built, and a sector's coupling is read from the strings.
     """
     hamiltonian = resolve_hamiltonian(config)
     n_qubits, policy = hamiltonian.n_qubits, config.observable_policy
@@ -575,15 +560,20 @@ def resolve_inputs(config: ExperimentConfig):
                 f"{have / 1e9:.1f} GB of physical memory"
             )
     shifted, scale = shift_and_scale(hamiltonian, config.safety_fraction)
-    pauli._check_dense_memory(n_qubits)
     sector = config.particle_number
     count, where = 2**n_qubits, "the spectrum"
     if sector is not None:
         count, where = math.comb(n_qubits, sector), f"particle sector {sector}"
+    pauli._check_dense_memory(count)
     if count < config.n_eig:
         raise ConfigError(f"{where} holds only {count} levels, need {config.n_eig}")
     if sector is not None:
-        _sector_block(to_dense(shifted), sector)
+        states = pauli._sector_states(n_qubits, sector)
+        if pauli._block(shifted, states, build=False)[1] > 1e-12 * shifted.weight_l1:
+            raise ConfigError(
+                "particle_number needs a number-conserving Hamiltonian; this one "
+                f"couples sector {sector} to others"
+            )
     return shifted, scale, observables, resolve_time_step(config)
 
 
@@ -592,21 +582,25 @@ def build_problem(config: ExperimentConfig, k_max: "int | None" = None) -> Probl
 
     With ``k_max`` set, the problem carries the complex exact signal over
     ``k_max + 1`` samples of its observables and the identity, from one
-    :func:`~modmd.simulate.exact_signal` call, and drops the eigenbasis.
+    phase sum over ``[phi0, O_1 phi0, ...]``, and drops the eigenbasis. A
+    particle-sector run solves only its sector's block, and keeps only the
+    sector's entries of that stack: ``exp(-iHt) phi0`` never leaves it.
     """
     shifted, scale, observables, dt = resolve_inputs(config)
     n_qubits, sector = shifted.n_qubits, config.particle_number
-    if sector is not None:
-        levels = np.linalg.eigvalsh(_sector_block(to_dense(shifted), sector))
-    spec = diagonalize(to_dense(shifted))  # held nowhere else: freed before the basis
-    if sector is None:
-        levels = spec.energies
+    keep = slice(None) if sector is None else pauli._sector_states(n_qubits, sector)
+    # the matrix is held nowhere else: freed before the basis
+    spec = diagonalize(to_dense(shifted) if sector is None else pauli._block(shifted, keep)[0])
+    levels = spec.energies
     phi0 = build_reference_superposition(n_qubits, list(config.reference_bitstrings))
     signals = {}
     if k_max is not None:
         pool = list(dict.fromkeys(observables + (identity_observable(n_qubits),)))
-        truth = exact_signal(spec, phi0, pool, dt, k_max, mode="complex").values
-        signals = dict(zip(pool, truth))
+        amps, stack = phi0.amplitudes, np.empty((len(pool) + 1, spec.dimension), complex)
+        stack[0] = amps[keep]
+        for row, observable in enumerate(pool, start=1):
+            stack[row] = observable.apply(amps)[keep]
+        signals = dict(zip(pool, _phase_sums(spec, stack, dt, k_max)))
         spec = None  # nothing reads the basis again: free it for the cells
     return Problem(
         n_qubits=n_qubits,

@@ -10,6 +10,7 @@ of a bitstring label is the index of the matching basis state.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -155,17 +156,9 @@ class PauliSum:
         for c, s in zip(self.coefficients, self.strings):
             if not math.isfinite(c):
                 raise ValueError(f"non-finite coefficient {c!r}")
-            if s in seen:
-                seen[s] += float(c)
-            else:
-                seen[s] = float(c)
-        if len(seen) != len(self.strings):
-            object.__setattr__(self, "coefficients", tuple(seen.values()))
-            object.__setattr__(self, "strings", tuple(seen.keys()))
-        else:
-            object.__setattr__(
-                self, "coefficients", tuple(float(c) for c in self.coefficients)
-            )
+            seen[s] = seen[s] + float(c) if s in seen else float(c)
+        object.__setattr__(self, "coefficients", tuple(seen.values()))
+        object.__setattr__(self, "strings", tuple(seen))
 
     @classmethod
     def from_terms(
@@ -275,49 +268,57 @@ def build_tfim(n_qubits: int, coupling: float, field: float) -> PauliSum:
 
 
 def to_dense(psum: PauliSum) -> np.ndarray:
-    """Dense matrix of a Pauli sum: real when every string has an even
-    number of Y factors (so a real phase), complex otherwise.
+    """Dense matrix of a Pauli sum, real when every string has an even number
+    of Y factors: :func:`_block` over all ``2^n`` states, O(terms * 2^n). A
+    register too wide for :func:`_check_dense_memory` is refused first."""
+    _check_dense_memory(1 << psum.n_qubits)
+    return _block(psum, np.arange(1 << psum.n_qubits))[0]
 
-    Refuses, before allocating, a register too wide for
-    :func:`_check_dense_memory`. Each string contributes one nonzero per
-    column, so assembly is O(terms * 2^n).
-    """
-    _check_dense_memory(psum.n_qubits)
-    n = 1 << psum.n_qubits
+
+def _sector_states(n_qubits: int, particles: int) -> np.ndarray:
+    """The basis indices holding ``particles`` ones, ascending."""
+    bits = [1 << q for q in range(n_qubits)]
+    return np.array(sorted(map(sum, itertools.combinations(bits, particles))), dtype=np.int64)
+
+
+def _block(psum: PauliSum, states: np.ndarray, build: bool = True):
+    """``(block, leak)``: the block of the matrix of ``psum`` on the
+    ascending basis ``states`` (None unless ``build``; real when every string
+    has an even number of Y factors), and the largest magnitude of an entry
+    from them to any other state, summed per (row, column) across strings:
+    strings that cancel (as ``XX + YY`` do) leak nothing."""
     y_counts = [(s.x_mask & s.z_mask).bit_count() for s in psum.strings]
     real = all(n_y % 2 == 0 for n_y in y_counts)
-    out = np.zeros((n, n), dtype=float if real else complex)
-    idx = np.arange(n)
+    m = len(states)
+    block = np.zeros((m, m), dtype=float if real else complex) if build else None
+    columns, leaving, leaked = np.arange(m), [states[:0]], [np.empty(0)]
     for c, s, n_y in zip(psum.coefficients, psum.strings, y_counts):
         phase = (-1.0) ** (n_y // 2) if real else (1j) ** n_y
-        out[idx ^ s.x_mask, idx] += c * phase * (-1.0) ** _parity(idx, s.z_mask)
-    return out
+        rows, values = states ^ s.x_mask, c * phase * (-1.0) ** _parity(states, s.z_mask)
+        at = np.minimum(np.searchsorted(states, rows), m - 1)
+        inside = states[at] == rows
+        if build:
+            block[at[inside], columns[inside]] += values[inside]
+        leaving.append(rows[~inside] * m + columns[~inside])
+        leaked.append(values[~inside])
+    _, where = np.unique(np.concatenate(leaving), return_inverse=True)
+    leaked = np.concatenate(leaked)
+    net = np.hypot(np.bincount(where, leaked.real), np.bincount(where, leaked.imag))
+    return block, float(net.max(initial=0.0))
 
 
-def _check_dense_memory(n_qubits: int) -> None:
-    """Refuse a register whose matrix and eigenbasis (counted as two complex
-    ``2^n x 2^n`` arrays) would not fit in physical memory.
-
-    The count covers a complex sum and over-counts a real one: its matrix
-    and eigenbasis are real, and the spin-flip split frees the matrix
-    before it allocates the basis."""
-    need, have = 2 * 16 * 4**n_qubits, _physical_memory_bytes()
+def _check_dense_memory(dimension: int) -> None:
+    """Refuse a dense matrix and eigenbasis, counted as two complex
+    ``dimension x dimension`` arrays, larger than physical memory. That
+    over-counts a real sum, whose matrix and eigenbasis are real and, under
+    the spin-flip split, never held at once."""
+    need, have = 2 * 16 * dimension**2, _physical_memory_bytes()
     if need > have:
         raise ResourceCapError(
-            f"dense matrix and eigenbasis on {n_qubits} qubits need "
+            f"a dense matrix and eigenbasis of dimension {dimension} need "
             f"{need / 1e9:.1f} GB, more than the {have / 1e9:.1f} GB of "
             "physical memory"
         )
-
-
-def _largest_magnitude(m: np.ndarray) -> float:
-    """``max |m_ij|`` (0 if empty), with no temporary the size of ``m``:
-    from the extremes of a real matrix, in strips of 64 rows of a complex
-    one."""
-    if np.iscomplexobj(m):
-        strips = range(0, len(m), 64)
-        return max((np.abs(m[i : i + 64]).max(initial=0.0) for i in strips), default=0.0)
-    return max(m.max(initial=0.0), -m.min(initial=0.0))
 
 
 def _physical_memory_bytes() -> int:

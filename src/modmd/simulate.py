@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliSum
+from .pauli import PauliSum, apply_pauli_string
 from .errors import DegenerateInputError
 
 NORM_ATOL = 1e-10
@@ -247,8 +247,6 @@ def trotter_evolve(
         raise ValueError(f"step count must be >= 1, got {r}")
     if state.n_qubits != psum.n_qubits:
         raise ValueError("state and operator register widths differ")
-    from .pauli import apply_pauli_string
-
     theta = [c * t / r for c in psum.coefficients]
     amps = state.amplitudes.copy()
     for _ in range(r):
@@ -330,17 +328,23 @@ def exact_signal(
         if obs.n_qubits != phi0.n_qubits:
             raise ValueError(f"observable {i} register width mismatch")
         stack[i + 1] = obs.apply(phi0.amplitudes)
+    values = _phase_sums(spec, stack, dt, k_max)
+    values = values.real if mode == "real" else values
+    return MultiObservableSignal(len(observables), dt, values, mode)
+
+
+def _phase_sums(spec, stack: np.ndarray, dt: float, k_max: int) -> np.ndarray:
+    """:func:`exact_signal`'s complex rows from its stack ``[phi0, O_1 phi0,
+    ...]``, given in the coordinates of ``spec``."""
     projected = _matmul(stack.conj(), spec.eigenvectors)
     coeffs = projected[1:] * projected[0].conj()
     rate = -1j * dt * spec.energies
     n_steps = k_max + 1
     width = min(_PHASE_BLOCK, n_steps)
     base = np.exp(np.multiply.outer(rate, np.arange(width)))
-    values = np.empty((len(observables), n_steps), dtype=complex)
+    values = np.empty((len(stack) - 1, n_steps), dtype=complex)
     for start in range(0, n_steps, width):
         stop = min(start + width, n_steps)
         shifted = coeffs * np.exp(rate * start)
         values[:, start:stop] = shifted @ base[:, : stop - start]
-    if mode == "real":
-        values = values.real
-    return MultiObservableSignal(len(observables), dt, values, mode)
+    return values

@@ -30,6 +30,7 @@ from modmd import (
     config_from_dict,
     config_to_dict,
     derive_seed,
+    diagonalize,
     emit_outputs,
     exact_signal,
     extract_eigen,
@@ -72,6 +73,7 @@ from modmd.harness import (
     split_fit_window,
     threshold_for,
 )
+from modmd.simulate import _phase_sums
 
 
 ONE_NORM = "Hamiltonian coefficient 1-norm must be finite and nonzero"
@@ -102,6 +104,19 @@ def hopping_chain(n_qubits):
     for i in range(n_qubits - 1):
         for axis in "XY":
             lines.append(f"0.5 {'I' * i}{axis * 2}{'I' * (n_qubits - i - 2)}")
+    return "\n".join(lines) + "\n"
+
+
+def fielded_chain(n_qubits, yy=0.5):
+    """``0.5 XX + yy YY`` on each bond (hopping, which conserves the
+    particle number, at the default) in unequal Z fields."""
+    lines = []
+    for i in range(n_qubits - 1):
+        for axis, coeff in (("X", 0.5), ("Y", yy)):
+            if coeff:
+                lines.append(f"{coeff!r} {'I' * i}{axis * 2}{'I' * (n_qubits - i - 2)}")
+    for q in range(n_qubits):
+        lines.append(f"{0.2 + 0.05 * q!r} {'I' * q}Z{'I' * (n_qubits - q - 1)}")
     return "\n".join(lines) + "\n"
 
 
@@ -453,6 +468,57 @@ class TestBuildProblem:
             build_problem(config).exact_energies, oracle, rtol=0, atol=1e-12
         )
 
+    @pytest.mark.parametrize(
+        "n_qubits, sector", [(6, 3), (6, 2), (8, 4), (8, 5), (10, 5), (10, 3)]
+    )
+    def test_particle_sector_signals_match_the_full_matrix(
+        self, tmp_path, n_qubits, sector
+    ):
+        """A sector run takes its signals from its block alone; the full
+        matrix's eigensystem is the oracle. The X and Y observables map the
+        reference out of the sector, where the sector run's rows are 0."""
+        hfile = tmp_path / "chain.txt"
+        hfile.write_text(fielded_chain(n_qubits))
+        ones, zeros = "1" * sector, "0" * (n_qubits - sector)
+        config = small_config(
+            tfim_qubits=None,
+            hamiltonian_file=str(hfile),
+            particle_number=sector,
+            reference_bitstrings=(ones + zeros, zeros + ones),
+        )
+        problem = build_problem(config, 60)
+        assert len(problem.signals) == 3 * n_qubits + 1
+        shifted, _ = shift_and_scale(parse_pauli_sum(hfile.read_text()), 0.9)
+        oracle = exact_signal(
+            diagonalize(to_dense(shifted)), problem.phi0, list(problem.signals),
+            problem.dt, 60, mode="complex",
+        )
+        got = np.array(list(problem.signals.values()))
+        np.testing.assert_allclose(got, oracle.values, rtol=0, atol=1e-12)
+
+    def test_sector_run_builds_no_full_matrix(self, tmp_path, monkeypatch, traced_peak):
+        """At 12 qubits and half filling the run solves 924 levels, not
+        4096: no ``2^n x 2^n`` matrix is assembled, and the peak stays below
+        a quarter of one real ``8 * 4^n``-byte array."""
+        n = 12
+
+        def no_dense(psum):
+            raise AssertionError("a sector run built the full matrix")
+
+        monkeypatch.setattr(harness, "to_dense", no_dense)
+        hfile = tmp_path / "chain.txt"
+        hfile.write_text(fielded_chain(n))
+        config = small_config(
+            tfim_qubits=None,
+            hamiltonian_file=str(hfile),
+            particle_number=n // 2,
+            reference_bitstrings=("1" * 6 + "0" * 6, "10" * 6),
+        )
+        problem, peak = traced_peak(build_problem, config, 420)
+        assert peak < 8 * 4**n / 4
+        assert len(problem.exact_energies) == math.comb(n, n // 2)
+        assert all(row.shape == (421,) for row in problem.signals.values())
+
     def test_particle_sector_needs_number_conserving_hamiltonian(self, tmp_path):
         hfile = tmp_path / "h.txt"
         hfile.write_text("1.0 XII\n0.5 ZZI\n")
@@ -692,7 +758,7 @@ class TestProblemSignals:
         def no_signal(*args, **kwargs):
             raise AssertionError("exact signal without k_max")
 
-        monkeypatch.setattr(harness, "exact_signal", no_signal)
+        monkeypatch.setattr(harness, "_phase_sums", no_signal)
         assert build_problem(small_config()).signals == {}
 
     def test_problem_holds_no_level_by_step_array(self):
@@ -1106,11 +1172,11 @@ class TestSweepDrivers:
     def test_cell_takes_truth_from_one_exact_signal(self, kind, monkeypatch):
         calls = []
 
-        def counting_exact_signal(spec, phi0, observables, *args, **kwargs):
-            calls.append(len(observables))
-            return exact_signal(spec, phi0, observables, *args, **kwargs)
+        def counting_phase_sums(spec, stack, *args):
+            calls.append(len(stack) - 1)  # the observables below phi0
+            return _phase_sums(spec, stack, *args)
 
-        monkeypatch.setattr(harness, "exact_signal", counting_exact_signal)
+        monkeypatch.setattr(harness, "_phase_sums", counting_phase_sums)
         config = small_config(trials=2, n_observables=3)
         result = {
             "sweep-k": lambda: run_convergence_sweep(
@@ -1129,11 +1195,11 @@ class TestSweepDrivers:
     def test_single_solve_takes_truth_from_one_exact_signal(self, monkeypatch):
         calls = []
 
-        def counting_exact_signal(spec, phi0, observables, dt, k_max, **kwargs):
-            calls.append((len(observables), k_max))
-            return exact_signal(spec, phi0, observables, dt, k_max, **kwargs)
+        def counting_phase_sums(spec, stack, dt, k_max):
+            calls.append((len(stack) - 1, k_max))  # the observables below phi0
+            return _phase_sums(spec, stack, dt, k_max)
 
-        monkeypatch.setattr(harness, "exact_signal", counting_exact_signal)
+        monkeypatch.setattr(harness, "_phase_sums", counting_phase_sums)
         run_single_solve(small_config(k_grid=(16, 24)))
         assert calls == [(3 * 3 + 1, 16 + 8)]  # K + d at the first K
 
@@ -1773,6 +1839,84 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: particle_number needs a number-conserving")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("verb", ["validate-config", "sweep-k"])
+    @pytest.mark.parametrize(
+        "yy, conserving", [(0.5, True), (-0.5, False), (0.0, False)],
+        ids=["xx+yy", "xx-yy", "xx"],
+    )
+    def test_conservation_is_checked_across_terms(
+        self, verb, yy, conserving, tmp_path, capsys
+    ):
+        """XX and YY each move a particle pair in or out of the sector, and
+        only in XX+YY do those amplitudes cancel."""
+        hfile = tmp_path / "chain.txt"
+        hfile.write_text(fielded_chain(4, yy))
+        out = tmp_path / "out"
+        argv = [
+            verb, "--hamiltonian-file", str(hfile), "--particle-number", "2",
+            "--reference", "1100", "--reference", "0011", "--n-eig", "2",
+            "--k-grid", "16", "--trials", "1", "--output-dir", str(out),
+        ]
+        code = main(argv)
+        err = capsys.readouterr().err
+        if conserving:
+            assert code == EXIT_OK and err == ""
+        else:
+            assert code == EXIT_CONFIG and not out.exists()
+            assert err == (
+                "error: particle_number needs a number-conserving Hamiltonian; "
+                "this one couples sector 2 to others\n"
+            )
+
+    @pytest.mark.parametrize(
+        "sector, code", [(7, EXIT_OK), (None, EXIT_RESOURCE)], ids=["sector", "full"]
+    )
+    def test_cap_counts_the_solved_dimension(
+        self, sector, code, tmp_path, monkeypatch, capsys
+    ):
+        """On 7.8 GB a 14-qubit run is refused (2 x 4.3 GB), and its
+        half-filled sector (3432 levels, 0.38 GB) passes; neither allocates
+        a matrix to find out."""
+
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("validate-config allocated a matrix")
+
+        monkeypatch.setattr(pauli, "_physical_memory_bytes", lambda: int(7.8e9))
+        monkeypatch.setattr(pauli.np, "zeros", no_allocation)
+        hfile = tmp_path / "chain.txt"
+        hfile.write_text(fielded_chain(14))
+        argv = [
+            "validate-config", "--hamiltonian-file", str(hfile),
+            "--reference", "1" * 7 + "0" * 7,
+        ]
+        if sector is not None:
+            argv += ["--particle-number", str(sector)]
+        assert main(argv) == code
+        if code == EXIT_RESOURCE:
+            assert capsys.readouterr().err == (
+                "error: a dense matrix and eigenbasis of dimension 16384 need 8.6 GB, "
+                "more than the 7.8 GB of physical memory\n"
+            )
+
+    @pytest.mark.parametrize(
+        "verb, workers", [("sweep-k", 1), ("sweep-k", 2), ("solve", 1)]
+    )
+    def test_degenerate_signal_exit_code(self, verb, workers, tmp_path, capsys):
+        """An all-zero observable gives an all-zero snapshot matrix, which has
+        no pseudo-inverse: one error line, exit 2, and no output left."""
+        obs = tmp_path / "obs.txt"
+        obs.write_text("0.0 III\n")
+        argv = [
+            verb, "--tfim-qubits", "3", "--reference", "000",
+            "--observable-policy", "explicit", "--observable-file", str(obs),
+            "--n-observables", "1", "--noise-epsilon", "0", "--k-grid", "16",
+            "--trials", "2", "--workers", str(workers),
+            "--output-dir", str(tmp_path / "out" / "nested"),
+        ]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: all-zero matrix has no pseudo-inverse\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize(

@@ -259,29 +259,41 @@ class TestToDense:
             to_dense(psum)
 
 
-class TestLargestMagnitude:
-    """``_largest_magnitude`` is ``np.abs(m).max()``, without the full-size
-    array of magnitudes."""
+class TestSectorBlock:
+    """``_block`` on a particle sector is the block of :func:`to_dense`'s
+    matrix, and its leak the largest entry from the sector to the rest."""
 
-    @pytest.mark.parametrize("complex_valued", [False, True], ids=["real", "complex"])
-    @pytest.mark.parametrize("shape", [(130, 70), (64, 64), (1, 3), (0, 5), (5, 0)])
-    def test_matches_abs_max(self, complex_valued, shape):
-        rng = np.random.default_rng(51)
-        m = rng.standard_normal(shape)
-        if complex_valued:
-            m = m + 1j * rng.standard_normal(shape)
-        assert pauli._largest_magnitude(m) == np.abs(m).max(initial=0.0)
+    def test_sector_states_ascend(self):
+        np.testing.assert_array_equal(pauli._sector_states(4, 2), [3, 5, 6, 9, 10, 12])
+        np.testing.assert_array_equal(pauli._sector_states(3, 0), [0])
 
-    def test_negative_extreme_of_a_real_matrix(self):
-        assert pauli._largest_magnitude(np.array([[-3.0, 2.0], [1.0, 0.5]])) == 3.0
+    @pytest.mark.parametrize(
+        "text, conserving",
+        [
+            ("0.5 XXI\n0.5 YYI\n0.5 IXX\n0.5 IYY\n0.3 ZII\n-0.2 IIZ\n", True),
+            ("0.5 XYI\n-0.5 YXI\n0.7 IXY\n-0.7 IYX\n0.3 IZI\n", True),
+            ("0.5 XXI\n-0.5 YYI\n0.5 IXX\n-0.5 IYY\n0.3 ZII\n", False),
+            ("0.5 XXI\n0.5 IXX\n0.3 ZZI\n", False),
+        ],
+        ids=["xx+yy", "xy-yx-complex", "xx-yy", "xx"],
+    )
+    @pytest.mark.parametrize("particles", [0, 1, 2, 3])
+    def test_block_and_leak_are_read_off_the_dense_matrix(self, text, conserving, particles):
+        psum = parse_pauli_sum(text)
+        dense = to_dense(psum)
+        states = pauli._sector_states(3, particles)
+        outside = np.setdiff1d(np.arange(8), states)
+        block, leak = pauli._block(psum, states)
+        assert block.dtype == dense.dtype
+        np.testing.assert_array_equal(block, dense[np.ix_(states, states)])
+        assert leak == np.abs(dense[np.ix_(outside, states)]).max(initial=0.0)
+        assert (leak == 0.0) == conserving
+        assert pauli._block(psum, states, build=False) == (None, leak)
 
-    @pytest.mark.parametrize("complex_valued", [False, True], ids=["real", "complex"])
-    def test_no_full_size_temporary(self, complex_valued, traced_peak):
-        m = np.random.default_rng(52).standard_normal((512, 512))
-        if complex_valued:
-            m = m * (1 + 1j)
-        _, peak = traced_peak(pauli._largest_magnitude, m)
-        assert peak < m.nbytes / 4
+    def test_whole_register_leaks_nothing(self):
+        block, leak = pauli._block(build_tfim(3, 1.0, 0.5), np.arange(8))
+        np.testing.assert_array_equal(block, to_dense(build_tfim(3, 1.0, 0.5)))
+        assert leak == 0.0
 
 
 class TestSortByWeight:
