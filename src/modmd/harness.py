@@ -32,13 +32,13 @@ from .pauli import (
     partial_sum_observables,
     random_one_local,
     shift_and_scale,
-    to_dense,
 )
 from .shadows import _sample_signal, gaussian_noise_channel
 from .simulate import (
     MultiObservableSignal,
     SpectralDecomposition,
     StateVector,
+    _matmul,
     _phase_sums,
     build_reference_superposition,
     diagonalize,
@@ -438,10 +438,11 @@ class Problem:
     :func:`build_observables` draws from or returns. ``signals`` maps each
     of them, and the identity of the single-observable baseline, to its
     complex exact signal, one row of the problem's ``k_max + 1`` samples;
-    it is empty without ``k_max``. ``spec``, the eigenbasis, is None once
-    the signals exist: only a problem built without ``k_max`` holds it.
-    A sector run's ``spec`` is its block's eigensystem, over the sector's
-    basis states in ascending index order.
+    it is empty without ``k_max``. ``spec`` is None when the signals exist,
+    since no eigenbasis is formed for them (:func:`_solve`); a problem
+    built without ``k_max`` holds the eigensystem of the run's basis
+    states, lifted from their symmetry blocks: all ``2^n`` states, or a
+    particle sector's in ascending index order.
     """
 
     n_qubits: int
@@ -531,10 +532,11 @@ def resolve_inputs(config: ExperimentConfig):
     energies onto it) and ``observables`` the policy's pool: the 3n
     single-qubit Paulis a random policy draws from, or the fixed list of
     any other policy. Refused are a pool smaller than ``n_observables``, a
-    shadow shot block or a dense matrix larger than physical memory, and a
-    spectrum or particle sector of fewer than ``n_eig`` levels. Levels and
-    memory count the dimension a run solves, ``2^n`` or ``C(n, N)``; no
-    matrix is built, and a sector's coupling is read from the strings.
+    shadow shot block, or a dense matrix and the run's ``2^n``-long state
+    vectors, larger than physical memory, and a spectrum or particle sector
+    of fewer than ``n_eig`` levels. Levels and the matrix count the
+    dimension a run solves, ``2^n`` or ``C(n, N)``; no matrix is built, and
+    a sector's coupling is read from the strings.
     """
     hamiltonian = resolve_hamiltonian(config)
     n_qubits, policy = hamiltonian.n_qubits, config.observable_policy
@@ -564,12 +566,16 @@ def resolve_inputs(config: ExperimentConfig):
     count, where = 2**n_qubits, "the spectrum"
     if sector is not None:
         count, where = math.comb(n_qubits, sector), f"particle sector {sector}"
-    pauli._check_dense_memory(count)
+    # 2^n-long complex vectors held at once: phi0, phi_perp and a gathered
+    # O_i phi0 with its temporaries, or a shadow cell's two vectors of
+    # 2^(n+1) amplitudes per observable (tracemalloc read 6.0 and 29.0 such
+    # vectors in one-particle runs at 16 and 18 qubits, 6 observables)
+    vectors = 6 if config.shadow_samples is None else 4 * config.n_observables + 6
+    pauli._check_dense_memory(count, vectors, 2**n_qubits)
     if count < config.n_eig:
         raise ConfigError(f"{where} holds only {count} levels, need {config.n_eig}")
     if sector is not None:
-        states = pauli._sector_states(n_qubits, sector)
-        if pauli._block(shifted, states, build=False)[1] > 1e-12 * shifted.weight_l1:
+        if pauli._leak(shifted, pauli._sector_states(n_qubits, sector)) > 1e-12 * shifted.weight_l1:
             raise ConfigError(
                 "particle_number needs a number-conserving Hamiltonian; this one "
                 f"couples sector {sector} to others"
@@ -578,30 +584,33 @@ def resolve_inputs(config: ExperimentConfig):
 
 
 def build_problem(config: ExperimentConfig, k_max: "int | None" = None) -> Problem:
-    """Diagonalize the (rescaled) Hamiltonian and resolve run-wide state.
+    """Solve the (rescaled) Hamiltonian and resolve run-wide state.
 
-    With ``k_max`` set, the problem carries the complex exact signal over
-    ``k_max + 1`` samples of its observables and the identity, from one
-    phase sum over ``[phi0, O_1 phi0, ...]``, and drops the eigenbasis. A
-    particle-sector run solves only its sector's block, and keeps only the
-    sector's entries of that stack: ``exp(-iHt) phi0`` never leaves it.
+    The run's basis states are the whole register or, in a particle-sector
+    run, the sector's (``exp(-iHt) phi0`` never leaves it), and
+    :func:`_solve` solves them one symmetry block at a time. With ``k_max``
+    set, the problem carries the complex exact signal over ``k_max + 1``
+    samples of its observables and the identity, from one phase sum over
+    the projections of ``[phi0, O_1 phi0, ...]`` on those states; no
+    eigenbasis is formed. Without it, ``spec`` holds the eigenbasis over
+    the run's states.
     """
     shifted, scale, observables, dt = resolve_inputs(config)
     n_qubits, sector = shifted.n_qubits, config.particle_number
-    keep = slice(None) if sector is None else pauli._sector_states(n_qubits, sector)
-    # the matrix is held nowhere else: freed before the basis
-    spec = diagonalize(to_dense(shifted) if sector is None else pauli._block(shifted, keep)[0])
-    levels = spec.energies
+    states = np.arange(2**n_qubits) if sector is None else pauli._sector_states(n_qubits, sector)
     phi0 = build_reference_superposition(n_qubits, list(config.reference_bitstrings))
-    signals = {}
-    if k_max is not None:
+    spec, signals = None, {}
+    if k_max is None:
+        spec = SpectralDecomposition(*_solve(shifted, states))
+        levels = spec.energies
+    else:
         pool = list(dict.fromkeys(observables + (identity_observable(n_qubits),)))
-        amps, stack = phi0.amplitudes, np.empty((len(pool) + 1, spec.dimension), complex)
-        stack[0] = amps[keep]
+        amps, stack = phi0.amplitudes, np.empty((len(pool) + 1, len(states)), complex)
+        stack[0] = amps[states]
         for row, observable in enumerate(pool, start=1):
-            stack[row] = observable.apply(amps)[keep]
-        signals = dict(zip(pool, _phase_sums(spec, stack, dt, k_max)))
-        spec = None  # nothing reads the basis again: free it for the cells
+            stack[row] = observable.apply(amps)[states]
+        levels, projected = _solve(shifted, states, stack)
+        signals = dict(zip(pool, _phase_sums(levels, projected, dt, k_max)))
     return Problem(
         n_qubits=n_qubits,
         spec=spec,
@@ -613,6 +622,47 @@ def build_problem(config: ExperimentConfig, k_max: "int | None" = None) -> Probl
         observables=observables,
         signals=signals,
     )
+
+
+def _solve(psum: PauliSum, states: np.ndarray, stack: "np.ndarray | None" = None):
+    """``(energies, columns)`` of the matrix ``H`` of ``psum`` on the
+    ascending basis ``states``, one :func:`pauli._symmetry_blocks` block and
+    one :func:`diagonalize` call at a time; no ``H`` or eigenbasis is formed
+    for the whole basis when ``stack`` is given.
+
+    The energies ascend (a stable sort of the blocks' levels) and, in their
+    order, the columns are ``conj(stack) @ V`` for the unit eigenvectors
+    ``V``: the conjugate projections of each row of ``stack`` (a vector over
+    ``states``), which :func:`_phase_sums` takes. Without ``stack`` they are
+    ``V`` itself, lifted from the blocks.
+    """
+    levels, parts = [], []
+    for block, images, weights in pauli._symmetry_blocks(psum, states):
+        solved = diagonalize(block)
+        del block  # and the generator drops its own before building the next
+        levels.append(solved.energies)
+        if stack is None:
+            parts.append((solved.eigenvectors, images, weights))
+            continue
+        coordinates = weights[0] * stack[:, images[0]]
+        for image, weight in zip(images[1:], weights[1:]):
+            coordinates += weight * stack[:, image]
+        parts.append(_matmul(coordinates.conj(), solved.eigenvectors))
+    energies = np.concatenate(levels)
+    order = np.argsort(energies, kind="stable")
+    if stack is not None:
+        return energies[order], np.concatenate(parts, axis=1)[:, order]
+    # write each block's vectors where their energies land in the order
+    place = np.empty_like(order)
+    place[order] = np.arange(len(order))
+    dtype = np.result_type(*(vectors for vectors, _, _ in parts))
+    basis, start = np.zeros((len(states), len(states)), dtype), 0
+    for vectors, images, weights in parts:
+        columns = place[start : start + len(vectors)]
+        start += len(vectors)
+        for image, weight in zip(images, weights):
+            basis[np.ix_(image, columns)] += weight[:, None] * vectors
+    return energies[order], basis
 
 
 def build_observables(
@@ -881,8 +931,10 @@ def _evaluate_cell(plan: _SweepPlan, problem: Problem, point_index: int, trial: 
     The problem's exact signals hold both methods' clean samples, and a
     forecast's held-out tail: the cell stacks the rows of the modmd
     observables, then the identity, and the modmd row's ``signal_s`` also
-    times that. Each method then measures its samples, builds the Hankel
-    pair, fits and scores the fit.
+    times that. The shadow source samples from complex rows; the Gaussian
+    source reads their real parts alone, so only those are stacked. Each
+    method then measures its samples, builds the Hankel pair, fits and
+    scores the fit.
     """
     config, value = plan.configs[point_index], plan.points[point_index]
     d, K = plan.windows[point_index]
@@ -895,13 +947,15 @@ def _evaluate_cell(plan: _SweepPlan, problem: Problem, point_index: int, trial: 
     laps = _Laps()
     n_steps = K + d + plan.horizon + 1
     observed = pools["modmd"][0] + pools["odmd"][0]
-    truth = np.stack([problem.signals[o][:n_steps] for o in observed])
+    mode = "complex" if config.signal_source == "shadow" else "real"
+    samples = [problem.signals[o][:n_steps] for o in observed]
+    truth = np.stack(samples if mode == "complex" else [row.real for row in samples])
     blocks = {"modmd": truth[:-1], "odmd": truth[-1:]}
     rows = []
     for method in _METHODS:
         observables, stream = pools[method]
         fitted, held_out = np.split(blocks[method], [K + d + 1], axis=1)
-        clean = MultiObservableSignal(len(observables), problem.dt, fitted, "complex")
+        clean = MultiObservableSignal(len(observables), problem.dt, fitted, mode)
         seed = derive_seed(config.master_seed, point_index, trial, stream)
         signal = measure_signal(config, problem, observables, clean, seed)
         laps.lap("signal_s")

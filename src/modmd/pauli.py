@@ -102,14 +102,16 @@ class PauliString:
         return self.label
 
 
-def _parity(indices: np.ndarray, mask: int) -> np.ndarray:
-    """Parity of ``indices & mask`` bit counts, as 0/1 int array."""
-    acc = np.zeros_like(indices)
-    while mask:
-        low = mask & -mask
-        acc ^= (indices // low) & 1
-        mask ^= low
-    return acc
+def _parity(indices: np.ndarray, mask) -> np.ndarray:
+    """Parity of the bit counts of ``indices & mask``, as a 0/1 int array;
+    ``mask`` is an int or an integer array that broadcasts against
+    ``indices``. Halving shifts fold every bit onto the lowest."""
+    bits, shift = indices & mask, 1
+    top = mask if isinstance(mask, int) else int(mask.max(initial=0))
+    while shift < top.bit_length():
+        bits ^= bits >> shift
+        shift *= 2
+    return bits & 1
 
 
 def apply_pauli_string(string: PauliString, amplitudes: np.ndarray) -> np.ndarray:
@@ -272,7 +274,7 @@ def to_dense(psum: PauliSum) -> np.ndarray:
     of Y factors: :func:`_block` over all ``2^n`` states, O(terms * 2^n). A
     register too wide for :func:`_check_dense_memory` is refused first."""
     _check_dense_memory(1 << psum.n_qubits)
-    return _block(psum, np.arange(1 << psum.n_qubits))[0]
+    return _block(psum, np.arange(1 << psum.n_qubits))
 
 
 def _sector_states(n_qubits: int, particles: int) -> np.ndarray:
@@ -281,43 +283,139 @@ def _sector_states(n_qubits: int, particles: int) -> np.ndarray:
     return np.array(sorted(map(sum, itertools.combinations(bits, particles))), dtype=np.int64)
 
 
-def _block(psum: PauliSum, states: np.ndarray, build: bool = True):
-    """``(block, leak)``: the block of the matrix of ``psum`` on the
-    ascending basis ``states`` (None unless ``build``; real when every string
-    has an even number of Y factors), and the largest magnitude of an entry
-    from them to any other state, summed per (row, column) across strings:
-    strings that cancel (as ``XX + YY`` do) leak nothing."""
+def _entries(psum: PauliSum, rows: np.ndarray, columns: np.ndarray):
+    """``(targets, at, inside, values)``, each ``(strings, columns)``:
+    string ``i`` sends basis state ``columns[j]`` to ``targets[i, j]`` with
+    amplitude ``values[i, j]`` (real when every string has an even number
+    of Y factors), and ``inside[i, j]`` marks a target found among the
+    ascending ``rows``, at ``at[i, j]``."""
     y_counts = [(s.x_mask & s.z_mask).bit_count() for s in psum.strings]
     real = all(n_y % 2 == 0 for n_y in y_counts)
-    m = len(states)
-    block = np.zeros((m, m), dtype=float if real else complex) if build else None
-    columns, leaving, leaked = np.arange(m), [states[:0]], [np.empty(0)]
-    for c, s, n_y in zip(psum.coefficients, psum.strings, y_counts):
-        phase = (-1.0) ** (n_y // 2) if real else (1j) ** n_y
-        rows, values = states ^ s.x_mask, c * phase * (-1.0) ** _parity(states, s.z_mask)
-        at = np.minimum(np.searchsorted(states, rows), m - 1)
-        inside = states[at] == rows
-        if build:
-            block[at[inside], columns[inside]] += values[inside]
-        leaving.append(rows[~inside] * m + columns[~inside])
-        leaked.append(values[~inside])
-    _, where = np.unique(np.concatenate(leaving), return_inverse=True)
-    leaked = np.concatenate(leaked)
+    factors = np.array([
+        c * ((-1.0) ** (n_y // 2) if real else (1j) ** n_y)
+        for c, n_y in zip(psum.coefficients, y_counts)
+    ], dtype=float if real else complex)
+    x_masks, z_masks = (
+        np.array([getattr(s, mask) for s in psum.strings], dtype=np.int64)[:, None]
+        for mask in ("x_mask", "z_mask")
+    )
+    targets = columns ^ x_masks
+    values = factors[:, None] * (-1.0) ** _parity(columns, z_masks)
+    at = np.minimum(np.searchsorted(rows, targets), len(rows) - 1)
+    return targets, at, rows[at] == targets, values
+
+
+def _block(psum: PauliSum, rows: np.ndarray, columns: "np.ndarray | None" = None):
+    """``<rows|H|columns>`` for the matrix ``H`` of ``psum``, with ``rows``
+    ascending basis states and ``columns`` (by default ``rows``) any. Each
+    entry sums its strings' amplitudes in string order."""
+    columns = rows if columns is None else columns
+    _, at, inside, values = _entries(psum, rows, columns)
+    block = np.zeros((len(rows), len(columns)), dtype=values.dtype)
+    index = np.broadcast_to(np.arange(len(columns)), at.shape)
+    np.add.at(block, (at[inside], index[inside]), values[inside])
+    return block
+
+
+def _leak(psum: PauliSum, states: np.ndarray) -> float:
+    """The largest magnitude of an entry of the matrix of ``psum`` from the
+    ascending ``states`` to any other state, summed per (row, column) across
+    strings: strings that cancel (as ``XX + YY`` do) leak nothing."""
+    targets, _, inside, values = _entries(psum, states, states)
+    index = np.broadcast_to(np.arange(len(states)), targets.shape)
+    _, where = np.unique(targets[~inside] * len(states) + index[~inside], return_inverse=True)
+    leaked = values[~inside]
     net = np.hypot(np.bincount(where, leaked.real), np.bincount(where, leaked.imag))
-    return block, float(net.max(initial=0.0))
+    return float(net.max(initial=0.0))
 
 
-def _check_dense_memory(dimension: int) -> None:
+def _reflected(n_qubits: int, states):
+    """Basis indices (an int or an array) with their qubit order reversed."""
+    out = states & 0
+    for q in range(n_qubits):
+        out |= ((states >> q) & 1) << (n_qubits - 1 - q)
+    return out
+
+
+def _symmetry_blocks(psum: PauliSum, states: np.ndarray):
+    """Yield ``(block, images, weights)`` per symmetry sector of ``psum`` on
+    the ascending basis ``states``, whose eigenvectors together are those
+    of the matrix ``H`` of ``psum`` on ``states``.
+
+    The symmetries are read exactly from the strings. The spin flip ``X^n``
+    commutes with ``H`` when every string has an even number of Z and Y
+    factors; the reversal of qubit order when it maps the ``{string:
+    coefficient}`` map onto itself. Each is kept only if it maps ``states``
+    onto themselves (a particle sector keeps the flip only at half filling)
+    and acts on them as no element found before it.
+    They generate an abelian group ``G`` of order 1, 2 or 4, and every
+    character ``chi`` of ``G`` (Sandvik, AIP Conf. Proc. 1297, 135 (2010))
+    gives one block, over the orbit representatives ``r`` (the lowest
+    state of each orbit) whose stabilizer ``chi`` is trivial on:
+
+        ``block[a, b] = |G| / (N_a N_b) sum_g chi(g) <r_a|H|g r_b>``,
+
+    with ``N_r = sqrt(|G| |Stab_r|)``. Its basis vectors are ``sum_g chi(g)
+    |g r_a> / N_a``: ``images[g, a]`` is the position of ``g r_a`` in
+    ``states`` and ``weights[g, a]`` is ``chi(g) / N_a``. Each block's
+    matrix is built only when the previous one has been taken.
+    """
+    n, m = psum.n_qubits, len(states)
+    generators = []
+    if all(s.z_mask.bit_count() % 2 == 0 for s in psum.strings):
+        generators.append(states ^ ((1 << n) - 1))
+    terms = {(s.x_mask, s.z_mask): c for c, s in psum.terms}
+    mirrored = {(_reflected(n, x), _reflected(n, z)): c for (x, z), c in terms.items()}
+    if mirrored == terms:
+        generators.append(_reflected(n, states))
+    images = [np.arange(m)]  # positions of g(states), one row per element g
+    for image in generators:
+        if np.array_equal(np.sort(image), states):
+            image = np.searchsorted(states, image)
+            if not any(np.array_equal(image, g) for g in images):
+                images += [image[g] for g in images]
+    images = np.array(images)
+    order = len(images)
+    reps = np.flatnonzero(images.min(axis=0) == np.arange(m))
+    stabilized = images[:, reps] == reps
+    counts = stabilized.sum(axis=0)
+    # <r_a|H|g r_b> of every string, element g and pair of representatives
+    _, at, inside, values = _entries(psum, states[reps], states[images[:, reps].ravel()])
+    rows, values = at[inside], values[inside]
+    group, columns = np.divmod(np.nonzero(inside)[1], len(reps))
+    for signs in itertools.product((1.0, -1.0), repeat=order.bit_length() - 1):
+        chi = np.ones(1)
+        for sign in signs:
+            chi = np.concatenate([chi, sign * chi])
+        admitted = chi @ stabilized == counts
+        if not admitted.any():
+            continue
+        norms = np.sqrt(order * counts[admitted])
+        local, inside = np.cumsum(admitted) - 1, admitted[rows] & admitted[columns]
+        block = np.zeros((len(norms), len(norms)), dtype=values.dtype)
+        at = (local[rows[inside]], local[columns[inside]])
+        np.add.at(block, at, chi[group[inside]] * values[inside])
+        block *= order / np.multiply.outer(norms, norms)
+        del local, inside, at
+        yield block, images[:, reps[admitted]], chi[:, None] / norms
+        del block
+
+
+def _check_dense_memory(dimension: int, vectors: int = 0, length: int = 0) -> None:
     """Refuse a dense matrix and eigenbasis, counted as two complex
-    ``dimension x dimension`` arrays, larger than physical memory. That
-    over-counts a real sum, whose matrix and eigenbasis are real and, under
-    the spin-flip split, never held at once."""
-    need, have = 2 * 16 * dimension**2, _physical_memory_bytes()
+    ``dimension x dimension`` arrays, and ``vectors`` complex state vectors
+    of ``length`` amplitudes, that need more than physical memory. That
+    over-counts a real sum, whose blocks and eigenvectors are real, and a
+    sum with a symmetry, which is solved in blocks of about a half or a
+    quarter of the dimension."""
+    need, have = 2 * 16 * dimension**2 + 16 * vectors * length, _physical_memory_bytes()
     if need > have:
+        held = f"a dense matrix and eigenbasis of dimension {dimension}"
+        if vectors:
+            held += f" and {vectors} state vectors of {length} amplitudes"
         raise ResourceCapError(
-            f"a dense matrix and eigenbasis of dimension {dimension} need "
-            f"{need / 1e9:.1f} GB, more than the {have / 1e9:.1f} GB of "
-            "physical memory"
+            f"{held} need {need / 1e9:.1f} GB, more than the {have / 1e9:.1f} GB "
+            "of physical memory"
         )
 
 

@@ -130,26 +130,18 @@ class MultiObservableSignal:
 
 
 def diagonalize(matrix: np.ndarray) -> SpectralDecomposition:
-    """Full eigensystem of a dense Hermitian matrix.
+    """Full eigensystem of a dense Hermitian matrix, from one ``eigh``.
 
     Rejects non-Hermitian input (relative Frobenius deviation above
     1e-10) rather than silently symmetrizing it. A matrix with no
     imaginary part (TFIM, or any Pauli sum whose terms all carry an even
     number of Y factors) takes the real-symmetric solver, several times
-    faster than the complex one.
+    faster than the complex one, and keeps a real eigenbasis.
 
-    A matrix of even dimension that equals its index reversal exactly
-    (one commuting with the global spin flip ``X^n``, such as any TFIM)
-    is centrosymmetric and splits into two half-size blocks (Cantoni and
-    Butler, Linear Algebra Appl. 13, 275 (1976)): with ``J`` the
-    reversal, ``[[A, B], [JBJ, JAJ]]`` has the eigenvectors
-    ``[s; +-Js]/sqrt(2)`` for the eigenvectors ``s`` of ``A +- BJ``.
-    Two half-size solves cost about a quarter of the full one.
-
-    The eigenbasis is real when the matrix is. Once ``A +- BJ`` are
-    formed the matrix is no longer referenced here, so a caller that
-    holds no other reference lets it be freed before the basis is
-    allocated.
+    This is the plain solver and the oracle of the symmetry-block path:
+    ``harness.build_problem`` calls it once per block of
+    :func:`~modmd.pauli._symmetry_blocks`, never on a whole ``2^n`` matrix
+    that has a symmetry.
     """
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -159,31 +151,8 @@ def diagonalize(matrix: np.ndarray) -> SpectralDecomposition:
     scale = max(float(np.linalg.norm(matrix)), 1.0)
     if _antihermitian_sq(matrix) > (HERMITICITY_RTOL * scale) ** 2:
         raise ValueError("matrix is not Hermitian within tolerance")
-    dim = len(matrix)
-    if dim % 2 or not np.array_equal(matrix, matrix[::-1, ::-1]):
-        energies, vectors = np.linalg.eigh(matrix)
-        return SpectralDecomposition(energies, vectors)
-    half = dim // 2
-    a, bj = matrix[:half, :half], matrix[:half, half:][:, ::-1]
-    sums = [a + bj, a - bj]
-    del matrix, a, bj  # each sum is freed, too, once its block is solved
-    blocks = [np.linalg.eigh(sums.pop(0)) for _ in range(2)]
-    energies = np.concatenate([e for e, _ in blocks])
-    # Place in the ascending order that each block eigenvector lands in;
-    # writing the lifted blocks there avoids a permuted copy of the basis.
-    # Row n of ``lifted`` is eigenvector n, so each write is a contiguous
-    # row (scattered columns cost three times as much at D = 1024).
-    order = np.argsort(energies, kind="stable")
-    place = np.empty(dim, dtype=int)
-    place[order] = np.arange(dim)
-    # Each block's vectors are freed once written, and each half is written
-    # from a contiguous row stack (a reversed view would be buffered).
-    lifted = np.empty((dim, dim), dtype=blocks[0][1].dtype)
-    for sign, rows in zip((1.0, -1.0), np.split(place, 2)):
-        s = blocks.pop(0)[1]
-        lifted[rows, :half] = np.divide(s.T, math.sqrt(2.0), order="C")
-        lifted[rows, half:] = np.divide(s[::-1].T, sign * math.sqrt(2.0), order="C")
-    return SpectralDecomposition(energies[order], lifted.T)
+    energies, vectors = np.linalg.eigh(matrix)
+    return SpectralDecomposition(energies, vectors)
 
 
 def _antihermitian_sq(matrix: np.ndarray) -> float:
@@ -328,21 +297,22 @@ def exact_signal(
         if obs.n_qubits != phi0.n_qubits:
             raise ValueError(f"observable {i} register width mismatch")
         stack[i + 1] = obs.apply(phi0.amplitudes)
-    values = _phase_sums(spec, stack, dt, k_max)
+    projected = _matmul(stack.conj(), spec.eigenvectors)
+    values = _phase_sums(spec.energies, projected, dt, k_max)
     values = values.real if mode == "real" else values
     return MultiObservableSignal(len(observables), dt, values, mode)
 
 
-def _phase_sums(spec, stack: np.ndarray, dt: float, k_max: int) -> np.ndarray:
-    """:func:`exact_signal`'s complex rows from its stack ``[phi0, O_1 phi0,
-    ...]``, given in the coordinates of ``spec``."""
-    projected = _matmul(stack.conj(), spec.eigenvectors)
+def _phase_sums(energies, projected: np.ndarray, dt: float, k_max: int) -> np.ndarray:
+    """:func:`exact_signal`'s complex rows from ``conj(stack) @ V``, the
+    conjugate projections of its stack ``[phi0, O_1 phi0, ...]`` on the
+    eigenvectors of ``energies``."""
     coeffs = projected[1:] * projected[0].conj()
-    rate = -1j * dt * spec.energies
+    rate = -1j * dt * energies
     n_steps = k_max + 1
     width = min(_PHASE_BLOCK, n_steps)
     base = np.exp(np.multiply.outer(rate, np.arange(width)))
-    values = np.empty((len(stack) - 1, n_steps), dtype=complex)
+    values = np.empty((len(projected) - 1, n_steps), dtype=complex)
     for start in range(0, n_steps, width):
         stop = min(start + width, n_steps)
         shifted = coeffs * np.exp(rate * start)

@@ -292,12 +292,18 @@ def extract_eigen(
 def residual(fit: PropagatorFit, pair: HankelPair) -> float:
     """Relative fit residual ``|xp - A x|_F / |xp|_F``, with ``A x`` formed
     as ``(xp V_r) V_r^H = B S_r V_r^H``; unlike ``|xp|^2 - |xp V_r|^2``,
-    the direct difference does not cancel when the residual is small."""
-    denom = np.linalg.norm(pair.xp)
-    if denom == 0.0:
-        raise DegenerateInputError("all-zero shifted matrix has no residual")
+    the direct difference does not cancel when the residual is small.
+
+    ``|xp|_F`` is summed by ``einsum`` over a real view of ``xp`` (each
+    row's real and imaginary parts side by side), which reads the strided
+    view in place: ``np.linalg.norm`` would copy it to ravel it, next to
+    the model."""
     pinv = fit.pinv
     fitted = (fit.b_matrix * pinv.singular_values[: pinv.rank]) @ pinv.right
+    parts = pair.xp.view(float)
+    denom = math.sqrt(np.einsum("ij,ij->", parts, parts))
+    if denom == 0.0:
+        raise DegenerateInputError("all-zero shifted matrix has no residual")
     fitted -= pair.xp  # in place: the norm of A x - xp equals that of xp - A x
     return float(np.linalg.norm(fitted) / denom)
 

@@ -22,6 +22,8 @@ from modmd import (
     ExperimentConfig,
     OUTPUT_DIR_ENV,
     PauliParseError,
+    PauliString,
+    PauliSum,
     SpectralDecomposition,
     SweepResult,
     build_observables,
@@ -505,7 +507,7 @@ class TestBuildProblem:
         def no_dense(psum):
             raise AssertionError("a sector run built the full matrix")
 
-        monkeypatch.setattr(harness, "to_dense", no_dense)
+        monkeypatch.setattr(pauli, "to_dense", no_dense)
         hfile = tmp_path / "chain.txt"
         hfile.write_text(fielded_chain(n))
         config = small_config(
@@ -531,16 +533,25 @@ class TestBuildProblem:
         with pytest.raises(ConfigError, match="number-conserving"):
             build_problem(config)
 
-    def test_one_dense_matrix_without_a_sector(self, monkeypatch):
-        built = []
+    def test_no_dense_matrix_without_a_sector(self, monkeypatch):
+        """The whole register, too, is solved one symmetry block at a
+        time, with and without ``k_max``: the 3-qubit TFIM's four blocks,
+        and never its 8 x 8 matrix."""
 
-        def counted(psum):
-            built.append(psum.n_qubits)
-            return to_dense(psum)
+        def no_dense(psum):
+            raise AssertionError("build_problem built the full matrix")
 
-        monkeypatch.setattr(harness, "to_dense", counted)
-        build_problem(small_config())
-        assert built == [3]
+        solved = []
+
+        def counted(matrix):
+            solved.append(len(matrix))
+            return diagonalize(matrix)
+
+        monkeypatch.setattr(pauli, "to_dense", no_dense)
+        monkeypatch.setattr(harness, "diagonalize", counted)
+        for k_max in (None, 30):
+            build_problem(small_config(), k_max)
+        assert solved == [3, 1, 3, 1] * 2
 
     def test_holds_one_matrix_sized_array_at_a_time(self, traced_peak):
         """The real TFIM matrix is freed before its real eigenbasis is
@@ -659,6 +670,123 @@ class TestBuildProblem:
         problem = build_problem(small_config(n_observables=2))
         assert problem.observables == pauli.one_local_pool(3)
         assert len(problem.observables) == 9
+
+
+def chain(n_qubits, bonds, fields=(), x_field=0.7):
+    """``-sum_i bonds[i] Z_i Z_{i+1} - x_field sum_i X_i + sum_i fields[i] Z_i``."""
+    terms = [(-b, PauliString(n_qubits, 0, 3 << (n_qubits - 2 - i))) for i, b in enumerate(bonds)]
+    terms += [(-x_field, PauliString.single(n_qubits, q, "X")) for q in range(n_qubits)]
+    terms += [(f, PauliString.single(n_qubits, q, "Z")) for q, f in enumerate(fields)]
+    return PauliSum.from_terms(n_qubits, terms)
+
+
+class TestSymmetryBlocks:
+    """``harness._solve`` solves a run's basis states one symmetry block
+    (``pauli._symmetry_blocks``) at a time. The complex ``eigh`` of the full
+    matrix on those states is the oracle: energies within 1e-12 x scale,
+    and the phase sums of unit vectors within 1e-12, for the projected
+    stack and for the lifted basis."""
+
+    @staticmethod
+    def solve(psum, states, seed=0):
+        """Check both paths against the oracle; return the group order and
+        the block sizes."""
+        dense = to_dense(psum)[np.ix_(states, states)]
+        energies, vectors = np.linalg.eigh(dense.astype(complex))
+        scale = max(np.max(np.abs(energies)), 1.0)
+        rng = np.random.default_rng(seed)
+        stack = rng.standard_normal((4, len(states))) + 1j * rng.standard_normal((4, len(states)))
+        stack /= np.linalg.norm(stack, axis=1, keepdims=True)
+        want = _phase_sums(energies, stack.conj() @ vectors, 0.3, 60)
+        got, projected = harness._solve(psum, states, stack)
+        np.testing.assert_allclose(got, energies, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(
+            _phase_sums(got, projected, 0.3, 60), want, rtol=0, atol=1e-12
+        )
+        lifted, basis = harness._solve(psum, states)
+        np.testing.assert_array_equal(lifted, got)
+        eye = np.eye(len(states))
+        np.testing.assert_allclose(basis.conj().T @ basis, eye, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            _phase_sums(lifted, stack.conj() @ basis, 0.3, 60), want, rtol=0, atol=1e-12
+        )
+        blocks = [(len(images), len(b)) for b, images, _ in pauli._symmetry_blocks(psum, states)]
+        assert sum(size for _, size in blocks) == len(states)
+        return blocks[0][0], [size for _, size in blocks]
+
+    @pytest.mark.parametrize("n_qubits", range(2, 11))
+    def test_tfim_without_coupling(self, n_qubits):
+        order, sizes = self.solve(build_tfim(n_qubits, 0.0, 0.8), np.arange(1 << n_qubits))
+        assert order == 4 and len(sizes) == (3 if n_qubits == 2 else 4)
+
+    @pytest.mark.parametrize("n_qubits", [4, 5, 8])
+    def test_uniform_z_field_keeps_the_mirror_alone(self, n_qubits):
+        psum = chain(n_qubits, [1.0] * (n_qubits - 1), [0.3] * n_qubits)
+        order, sizes = self.solve(psum, np.arange(1 << n_qubits))
+        palindromes = 2 ** ((n_qubits + 1) // 2)
+        assert order == 2
+        assert sizes == [(2**n_qubits + palindromes) // 2, (2**n_qubits - palindromes) // 2]
+
+    @pytest.mark.parametrize("n_qubits", [4, 5, 8])
+    def test_unequal_bonds_keep_the_flip_alone(self, n_qubits):
+        psum = chain(n_qubits, [1.0 + 0.1 * i for i in range(n_qubits - 1)])
+        order, sizes = self.solve(psum, np.arange(1 << n_qubits))
+        assert order == 2 and sizes == [2 ** (n_qubits - 1)] * 2
+
+    def test_one_ulp_off_coupling_takes_no_mirror_split(self):
+        bonds = [1.0] * 5
+        assert self.solve(chain(6, bonds), np.arange(64))[0] == 4
+        bonds[0] = np.nextafter(1.0, 2.0)
+        assert self.solve(chain(6, bonds), np.arange(64)) == (2, [32, 32])
+
+    @pytest.mark.parametrize(
+        "text, order",
+        [
+            ("0.7 XYZI\n-0.3 IZYX\n0.5 ZIIZ\n0.2 YXZI\n0.4 IIIZ\n", 1),
+            ("0.7 XYZI\n-0.3 IZYX\n0.5 ZIIZ\n0.2 YXZI\n", 2),
+            ("0.7 YZXX\n0.7 XXZY\n-0.4 XIIX\n0.3 ZYYZ\n", 4),
+        ],
+        ids=["neither", "odd-y-flip", "odd-y-both"],
+    )
+    def test_complex_sums(self, text, order):
+        psum = parse_pauli_sum(text)
+        assert np.iscomplexobj(to_dense(psum))
+        assert self.solve(psum, np.arange(16))[0] == order
+
+    def test_a_sum_without_symmetry_keeps_the_plain_solve_bit_for_bit(self):
+        """One block is the matrix itself: energies and projections are
+        those of ``diagonalize(to_dense(psum))``, so such runs replay."""
+        psum = chain(6, [1.0, 1.1, 0.9, 1.3, 0.8], [0.3] * 6)
+        spec = diagonalize(to_dense(psum))
+        stack = np.random.default_rng(3).standard_normal((3, 64)) + 0j
+        energies, projected = harness._solve(psum, np.arange(64), stack)
+        np.testing.assert_array_equal(energies, spec.energies)
+        np.testing.assert_array_equal(projected, stack.conj() @ spec.eigenvectors)
+
+    @pytest.mark.parametrize(
+        "n_qubits, particles, order",
+        [(6, 3, 4), (6, 2, 2), (8, 4, 4), (8, 3, 2), (8, 0, 1)],
+    )
+    def test_hopping_sectors(self, n_qubits, particles, order):
+        """The flip maps sector N onto n - N: only a half-filled sector
+        keeps it. The mirror keeps every sector."""
+        psum = parse_pauli_sum(hopping_chain(n_qubits))
+        states = pauli._sector_states(n_qubits, particles)
+        assert self.solve(psum, states)[0] == order
+
+    def test_unequal_fields_break_both_in_a_sector(self):
+        psum = parse_pauli_sum(fielded_chain(8))
+        assert self.solve(psum, pauli._sector_states(8, 4)) == (1, [70])
+
+    def test_sweep_problem_peak(self, traced_peak):
+        """With ``k_max`` no ``2^n x 2^n`` array, and no eigenbasis of the
+        whole register, is formed: a 10-qubit TFIM stays below half of one
+        real matrix (``8 * 4^n`` bytes)."""
+        n = 10
+        config = small_config(tfim_qubits=n, reference_bitstrings=("0" * n, "1" * n))
+        problem, peak = traced_peak(build_problem, config, 300)
+        assert problem.spec is None and len(problem.exact_energies) == 2**n
+        assert peak < 4 * 4**n
 
 
 class TestObservablePools:
@@ -944,15 +1072,13 @@ class TestSweepDrivers:
 
     def test_odmd_row_matches_manual_pipeline(self, small_sweep):
         config = small_sweep.config
-        problem = build_problem(config)
         K = 24
         d = depth_for_window(K, config.k_over_d)
-        # The cell's one exact signal: the modmd pool (stream 0), then the
-        # identity, whose row is the baseline's truth.
-        obs_seed = derive_seed(config.master_seed, 1, 1, 0)
-        pool = build_observables(config, problem, obs_seed)
-        truth = clean_signal(problem, pool + [identity_observable(3)], K + d)
-        clean = modmd.MultiObservableSignal(1, problem.dt, truth.values[-1:])
+        # The baseline's truth is the identity's row of the problem's exact
+        # signals, whose samples do not depend on how long the signal is.
+        problem = build_problem(config, K + d)
+        truth = problem.signals[identity_observable(3)]
+        clean = modmd.MultiObservableSignal(1, problem.dt, truth.real[None])
         seed = derive_seed(config.master_seed, 1, 1, 2)  # stream 2 is the baseline
         signal = measure_signal(config, problem, [identity_observable(3)], clean, seed)
         pair = build_hankel(signal, d, K)
@@ -1895,8 +2021,34 @@ class TestCli:
         assert main(argv) == code
         if code == EXIT_RESOURCE:
             assert capsys.readouterr().err == (
-                "error: a dense matrix and eigenbasis of dimension 16384 need 8.6 GB, "
-                "more than the 7.8 GB of physical memory\n"
+                "error: a dense matrix and eigenbasis of dimension 16384 and 6 state "
+                "vectors of 16384 amplitudes need 8.6 GB, more than the 7.8 GB of "
+                "physical memory\n"
+            )
+
+    @pytest.mark.parametrize("n_qubits, code", [(20, EXIT_OK), (30, EXIT_RESOURCE)])
+    def test_cap_counts_the_state_vectors(self, n_qubits, code, tmp_path, monkeypatch, capsys):
+        """A one-particle sector has only n levels, but the run still holds
+        vectors of 2^n amplitudes: on 7.8 GB, 20 qubits pass and 30 (6 x
+        17 GB) are refused before anything is allocated."""
+
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("validate-config allocated a matrix")
+
+        monkeypatch.setattr(pauli, "_physical_memory_bytes", lambda: int(7.8e9))
+        monkeypatch.setattr(pauli.np, "zeros", no_allocation)
+        hfile = tmp_path / "chain.txt"
+        hfile.write_text(hopping_chain(n_qubits))
+        argv = [
+            "validate-config", "--hamiltonian-file", str(hfile),
+            "--reference", "1" + "0" * (n_qubits - 1), "--particle-number", "1",
+        ]
+        assert main(argv) == code
+        if code == EXIT_RESOURCE:
+            assert capsys.readouterr().err == (
+                "error: a dense matrix and eigenbasis of dimension 30 and 6 state "
+                "vectors of 1073741824 amplitudes need 103.1 GB, more than the "
+                "7.8 GB of physical memory\n"
             )
 
     @pytest.mark.parametrize(

@@ -21,7 +21,8 @@ from modmd import (
     to_dense,
     trotter_evolve,
 )
-from modmd.simulate import HERMITICITY_RTOL
+from modmd.harness import _solve
+from modmd.simulate import HERMITICITY_RTOL, _phase_sums
 
 
 def identity_sum(n_qubits):
@@ -80,11 +81,43 @@ def solver_calls(monkeypatch, matrix):
     return spec, seen
 
 
+def block_solve(monkeypatch, psum):
+    """The eigensystem of ``psum`` over the whole register from its
+    symmetry blocks (``harness._solve``, lifted), and the dtype and size of
+    each block its eigensolver received."""
+    seen = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(a, *args, **kwargs):
+        seen.append((np.asarray(a).dtype, len(a)))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    spec = SpectralDecomposition(*_solve(psum, np.arange(1 << psum.n_qubits)))
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    return spec, seen
+
+
 def centrosymmetric(matrix):
     """``(M + J M J) / 2`` with ``J`` the index reversal. Each entry and
     its mirror sum the same two numbers, so the result equals its
     reversal exactly."""
     return (matrix + matrix[::-1, ::-1]) / 2.0
+
+
+def flip_symmetric_sum(n_qubits, rng, complex_valued, n_terms=12):
+    """A random Pauli sum that commutes with the spin flip ``X^n`` (every
+    string has an even count of Z and Y factors), so its matrix equals its
+    index reversal; complex when one string has an odd count of Y."""
+    labels = {"YZ" + "X" * (n_qubits - 2)} if complex_valued else set()
+    while len(labels) < n_terms:
+        label = "".join(rng.choice(list("IXYZ"), size=n_qubits))
+        if (label.count("Y") + label.count("Z")) % 2 == 0 and (
+            complex_valued or label.count("Y") % 2 == 0
+        ):
+            labels.add(label)
+    terms = [(float(rng.standard_normal()), PauliString.from_label(lab)) for lab in sorted(labels)]
+    return PauliSum.from_terms(n_qubits, terms)
 
 
 class TestStateVector:
@@ -166,8 +199,8 @@ class TestDiagonalize:
     @pytest.mark.parametrize(
         "psum, calls",
         [
-            # spin-flip symmetric: two real blocks of half the dimension
-            (build_tfim(6, 1.0, 0.8), [(float, 32), (float, 32)]),
+            # spin-flip and mirror symmetric: still one real solve
+            (build_tfim(6, 1.0, 0.8), [(float, 64)]),
             # XYYZI has an odd count of Y and Z factors: one full solve
             (PauliSum.from_terms(
                 5,
@@ -208,11 +241,15 @@ class TestDiagonalize:
 
 
 class TestSpinFlipSplit:
-    """A matrix equal to its index reversal is solved as two half-size
-    blocks; the full complex ``eigh`` is the oracle."""
+    """A Pauli sum that commutes with the spin flip ``X^n`` (its matrix
+    equals its index reversal) is solved in symmetry blocks by
+    ``harness._solve``; the full complex ``eigh`` is the oracle of both its
+    lifted basis and its projected signals. :func:`diagonalize` itself
+    makes one solve of any matrix."""
 
     @staticmethod
-    def assert_matches_oracle(matrix, spec, n_qubits, seed):
+    def assert_matches_oracle(psum, spec, seed):
+        matrix, n_qubits = to_dense(psum), psum.n_qubits
         oracle = complex_eigh_oracle(matrix)
         scale = max(np.max(np.abs(oracle.energies)), 1.0)
         np.testing.assert_allclose(
@@ -231,47 +268,66 @@ class TestSpinFlipSplit:
             got = exact_signal(spec, phi0, obs, 0.3, 40, mode=mode)
             want = exact_signal(oracle, phi0, obs, 0.3, 40, mode=mode)
             np.testing.assert_allclose(got.values, want.values, rtol=0, atol=1e-12)
+        # the projection path, which forms no eigenbasis
+        stack = np.array([phi0.amplitudes] + [o.apply(phi0.amplitudes) for o in obs])
+        energies, projected = _solve(psum, np.arange(len(matrix)), stack)
+        np.testing.assert_array_equal(energies, spec.energies)
+        np.testing.assert_allclose(
+            _phase_sums(energies, projected, 0.3, 40), want.values, rtol=0, atol=1e-12
+        )
 
     @pytest.mark.parametrize("field", [0.7, 0.0], ids=["h=0.7", "h=0"])
     @pytest.mark.parametrize("n_qubits", range(2, 11))
     def test_tfim_chain(self, monkeypatch, n_qubits, field):
-        matrix = to_dense(build_tfim(n_qubits, 1.0, field))
-        spec, seen = solver_calls(monkeypatch, matrix)
-        half = 1 << (n_qubits - 1)
-        assert seen == [(np.dtype(float), half), (np.dtype(float), half)]
-        self.assert_matches_oracle(matrix, spec, n_qubits, seed=n_qubits)
+        """The flip and the mirror give four real blocks (one is empty at
+        two qubits); the largest holds one state per orbit of the four."""
+        psum = build_tfim(n_qubits, 1.0, field)
+        spec, seen = block_solve(monkeypatch, psum)
+        sizes = [size for _, size in seen]
+        assert {dtype for dtype, _ in seen} == {np.dtype(float)}
+        assert len(seen) == (3 if n_qubits == 2 else 4)
+        assert sum(sizes) == 1 << n_qubits
+        # Burnside: 2^n states, 2^ceil(n/2) palindromes, and for even n
+        # 2^(n/2) states that the flip and the mirror map onto themselves
+        fixed = 2 ** ((n_qubits + 1) // 2) + (2 ** (n_qubits // 2) if n_qubits % 2 == 0 else 0)
+        assert sizes[0] == max(sizes) == ((1 << n_qubits) + fixed) // 4
+        self.assert_matches_oracle(psum, spec, seed=n_qubits)
 
     @pytest.mark.parametrize("complex_valued", [False, True], ids=["real", "complex"])
     def test_random_centrosymmetric(self, monkeypatch, complex_valued):
-        rng = np.random.default_rng(41)
-        z = rng.standard_normal((32, 32))
-        if complex_valued:
-            z = z + 1j * rng.standard_normal((32, 32))
-        matrix = centrosymmetric((z + z.conj().T) / 2.0)
+        psum = flip_symmetric_sum(5, np.random.default_rng(41), complex_valued)
+        matrix = to_dense(psum)
         assert np.array_equal(matrix, matrix[::-1, ::-1])
-        spec, seen = solver_calls(monkeypatch, matrix)
+        assert np.iscomplexobj(matrix) == complex_valued
+        spec, seen = block_solve(monkeypatch, psum)
         dtype = np.dtype(complex if complex_valued else float)
         assert seen == [(dtype, 16), (dtype, 16)]
-        self.assert_matches_oracle(matrix, spec, 5, seed=42)
+        self.assert_matches_oracle(psum, spec, seed=42)
 
     def test_lift_holds_each_block_once(self, traced_peak):
-        """Each block's vectors are freed once lifted, and each half of a
-        row is written from a contiguous stack: the peak is the basis, both
-        blocks and one stack, 1.75 x ``8 * 4^n`` bytes for a real basis."""
+        """The basis is allocated once every block is solved, and written
+        block by block: the peak is the basis, the blocks' vectors (about a
+        quarter of it) and a few block-sized temporaries, 1.46 x ``8 * 4^n``
+        bytes for a real basis (the split inside ``diagonalize`` held
+        1.75 x, next to the matrix it was given)."""
         n = 9
-        matrix = to_dense(build_tfim(n, 1.0, 0.7))
-        spec, peak = traced_peak(diagonalize, matrix)
-        assert spec.eigenvectors.dtype == np.float64
-        assert peak < 1.85 * 8 * 4**n
+        (_, vectors), peak = traced_peak(_solve, build_tfim(n, 1.0, 0.7), np.arange(1 << n))
+        assert vectors.dtype == np.float64
+        assert peak < 1.6 * 8 * 4**n
 
     def test_one_ulp_off_takes_full_solve(self, monkeypatch):
-        matrix = to_dense(build_tfim(5, 1.0, 0.7)).real.copy()
-        i, j = 1, 3  # their mirror entries (30, 28) keep the old value
-        assert matrix[i, j] != 0.0
-        matrix[i, j] = matrix[j, i] = np.nextafter(matrix[i, j], np.inf)
-        spec, seen = solver_calls(monkeypatch, matrix)
+        """A uniform Z field breaks the flip and keeps the mirror; one
+        field coefficient one ulp off breaks the mirror too."""
+        n = 5
+        terms = list(build_tfim(n, 1.0, 0.7).terms)
+        terms += [(0.3, PauliString.single(n, q, "Z")) for q in range(n)]
+        _, seen = block_solve(monkeypatch, PauliSum.from_terms(n, terms))
+        assert seen == [(np.dtype(float), 20), (np.dtype(float), 12)]
+        terms[-1] = (np.nextafter(0.3, 1.0), terms[-1][1])
+        psum = PauliSum.from_terms(n, terms)
+        spec, seen = block_solve(monkeypatch, psum)
         assert seen == [(np.dtype(float), 32)]
-        self.assert_matches_oracle(matrix, spec, 5, seed=43)
+        self.assert_matches_oracle(psum, spec, seed=43)
 
     def test_odd_dimension_takes_full_solve(self, monkeypatch):
         rng = np.random.default_rng(44)
@@ -300,24 +356,24 @@ class TestRealEigenbasis:
 
     @pytest.mark.parametrize(
         "psum, n_solves",
-        [(build_tfim(5, 1.0, 0.7), 2), (EVEN_Y, 1)],
+        [(build_tfim(5, 1.0, 0.7), 4), (EVEN_Y, 1)],
         ids=["split", "full"],
     )
     def test_real_sum_gives_float_basis(self, monkeypatch, psum, n_solves):
-        matrix = to_dense(psum)
-        assert matrix.dtype == np.float64
-        spec, seen = solver_calls(monkeypatch, matrix)
+        assert to_dense(psum).dtype == np.float64
+        spec, seen = block_solve(monkeypatch, psum)
         assert len(seen) == n_solves
         assert spec.eigenvectors.dtype == np.float64
 
     @pytest.mark.parametrize("split", [True, False], ids=["split", "full"])
     def test_complex_sum_keeps_complex_basis(self, monkeypatch, split):
         rng = np.random.default_rng(45)
-        z = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-        matrix = (z + z.conj().T) / 2.0
         if split:
-            matrix = centrosymmetric(matrix)
-        spec, seen = solver_calls(monkeypatch, matrix)
+            psum = flip_symmetric_sum(4, rng, complex_valued=True)
+        else:
+            psum = complex_hermitian_sum(4, rng)
+        assert np.iscomplexobj(to_dense(psum))
+        spec, seen = block_solve(monkeypatch, psum)
         assert len(seen) == (2 if split else 1)
         assert spec.eigenvectors.dtype == np.complex128
 
@@ -326,7 +382,8 @@ class TestRealEigenbasis:
     )
     def test_consumers_match_complex_oracle(self, psum):
         matrix = to_dense(psum)
-        spec, oracle = diagonalize(matrix), complex_eigh_oracle(matrix)
+        spec = SpectralDecomposition(*_solve(psum, np.arange(len(matrix))))
+        oracle = complex_eigh_oracle(matrix)
         n = psum.n_qubits
         rng = np.random.default_rng(46)
         phi0, phi_perp = random_state(n, rng), random_state(n, rng)
