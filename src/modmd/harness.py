@@ -27,6 +27,7 @@ from .pauli import (
     PauliString,
     PauliSum,
     build_tfim,
+    format_pauli_sum,
     one_local_pool,
     parse_pauli_sum,
     partial_sum_observables,
@@ -435,42 +436,24 @@ class Problem:
     """Resolved physical model shared by every cell of a sweep.
 
     ``observables`` is the policy's pool (see :func:`resolve_inputs`), which
-    :func:`build_observables` draws from or returns. ``signals`` maps each
-    of them, and the identity of the single-observable baseline, to its
-    complex exact signal, one row of the problem's ``k_max + 1`` samples;
-    it is empty without ``k_max``. ``spec`` is None when the signals exist,
-    since no eigenbasis is formed for them (:func:`_solve`); a problem
-    built without ``k_max`` holds the eigensystem of the run's basis
-    states, lifted from their symmetry blocks: all ``2^n`` states, or a
-    particle sector's in ascending index order.
+    :func:`build_observables` draws from or returns. With the baseline's
+    identity it is the probe pool (:func:`_probe_pool`), over which ``gram``
+    holds ``<O_j phi0|O_i phi0>`` at ``[i, j]`` and ``signals`` (empty
+    without ``k_max``) each complex exact signal over ``k_max + 1`` samples.
+    ``spec`` (over the run's basis states, ascending), ``phi0`` and
+    ``phi_perp`` are the dense oracle's, built only without ``k_max``.
     """
 
     n_qubits: int
-    spec: "SpectralDecomposition | None"
     scale: float
-    phi0: StateVector
-    phi_perp: StateVector
     dt: float
     exact_energies: "tuple[float, ...]"
     observables: "tuple[PauliSum, ...]"
+    gram: np.ndarray
     signals: "dict[PauliSum, np.ndarray]" = field(default_factory=dict)
-
-
-def _orthogonal_companion(phi0: StateVector) -> StateVector:
-    """A deterministic unit state orthogonal to the reference.
-
-    Gram-Schmidt residual of the first basis vector that is not parallel
-    to the reference; for any unit state at least one of the first two
-    basis vectors qualifies.
-    """
-    amps = phi0.amplitudes
-    for j in range(len(amps)):
-        residual_vec = -amps * np.conj(amps[j])
-        residual_vec[j] += 1.0
-        norm = np.linalg.norm(residual_vec)
-        if norm > 1e-8:
-            return StateVector(phi0.n_qubits, residual_vec / norm)
-    raise ValueError("reference state spans the full register")  # pragma: no cover
+    spec: "SpectralDecomposition | None" = None
+    phi0: "StateVector | None" = None
+    phi_perp: "StateVector | None" = None
 
 
 def parse_observable_file(path: str, n_qubits: int, count: int) -> "tuple[PauliSum, ...]":
@@ -508,6 +491,8 @@ def resolve_hamiltonian(config: ExperimentConfig) -> PauliSum:
             f"got {hamiltonian.weight_l1}"
         )
     n_qubits = hamiltonian.n_qubits
+    if n_qubits > 63:
+        raise ConfigError(f"{n_qubits} qubits do not fit an int64 basis index (at most 63)")
     for bits in config.reference_bitstrings:
         if len(bits) != n_qubits or set(bits) - {"0", "1"}:
             raise ConfigError(
@@ -532,11 +517,11 @@ def resolve_inputs(config: ExperimentConfig):
     energies onto it) and ``observables`` the policy's pool: the 3n
     single-qubit Paulis a random policy draws from, or the fixed list of
     any other policy. Refused are a pool smaller than ``n_observables``, a
-    shadow shot block, or a dense matrix and the run's ``2^n``-long state
-    vectors, larger than physical memory, and a spectrum or particle sector
-    of fewer than ``n_eig`` levels. Levels and the matrix count the
-    dimension a run solves, ``2^n`` or ``C(n, N)``; no matrix is built, and
-    a sector's coupling is read from the strings.
+    shadow shot block or a dense matrix and eigenbasis larger than physical
+    memory, and a spectrum or particle sector of fewer than ``n_eig``
+    levels. Levels and the matrix count the dimension a run solves, ``2^n``
+    or ``C(n, N)``; a sweep holds no longer vector (:func:`build_problem`).
+    No matrix is built, and a sector's coupling is read from the strings.
     """
     hamiltonian = resolve_hamiltonian(config)
     n_qubits, policy = hamiltonian.n_qubits, config.observable_policy
@@ -566,12 +551,7 @@ def resolve_inputs(config: ExperimentConfig):
     count, where = 2**n_qubits, "the spectrum"
     if sector is not None:
         count, where = math.comb(n_qubits, sector), f"particle sector {sector}"
-    # 2^n-long complex vectors held at once: phi0, phi_perp and a gathered
-    # O_i phi0 with its temporaries, or a shadow cell's two vectors of
-    # 2^(n+1) amplitudes per observable (tracemalloc read 6.0 and 29.0 such
-    # vectors in one-particle runs at 16 and 18 qubits, 6 observables)
-    vectors = 6 if config.shadow_samples is None else 4 * config.n_observables + 6
-    pauli._check_dense_memory(count, vectors, 2**n_qubits)
+    pauli._check_dense_memory(count)
     if count < config.n_eig:
         raise ConfigError(f"{where} holds only {count} levels, need {config.n_eig}")
     if sector is not None:
@@ -588,40 +568,54 @@ def build_problem(config: ExperimentConfig, k_max: "int | None" = None) -> Probl
 
     The run's basis states are the whole register or, in a particle-sector
     run, the sector's (``exp(-iHt) phi0`` never leaves it), and
-    :func:`_solve` solves them one symmetry block at a time. With ``k_max``
-    set, the problem carries the complex exact signal over ``k_max + 1``
-    samples of its observables and the identity, from one phase sum over
-    the projections of ``[phi0, O_1 phi0, ...]`` on those states; no
-    eigenbasis is formed. Without it, ``spec`` holds the eigenbasis over
-    the run's states.
+    :func:`_solve` solves them one symmetry block at a time. Each
+    ``O_i phi0`` of the probe pool is held on the few states the references
+    reach (:func:`pauli._probes`), which give ``gram``. With ``k_max`` set,
+    the signals come from one phase sum over the projections of ``[phi0,
+    O_1 phi0, ...]`` on the run's states; no eigenbasis and no ``2^n``-long
+    vector is formed. Without it, the problem is the dense oracle: ``spec``,
+    ``phi0`` and, as ``phi_perp``, the lowest basis state off the
+    references, refused first if they do not fit in memory.
     """
     shifted, scale, observables, dt = resolve_inputs(config)
     n_qubits, sector = shifted.n_qubits, config.particle_number
     states = np.arange(2**n_qubits) if sector is None else pauli._sector_states(n_qubits, sector)
-    phi0 = build_reference_superposition(n_qubits, list(config.reference_bitstrings))
-    spec, signals = None, {}
+    pool = _probe_pool(observables, n_qubits)
+    references = np.array([int(bits, 2) for bits in config.reference_bitstrings])
+    reach, probes = pauli._probes(pool, references)
+    spec = phi0 = phi_perp = None
+    signals = {}
     if k_max is None:
+        pauli._check_dense_memory(len(states), 2, 2**n_qubits)
+        free = min(set(range(len(references) + 1)) - set(references.tolist()))
         spec = SpectralDecomposition(*_solve(shifted, states))
+        phi0 = build_reference_superposition(n_qubits, list(config.reference_bitstrings))
+        phi_perp = build_reference_superposition(n_qubits, [f"{free:0{n_qubits}b}"])
         levels = spec.energies
     else:
-        pool = list(dict.fromkeys(observables + (identity_observable(n_qubits),)))
-        amps, stack = phi0.amplitudes, np.empty((len(pool) + 1, len(states)), complex)
-        stack[0] = amps[states]
-        for row, observable in enumerate(pool, start=1):
-            stack[row] = observable.apply(amps)[states]
+        # [phi0, O_1 phi0, ...] on the run's states; phi0 is the identity's row
+        rows = [pool.index(identity_observable(n_qubits)), *range(len(pool))]
+        at = np.minimum(np.searchsorted(states, reach), len(states) - 1)
+        inside = states[at] == reach  # a sector run drops what leaves the sector
+        stack = np.zeros((len(rows), len(states)), complex)
+        stack[:, at[inside]] = probes[np.ix_(rows, inside)]
         levels, projected = _solve(shifted, states, stack)
         signals = dict(zip(pool, _phase_sums(levels, projected, dt, k_max)))
     return Problem(
         n_qubits=n_qubits,
-        spec=spec,
         scale=scale,
-        phi0=phi0,
-        phi_perp=_orthogonal_companion(phi0),
         dt=dt,
         exact_energies=tuple(float(e) for e in levels / scale),
         observables=observables,
+        gram=probes @ probes.conj().T,
         signals=signals,
+        spec=spec, phi0=phi0, phi_perp=phi_perp,
     )
+
+
+def _probe_pool(observables, n_qubits: int) -> "list[PauliSum]":
+    """The policy's pool and the identity of the baseline, without repeats."""
+    return list(dict.fromkeys(tuple(observables) + (identity_observable(n_qubits),)))
 
 
 def _solve(psum: PauliSum, states: np.ndarray, stack: "np.ndarray | None" = None):
@@ -686,7 +680,10 @@ def measure_signal(
 
     ``clean`` is their exact signal: the Gaussian source adds noise of the
     configured level to its real part, and the shadow source, which needs
-    it complex, samples a signal over as many steps from its overlaps.
+    it complex, samples a signal over as many steps from its overlaps and
+    the Gram matrix ``[[1, 0], [0, problem.gram[rows]]]`` of ``[v, u_1,
+    ...]`` (``v`` is a unit vector orthogonal to every ``u_i``), so each
+    observable must be in the problem's probe pool.
     """
     if clean.n_observables != len(observables):
         raise ValueError(
@@ -696,9 +693,15 @@ def measure_signal(
     if config.signal_source == "shadow":
         if clean.mode != "complex":
             raise ValueError("the shadow source samples from a complex clean signal")
-        return _sample_signal(
-            clean, observables, problem.phi0, problem.phi_perp, config.shadow_samples, seed, "real"
-        )
+        pool = _probe_pool(problem.observables, problem.n_qubits)
+        missing = [format_pauli_sum(o).strip() for o in observables if o not in pool]
+        if missing:
+            raise ValueError(f"observable {missing[0]!r} is not in the problem's pool")
+        rows = [pool.index(o) for o in observables]
+        gram = np.zeros((len(rows) + 1,) * 2, complex)
+        gram[0, 0], gram[1:, 1:] = 1.0, problem.gram[np.ix_(rows, rows)]
+        dim, shots = 2 << problem.n_qubits, config.shadow_samples  # ancilla-extended
+        return _sample_signal(clean, gram, dim, shots, seed, "real")
     real = MultiObservableSignal(clean.n_observables, clean.dt, clean.values.real)
     return gaussian_noise_channel(real, config.noise_epsilon, seed)
 

@@ -102,36 +102,14 @@ class PauliString:
         return self.label
 
 
-def _parity(indices: np.ndarray, mask) -> np.ndarray:
-    """Parity of the bit counts of ``indices & mask``, as a 0/1 int array;
-    ``mask`` is an int or an integer array that broadcasts against
-    ``indices``. Halving shifts fold every bit onto the lowest."""
-    bits, shift = indices & mask, 1
-    top = mask if isinstance(mask, int) else int(mask.max(initial=0))
+def _parity(indices: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Parity of the bit counts of ``indices & masks``, as a 0/1 int array;
+    the two broadcast. Halving shifts fold every bit onto the lowest."""
+    bits, shift, top = indices & masks, 1, int(masks.max(initial=0))
     while shift < top.bit_length():
         bits ^= bits >> shift
         shift *= 2
     return bits & 1
-
-
-def apply_pauli_string(string: PauliString, amplitudes: np.ndarray) -> np.ndarray:
-    """Apply a Pauli string to a raw amplitude vector without densifying.
-
-    Each string acts as a signed/phased permutation of the computational
-    basis, so the cost is linear in the vector length.
-    """
-    n = 1 << string.n_qubits
-    if amplitudes.shape != (n,):
-        raise ValueError(
-            f"amplitude vector of length {amplitudes.shape} does not match "
-            f"{string.n_qubits} qubits"
-        )
-    idx = np.arange(n)
-    n_y = (string.x_mask & string.z_mask).bit_count()
-    phase = (1j) ** n_y * (-1.0) ** _parity(idx, string.z_mask)
-    out = np.empty(n, dtype=complex)
-    out[idx ^ string.x_mask] = phase * amplitudes
-    return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -191,10 +169,12 @@ class PauliSum:
         )
 
     def apply(self, amplitudes: np.ndarray) -> np.ndarray:
-        """Matrix-free action on a raw amplitude vector."""
-        out = np.zeros(1 << self.n_qubits, dtype=complex)
-        for c, s in zip(self.coefficients, self.strings):
-            out += c * apply_pauli_string(s, amplitudes)
+        """Matrix-free action on a raw amplitude vector, each string a phased
+        permutation of the basis (:func:`_entries`), summed in string order."""
+        states = np.arange(1 << self.n_qubits)
+        targets, _, _, values = _entries(self.terms, states, states)
+        out = np.zeros(len(states), dtype=complex)
+        np.add.at(out, targets, values * amplitudes)
         return out
 
 
@@ -283,20 +263,20 @@ def _sector_states(n_qubits: int, particles: int) -> np.ndarray:
     return np.array(sorted(map(sum, itertools.combinations(bits, particles))), dtype=np.int64)
 
 
-def _entries(psum: PauliSum, rows: np.ndarray, columns: np.ndarray):
-    """``(targets, at, inside, values)``, each ``(strings, columns)``:
-    string ``i`` sends basis state ``columns[j]`` to ``targets[i, j]`` with
-    amplitude ``values[i, j]`` (real when every string has an even number
-    of Y factors), and ``inside[i, j]`` marks a target found among the
-    ascending ``rows``, at ``at[i, j]``."""
-    y_counts = [(s.x_mask & s.z_mask).bit_count() for s in psum.strings]
+def _entries(terms, rows: np.ndarray, columns: np.ndarray):
+    """``(targets, at, inside, values)``, each ``(terms, columns)``: term
+    ``i``, a ``(coefficient, string)``, sends basis state ``columns[j]`` to
+    ``targets[i, j]`` with amplitude ``values[i, j]`` (real when every string
+    has an even number of Y factors), and ``inside[i, j]`` marks a target
+    found among the ascending ``rows``, at ``at[i, j]``."""
+    y_counts = [(s.x_mask & s.z_mask).bit_count() for _, s in terms]
     real = all(n_y % 2 == 0 for n_y in y_counts)
     factors = np.array([
         c * ((-1.0) ** (n_y // 2) if real else (1j) ** n_y)
-        for c, n_y in zip(psum.coefficients, y_counts)
+        for (c, _), n_y in zip(terms, y_counts)
     ], dtype=float if real else complex)
     x_masks, z_masks = (
-        np.array([getattr(s, mask) for s in psum.strings], dtype=np.int64)[:, None]
+        np.array([getattr(s, mask) for _, s in terms], dtype=np.int64)[:, None]
         for mask in ("x_mask", "z_mask")
     )
     targets = columns ^ x_masks
@@ -310,18 +290,35 @@ def _block(psum: PauliSum, rows: np.ndarray, columns: "np.ndarray | None" = None
     ascending basis states and ``columns`` (by default ``rows``) any. Each
     entry sums its strings' amplitudes in string order."""
     columns = rows if columns is None else columns
-    _, at, inside, values = _entries(psum, rows, columns)
+    _, at, inside, values = _entries(psum.terms, rows, columns)
     block = np.zeros((len(rows), len(columns)), dtype=values.dtype)
     index = np.broadcast_to(np.arange(len(columns)), at.shape)
     np.add.at(block, (at[inside], index[inside]), values[inside])
     return block
 
 
+def _probes(observables, references: np.ndarray):
+    """``(reach, rows)``: ``rows[i]`` holds ``observables[i] |phi>``, for
+    ``phi`` the equal superposition of the basis states ``references``, on
+    ``reach``, the ascending states a string sends a reference to. One
+    :func:`_entries` pass; each amplitude adds its terms in string order,
+    so the rows are :meth:`PauliSum.apply`'s entries bit for bit."""
+    terms = [term for o in observables for term in o.terms]
+    owner = np.repeat(np.arange(len(observables)), [o.num_terms for o in observables])
+    reach = np.sort(np.bitwise_xor.outer([s.x_mask for _, s in terms], references), axis=None)
+    reach = reach[np.diff(reach, prepend=-1) != 0]  # np.unique would load numpy.ma
+    _, at, _, values = _entries(terms, reach, references)
+    rows = np.zeros((len(observables), len(reach)), dtype=complex)
+    amplitude = 1.0 / math.sqrt(len(references))  # multiplied in, as in apply(phi)
+    np.add.at(rows, (owner[:, None], at), values * amplitude)
+    return reach, rows
+
+
 def _leak(psum: PauliSum, states: np.ndarray) -> float:
     """The largest magnitude of an entry of the matrix of ``psum`` from the
     ascending ``states`` to any other state, summed per (row, column) across
     strings: strings that cancel (as ``XX + YY`` do) leak nothing."""
-    targets, _, inside, values = _entries(psum, states, states)
+    targets, _, inside, values = _entries(psum.terms, states, states)
     index = np.broadcast_to(np.arange(len(states)), targets.shape)
     _, where = np.unique(targets[~inside] * len(states) + index[~inside], return_inverse=True)
     leaked = values[~inside]
@@ -380,7 +377,7 @@ def _symmetry_blocks(psum: PauliSum, states: np.ndarray):
     stabilized = images[:, reps] == reps
     counts = stabilized.sum(axis=0)
     # <r_a|H|g r_b> of every string, element g and pair of representatives
-    _, at, inside, values = _entries(psum, states[reps], states[images[:, reps].ravel()])
+    _, at, inside, values = _entries(psum.terms, states[reps], states[images[:, reps].ravel()])
     rows, values = at[inside], values[inside]
     group, columns = np.divmod(np.nonzero(inside)[1], len(reps))
     for signs in itertools.product((1.0, -1.0), repeat=order.bit_length() - 1):
@@ -404,10 +401,10 @@ def _symmetry_blocks(psum: PauliSum, states: np.ndarray):
 def _check_dense_memory(dimension: int, vectors: int = 0, length: int = 0) -> None:
     """Refuse a dense matrix and eigenbasis, counted as two complex
     ``dimension x dimension`` arrays, and ``vectors`` complex state vectors
-    of ``length`` amplitudes, that need more than physical memory. That
-    over-counts a real sum, whose blocks and eigenvectors are real, and a
-    sum with a symmetry, which is solved in blocks of about a half or a
-    quarter of the dimension."""
+    of ``length`` amplitudes (the dense oracle's ``phi0`` and ``phi_perp``),
+    that need more than physical memory. That over-counts a real sum, whose
+    blocks and eigenvectors are real, and a sum with a symmetry, which is
+    solved in blocks of about a half or a quarter of the dimension."""
     need, have = 2 * 16 * dimension**2 + 16 * vectors * length, _physical_memory_bytes()
     if need > have:
         held = f"a dense matrix and eigenbasis of dimension {dimension}"

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliSum, apply_pauli_string
+from .pauli import PauliSum
 from .errors import DegenerateInputError
 
 NORM_ATOL = 1e-10
@@ -218,11 +218,10 @@ def trotter_evolve(
         raise ValueError("state and operator register widths differ")
     theta = [c * t / r for c in psum.coefficients]
     amps = state.amplitudes.copy()
+    factors = [PauliSum(psum.n_qubits, (1.0,), (s,)) for s in psum.strings]
     for _ in range(r):
-        for ang, string in zip(reversed(theta), reversed(psum.strings)):
-            amps = math.cos(ang) * amps - 1j * math.sin(ang) * apply_pauli_string(
-                string, amps
-            )
+        for ang, factor in zip(reversed(theta), reversed(factors)):
+            amps = math.cos(ang) * amps - 1j * math.sin(ang) * factor.apply(amps)
     return StateVector(state.n_qubits, amps)
 
 

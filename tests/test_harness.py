@@ -10,6 +10,7 @@ import pickle
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,10 +25,12 @@ from modmd import (
     PauliParseError,
     PauliString,
     PauliSum,
+    ResourceCapError,
     SpectralDecomposition,
     SweepResult,
     build_observables,
     build_problem,
+    build_reference_superposition,
     build_tfim,
     config_from_dict,
     config_to_dict,
@@ -57,7 +60,7 @@ from modmd import (
     to_dense,
     truncated_pinv,
 )
-from modmd import cli, harness, pauli
+from modmd import cli, harness, pauli, shadows
 from modmd.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -491,8 +494,9 @@ class TestBuildProblem:
         problem = build_problem(config, 60)
         assert len(problem.signals) == 3 * n_qubits + 1
         shifted, _ = shift_and_scale(parse_pauli_sum(hfile.read_text()), 0.9)
+        phi0 = build_problem(config).phi0  # a problem built with k_max keeps none
         oracle = exact_signal(
-            diagonalize(to_dense(shifted)), problem.phi0, list(problem.signals),
+            diagonalize(to_dense(shifted)), phi0, list(problem.signals),
             problem.dt, 60, mode="complex",
         )
         got = np.array(list(problem.signals.values()))
@@ -863,9 +867,9 @@ class TestProblemSignals:
             "explicit": lambda: list(problem.observables),
         }[policy]()
         assert list(problem.signals) == expected
-        spec = build_problem(config).spec  # a problem built with k_max keeps none
+        dense = build_problem(config)  # a problem built with k_max keeps no vector
         for obs, row in problem.signals.items():
-            oracle = exact_signal(spec, problem.phi0, [obs], problem.dt, 40, mode="complex")
+            oracle = exact_signal(dense.spec, dense.phi0, [obs], problem.dt, 40, mode="complex")
             assert row.shape == (41,) and row.dtype == complex
             scale = max(obs.weight_l1, 1.0)
             np.testing.assert_allclose(row, oracle.values[0], rtol=0, atol=1e-12 * scale)
@@ -902,6 +906,99 @@ class TestProblemSignals:
             if isinstance(value, np.ndarray):
                 assert value.size < dim * (k_max + 1)
         assert all(row.shape == (k_max + 1,) for row in problem.signals.values())
+
+
+class TestProbeStates:
+    """A problem holds ``phi0`` and each ``O_i phi0`` as their amplitudes on
+    the states the references reach: its stack rows and ``gram`` against
+    the ``2^n``-long vectors of the dense oracle."""
+
+    @pytest.fixture
+    def probe_configs(self, tmp_path):
+        obs = tmp_path / "obs.txt"
+        obs.write_text("0.7 XYI\n-0.3 ZIZ\n0.2 IXX\n\n1.0 YII\n0.4 IZZ\n\n1.0 III\n")
+        chain = tmp_path / "chain.txt"
+        chain.write_text(hopping_chain(4))
+        return {
+            "random-1-local": small_config(
+                n_observables=4, reference_bitstrings=("000", "110", "011")
+            ),
+            # a 3-qubit TFIM has 5 terms, so the sixth partial sum is zero
+            "partial-sums": small_config(
+                observable_policy="hamiltonian-partial-sums", n_observables=6
+            ),
+            "explicit": small_config(
+                observable_policy="explicit", observable_file=str(obs), n_observables=3
+            ),
+            # X and Y move the one particle out of the sector
+            "sector": small_config(
+                tfim_qubits=None, hamiltonian_file=str(chain), particle_number=1,
+                reference_bitstrings=("1000", "0010"),
+            ),
+        }
+
+    @pytest.mark.parametrize("case", ["random-1-local", "partial-sums", "explicit", "sector"])
+    def test_stack_rows_are_the_applied_vectors_on_the_run_states(
+        self, case, probe_configs, monkeypatch
+    ):
+        config = probe_configs[case]
+        stacks, solve = [], harness._solve
+
+        def recording_solve(psum, states, stack=None):
+            stacks.append((states, stack))
+            return solve(psum, states, stack)
+
+        monkeypatch.setattr(harness, "_solve", recording_solve)
+        problem = build_problem(config, 20)
+        ((states, stack),) = stacks
+        dense = build_problem(config)
+        pool = harness._probe_pool(problem.observables, problem.n_qubits)
+        assert list(problem.signals) == pool
+        amps = dense.phi0.amplitudes
+        np.testing.assert_array_equal(stack[0], amps[states])
+        for observable, row in zip(pool, stack[1:]):
+            np.testing.assert_array_equal(row, observable.apply(amps)[states])
+
+    @pytest.mark.parametrize("case", ["random-1-local", "partial-sums", "explicit", "sector"])
+    def test_gram_is_the_overlaps_of_the_rank_two_vectors(self, case, probe_configs):
+        config = probe_configs[case]
+        problem, dense = build_problem(config, 20), build_problem(config)
+        pool = harness._probe_pool(problem.observables, problem.n_qubits)
+        u = [shadows.build_gamma(o, dense.phi0, dense.phi_perp).u for o in pool]
+        want = np.array([[np.vdot(u_j, u_i) for u_j in u] for u_i in u])
+        assert problem.gram.shape == (len(pool), len(pool))
+        np.testing.assert_allclose(problem.gram, want, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(dense.gram, problem.gram)
+        if case == "partial-sums":  # the zero operator closes the pool
+            assert pool[-2].num_terms == 0 and not np.any(problem.gram[-2])
+        if case == "sector":  # unit vectors all, though X and Y leave the sector
+            np.testing.assert_allclose(np.diag(problem.gram), 1.0, rtol=0, atol=1e-15)
+            leaving = [o for o in pool if o.strings[0].x_mask]
+            assert len(leaving) == 8
+            assert not any(np.any(problem.signals[o]) for o in leaving)
+
+
+    @pytest.mark.parametrize("source", ["exact+gaussian", "shadow"])
+    def test_sector_run_holds_less_than_one_register_vector(self, source, tmp_path):
+        """A 20-qubit chain at N = 1: its problem (61 probe states) and a
+        cell peak far below one vector of 2^20 amplitudes (16.8 MB)."""
+        hfile = tmp_path / "chain.txt"
+        hfile.write_text(hopping_chain(20))
+        config = small_config(
+            tfim_qubits=None, hamiltonian_file=str(hfile), particle_number=1,
+            reference_bitstrings=("1" + "0" * 19,), n_eig=1, k_grid=(40,),
+            signal_source=source, shadow_samples=8 if source == "shadow" else None,
+        )
+        run_single_solve(config)  # warm: imports and caches stay out of the peak
+        tracemalloc.start()
+        try:
+            problem = build_problem(config, 200)
+            run_single_solve(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(problem.signals) == 61
+        assert peak < 2e6
 
 
 class TestParseObservableFile:
@@ -1005,6 +1102,17 @@ class TestMeasureSignal:
         assert not np.array_equal(a.values, clean.values.real)
         assert np.max(np.abs(a.values)) <= 9.0  # (dim + 1) per-sample cap
 
+    def test_shadow_source_refuses_an_observable_outside_the_pool(self):
+        """The shadow source reads the Gram of the problem's probe pool, so
+        an observable outside it is named, not looked up."""
+        config = small_config(signal_source="shadow", shadow_samples=16, noise_epsilon=0.0)
+        problem = build_problem(config, 4)
+        stranger = parse_pauli_sum("0.5 XXI\n")
+        observables = [identity_observable(3), stranger]
+        clean = modmd.MultiObservableSignal(2, problem.dt, np.ones((2, 5), complex), "complex")
+        with pytest.raises(ValueError, match="observable '0.5 XXI' is not in the problem's pool"):
+            measure_signal(config, problem, observables, clean, seed=9)
+
     def test_shadow_source_refuses_a_real_clean_signal(self):
         """Real rows have no imaginary part to sample from: the shadow
         source would bias every estimate, so it refuses them."""
@@ -1021,7 +1129,7 @@ class TestMeasureSignal:
         config = small_config(signal_source="shadow", shadow_samples=16, noise_epsilon=0.0)
         k_max, seed = 70, 9
         problem = build_problem(config, k_max)
-        spec = build_problem(config).spec
+        dense = build_problem(config)
         pool = build_observables(config, problem, seed=2) + [identity_observable(3)]
 
         def measured(observables):
@@ -1030,7 +1138,7 @@ class TestMeasureSignal:
             return measure_signal(config, problem, observables, clean, seed).values
 
         oracle = modmd.shadow_signal(
-            spec, problem.phi0, problem.phi_perp, pool, problem.dt, k_max,
+            dense.spec, dense.phi0, dense.phi_perp, pool, problem.dt, k_max,
             config.shadow_samples, seed,
         )
         got = measured(pool)
@@ -2021,35 +2129,99 @@ class TestCli:
         assert main(argv) == code
         if code == EXIT_RESOURCE:
             assert capsys.readouterr().err == (
-                "error: a dense matrix and eigenbasis of dimension 16384 and 6 state "
-                "vectors of 16384 amplitudes need 8.6 GB, more than the 7.8 GB of "
-                "physical memory\n"
+                "error: a dense matrix and eigenbasis of dimension 16384 need 8.6 GB, "
+                "more than the 7.8 GB of physical memory\n"
             )
 
     @pytest.mark.parametrize("n_qubits, code", [(20, EXIT_OK), (30, EXIT_RESOURCE)])
-    def test_cap_counts_the_state_vectors(self, n_qubits, code, tmp_path, monkeypatch, capsys):
-        """A one-particle sector has only n levels, but the run still holds
-        vectors of 2^n amplitudes: on 7.8 GB, 20 qubits pass and 30 (6 x
-        17 GB) are refused before anything is allocated."""
+    def test_cap_counts_the_state_vectors(self, n_qubits, code, tmp_path, monkeypatch):
+        """The dense oracle, ``build_problem`` without ``k_max``, holds
+        ``phi0`` and ``phi_perp`` of 2^n amplitudes even in a one-particle
+        sector of n levels: on 7.8 GB, 20 qubits pass and 30 (2 x 17 GB)
+        are refused (the CLI's exit 3) before either vector is built."""
+        built = []
 
-        def no_allocation(*args, **kwargs):
-            raise AssertionError("validate-config allocated a matrix")
+        def superposition(n_qubits, bitstrings):
+            if n_qubits == 30:
+                raise AssertionError("a 2^30-long vector was built")
+            built.append(bitstrings)
+            return build_reference_superposition(n_qubits, bitstrings)
 
         monkeypatch.setattr(pauli, "_physical_memory_bytes", lambda: int(7.8e9))
-        monkeypatch.setattr(pauli.np, "zeros", no_allocation)
+        monkeypatch.setattr(harness, "build_reference_superposition", superposition)
         hfile = tmp_path / "chain.txt"
         hfile.write_text(hopping_chain(n_qubits))
+        reference = "1" + "0" * (n_qubits - 1)
+        config = small_config(
+            tfim_qubits=None, hamiltonian_file=str(hfile), particle_number=1,
+            reference_bitstrings=(reference,),
+        )
+        if code == EXIT_RESOURCE:
+            with pytest.raises(ResourceCapError) as refused:
+                build_problem(config)
+            assert str(refused.value) == (
+                "a dense matrix and eigenbasis of dimension 30 and 2 state vectors "
+                "of 1073741824 amplitudes need 34.4 GB, more than the 7.8 GB of "
+                "physical memory"
+            )
+            return
+        problem = build_problem(config)
+        assert built == [[reference], ["0" * n_qubits]]  # phi_perp: first state off phi0
+        assert problem.spec.dimension == n_qubits
+
+    def test_register_wider_than_an_int64_index_refused(self, tmp_path, capsys):
+        hfile = tmp_path / "chain.txt"
+        hfile.write_text(hopping_chain(64))
         argv = [
             "validate-config", "--hamiltonian-file", str(hfile),
-            "--reference", "1" + "0" * (n_qubits - 1), "--particle-number", "1",
+            "--reference", "1" + "0" * 63, "--particle-number", "1",
         ]
-        assert main(argv) == code
-        if code == EXIT_RESOURCE:
-            assert capsys.readouterr().err == (
-                "error: a dense matrix and eigenbasis of dimension 30 and 6 state "
-                "vectors of 1073741824 amplitudes need 103.1 GB, more than the "
-                "7.8 GB of physical memory\n"
-            )
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: 64 qubits do not fit an int64 basis index (at most 63)\n"
+        )
+
+    @pytest.mark.parametrize("source", ["exact+gaussian", "shadow"])
+    @pytest.mark.parametrize("verb", ["sweep-k", "solve"])
+    def test_runs_form_no_register_vector(self, verb, source, tmp_path, monkeypatch):
+        """Neither source builds a ``2^n``-long probe state on a run's path:
+        every way to form one (``PauliSum.apply``, the rank-two vectors, a
+        reference superposition) fails here."""
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a register-long vector was formed")
+
+        monkeypatch.setattr(PauliSum, "apply", forbidden)
+        monkeypatch.setattr(shadows, "build_gamma", forbidden)
+        monkeypatch.setattr(harness, "build_reference_superposition", forbidden)
+        monkeypatch.setattr(modmd.simulate, "build_reference_superposition", forbidden)
+        argv = [
+            verb, "--tfim-qubits", "3", "--reference", "000", "--reference", "110",
+            "--k-grid", "16,24", "--trials", "1", "--n-eig", "2",
+            "--output-dir", str(tmp_path / "out"),
+        ]
+        if source == "shadow":
+            argv += ["--signal-source", "shadow", "--shadow-samples", "16"]
+        assert main(argv) == EXIT_OK
+
+    @pytest.mark.parametrize("source", ["exact+gaussian", "shadow"])
+    def test_sector_run_holds_no_register_vector(self, source, tmp_path, monkeypatch, capsys):
+        """A 30-qubit chain at N = 1 (30 levels) passes the cap whatever
+        the 7.8 GB of memory, and ``solve`` runs on both sources: a run
+        holds its probe states on the few states the reference reaches."""
+        monkeypatch.setattr(pauli, "_physical_memory_bytes", lambda: int(7.8e9))
+        hfile = tmp_path / "chain.txt"
+        hfile.write_text(hopping_chain(30))
+        argv = [
+            "--hamiltonian-file", str(hfile), "--reference", "1" + "0" * 29,
+            "--particle-number", "1", "--k-grid", "40", "--n-eig", "1",
+            "--output-dir", str(tmp_path / "out"),
+        ]
+        if source == "shadow":
+            argv += ["--signal-source", "shadow", "--shadow-samples", "8"]
+        assert main(["validate-config", *argv]) == EXIT_OK
+        assert main(["solve", *argv]) == EXIT_OK
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize(
         "verb, workers", [("sweep-k", 1), ("sweep-k", 2), ("solve", 1)]

@@ -299,6 +299,72 @@ class TestSectorBlock:
         assert pauli._leak(psum, states) == 0.0
 
 
+def random_sum(rng, n_qubits, n_terms):
+    """A sum of distinct random strings with normal coefficients, and its
+    ``(coefficient, label)`` terms for :func:`dense_from_labels`."""
+    labels = sorted({"".join(rng.choice(list("IXYZ"), size=n_qubits)) for _ in range(n_terms)})
+    terms = [(float(rng.standard_normal()), label) for label in labels]
+    return PauliSum.from_terms(
+        n_qubits, [(c, PauliString.from_label(label)) for c, label in terms]
+    ), terms
+
+
+class TestApply:
+    """``PauliSum.apply`` against the kron-product matrix."""
+
+    def test_matches_kron_oracle_on_random_sums(self):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            n = int(rng.integers(1, 6))
+            psum, terms = random_sum(rng, n, int(rng.integers(1, 6)))
+            amps = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+            np.testing.assert_allclose(
+                psum.apply(amps), dense_from_labels(n, terms) @ amps, rtol=0, atol=1e-13
+            )
+
+    def test_single_string_is_a_phased_permutation(self):
+        """One string with coefficient 1 moves each amplitude, times 1, -1,
+        i or -i, to its target: exact, as the matrix product is."""
+        rng = np.random.default_rng(5)
+        amps = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+        for label in ("IIII", "XIII", "IYIZ", "YYYY", "ZXYI"):
+            psum = PauliSum.from_terms(4, [(1.0, PauliString.from_label(label))])
+            np.testing.assert_array_equal(
+                psum.apply(amps), dense_from_labels(4, [(1.0, label)]) @ amps
+            )
+
+    def test_zero_operator_gives_zero(self):
+        assert not np.any(PauliSum(3, (), ()).apply(np.ones(8)))
+
+
+class TestProbes:
+    """``_probes`` holds ``O |phi>`` of a reference superposition on the
+    states the references reach: the entries of ``O.apply``, bit for bit."""
+
+    @pytest.mark.parametrize("references", [[0], [5, 0, 12], [3, 9]])
+    def test_rows_are_the_applied_vector_on_its_reach(self, references):
+        rng = np.random.default_rng(len(references))
+        observables = [
+            random_sum(rng, 4, int(rng.integers(1, 6)))[0] for _ in range(6)
+        ] + list(pauli.one_local_pool(4)) + [PauliSum(4, (), ())]
+        refs = np.array(references)
+        phi = np.zeros(16, complex)
+        phi[refs] = 1.0 / math.sqrt(len(refs))
+        reach, rows = pauli._probes(observables, refs)
+        assert np.all(np.diff(reach) > 0)
+        for observable, row in zip(observables, rows):
+            full = observable.apply(phi)
+            np.testing.assert_array_equal(row, full[reach])
+            assert not np.any(np.delete(full, reach))
+            kron = dense_from_labels(4, [(c, s.label) for c, s in observable.terms]) @ phi
+            np.testing.assert_allclose(row, kron[reach], rtol=0, atol=1e-15)
+
+    def test_reach_is_the_references_moved_by_each_x_mask(self):
+        observables = [parse_pauli_sum("1.0 XIII\n0.5 IIYZ\n"), parse_pauli_sum("1.0 IIII\n")]
+        reach, _ = pauli._probes(observables, np.array([0, 3]))
+        np.testing.assert_array_equal(reach, [0, 1, 2, 3, 8, 11])
+
+
 class TestSortByWeight:
     def test_magnitude_descending(self):
         psum = PauliSum.from_terms(

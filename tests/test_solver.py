@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from modmd import (
     DegenerateInputError,
@@ -563,17 +563,19 @@ def assert_rows_match_up_to_phase(rows, oracle_rows):
         )
 
 
-def assert_matches_full_matrix(pair, threshold, dt, n_eig, merge_conjugates):
+def assert_matches_full_matrix(pair, threshold, dt, n_eig, merge_conjugates, exact=None):
     """The reduced eigensolve against the full-matrix oracle
     ``extract_eigen(xp @ pinv(x))``: same eigenvalues, left rows equal up
-    to a unit phase, same conditioning and residual."""
+    to a unit phase, same conditioning and residual. Given ``exact``, the
+    eigenvalues are checked against those instead: the full matrix's own
+    eigensolve is the less accurate of the two."""
     pinv = truncated_pinv(pair.x, threshold)
     fit = fit_propagator(pair, pinv)
     reduced = extract_eigen(fit, dt, n_eig, merge_conjugates=merge_conjugates)
     a_matrix = pair.xp @ pinv.as_matrix()
     full = extract_eigen(a_matrix, dt, n_eig, merge_conjugates=merge_conjugates)
     np.testing.assert_allclose(
-        reduced.eigenvalues, full.eigenvalues, rtol=0, atol=1e-10
+        reduced.eigenvalues, full.eigenvalues if exact is None else exact, rtol=0, atol=1e-10
     )
     assert_rows_match_up_to_phase(reduced.left_vectors, full.left_vectors)
     assert reduced.eigenvector_condition == pytest.approx(
@@ -586,7 +588,10 @@ def assert_matches_full_matrix(pair, threshold, dt, n_eig, merge_conjugates):
 
 def random_mode_pair(seed, real):
     """Noiseless multi-observable pair from a few well-separated, slightly
-    damped modes; a real signal carries each mode with its conjugate."""
+    damped modes (a real signal carries each mode with its conjugate), and
+    the propagator eigenvalues ``damping * exp(-i * phase)`` an eigenvalue
+    fit reports: in descending phase, of a conjugate pair only the member
+    with positive imaginary part."""
     rng = np.random.default_rng(seed)
     m = int(rng.integers(1, 5))
     low, high = (0.2, 2.9) if real else (-2.9, 2.9)
@@ -613,7 +618,9 @@ def random_mode_pair(seed, real):
     signal = MultiObservableSignal(
         n_obs, 1.0, values, mode="real" if real else "complex"
     )
-    return build_hankel(signal, d, K), m
+    exact = damping * np.exp(-1j * phases)
+    exact = exact[exact.imag > 0] if real else exact
+    return build_hankel(signal, d, K), exact[np.argsort(-np.angle(exact))]
 
 
 class TestReducedEigenproblem:
@@ -661,9 +668,15 @@ class TestReducedEigenproblem:
         assert_matches_full_matrix(pair, 1e-2, 1.0, 3, merge_conjugates=False)
 
     @given(st.integers(0, 2**32 - 1), st.booleans())
+    @example(3246, True)
+    @example(12892018, True)
     def test_random_low_rank_pairs(self, seed, real):
-        pair, n_modes = random_mode_pair(seed, real)
-        assert_matches_full_matrix(pair, 1e-10, 1.0, n_modes, merge_conjugates=real)
+        """The reduced fit finds the generator's modes; at these two seeds
+        the full matrix's eigenvalues are up to 5.4e-10 off them."""
+        pair, exact = random_mode_pair(seed, real)
+        assert_matches_full_matrix(
+            pair, 1e-10, 1.0, len(exact), merge_conjugates=real, exact=exact
+        )
 
 
 def geev_extract(propagator, magnitude_floor=0.2, merge_conjugates=False):
