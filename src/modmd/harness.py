@@ -13,7 +13,6 @@ import platform
 import re
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple, get_args, get_origin, get_type_hints
@@ -44,15 +43,7 @@ from .simulate import (
     build_reference_superposition,
     diagonalize,
 )
-from .solver import (
-    build_hankel,
-    extract_eigen,
-    fit_propagator,
-    forecast,
-    residual,
-    select_time_step,
-    truncated_pinv,
-)
+from .solver import _fit_window, extract_eigen, forecast, residual, select_time_step
 
 OBSERVABLE_POLICIES = (
     "identity-only",
@@ -831,8 +822,9 @@ class _Laps:
         self.seconds: "dict[str, float]" = {}
 
     def lap(self, stage: str) -> None:
+        """End a lap of ``stage``; a stage lapped again adds up its laps."""
         now = time.perf_counter()
-        self.seconds[stage] = now - self._last
+        self.seconds[stage] = self.seconds.get(stage, 0.0) + now - self._last
         self._last = now
 
     def total(self) -> float:
@@ -962,10 +954,7 @@ def _evaluate_cell(plan: _SweepPlan, problem: Problem, point_index: int, trial: 
         seed = derive_seed(config.master_seed, point_index, trial, stream)
         signal = measure_signal(config, problem, observables, clean, seed)
         laps.lap("signal_s")
-        pair = build_hankel(signal, d, K)
-        laps.lap("hankel_s")
-        fit = fit_propagator(pair, truncated_pinv(pair.x, threshold_for(config)))
-        laps.lap("pinv_s")
+        pair, fit = _fit_window(signal, d, K, threshold_for(config), laps.lap)
         head = (point_index, value, trial, method)
         try:
             rows.append(score(head, config, problem, fit, pair, held_out.real, laps))
@@ -1028,6 +1017,9 @@ def _run_plan(plan: _SweepPlan) -> "tuple[list, tuple[tuple[float, ...], ...]]":
         finally:
             _init_worker(None)  # release the sweep's problem and its signals
     else:
+        # imported here: a serial sweep loads no process pool machinery
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=plan.config.workers,
             initializer=_init_worker,
@@ -1208,11 +1200,15 @@ Values are written with repr() so parsing them back yields the exact
 float64 bit patterns. The companion *_timing.csv records wall-clock
 seconds per cell and method: wall_time_s for the whole evaluation, then
 its stages in order, signal_s (signal, and a forecast's held-out truth),
-hankel_s (snapshot matrices), pinv_s (truncated pseudo-inverse and
-propagator fit), and either eig_s (eigenvalue extraction) and residual_s
-(fit residual) in an eigenvalue sweep, or forecast_s (propagator
-iteration) in a forecast. The stages sum to at most wall_time_s. It is
-the only output file excluded from the bit-identical replay guarantee.
+hankel_s (building the snapshot matrices: twice when the pseudo-inverse
+takes the Gram matrix, once for the Gram and once for the lift, so that
+they are not held during its eigensolve), pinv_s (truncated
+pseudo-inverse, from the Gram matrix's eigensolve and the lift or from
+the SVD, and propagator fit), and either eig_s (eigenvalue extraction)
+and residual_s (fit residual) in an eigenvalue sweep, or forecast_s
+(propagator iteration) in a forecast. The stages sum to at most
+wall_time_s. It is the only output file excluded from the bit-identical
+replay guarantee.
 """
 
 

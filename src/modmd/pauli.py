@@ -172,9 +172,10 @@ class PauliSum:
         """Matrix-free action on a raw amplitude vector, each string a phased
         permutation of the basis (:func:`_entries`), summed in string order."""
         states = np.arange(1 << self.n_qubits)
-        targets, _, _, values = _entries(self.terms, states, states)
+        targets, _, _, values = _entries(self.terms, None, states)
         out = np.zeros(len(states), dtype=complex)
-        np.add.at(out, targets, values * amplitudes)
+        for target, value in zip(targets, values * amplitudes):
+            out[target] += value  # a string permutes the basis: no target repeats
         return out
 
 
@@ -263,12 +264,14 @@ def _sector_states(n_qubits: int, particles: int) -> np.ndarray:
     return np.array(sorted(map(sum, itertools.combinations(bits, particles))), dtype=np.int64)
 
 
-def _entries(terms, rows: np.ndarray, columns: np.ndarray):
+def _entries(terms, rows: "np.ndarray | None", columns: np.ndarray):
     """``(targets, at, inside, values)``, each ``(terms, columns)``: term
     ``i``, a ``(coefficient, string)``, sends basis state ``columns[j]`` to
     ``targets[i, j]`` with amplitude ``values[i, j]`` (real when every string
     has an even number of Y factors), and ``inside[i, j]`` marks a target
-    found among the ascending ``rows``, at ``at[i, j]``."""
+    found among the ascending ``rows``, at ``at[i, j]``. With ``rows`` None
+    (the whole register, where every target is its own row) ``at`` and
+    ``inside`` are None."""
     y_counts = [(s.x_mask & s.z_mask).bit_count() for _, s in terms]
     real = all(n_y % 2 == 0 for n_y in y_counts)
     factors = np.array([
@@ -281,6 +284,8 @@ def _entries(terms, rows: np.ndarray, columns: np.ndarray):
     )
     targets = columns ^ x_masks
     values = factors[:, None] * (-1.0) ** _parity(columns, z_masks)
+    if rows is None:
+        return targets, None, None, values
     at = np.minimum(np.searchsorted(rows, targets), len(rows) - 1)
     return targets, at, rows[at] == targets, values
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -33,6 +34,11 @@ CONDITION_FLAG = 1e8
 # test in tests/test_solver.py checks that it holds here and fails a decade
 # lower.
 GRAM_MIN_THRESHOLD = 1e-4
+
+# Rows of the model ``A x`` that :func:`residual` forms at a time: a block
+# is a small fraction of the snapshots at a sweep's sizes, and large enough
+# for one matrix product per block.
+RESIDUAL_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,22 +133,107 @@ def truncated_pinv(matrix: np.ndarray, threshold: float) -> TruncatedPinv:
     ``x V_r / sigma_r`` or ``U_r^H x / sigma_r``. Smaller thresholds, and
     matrices whose squares leave the float range, take the full SVD.
     """
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
+    _check_threshold(threshold)
     matrix = np.asarray(matrix)
     if matrix.ndim != 2:
         raise ValueError("expected a 2-D matrix")
-    factors = None
+    solved = None
     if threshold >= GRAM_MIN_THRESHOLD:
-        factors = _gram_factors(matrix, threshold)
-    if factors is None:
+        solved = _gram_basis(_gram(matrix), threshold)
+    return _pinv(matrix, threshold, solved)
+
+
+def _fit_window(
+    signal: MultiObservableSignal,
+    d: int,
+    K: int,
+    threshold: float,
+    lap: "Callable[[str], None]" = lambda stage: None,
+) -> "tuple[HankelPair, PropagatorFit]":
+    """The Hankel pair of a window and its fit: ``build_hankel(signal, d,
+    K)`` and ``fit_propagator(pair, truncated_pinv(pair.x, threshold))``,
+    bit for bit, without the snapshot stack alive during the Gram ``eigh``.
+
+    On the Gram path the stack is built for its Gram, released, and built
+    again for the lift, so the fit's high-water mark is one stack or the
+    Gram solve, not both. The SVD fallback builds it once and holds it
+    through the SVD. ``lap(stage)`` is called as each stage ends:
+    ``"hankel_s"`` after each stack is built, ``"pinv_s"`` after the Gram
+    solve and after the lift and propagator fit.
+    """
+    _check_threshold(threshold)
+    solved = None
+    if threshold >= GRAM_MIN_THRESHOLD:
+        x = build_hankel(signal, d, K).x
+        lap("hankel_s")
+        gram = _gram(x)
+        del x  # releases the stack: only its Gram is alive during the eigh
+        solved = _gram_basis(gram, threshold)
+        lap("pinv_s")
+    pair = build_hankel(signal, d, K)
+    lap("hankel_s")
+    fit = fit_propagator(pair, _pinv(pair.x, threshold, solved))
+    lap("pinv_s")
+    return pair, fit
+
+
+def _check_threshold(threshold: float) -> None:
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
+
+
+def _gram(matrix: np.ndarray) -> np.ndarray:
+    """The smaller Gram matrix: ``x^H x`` for a tall ``x``, ``x x^H`` for
+    a wide one. Entries that overflow are left for :func:`_gram_basis`."""
+    tall = matrix.shape[0] >= matrix.shape[1]
+    adjoint = matrix.conj().T
+    with np.errstate(over="ignore", invalid="ignore"):
+        return adjoint @ matrix if tall else matrix @ adjoint
+
+
+def _gram_basis(
+    gram: np.ndarray, threshold: float
+) -> "tuple[np.ndarray, np.ndarray] | None":
+    """``(sigma, W_r)`` from the ``eigh`` of a Gram matrix: the singular
+    values, descending, and the ``r`` leading eigenvectors, ``V_r`` of a
+    tall ``x`` or ``U_r`` of a wide one. None when the squares leave the
+    float range: ``trace(gram) = sum(sigma^2)`` bounds every Gram entry, so
+    a finite trace means no entry overflowed, and its lower bound keeps
+    every retained ``sigma^2`` above underflow. The zero matrix and
+    non-finite input fail it too, and reach the SVD's errors."""
+    total = abs(np.trace(gram))
+    if not len(gram) * np.finfo(gram.dtype).tiny < threshold**2 * total < np.inf:
+        return None
+    eigvals, vectors = np.linalg.eigh(gram)
+    s = np.sqrt(np.clip(eigvals[::-1], 0.0, None))
+    rank = int(np.count_nonzero(s > threshold * s[0]))
+    return s, vectors[:, ::-1][:, :rank].copy()  # frees the other eigenvectors
+
+
+def _pinv(
+    matrix: np.ndarray,
+    threshold: float,
+    solved: "tuple[np.ndarray, np.ndarray] | None",
+) -> TruncatedPinv:
+    """:func:`truncated_pinv` of ``matrix`` from its Gram solve
+    (:func:`_gram_basis`), the other singular basis lifted as
+    ``x V_r / sigma_r`` or ``U_r^H x / sigma_r``; or, with ``solved``
+    None, from the full SVD."""
+    if solved is None:
         u, s, vh = np.linalg.svd(matrix, full_matrices=False)
         if s[0] == 0.0:
             raise DegenerateInputError("all-zero matrix has no pseudo-inverse")
         rank = int(np.count_nonzero(s > threshold * s[0]))
-        factors = u[:, :rank], s, vh[:rank]
-    left, s, right = factors
-    rank = left.shape[1]
+        left, right = u[:, :rank], vh[:rank]
+    else:
+        s, basis = solved
+        rank = basis.shape[1]
+        if matrix.shape[0] >= matrix.shape[1]:
+            left, right = matrix @ basis, basis.conj().T
+            left /= s[:rank]
+        else:
+            left, right = basis, basis.conj().T @ matrix
+            right /= s[:rank, None]
     return TruncatedPinv(
         left=left,
         inv_singular=1.0 / s[:rank],
@@ -150,33 +241,6 @@ def truncated_pinv(matrix: np.ndarray, threshold: float) -> TruncatedPinv:
         singular_values=s,
         rank=rank,
     )
-
-
-def _gram_factors(
-    matrix: np.ndarray, threshold: float
-) -> "tuple[np.ndarray, np.ndarray, np.ndarray] | None":
-    """``(U_r, sigma, V_r^H)`` of :func:`truncated_pinv` by the method of
-    snapshots, or None when the squares leave the float range:
-    ``trace(gram) = sum(sigma^2)`` bounds every Gram entry, so a finite
-    trace means no entry overflowed, and its lower bound keeps every
-    retained ``sigma^2`` above underflow. The zero matrix and non-finite
-    input fail it too, and reach the SVD's errors."""
-    tall = matrix.shape[0] >= matrix.shape[1]
-    adjoint = matrix.conj().T
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = adjoint @ matrix if tall else matrix @ adjoint
-    total = abs(np.trace(gram))
-    if not len(gram) * np.finfo(gram.dtype).tiny < threshold**2 * total < np.inf:
-        return None
-    eigvals, vectors = np.linalg.eigh(gram)
-    del gram
-    s = np.sqrt(np.clip(eigvals[::-1], 0.0, None))
-    rank = int(np.count_nonzero(s > threshold * s[0]))
-    basis = vectors[:, ::-1][:, :rank].copy()  # frees the other eigenvectors
-    del vectors
-    lifted = matrix @ basis if tall else basis.conj().T @ matrix
-    lifted /= s[:rank] if tall else s[:rank, None]
-    return (lifted, s, basis.conj().T) if tall else (basis, s, lifted)
 
 
 @dataclass(frozen=True, slots=True)
@@ -294,18 +358,30 @@ def residual(fit: PropagatorFit, pair: HankelPair) -> float:
     as ``(xp V_r) V_r^H = B S_r V_r^H``; unlike ``|xp|^2 - |xp V_r|^2``,
     the direct difference does not cancel when the residual is small.
 
-    ``|xp|_F`` is summed by ``einsum`` over a real view of ``xp`` (each
-    row's real and imaginary parts side by side), which reads the strided
-    view in place: ``np.linalg.norm`` would copy it to ravel it, next to
-    the model."""
+    The model is formed and subtracted ``RESIDUAL_BLOCK_ROWS`` rows at a
+    time, one block alive at once, so no array of the snapshots' size is
+    allocated."""
     pinv = fit.pinv
-    fitted = (fit.b_matrix * pinv.singular_values[: pinv.rank]) @ pinv.right
-    parts = pair.xp.view(float)
-    denom = math.sqrt(np.einsum("ij,ij->", parts, parts))
+    denom = math.sqrt(_sum_of_squares(pair.xp))
     if denom == 0.0:
         raise DegenerateInputError("all-zero shifted matrix has no residual")
-    fitted -= pair.xp  # in place: the norm of A x - xp equals that of xp - A x
-    return float(np.linalg.norm(fitted) / denom)
+    singular = pinv.singular_values[: pinv.rank]
+    total = 0.0
+    for start in range(0, len(fit.b_matrix), RESIDUAL_BLOCK_ROWS):
+        rows = slice(start, start + RESIDUAL_BLOCK_ROWS)
+        fitted = (fit.b_matrix[rows] * singular) @ pinv.right
+        fitted -= pair.xp[rows]  # the norm of A x - xp equals that of xp - A x
+        total += _sum_of_squares(fitted)
+        del fitted  # before the next block is formed
+    return math.sqrt(total) / denom
+
+
+def _sum_of_squares(matrix: np.ndarray) -> float:
+    """``|matrix|_F^2``, summed by ``einsum`` over a real view (each row's
+    real and imaginary parts side by side). It reads a strided row window
+    in place, where ``np.linalg.norm`` would copy it to ravel it."""
+    parts = matrix.view(float)
+    return float(np.einsum("ij,ij->", parts, parts))
 
 
 def forecast(
@@ -322,7 +398,9 @@ def forecast(
     ``propagator`` is a square matrix ``A`` or a :class:`PropagatorFit`.
     A fit iterates its ``r x r`` operator instead: since ``A = B U_r^H``,
     step ``m`` is ``B Ã^m z`` with ``z = U_r^H x_last``, so only the
-    trailing rows of ``B`` are ever read.
+    trailing rows of ``B`` are ever read. The first ``w = isqrt(horizon)``
+    states are stepped one by one; each next ``w`` are one product of
+    ``Ã^w`` with the ``w`` before them.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
@@ -340,9 +418,15 @@ def forecast(
         read = None
         z = step @ x_last
     states = np.empty((len(z), horizon), dtype=z.dtype)
-    for m in range(horizon):
+    width = math.isqrt(horizon)
+    for m in range(width):
         states[:, m] = z
         z = step @ z
+    if width < horizon:
+        power = np.linalg.matrix_power(step, width)
+        for start in range(width, horizon, width):
+            stop = min(start + width, horizon)
+            states[:, start:stop] = power @ states[:, start - width : stop - width]
     return states[-n_obs:] if read is None else read @ states
 
 

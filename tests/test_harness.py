@@ -2532,7 +2532,8 @@ class TestPublicApi:
 
 # Run in a fresh interpreter: imports modmd, runs a sweep-k and a forecast
 # through the CLI, and reports the modules the sweeps added, every scipy
-# module loaded, and the OpenBLAS libraries mapped into the process.
+# and concurrent.futures module loaded, and the OpenBLAS libraries mapped
+# into the process.
 _IMPORT_PROBE = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
@@ -2556,6 +2557,7 @@ print(json.dumps({
     "codes": codes,
     "added": sorted(set(sys.modules) - before),
     "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+    "futures": sorted(m for m in sys.modules if m.startswith("concurrent.futures")),
     "blas": blas,
 }))
 """
@@ -2578,5 +2580,7 @@ class TestImportGuard:
         assert report["codes"] == [EXIT_OK, EXIT_OK]
         assert report["scipy"] == []
         assert report["added"] == []
+        # both sweeps run at one worker, so no process pool is imported
+        assert report["futures"] == []
         if report["blas"] is not None:
             assert len(report["blas"]) <= 1, report["blas"]

@@ -1,6 +1,7 @@
 """Tests for the block-Hankel least-squares spectral estimator."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -37,9 +38,12 @@ from modmd.harness import depth_for_window
 from modmd.solver import (
     CONDITION_FLAG,
     GRAM_MIN_THRESHOLD,
+    RESIDUAL_BLOCK_ROWS,
     PropagatorFit,
     TruncatedPinv,
-    _gram_factors,
+    _fit_window,
+    _gram,
+    _gram_basis,
 )
 
 
@@ -250,6 +254,11 @@ def with_singular_values(rng, rows, cols, singular, complex_valued):
 def noisy_mode_pair(seed, real, tall):
     """Hankel pair of a few well-separated, slightly damped modes under
     Gaussian noise of 1e-8 to 1e-4; ``tall`` picks more rows than columns."""
+    return build_hankel(*noisy_mode_window(seed, real, tall))
+
+
+def noisy_mode_window(seed, real, tall):
+    """The signal and ``(d, K)`` window of :func:`noisy_mode_pair`."""
     rng = np.random.default_rng(seed)
     m = int(rng.integers(1, 6))
     low, high = (0.2, 2.9) if real else (-2.9, 2.9)
@@ -278,7 +287,7 @@ def noisy_mode_pair(seed, real, tall):
     signal = MultiObservableSignal(
         n_obs, 1.0, values, mode="real" if real else "complex"
     )
-    return build_hankel(signal, d, K)
+    return signal, d, K
 
 
 def eigenvalue_distance(a, b):
@@ -360,7 +369,7 @@ class TestGramPinv:
     def test_out_of_range_squares_take_the_svd(self):
         x = np.random.default_rng(5).standard_normal((12, 5))
         for scale in (1e-170, 1e200):
-            assert _gram_factors(x * scale, 1e-2) is None
+            assert _gram_basis(_gram(x * scale), 1e-2) is None
             pinv = truncated_pinv(x * scale, 1e-2)
             np.testing.assert_allclose(
                 pinv.singular_values, svd_pinv(x * scale, 1e-2).singular_values
@@ -383,9 +392,9 @@ class TestGramPinv:
         def worst_error(threshold):
             worst = 0.0
             for x in matrices:
-                left, singular, _ = _gram_factors(x, threshold)
+                singular, basis = _gram_basis(_gram(x), threshold)
                 oracle = svd_pinv(x, threshold)
-                assert left.shape[1] == oracle.rank
+                assert basis.shape[1] == oracle.rank
                 kept = oracle.singular_values[: oracle.rank]
                 error = np.abs(singular[: oracle.rank] - kept) / kept
                 worst = max(worst, float(error.max()))
@@ -394,6 +403,82 @@ class TestGramPinv:
         tolerance = math.sqrt(np.finfo(float).eps)
         assert worst_error(GRAM_MIN_THRESHOLD) <= tolerance
         assert worst_error(GRAM_MIN_THRESHOLD / 10) > tolerance
+
+
+# (seed, real, tall) of noisy_mode_window: tall and wide windows, each real
+# and complex.
+FIT_WINDOWS = [(1, True, True), (2, True, False), (3, False, True), (4, False, False)]
+FIT_WINDOW_IDS = ["tall-real", "wide-real", "tall-complex", "wide-complex"]
+
+
+class TestFitWindow:
+    """The sweep's fit entry: the public pair and fit, bit for bit, with no
+    snapshot stack alive while the Gram is solved."""
+
+    @pytest.mark.parametrize("window", FIT_WINDOWS, ids=FIT_WINDOW_IDS)
+    @pytest.mark.parametrize("threshold", [1e-2, GRAM_MIN_THRESHOLD / 10])
+    def test_matches_the_public_path_bit_for_bit(self, window, threshold):
+        signal, d, K = noisy_mode_window(*window)
+        pair, fit = _fit_window(signal, d, K, threshold)
+        expected = build_hankel(signal, d, K)
+        oracle = fit_propagator(expected, truncated_pinv(expected.x, threshold))
+        np.testing.assert_array_equal(pair.x, expected.x)
+        np.testing.assert_array_equal(pair.xp, expected.xp)
+        assert pair.n_observables == expected.n_observables
+        assert fit.rank == oracle.rank
+        for name in ("left", "inv_singular", "right", "singular_values"):
+            np.testing.assert_array_equal(
+                getattr(fit.pinv, name), getattr(oracle.pinv, name)
+            )
+        np.testing.assert_array_equal(fit.b_matrix, oracle.b_matrix)
+        np.testing.assert_array_equal(fit.reduced, oracle.reduced)
+
+    @pytest.mark.parametrize("window", FIT_WINDOWS, ids=FIT_WINDOW_IDS)
+    def test_no_stack_alive_during_the_gram_eigh(self, window, monkeypatch):
+        """Every stack ``build_hankel`` returned is dead when ``eigh`` runs.
+        The SVD fallback (a threshold below ``GRAM_MIN_THRESHOLD``) holds
+        its stack through the SVD, by design."""
+        from modmd import solver
+
+        stacks, alive = [], []
+        build, eigh = solver.build_hankel, np.linalg.eigh
+
+        def tracked_build(*args):
+            pair = build(*args)
+            stacks.append(weakref.ref(pair.x.base))
+            return pair
+
+        def checked_eigh(matrix, *args, **kwargs):
+            alive.append(sum(ref() is not None for ref in stacks))
+            return eigh(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "build_hankel", tracked_build)
+        monkeypatch.setattr(np.linalg, "eigh", checked_eigh)
+        signal, d, K = noisy_mode_window(*window)
+        pair, _ = _fit_window(signal, d, K, 1e-2)
+        assert alive == [0]
+        assert len(stacks) == 2 and stacks[-1]() is pair.x.base
+
+    @pytest.mark.parametrize(
+        "threshold, stages",
+        [
+            (1e-2, ["hankel_s", "pinv_s", "hankel_s", "pinv_s"]),
+            (GRAM_MIN_THRESHOLD / 10, ["hankel_s", "pinv_s"]),
+        ],
+    )
+    def test_laps_each_stage_as_it_ends(self, threshold, stages):
+        signal, d, K = noisy_mode_window(5, True, True)
+        laps = []
+        _fit_window(signal, d, K, threshold, laps.append)
+        assert laps == stages
+
+    def test_invalid_arguments_rejected(self):
+        signal, d, K = noisy_mode_window(6, True, False)
+        for threshold in (0.0, 1.0):
+            with pytest.raises(ValueError, match="threshold"):
+                _fit_window(signal, d, K, threshold)
+        with pytest.raises(ValueError, match="requires"):
+            _fit_window(signal, d, signal.n_steps, 1e-2)
 
 
 class TestFitPropagator:
@@ -973,7 +1058,9 @@ class TestResidual:
         return build_hankel(signal, d=d, K=K)
 
     @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
-    def test_matches_the_out_of_place_difference_bit_for_bit(self, real):
+    def test_matches_the_out_of_place_difference(self, real):
+        """The row blocks sum the squares in another order than one norm of
+        the whole difference, so the two agree to rounding, not bit for bit."""
         pair = self.noisy_mode_pair(real)
         fit = fitted(pair, 1e-2)
         pinv = fit.pinv
@@ -983,21 +1070,23 @@ class TestResidual:
         norm = math.sqrt(np.einsum("ij,ij->", parts, parts))
         assert norm == pytest.approx(np.linalg.norm(pair.xp), rel=1e-14)
         oracle = float(np.linalg.norm(pair.xp - model) / norm)
-        assert residual(fit, pair) == oracle
+        assert residual(fit, pair) == pytest.approx(oracle, rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
     def test_allocates_one_snapshot_sized_array(self, real, traced_peak):
-        """The model ``A x`` is the only array of the snapshots' size: the
-        difference is taken in place, not in a second one, and ``|xp|`` is
-        summed while the model is held without copying the strided ``xp``
-        (a copy would take the peak to twice the model; ``einsum``'s
-        buffer, 64 kB, is 3-6 % of this model)."""
+        """At most one row block of the model ``A x`` is alive, a quarter of
+        the snapshots here, and no snapshot-sized array is allocated: the
+        difference is taken in place, the previous block is freed before the
+        next is formed, and ``|xp|`` is summed without copying the strided
+        ``xp`` (``einsum``'s buffer, 64 kB, is about a tenth of a block)."""
         pair = self.noisy_mode_pair(real, d=80, K=1200)
         assert not pair.xp.flags.c_contiguous
         fit = fitted(pair, 1e-2)
         assert fit.rank <= 10  # so the rank-sized factors stay small
+        block = RESIDUAL_BLOCK_ROWS * pair.x.shape[1] * pair.x.itemsize
+        assert 3 * block < pair.x.nbytes
         _, peak = traced_peak(residual, fit, pair)
-        assert peak < 1.1 * pair.x.nbytes
+        assert peak < 1.2 * block
 
     def test_zero_target_rejected(self):
         pair = HankelPair(x=np.ones((1, 3)), xp=np.zeros((1, 3)), n_observables=1)
@@ -1070,6 +1159,38 @@ class TestForecast:
     def test_fit_path_matches_full_matrix_low_rank(self, seed, real):
         pair, _ = random_mode_pair(seed, real)
         self.assert_fit_matches_full_matrix(pair, 1e-10, 120)
+
+    @staticmethod
+    def forecast_by_steps(propagator, pair, horizon):
+        """The oracle: one matrix-vector product per step."""
+        x_last = pair.x[:, -1]
+        if isinstance(propagator, PropagatorFit):
+            step, z = propagator.reduced, propagator.pinv.left.conj().T @ x_last
+        else:
+            step = propagator
+            z = step @ x_last
+        states = np.empty((len(z), horizon), dtype=z.dtype)
+        for m in range(horizon):
+            states[:, m] = z
+            z = step @ z
+        if isinstance(propagator, PropagatorFit):
+            return propagator.b_matrix[-pair.n_observables :] @ states
+        return states[-pair.n_observables :]
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    @pytest.mark.parametrize("square", [False, True], ids=["fit", "matrix"])
+    @pytest.mark.parametrize("horizon", [0, 1, 2, 3, 16, 17, 50, 201])
+    def test_blocks_match_single_steps(self, real, square, horizon):
+        """Horizons 0 and 1, one full block past the first (``w = 1``, 2),
+        a perfect square and one step past it, and non-square ones whose
+        last block is partial."""
+        pair = noisy_mode_pair(7, real, tall=False)
+        fit = fitted(pair, 1e-2)
+        propagator = pair.xp @ fit.pinv.as_matrix() if square else fit
+        out = forecast(propagator, pair, horizon)
+        oracle = self.forecast_by_steps(propagator, pair, horizon)
+        assert out.shape == oracle.shape == (pair.n_observables, horizon)
+        assert np.linalg.norm(out - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
     def test_fit_shape_checked(self):
         signal = mode_signal([0.4], [[1.0]], 1.0, 12)
