@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -431,8 +432,11 @@ class Problem:
     identity it is the probe pool (:func:`_probe_pool`), over which ``gram``
     holds ``<O_j phi0|O_i phi0>`` at ``[i, j]`` and ``signals`` (empty
     without ``k_max``) each complex exact signal over ``k_max + 1`` samples.
-    ``spec`` (over the run's basis states, ascending), ``phi0`` and
-    ``phi_perp`` are the dense oracle's, built only without ``k_max``.
+    ``hamiltonian`` is the rescaled sum and ``references`` the bitstrings
+    of ``phi0``. ``spec``, ``phi0`` and ``phi_perp`` are the dense oracle,
+    which no sweep reads: built when first read, over the whole register
+    (a particle-sector run's too), and refused first if the register's
+    matrix does not fit in memory (:func:`pauli._check_dense_memory`).
     """
 
     n_qubits: int
@@ -441,10 +445,28 @@ class Problem:
     exact_energies: "tuple[float, ...]"
     observables: "tuple[PauliSum, ...]"
     gram: np.ndarray
+    hamiltonian: PauliSum
+    references: "tuple[str, ...]"
     signals: "dict[PauliSum, np.ndarray]" = field(default_factory=dict)
-    spec: "SpectralDecomposition | None" = None
-    phi0: "StateVector | None" = None
-    phi_perp: "StateVector | None" = None
+
+    @functools.cached_property
+    def spec(self) -> SpectralDecomposition:
+        """The whole register's eigensystem, from one dense ``eigh``."""
+        return diagonalize(pauli.to_dense(self.hamiltonian))
+
+    @functools.cached_property
+    def phi0(self) -> StateVector:
+        """The reference state: the equal superposition of ``references``."""
+        pauli._check_dense_memory(1 << self.n_qubits)  # refused with the oracle's matrix
+        return build_reference_superposition(self.n_qubits, list(self.references))
+
+    @functools.cached_property
+    def phi_perp(self) -> StateVector:
+        """The lowest basis state that is not a reference."""
+        pauli._check_dense_memory(1 << self.n_qubits)
+        taken = {int(bits, 2) for bits in self.references}
+        free = min(set(range(len(taken) + 1)) - taken)
+        return build_reference_superposition(self.n_qubits, [f"{free:0{self.n_qubits}b}"])
 
 
 def parse_observable_file(path: str, n_qubits: int, count: int) -> "tuple[PauliSum, ...]":
@@ -561,12 +583,11 @@ def build_problem(config: ExperimentConfig, k_max: "int | None" = None) -> Probl
     run, the sector's (``exp(-iHt) phi0`` never leaves it), and
     :func:`_solve` solves them one symmetry block at a time. Each
     ``O_i phi0`` of the probe pool is held on the few states the references
-    reach (:func:`pauli._probes`), which give ``gram``. With ``k_max`` set,
-    the signals come from one phase sum over the projections of ``[phi0,
-    O_1 phi0, ...]`` on the run's states; no eigenbasis and no ``2^n``-long
-    vector is formed. Without it, the problem is the dense oracle: ``spec``,
-    ``phi0`` and, as ``phi_perp``, the lowest basis state off the
-    references, refused first if they do not fit in memory.
+    reach (:func:`pauli._probes`), which give ``gram``, and the stack
+    ``[phi0, O_1 phi0, ...]`` on the run's states is projected on each
+    block's eigenvectors. With ``k_max`` set, one phase sum over those
+    projections gives the signals. No eigenbasis, no ``2^n``-long vector
+    and no matrix of the whole basis is formed.
     """
     shifted, scale, observables, dt = resolve_inputs(config)
     n_qubits, sector = shifted.n_qubits, config.particle_number
@@ -574,23 +595,15 @@ def build_problem(config: ExperimentConfig, k_max: "int | None" = None) -> Probl
     pool = _probe_pool(observables, n_qubits)
     references = np.array([int(bits, 2) for bits in config.reference_bitstrings])
     reach, probes = pauli._probes(pool, references)
-    spec = phi0 = phi_perp = None
+    # [phi0, O_1 phi0, ...] on the run's states; phi0 is the identity's row
+    rows = [pool.index(identity_observable(n_qubits)), *range(len(pool))]
+    at = np.minimum(np.searchsorted(states, reach), len(states) - 1)
+    inside = states[at] == reach  # a sector run drops what leaves the sector
+    stack = np.zeros((len(rows), len(states)), complex)
+    stack[:, at[inside]] = probes[np.ix_(rows, inside)]
+    levels, projected = _solve(shifted, states, stack)
     signals = {}
-    if k_max is None:
-        pauli._check_dense_memory(len(states), 2, 2**n_qubits)
-        free = min(set(range(len(references) + 1)) - set(references.tolist()))
-        spec = SpectralDecomposition(*_solve(shifted, states))
-        phi0 = build_reference_superposition(n_qubits, list(config.reference_bitstrings))
-        phi_perp = build_reference_superposition(n_qubits, [f"{free:0{n_qubits}b}"])
-        levels = spec.energies
-    else:
-        # [phi0, O_1 phi0, ...] on the run's states; phi0 is the identity's row
-        rows = [pool.index(identity_observable(n_qubits)), *range(len(pool))]
-        at = np.minimum(np.searchsorted(states, reach), len(states) - 1)
-        inside = states[at] == reach  # a sector run drops what leaves the sector
-        stack = np.zeros((len(rows), len(states)), complex)
-        stack[:, at[inside]] = probes[np.ix_(rows, inside)]
-        levels, projected = _solve(shifted, states, stack)
+    if k_max is not None:
         signals = dict(zip(pool, _phase_sums(levels, projected, dt, k_max)))
     return Problem(
         n_qubits=n_qubits,
@@ -599,8 +612,9 @@ def build_problem(config: ExperimentConfig, k_max: "int | None" = None) -> Probl
         exact_energies=tuple(float(e) for e in levels / scale),
         observables=observables,
         gram=probes @ probes.conj().T,
+        hamiltonian=shifted,
+        references=config.reference_bitstrings,
         signals=signals,
-        spec=spec, phi0=phi0, phi_perp=phi_perp,
     )
 
 
@@ -609,45 +623,30 @@ def _probe_pool(observables, n_qubits: int) -> "list[PauliSum]":
     return list(dict.fromkeys(tuple(observables) + (identity_observable(n_qubits),)))
 
 
-def _solve(psum: PauliSum, states: np.ndarray, stack: "np.ndarray | None" = None):
+def _solve(psum: PauliSum, states: np.ndarray, stack: np.ndarray):
     """``(energies, columns)`` of the matrix ``H`` of ``psum`` on the
     ascending basis ``states``, one :func:`pauli._symmetry_blocks` block and
     one :func:`diagonalize` call at a time; no ``H`` or eigenbasis is formed
-    for the whole basis when ``stack`` is given.
+    for the whole basis.
 
     The energies ascend (a stable sort of the blocks' levels) and, in their
     order, the columns are ``conj(stack) @ V`` for the unit eigenvectors
     ``V``: the conjugate projections of each row of ``stack`` (a vector over
-    ``states``), which :func:`_phase_sums` takes. Without ``stack`` they are
-    ``V`` itself, lifted from the blocks.
+    ``states``), which :func:`_phase_sums` takes. ``np.eye(len(states))``
+    as the stack gives ``V`` itself.
     """
     levels, parts = [], []
     for block, images, weights in pauli._symmetry_blocks(psum, states):
         solved = diagonalize(block)
         del block  # and the generator drops its own before building the next
         levels.append(solved.energies)
-        if stack is None:
-            parts.append((solved.eigenvectors, images, weights))
-            continue
         coordinates = weights[0] * stack[:, images[0]]
         for image, weight in zip(images[1:], weights[1:]):
             coordinates += weight * stack[:, image]
         parts.append(_matmul(coordinates.conj(), solved.eigenvectors))
     energies = np.concatenate(levels)
     order = np.argsort(energies, kind="stable")
-    if stack is not None:
-        return energies[order], np.concatenate(parts, axis=1)[:, order]
-    # write each block's vectors where their energies land in the order
-    place = np.empty_like(order)
-    place[order] = np.arange(len(order))
-    dtype = np.result_type(*(vectors for vectors, _, _ in parts))
-    basis, start = np.zeros((len(states), len(states)), dtype), 0
-    for vectors, images, weights in parts:
-        columns = place[start : start + len(vectors)]
-        start += len(vectors)
-        for image, weight in zip(images, weights):
-            basis[np.ix_(image, columns)] += weight[:, None] * vectors
-    return energies[order], basis
+    return energies[order], np.concatenate(parts, axis=1)[:, order]
 
 
 def build_observables(
@@ -664,37 +663,36 @@ def measure_signal(
     config: ExperimentConfig,
     problem: Problem,
     observables: "list[PauliSum]",
-    clean: MultiObservableSignal,
+    n_steps: int,
     seed: int,
 ) -> MultiObservableSignal:
-    """Real-mode signal of ``observables`` from the configured source.
+    """Real-mode signal of ``observables`` over ``n_steps`` samples from the
+    configured source, read from their exact rows in ``problem.signals``.
 
-    ``clean`` is their exact signal: the Gaussian source adds noise of the
-    configured level to its real part, and the shadow source, which needs
-    it complex, samples a signal over as many steps from its overlaps and
-    the Gram matrix ``[[1, 0], [0, problem.gram[rows]]]`` of ``[v, u_1,
-    ...]`` (``v`` is a unit vector orthogonal to every ``u_i``), so each
-    observable must be in the problem's probe pool.
+    The Gaussian source adds noise of the configured level to their real
+    parts; the shadow source samples from the complex rows and the rows of
+    ``problem.gram`` (:func:`shadows._sample_signal`). A problem without
+    signals of ``n_steps`` samples (built without ``k_max``, or with a
+    shorter one) and an observable outside its probe pool are refused.
     """
-    if clean.n_observables != len(observables):
+    held = len(next(iter(problem.signals.values()), ()))
+    if n_steps > held:
         raise ValueError(
-            f"clean signal holds {clean.n_observables} observables, "
-            f"not {len(observables)}"
+            f"the problem holds exact signals of {held} samples, not {n_steps}; "
+            f"build it with k_max >= {n_steps - 1}"
         )
+    pool = list(problem.signals)
+    missing = [format_pauli_sum(o).strip() for o in observables if o not in problem.signals]
+    if missing:
+        raise ValueError(f"observable {missing[0]!r} is not in the problem's pool")
+    rows = [problem.signals[o][:n_steps] for o in observables]
     if config.signal_source == "shadow":
-        if clean.mode != "complex":
-            raise ValueError("the shadow source samples from a complex clean signal")
-        pool = _probe_pool(problem.observables, problem.n_qubits)
-        missing = [format_pauli_sum(o).strip() for o in observables if o not in pool]
-        if missing:
-            raise ValueError(f"observable {missing[0]!r} is not in the problem's pool")
-        rows = [pool.index(o) for o in observables]
-        gram = np.zeros((len(rows) + 1,) * 2, complex)
-        gram[0, 0], gram[1:, 1:] = 1.0, problem.gram[np.ix_(rows, rows)]
-        dim, shots = 2 << problem.n_qubits, config.shadow_samples  # ancilla-extended
-        return _sample_signal(clean, gram, dim, shots, seed, "real")
-    real = MultiObservableSignal(clean.n_observables, clean.dt, clean.values.real)
-    return gaussian_noise_channel(real, config.noise_epsilon, seed)
+        exact = MultiObservableSignal(len(rows), problem.dt, np.stack(rows), "complex")
+        at = [pool.index(o) for o in observables]
+        gram = problem.gram[np.ix_(at, at)]
+        return _sample_signal(exact, gram, problem.n_qubits, config.shadow_samples, seed, "real")
+    clean = MultiObservableSignal(len(rows), problem.dt, np.stack([row.real for row in rows]))
+    return gaussian_noise_channel(clean, config.noise_epsilon, seed)
 
 
 @dataclass(frozen=True)
@@ -923,13 +921,10 @@ def _longest_signal(plan: _SweepPlan) -> int:
 def _evaluate_cell(plan: _SweepPlan, problem: Problem, point_index: int, trial: int):
     """Both methods' rows of one (point, trial) cell.
 
-    The problem's exact signals hold both methods' clean samples, and a
-    forecast's held-out tail: the cell stacks the rows of the modmd
-    observables, then the identity, and the modmd row's ``signal_s`` also
-    times that. The shadow source samples from complex rows; the Gaussian
-    source reads their real parts alone, so only those are stacked. Each
-    method then measures its samples, builds the Hankel pair, fits and
-    scores the fit.
+    Each method measures its observables over the fit window from the
+    problem's exact signals (:func:`measure_signal`), takes the real part
+    of their held-out tail (a forecast's; empty otherwise), builds the
+    Hankel pair, fits and scores the fit.
     """
     config, value = plan.configs[point_index], plan.points[point_index]
     d, K = plan.windows[point_index]
@@ -939,25 +934,18 @@ def _evaluate_cell(plan: _SweepPlan, problem: Problem, point_index: int, trial: 
         "modmd": (build_observables(config, problem, obs_seed), _STREAM_MODMD),
         "odmd": ([identity_observable(problem.n_qubits)], _STREAM_ODMD),
     }
-    laps = _Laps()
-    n_steps = K + d + plan.horizon + 1
-    observed = pools["modmd"][0] + pools["odmd"][0]
-    mode = "complex" if config.signal_source == "shadow" else "real"
-    samples = [problem.signals[o][:n_steps] for o in observed]
-    truth = np.stack(samples if mode == "complex" else [row.real for row in samples])
-    blocks = {"modmd": truth[:-1], "odmd": truth[-1:]}
-    rows = []
+    n_fit, rows = K + d + 1, []
     for method in _METHODS:
+        laps = _Laps()
         observables, stream = pools[method]
-        fitted, held_out = np.split(blocks[method], [K + d + 1], axis=1)
-        clean = MultiObservableSignal(len(observables), problem.dt, fitted, mode)
         seed = derive_seed(config.master_seed, point_index, trial, stream)
-        signal = measure_signal(config, problem, observables, clean, seed)
+        signal = measure_signal(config, problem, observables, n_fit, seed)
+        tails = [problem.signals[o][n_fit : n_fit + plan.horizon].real for o in observables]
         laps.lap("signal_s")
         pair, fit = _fit_window(signal, d, K, threshold_for(config), laps.lap)
         head = (point_index, value, trial, method)
         try:
-            rows.append(score(head, config, problem, fit, pair, held_out.real, laps))
+            rows.append(score(head, config, problem, fit, pair, np.array(tails), laps))
         except EigenvalueShortfallError as exc:
             raise EigenvalueShortfallError(
                 exc.requested,
@@ -965,7 +953,6 @@ def _evaluate_cell(plan: _SweepPlan, problem: Problem, point_index: int, trial: 
                 exc.energies,
                 context=f"{plan.kind} point {value!r}, trial {trial}, {method}",
             ) from exc
-        laps = _Laps()
     return rows
 
 

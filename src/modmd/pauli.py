@@ -403,21 +403,17 @@ def _symmetry_blocks(psum: PauliSum, states: np.ndarray):
         del block
 
 
-def _check_dense_memory(dimension: int, vectors: int = 0, length: int = 0) -> None:
+def _check_dense_memory(dimension: int) -> None:
     """Refuse a dense matrix and eigenbasis, counted as two complex
-    ``dimension x dimension`` arrays, and ``vectors`` complex state vectors
-    of ``length`` amplitudes (the dense oracle's ``phi0`` and ``phi_perp``),
-    that need more than physical memory. That over-counts a real sum, whose
-    blocks and eigenvectors are real, and a sum with a symmetry, which is
-    solved in blocks of about a half or a quarter of the dimension."""
-    need, have = 2 * 16 * dimension**2 + 16 * vectors * length, _physical_memory_bytes()
+    ``dimension x dimension`` arrays, that need more than physical memory.
+    That over-counts a real sum, whose blocks and eigenvectors are real,
+    and a sum with a symmetry, which is solved in blocks of about a half
+    or a quarter of the dimension."""
+    need, have = 2 * 16 * dimension**2, _physical_memory_bytes()
     if need > have:
-        held = f"a dense matrix and eigenbasis of dimension {dimension}"
-        if vectors:
-            held += f" and {vectors} state vectors of {length} amplitudes"
         raise ResourceCapError(
-            f"{held} need {need / 1e9:.1f} GB, more than the {have / 1e9:.1f} GB "
-            "of physical memory"
+            f"a dense matrix and eigenbasis of dimension {dimension} need "
+            f"{need / 1e9:.1f} GB, more than the {have / 1e9:.1f} GB of physical memory"
         )
 
 

@@ -207,24 +207,26 @@ def shadow_signal(
     # one call per observable, so companions leave each one's rounding alone
     rows = [exact_signal(spec, phi0, [o], dt, k_max, "complex").values[0] for o in observables]
     exact = MultiObservableSignal(len(rows), dt, np.array(rows), "complex")
-    gammas = [build_gamma(o, phi0, phi_perp) for o in observables]
-    f = [gammas[0].v] + [g.u for g in gammas]
-    gram = np.array([[np.vdot(g, h) for g in f] for h in f])  # [j, l] = <f_l|f_j>
-    return _sample_signal(exact, gram, len(f[0]), n_samples, seed, mode)
+    u = [build_gamma(o, phi0, phi_perp).u for o in observables]
+    gram = np.array([[np.vdot(g, h) for g in u] for h in u])  # [i, j] = <u_j|u_i>
+    return _sample_signal(exact, gram, phi0.n_qubits, n_samples, seed, mode)
 
 
 def _sample_signal(
-    exact: MultiObservableSignal, gram, dim, n_samples, seed, mode
+    exact: MultiObservableSignal, gram, n_qubits, n_samples, seed, mode
 ) -> MultiObservableSignal:
     """Randomized-measurement estimate of the complex signals ``exact``, over
-    as many steps, on a probe register of ``dim`` amplitudes.
+    as many steps, on the ``2^(n+1)`` amplitudes of the ancilla-extended
+    ``n_qubits`` register.
 
     One batch of ``n_samples`` shots per time step serves all observables
     (and both quadratures in complex mode). A shot reads only the overlaps
     ``<c|f>`` of its row (:func:`sample_shadows`) with ``f = [v, u_1, ...]``
     (:func:`build_gamma`), whose exact law (README, "Classical-shadow
-    signals") needs only the signals and ``gram[j, l] = <f_l|f_j>``; it is
-    drawn in O(shots * m^2) per step. Steps are drawn in blocks of ``_STEP_BLOCK``,
+    signals") needs only the signals and the Gram matrix of ``f``: ``v`` is
+    a unit vector in the other ancilla block from every ``u_i``, so that is
+    ``[[1, 0], [0, gram]]`` with ``gram[i, j] = <u_j|u_i>``. It is drawn in
+    O(shots * m^2) per step. Steps are drawn in blocks of ``_STEP_BLOCK``,
     block ``b`` from ``SeedSequence(seed, spawn_key=(b,))``, component ``j``
     after those before it, so adding observables leaves earlier rows
     bit-identical.
@@ -233,9 +235,11 @@ def _sample_signal(
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     if mode not in ("real", "complex"):
         raise ValueError(f"mode must be 'real' or 'complex', got {mode!r}")
-    m, n_steps = len(gram), exact.n_steps
-    # <psi_k|f>: |v|^2 / sqrt(2), then conj(s_i(k)) / sqrt(2)
-    q_all = np.column_stack([np.full(n_steps, gram[0, 0]), exact.values.T.conj()]) / math.sqrt(2)
+    gram = np.pad(np.asarray(gram, complex), ((1, 0), (1, 0)))  # of [v, u_1, ...]
+    gram[0, 0] = 1.0
+    m, n_steps, dim = len(gram), exact.n_steps, 2 << n_qubits
+    # <psi_k|f>: 1 / sqrt(2), then conj(s_i(k)) / sqrt(2)
+    q_all = np.column_stack([np.ones(n_steps), exact.values.T.conj()]) / math.sqrt(2)
     values = np.empty((m - 1, n_steps), dtype=float if mode == "real" else complex)
     for block, start in enumerate(range(0, n_steps, _STEP_BLOCK)):
         steps, q = slice(start, start + _STEP_BLOCK), q_all[start : start + _STEP_BLOCK]

@@ -138,10 +138,9 @@ def diagonalize(matrix: np.ndarray) -> SpectralDecomposition:
     number of Y factors) takes the real-symmetric solver, several times
     faster than the complex one, and keeps a real eigenbasis.
 
-    This is the plain solver and the oracle of the symmetry-block path:
-    ``harness.build_problem`` calls it once per block of
-    :func:`~modmd.pauli._symmetry_blocks`, never on a whole ``2^n`` matrix
-    that has a symmetry.
+    This is the plain solver: ``harness.build_problem`` calls it once per
+    block of :func:`~modmd.pauli._symmetry_blocks`, and ``Problem.spec``,
+    the oracle of that block path, once on the whole register's matrix.
     """
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:

@@ -494,13 +494,33 @@ class TestBuildProblem:
         problem = build_problem(config, 60)
         assert len(problem.signals) == 3 * n_qubits + 1
         shifted, _ = shift_and_scale(parse_pauli_sum(hfile.read_text()), 0.9)
-        phi0 = build_problem(config).phi0  # a problem built with k_max keeps none
         oracle = exact_signal(
-            diagonalize(to_dense(shifted)), phi0, list(problem.signals),
+            diagonalize(to_dense(shifted)), problem.phi0, list(problem.signals),
             problem.dt, 60, mode="complex",
         )
         got = np.array(list(problem.signals.values()))
         np.testing.assert_allclose(got, oracle.values, rtol=0, atol=1e-12)
+
+    def test_sector_oracle_agrees_with_the_sweep_problem(self, tmp_path):
+        """A sector run's dense oracle spans the whole register, ``spec``
+        and ``phi0`` alike, so it gives the sweep problem's signals, and
+        ``shadow_signal`` samples through it."""
+        hfile = tmp_path / "hopping.txt"
+        hfile.write_text(hopping_chain(4))
+        config = small_config(
+            tfim_qubits=None, hamiltonian_file=str(hfile), particle_number=1,
+            reference_bitstrings=("1000", "0010"),
+        )
+        problem = build_problem(config, 40)
+        pool = list(problem.signals)
+        oracle = exact_signal(problem.spec, problem.phi0, pool, problem.dt, 40, "complex")
+        got = np.array(list(problem.signals.values()))
+        np.testing.assert_allclose(got, oracle.values, rtol=0, atol=1e-10)
+        estimate = shadows.shadow_signal(
+            problem.spec, problem.phi0, problem.phi_perp, pool, problem.dt, 40, 16, seed=3
+        )
+        assert estimate.values.shape == (len(pool), 41)
+        assert np.all(np.isfinite(estimate.values))
 
     def test_sector_run_builds_no_full_matrix(self, tmp_path, monkeypatch, traced_peak):
         """At 12 qubits and half filling the run solves 924 levels, not
@@ -558,26 +578,52 @@ class TestBuildProblem:
         assert solved == [3, 1, 3, 1] * 2
 
     def test_holds_one_matrix_sized_array_at_a_time(self, traced_peak):
-        """The real TFIM matrix is freed before its real eigenbasis is
-        allocated: the peak stays near two ``8 * 4^n``-byte arrays (the
-        basis and the half-size block solutions while they are lifted)."""
+        """``build_problem`` holds no ``8 * 4^n``-byte array at all, and
+        reading the dense oracle holds the real TFIM matrix and its real
+        eigenbasis, never a complex copy of either."""
         n = 9
         config = small_config(tfim_qubits=n, reference_bitstrings=("0" * n,))
         problem, peak = traced_peak(build_problem, config)
+        assert peak < 8 * 4**n
+        spec, peak = traced_peak(lambda: problem.spec)
         assert peak < 2.5 * 8 * 4**n
-        assert problem.spec.eigenvectors.dtype == np.float64
+        assert spec.eigenvectors.dtype == np.float64
+
+    def test_oracle_is_the_plain_dense_solve_made_when_read(self, monkeypatch):
+        """``Problem.spec`` is ``diagonalize(to_dense(hamiltonian))`` of the
+        rescaled sum, bit for bit, computed on its first read and kept."""
+        problem = build_problem(small_config(), 20)
+        calls = []
+
+        def counted(psum):
+            calls.append(psum)
+            return to_dense(psum)
+
+        monkeypatch.setattr(pauli, "to_dense", counted)
+        spec = problem.spec
+        assert problem.spec is spec and calls == [problem.hamiltonian]
+        want = diagonalize(to_dense(problem.hamiltonian))
+        assert spec.eigenvectors.dtype == np.float64
+        np.testing.assert_array_equal(spec.energies, want.energies)
+        np.testing.assert_array_equal(spec.eigenvectors, want.eigenvectors)
+        np.testing.assert_allclose(
+            spec.energies / problem.scale, problem.exact_energies, rtol=0, atol=1e-12
+        )
 
     def test_sweep_problem_holds_no_basis_whatever_its_source(self):
-        """A problem built with ``k_max`` keeps its exact signals, never its
-        eigenbasis; one built without keeps the basis."""
+        """No problem holds an eigenbasis or a ``2^n``-long state, with or
+        without ``k_max``, whatever its source: its dense oracle is built
+        only when read."""
         for config in (
             small_config(),
             small_config(signal_source="shadow", shadow_samples=16, noise_epsilon=0.0),
         ):
-            problem = build_problem(config, 40)
-            assert problem.spec is None and problem.signals
-            spec = build_problem(config).spec
-            assert spec is not None and spec.dimension == 8
+            for k_max in (None, 40):
+                problem = build_problem(config, k_max)
+                assert not {"spec", "phi0", "phi_perp"} & set(vars(problem))
+                assert bool(problem.signals) == (k_max is not None)
+            assert problem.spec.dimension == 8
+            assert problem.phi0.n_qubits == problem.phi_perp.n_qubits == 3
 
     def test_full_spectrum_too_small(self):
         config = small_config(tfim_qubits=2, reference_bitstrings=("00",), n_eig=5)
@@ -688,12 +734,12 @@ class TestSymmetryBlocks:
     """``harness._solve`` solves a run's basis states one symmetry block
     (``pauli._symmetry_blocks``) at a time. The complex ``eigh`` of the full
     matrix on those states is the oracle: energies within 1e-12 x scale,
-    and the phase sums of unit vectors within 1e-12, for the projected
-    stack and for the lifted basis."""
+    and the phase sums of unit vectors within 1e-12, for a projected stack
+    and for the basis that the identity stack gives."""
 
     @staticmethod
     def solve(psum, states, seed=0):
-        """Check both paths against the oracle; return the group order and
+        """Check both stacks against the oracle; return the group order and
         the block sizes."""
         dense = to_dense(psum)[np.ix_(states, states)]
         energies, vectors = np.linalg.eigh(dense.astype(complex))
@@ -707,9 +753,9 @@ class TestSymmetryBlocks:
         np.testing.assert_allclose(
             _phase_sums(got, projected, 0.3, 60), want, rtol=0, atol=1e-12
         )
-        lifted, basis = harness._solve(psum, states)
-        np.testing.assert_array_equal(lifted, got)
         eye = np.eye(len(states))
+        lifted, basis = harness._solve(psum, states, eye)
+        np.testing.assert_array_equal(lifted, got)
         np.testing.assert_allclose(basis.conj().T @ basis, eye, rtol=0, atol=1e-12)
         np.testing.assert_allclose(
             _phase_sums(lifted, stack.conj() @ basis, 0.3, 60), want, rtol=0, atol=1e-12
@@ -783,14 +829,15 @@ class TestSymmetryBlocks:
         assert self.solve(psum, pauli._sector_states(8, 4)) == (1, [70])
 
     def test_sweep_problem_peak(self, traced_peak):
-        """With ``k_max`` no ``2^n x 2^n`` array, and no eigenbasis of the
-        whole register, is formed: a 10-qubit TFIM stays below half of one
-        real matrix (``8 * 4^n`` bytes)."""
+        """With or without ``k_max`` no ``2^n x 2^n`` array, and no
+        eigenbasis of the whole register, is formed: a 10-qubit TFIM stays
+        below half of one real matrix (``8 * 4^n`` bytes)."""
         n = 10
         config = small_config(tfim_qubits=n, reference_bitstrings=("0" * n, "1" * n))
-        problem, peak = traced_peak(build_problem, config, 300)
-        assert problem.spec is None and len(problem.exact_energies) == 2**n
-        assert peak < 4 * 4**n
+        for k_max in (None, 300):
+            problem, peak = traced_peak(build_problem, config, k_max)
+            assert "spec" not in vars(problem) and len(problem.exact_energies) == 2**n
+            assert peak < 4 * 4**n
 
 
 class TestObservablePools:
@@ -867,9 +914,8 @@ class TestProblemSignals:
             "explicit": lambda: list(problem.observables),
         }[policy]()
         assert list(problem.signals) == expected
-        dense = build_problem(config)  # a problem built with k_max keeps no vector
         for obs, row in problem.signals.items():
-            oracle = exact_signal(dense.spec, dense.phi0, [obs], problem.dt, 40, mode="complex")
+            oracle = exact_signal(problem.spec, problem.phi0, [obs], problem.dt, 40, mode="complex")
             assert row.shape == (41,) and row.dtype == complex
             scale = max(obs.weight_l1, 1.0)
             np.testing.assert_allclose(row, oracle.values[0], rtol=0, atol=1e-12 * scale)
@@ -897,11 +943,10 @@ class TestProblemSignals:
         k_max = 100
         config = small_config(n_observables=2)
         problem = build_problem(config, k_max)
-        spec = build_problem(config).spec
-        dim = spec.dimension
         arrays = [getattr(problem, f.name) for f in dataclasses.fields(problem)]
         arrays += list(problem.signals.values())
-        arrays += [spec.energies, spec.eigenvectors]
+        dim = problem.spec.dimension
+        arrays += [problem.spec.energies, problem.spec.eigenvectors]
         for value in arrays:
             if isinstance(value, np.ndarray):
                 assert value.size < dim * (k_max + 1)
@@ -944,17 +989,16 @@ class TestProbeStates:
         config = probe_configs[case]
         stacks, solve = [], harness._solve
 
-        def recording_solve(psum, states, stack=None):
+        def recording_solve(psum, states, stack):
             stacks.append((states, stack))
             return solve(psum, states, stack)
 
         monkeypatch.setattr(harness, "_solve", recording_solve)
         problem = build_problem(config, 20)
         ((states, stack),) = stacks
-        dense = build_problem(config)
         pool = harness._probe_pool(problem.observables, problem.n_qubits)
         assert list(problem.signals) == pool
-        amps = dense.phi0.amplitudes
+        amps = problem.phi0.amplitudes
         np.testing.assert_array_equal(stack[0], amps[states])
         for observable, row in zip(pool, stack[1:]):
             np.testing.assert_array_equal(row, observable.apply(amps)[states])
@@ -964,7 +1008,7 @@ class TestProbeStates:
         config = probe_configs[case]
         problem, dense = build_problem(config, 20), build_problem(config)
         pool = harness._probe_pool(problem.observables, problem.n_qubits)
-        u = [shadows.build_gamma(o, dense.phi0, dense.phi_perp).u for o in pool]
+        u = [shadows.build_gamma(o, problem.phi0, problem.phi_perp).u for o in pool]
         want = np.array([[np.vdot(u_j, u_i) for u_j in u] for u_i in u])
         assert problem.gram.shape == (len(pool), len(pool))
         np.testing.assert_allclose(problem.gram, want, rtol=0, atol=1e-15)
@@ -1021,67 +1065,69 @@ class TestParseObservableFile:
             parse_observable_file(str(path), 2, 1)
 
 
-def clean_signal(problem, observables, k_max, mode="real"):
-    return exact_signal(problem.spec, problem.phi0, observables, problem.dt, k_max, mode)
+def real_rows(problem, observables, n_steps):
+    """The real parts of the problem's exact rows of ``observables``."""
+    rows = np.stack([problem.signals[o][:n_steps].real for o in observables])
+    return modmd.MultiObservableSignal(len(observables), problem.dt, rows)
 
 
 class TestMeasureSignal:
     def test_noiseless_matches_exact_signal(self):
         config = small_config(noise_epsilon=0.0)
-        problem = build_problem(config)
+        problem = build_problem(config, 10)
         pool = build_observables(config, problem, seed=2)
-        clean = clean_signal(problem, pool, 10)
-        measured = measure_signal(config, problem, pool, clean, seed=4)
-        assert np.array_equal(measured.values, clean.values)
+        measured = measure_signal(config, problem, pool, 11, seed=4)
+        assert np.array_equal(measured.values, real_rows(problem, pool, 11).values)
         assert measured.mode == "real"
         assert measured.dt == problem.dt
+        oracle = exact_signal(problem.spec, problem.phi0, pool, problem.dt, 10)
+        np.testing.assert_allclose(measured.values, oracle.values, rtol=0, atol=1e-12)
 
     def test_noise_is_seed_deterministic(self):
         config = small_config(noise_epsilon=1e-2)
-        problem = build_problem(config)
+        problem = build_problem(config, 10)
         pool = build_observables(config, problem, seed=2)
-        clean = clean_signal(problem, pool, 10)
-        a = measure_signal(config, problem, pool, clean, seed=4)
-        b = measure_signal(config, problem, pool, clean, seed=4)
-        c = measure_signal(config, problem, pool, clean, seed=5)
+        a = measure_signal(config, problem, pool, 11, seed=4)
+        b = measure_signal(config, problem, pool, 11, seed=4)
+        c = measure_signal(config, problem, pool, 11, seed=5)
         assert np.array_equal(a.values, b.values)
         assert not np.array_equal(a.values, c.values)
 
     def test_given_clean_signal_draws_the_same_noise(self):
-        """The noise is the channel's at the configured level, and the clean
-        signal is left untouched."""
+        """The noise is the channel's at the configured level, on the
+        problem's clean rows cut to the window, which stay untouched."""
         config = small_config(noise_epsilon=1e-2)
-        problem = build_problem(config)
+        problem = build_problem(config, 20)
         pool = build_observables(config, problem, seed=2)
-        clean = clean_signal(problem, pool, 10)
-        before = clean.values.copy()
-        measured = measure_signal(config, problem, pool, clean, seed=4)
-        want = gaussian_noise_channel(clean, 1e-2, 4)
+        before = {o: row.copy() for o, row in problem.signals.items()}
+        measured = measure_signal(config, problem, pool, 11, seed=4)
+        want = gaussian_noise_channel(real_rows(problem, pool, 11), 1e-2, 4)
         assert np.array_equal(measured.values, want.values)
-        assert np.array_equal(clean.values, before)
+        assert all(np.array_equal(problem.signals[o], row) for o, row in before.items())
 
     def test_complex_clean_signal_draws_the_noise_of_its_real_part(self):
-        """A sweep's cells hand over complex rows: the Gaussian source
-        measures their real part, bit for bit as the channel does."""
+        """The problem's rows are complex: the Gaussian source measures
+        their real part, bit for bit as the channel does."""
         config = small_config(noise_epsilon=1e-2)
-        problem = build_problem(config)
+        problem = build_problem(config, 10)
         pool = build_observables(config, problem, seed=2)
-        clean = clean_signal(problem, pool, 10, mode="complex")
-        measured = measure_signal(config, problem, pool, clean, seed=4)
-        real = modmd.MultiObservableSignal(len(pool), problem.dt, clean.values.real)
-        want = gaussian_noise_channel(real, 1e-2, 4)
+        assert all(problem.signals[o].dtype == complex for o in pool)
+        measured = measure_signal(config, problem, pool, 11, seed=4)
+        want = gaussian_noise_channel(real_rows(problem, pool, 11), 1e-2, 4)
         assert measured.mode == "real"
         assert np.array_equal(measured.values, want.values)
 
-    def test_clean_signal_of_wrong_observable_count_refused(self):
-        config = small_config()
-        problem = build_problem(config)
-        pool = build_observables(config, problem, seed=2)
-        clean = clean_signal(problem, pool, 10)
-        with pytest.raises(ValueError, match="clean signal holds 2 observables, not 1"):
-            measure_signal(config, problem, pool[:1], clean, seed=4)
-        with pytest.raises(ValueError, match="clean signal holds 2 observables, not 3"):
-            measure_signal(config, problem, pool + pool[:1], clean, seed=4)
+    def test_problem_without_the_rows_refused(self):
+        """A problem built without ``k_max``, or with one too short for the
+        window, holds no rows to measure, and either source says so."""
+        for source in ("exact+gaussian", "shadow"):
+            shots = 16 if source == "shadow" else None
+            config = small_config(signal_source=source, shadow_samples=shots, noise_epsilon=0.0)
+            pool = build_observables(config, build_problem(config, 10), seed=2)
+            with pytest.raises(ValueError, match="holds exact signals of 0 samples, not 11"):
+                measure_signal(config, build_problem(config), pool, 11, seed=4)
+            with pytest.raises(ValueError, match="holds exact signals of 11 samples, not 12"):
+                measure_signal(config, build_problem(config, 10), pool, 12, seed=4)
 
     def test_shadow_source(self):
         config = small_config(
@@ -1092,35 +1138,49 @@ class TestMeasureSignal:
             signal_source="shadow",
             shadow_samples=16,
         )
-        problem = build_problem(config)
+        problem = build_problem(config, 2)
         pool = build_observables(config, problem, seed=2)
-        clean = clean_signal(problem, pool, 2, mode="complex")
-        a = measure_signal(config, problem, pool, clean, seed=9)
-        b = measure_signal(config, problem, pool, clean, seed=9)
+        a = measure_signal(config, problem, pool, 3, seed=9)
+        b = measure_signal(config, problem, pool, 3, seed=9)
         assert a.values.shape == (1, 3) and a.mode == "real"
         assert np.array_equal(a.values, b.values)
-        assert not np.array_equal(a.values, clean.values.real)
+        assert not np.array_equal(a.values, real_rows(problem, pool, 3).values)
         assert np.max(np.abs(a.values)) <= 9.0  # (dim + 1) per-sample cap
 
     def test_shadow_source_refuses_an_observable_outside_the_pool(self):
-        """The shadow source reads the Gram of the problem's probe pool, so
-        an observable outside it is named, not looked up."""
-        config = small_config(signal_source="shadow", shadow_samples=16, noise_epsilon=0.0)
-        problem = build_problem(config, 4)
+        """Both sources read the problem's rows, and the shadow source the
+        Gram of its probe pool, so an observable outside it is named, not
+        looked up."""
         stranger = parse_pauli_sum("0.5 XXI\n")
         observables = [identity_observable(3), stranger]
-        clean = modmd.MultiObservableSignal(2, problem.dt, np.ones((2, 5), complex), "complex")
-        with pytest.raises(ValueError, match="observable '0.5 XXI' is not in the problem's pool"):
-            measure_signal(config, problem, observables, clean, seed=9)
+        for source in ("exact+gaussian", "shadow"):
+            shots = 16 if source == "shadow" else None
+            config = small_config(signal_source=source, shadow_samples=shots, noise_epsilon=0.0)
+            problem = build_problem(config, 4)
+            with pytest.raises(ValueError, match="'0.5 XXI' is not in the problem's pool"):
+                measure_signal(config, problem, observables, 5, seed=9)
 
-    def test_shadow_source_refuses_a_real_clean_signal(self):
-        """Real rows have no imaginary part to sample from: the shadow
-        source would bias every estimate, so it refuses them."""
+    def test_shadow_source_samples_the_complex_rows(self, monkeypatch):
+        """The shadow source hands the sampler the problem's complex rows,
+        cut to the window, and the rows and columns of ``problem.gram`` of
+        its observables."""
         config = small_config(signal_source="shadow", shadow_samples=16, noise_epsilon=0.0)
-        problem = build_problem(config)
-        pool = build_observables(config, problem, seed=2)
-        with pytest.raises(ValueError, match="complex clean signal"):
-            measure_signal(config, problem, pool, clean_signal(problem, pool, 4), seed=9)
+        problem = build_problem(config, 20)
+        pool = list(problem.signals)
+        observables = [pool[4], pool[1]]
+        seen = []
+
+        def recording(exact, gram, n_qubits, *args):
+            seen.append((exact, gram, n_qubits))
+            return shadows._sample_signal(exact, gram, n_qubits, *args)
+
+        monkeypatch.setattr(harness, "_sample_signal", recording)
+        measure_signal(config, problem, observables, 11, seed=9)
+        ((exact, gram, n_qubits),) = seen
+        assert exact.mode == "complex" and n_qubits == 3
+        want = np.stack([problem.signals[o][:11] for o in observables])
+        assert np.any(want.imag) and np.array_equal(exact.values, want)
+        np.testing.assert_array_equal(gram, problem.gram[np.ix_([4, 1], [4, 1])])
 
     def test_shadow_source_samples_the_problem_signals(self):
         """A sweep problem's pooled overlaps give the per-observable
@@ -1129,16 +1189,13 @@ class TestMeasureSignal:
         config = small_config(signal_source="shadow", shadow_samples=16, noise_epsilon=0.0)
         k_max, seed = 70, 9
         problem = build_problem(config, k_max)
-        dense = build_problem(config)
         pool = build_observables(config, problem, seed=2) + [identity_observable(3)]
 
         def measured(observables):
-            rows = np.stack([problem.signals[o] for o in observables])
-            clean = modmd.MultiObservableSignal(len(observables), problem.dt, rows, "complex")
-            return measure_signal(config, problem, observables, clean, seed).values
+            return measure_signal(config, problem, observables, k_max + 1, seed).values
 
         oracle = modmd.shadow_signal(
-            dense.spec, dense.phi0, dense.phi_perp, pool, problem.dt, k_max,
+            problem.spec, problem.phi0, problem.phi_perp, pool, problem.dt, k_max,
             config.shadow_samples, seed,
         )
         got = measured(pool)
@@ -1185,10 +1242,8 @@ class TestSweepDrivers:
         # The baseline's truth is the identity's row of the problem's exact
         # signals, whose samples do not depend on how long the signal is.
         problem = build_problem(config, K + d)
-        truth = problem.signals[identity_observable(3)]
-        clean = modmd.MultiObservableSignal(1, problem.dt, truth.real[None])
         seed = derive_seed(config.master_seed, 1, 1, 2)  # stream 2 is the baseline
-        signal = measure_signal(config, problem, [identity_observable(3)], clean, seed)
+        signal = measure_signal(config, problem, [identity_observable(3)], K + d + 1, seed)
         pair = build_hankel(signal, d, K)
         pinv = truncated_pinv(pair.x, config.svd_threshold)
         fit = fit_propagator(pair, pinv)
@@ -1440,20 +1495,42 @@ class TestSweepDrivers:
     def test_forecast_baseline_truth_matches_identity_signal(self):
         config = small_config(trials=1, noise_epsilon=0.0)
         result = run_forecast_experiment(config, (20,), 7)
-        problem = build_problem(config)
+        problem = build_problem(config, 27)
         truth = exact_signal(
             problem.spec, problem.phi0, [identity_observable(3)], problem.dt, 27
         )
         d, K = split_fit_window(20, config.k_over_d)
-        measured = measure_signal(
-            config, problem, [identity_observable(3)], truth.prefix(21), 0
-        )
+        measured = measure_signal(config, problem, [identity_observable(3)], 21, 0)
         pair = build_hankel(measured, d, K)
         fit = fit_propagator(pair, truncated_pinv(pair.x, config.svd_threshold))
         predicted = harness.forecast(fit, pair, 8)[:, 1:]
         rmse = np.sqrt(np.mean((predicted - truth.values[:, 21:]) ** 2))
         (odmd,) = [r for r in result.rows if r.method == "odmd"]
         assert odmd.rmse[0] == pytest.approx(rmse, rel=1e-8, abs=1e-14)
+
+    @pytest.mark.parametrize("source", ["exact+gaussian", "shadow"])
+    def test_every_fit_window_is_real(self, source, monkeypatch):
+        """Both sources measure real rows, so the fits of every sweep kind,
+        and of ``solve``, see float64 windows."""
+        seen, fit_window = [], harness._fit_window
+
+        def recording(signal, *args):
+            seen.append(signal.values.dtype)
+            return fit_window(signal, *args)
+
+        monkeypatch.setattr(harness, "_fit_window", recording)
+        shots = 64 if source == "shadow" else None
+        config = small_config(trials=1, signal_source=source, shadow_samples=shots)
+        args = {
+            "sweep-k": {},
+            "sweep-gap": {"h_grid": (0.9,)},
+            "sweep-noise": {"eps_grid": (1e-8,)},
+            "forecast": {"kstar_grid": (24,), "horizon": 5},
+        }
+        for kind in harness.SWEEP_KINDS:
+            harness._run_sweep(kind, config, **args[kind])
+        run_single_solve(config)
+        assert seen == [np.dtype(np.float64)] * 2 * (len(args) + 1)
 
     def test_parallel_workers_reproduce_serial_rows(self):
         serial = run_convergence_sweep(small_config())
@@ -2135,10 +2212,12 @@ class TestCli:
 
     @pytest.mark.parametrize("n_qubits, code", [(20, EXIT_OK), (30, EXIT_RESOURCE)])
     def test_cap_counts_the_state_vectors(self, n_qubits, code, tmp_path, monkeypatch):
-        """The dense oracle, ``build_problem`` without ``k_max``, holds
-        ``phi0`` and ``phi_perp`` of 2^n amplitudes even in a one-particle
-        sector of n levels: on 7.8 GB, 20 qubits pass and 30 (2 x 17 GB)
-        are refused (the CLI's exit 3) before either vector is built."""
+        """A one-particle chain builds its problem (n levels) without any
+        ``2^n``-long vector. The dense oracle's ``phi0`` and ``phi_perp``
+        span the whole register and sit behind its matrix's cap: on 100 TB
+        20 qubits (a 35 TB matrix and basis) pass and both vectors are
+        built, and at 30 qubits ``spec``, ``phi0`` and ``phi_perp`` are
+        refused (the CLI's exit 3) before anything is built."""
         built = []
 
         def superposition(n_qubits, bitstrings):
@@ -2147,7 +2226,7 @@ class TestCli:
             built.append(bitstrings)
             return build_reference_superposition(n_qubits, bitstrings)
 
-        monkeypatch.setattr(pauli, "_physical_memory_bytes", lambda: int(7.8e9))
+        monkeypatch.setattr(pauli, "_physical_memory_bytes", lambda: int(1e14))
         monkeypatch.setattr(harness, "build_reference_superposition", superposition)
         hfile = tmp_path / "chain.txt"
         hfile.write_text(hopping_chain(n_qubits))
@@ -2156,18 +2235,20 @@ class TestCli:
             tfim_qubits=None, hamiltonian_file=str(hfile), particle_number=1,
             reference_bitstrings=(reference,),
         )
+        problem = build_problem(config, 20)
+        assert len(problem.exact_energies) == n_qubits
+        assert len(problem.signals) == 3 * n_qubits + 1 and built == []
         if code == EXIT_RESOURCE:
-            with pytest.raises(ResourceCapError) as refused:
-                build_problem(config)
-            assert str(refused.value) == (
-                "a dense matrix and eigenbasis of dimension 30 and 2 state vectors "
-                "of 1073741824 amplitudes need 34.4 GB, more than the 7.8 GB of "
-                "physical memory"
-            )
+            for name in ("spec", "phi0", "phi_perp"):
+                with pytest.raises(ResourceCapError) as refused:
+                    getattr(problem, name)
+                assert str(refused.value) == (
+                    "a dense matrix and eigenbasis of dimension 1073741824 need "
+                    "36893488147.4 GB, more than the 100000.0 GB of physical memory"
+                )
             return
-        problem = build_problem(config)
+        assert problem.phi0.n_qubits == problem.phi_perp.n_qubits == n_qubits
         assert built == [[reference], ["0" * n_qubits]]  # phi_perp: first state off phi0
-        assert problem.spec.dimension == n_qubits
 
     def test_register_wider_than_an_int64_index_refused(self, tmp_path, capsys):
         hfile = tmp_path / "chain.txt"
@@ -2296,6 +2377,37 @@ class TestCli:
         assert main(["forecast", "--config", str(path)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err == "error: sweep_args.horizn is not an argument of forecast\n"
+
+    @pytest.mark.parametrize("source", ["exact+gaussian", "shadow"])
+    def test_no_run_reads_the_dense_oracle(self, source, tmp_path, monkeypatch):
+        """Every verb, and a replay of each sweep's manifest, runs on its
+        problem's signals alone: with the dense oracle made to raise, each
+        exits 0."""
+
+        def no_oracle(problem):
+            raise AssertionError("a run read the dense oracle")
+
+        for name in ("spec", "phi0", "phi_perp"):
+            monkeypatch.setattr(harness.Problem, name, property(no_oracle))
+        shots = 64 if source == "shadow" else None
+        path = write_config_file(
+            tmp_path / "cfg.json", trials=1, workers=1, signal_source=source,
+            shadow_samples=shots,
+        )
+        out = tmp_path / "out"
+        runs = {
+            "sweep-k": [],
+            "sweep-gap": ["--h-grid", "0.9,1.1"],
+            "sweep-noise": ["--eps-grid", "1e-8,1e-6"],
+            "forecast": ["--kstar-grid", "24", "--horizon", "5"],
+        }
+        for kind, flags in runs.items():
+            argv = [kind, "--config", str(path), "--output-dir", str(out / kind)]
+            assert main(argv + flags) == EXIT_OK
+            manifest = out / kind / f"{kind}_manifest.json"
+            replay = [kind, "--config", str(manifest), "--output-dir", str(out / "replay")]
+            assert main(replay) == EXIT_OK
+        assert main(["solve", "--config", str(path)]) == EXIT_OK
 
     def test_every_sweep_kind_is_wired(self, tmp_path, monkeypatch):
         """Each kind in the table has a CLI verb taking its driver arguments,

@@ -83,8 +83,8 @@ def solver_calls(monkeypatch, matrix):
 
 def block_solve(monkeypatch, psum):
     """The eigensystem of ``psum`` over the whole register from its
-    symmetry blocks (``harness._solve``, lifted), and the dtype and size of
-    each block its eigensolver received."""
+    symmetry blocks (``harness._solve`` of the identity stack), and the
+    dtype and size of each block its eigensolver received."""
     seen = []
     eigh = np.linalg.eigh
 
@@ -93,7 +93,8 @@ def block_solve(monkeypatch, psum):
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
-    spec = SpectralDecomposition(*_solve(psum, np.arange(1 << psum.n_qubits)))
+    dimension = 1 << psum.n_qubits
+    spec = SpectralDecomposition(*_solve(psum, np.arange(dimension), np.eye(dimension)))
     monkeypatch.setattr(np.linalg, "eigh", eigh)
     return spec, seen
 
@@ -304,16 +305,17 @@ class TestSpinFlipSplit:
         assert seen == [(dtype, 16), (dtype, 16)]
         self.assert_matches_oracle(psum, spec, seed=42)
 
-    def test_lift_holds_each_block_once(self, traced_peak):
-        """The basis is allocated once every block is solved, and written
-        block by block: the peak is the basis, the blocks' vectors (about a
-        quarter of it) and a few block-sized temporaries, 1.46 x ``8 * 4^n``
-        bytes for a real basis (the split inside ``diagonalize`` held
-        1.75 x, next to the matrix it was given)."""
+    def test_projection_holds_no_basis(self, traced_peak):
+        """A stack of a few rows is projected block by block, and each
+        block's eigenvectors are dropped once projected: at 9 qubits the
+        peak stays below half of one real ``8 * 4^n``-byte matrix."""
         n = 9
-        (_, vectors), peak = traced_peak(_solve, build_tfim(n, 1.0, 0.7), np.arange(1 << n))
-        assert vectors.dtype == np.float64
-        assert peak < 1.6 * 8 * 4**n
+        stack = np.random.default_rng(47).standard_normal((3, 1 << n)) + 0j
+        (energies, projected), peak = traced_peak(
+            _solve, build_tfim(n, 1.0, 0.7), np.arange(1 << n), stack
+        )
+        assert projected.shape == (3, 1 << n) and len(energies) == 1 << n
+        assert peak < 0.5 * 8 * 4**n
 
     def test_one_ulp_off_takes_full_solve(self, monkeypatch):
         """A uniform Z field breaks the flip and keeps the mirror; one
@@ -382,7 +384,7 @@ class TestRealEigenbasis:
     )
     def test_consumers_match_complex_oracle(self, psum):
         matrix = to_dense(psum)
-        spec = SpectralDecomposition(*_solve(psum, np.arange(len(matrix))))
+        spec = SpectralDecomposition(*_solve(psum, np.arange(len(matrix)), np.eye(len(matrix))))
         oracle = complex_eigh_oracle(matrix)
         n = psum.n_qubits
         rng = np.random.default_rng(46)

@@ -725,12 +725,11 @@ class TestReducedEigenproblem:
             svd_threshold=1e-2,
             n_eig=4,
         )
-        problem = build_problem(config)
-        observables = build_observables(config, problem, seed=7)
         K = config.k_grid[0]
         d = depth_for_window(K, config.k_over_d)
-        clean = exact_signal(problem.spec, problem.phi0, observables, problem.dt, K + d)
-        signal = measure_signal(config, problem, observables, clean, seed=8)
+        problem = build_problem(config, K + d)
+        observables = build_observables(config, problem, seed=7)
+        signal = measure_signal(config, problem, observables, K + d + 1, seed=8)
         pair = build_hankel(signal, d, K)
         assert_matches_full_matrix(pair, 1e-2, problem.dt, 4, merge_conjugates=True)
 
