@@ -19,15 +19,12 @@ from .harness import (
     SIGNAL_SOURCES,
     SWEEP_KINDS,
     ExperimentConfig,
+    _run_sweep,
     config_from_dict,
     emit_outputs,
     read_run_file,
     resolve_inputs,
     resolve_output_dir,
-    run_convergence_sweep,
-    run_forecast_experiment,
-    run_gap_sweep,
-    run_noise_sweep,
     run_single_solve,
     threshold_for,
 )
@@ -140,12 +137,6 @@ def _sweep_arg(args, sweep_args: dict, name: str):
 
 def _handle_sweep(args) -> int:
     config, sweep_args = _config_from_args(args)
-    driver = {
-        "sweep-k": run_convergence_sweep,
-        "sweep-gap": run_gap_sweep,
-        "sweep-noise": run_noise_sweep,
-        "forecast": run_forecast_experiment,
-    }[args.verb]
     kwargs = {n: _sweep_arg(args, sweep_args, n) for n in SWEEP_KINDS[args.verb].args}
     directory = resolve_output_dir(config)
     created = [level for level in (directory, *directory.parents) if not level.exists()]
@@ -155,7 +146,7 @@ def _handle_sweep(args) -> int:
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {directory}: {exc}") from None
     try:
-        result = driver(config, **kwargs)
+        result = _run_sweep(args.verb, config, **kwargs)
     except BaseException:
         # A failed sweep leaves no directory behind: remove, deepest first,
         # the levels made above that are still empty.

@@ -897,9 +897,9 @@ class _SweepPlan:
 
 def _plan(kind: str, config: ExperimentConfig, points, horizon: int = 0) -> _SweepPlan:
     """A sweep's plan, each grid point's configuration set per
-    :data:`SWEEP_KINDS` (and validated like the field it sets). A forecast
-    splits each fit-window length k*; each point of an eigenvalue sweep must
-    hold a single K, which it pairs with its depth."""
+    :data:`SWEEP_KINDS` and checked by :func:`resolve_inputs` before any
+    cell runs. A forecast splits each fit-window length k*; each point of
+    an eigenvalue sweep must hold a single K, which it pairs with its depth."""
     points = tuple(float(p) for p in points)
     point = SWEEP_KINDS[kind].point
     configs = tuple(dataclasses.replace(config, **point(p)) for p in points)
@@ -910,6 +910,8 @@ def _plan(kind: str, config: ExperimentConfig, points, horizon: int = 0) -> _Swe
     else:
         ks = [c.k_grid[0] for c in configs]
         windows = tuple((depth_for_window(K, config.k_over_d), K) for K in ks)
+    for point_config in configs:
+        resolve_inputs(point_config)
     return _SweepPlan(kind, config, points, configs, windows, horizon)
 
 
@@ -958,9 +960,10 @@ def _evaluate_cell(plan: _SweepPlan, problem: Problem, point_index: int, trial: 
 
 # Worker-process state: the plan is installed once per worker, and the
 # latest problem, keyed by its transverse field (the only problem input a
-# sweep varies), is kept. Tasks arrive in (point, trial) order, so each
-# worker diagonalizes at most once per Hamiltonian and holds one problem
-# (its energies and exact signals) at a time.
+# sweep kind varies; TestSweepKinds checks each kind), is kept. Tasks
+# arrive in (point, trial) order, so each worker diagonalizes at most once
+# per Hamiltonian and holds one problem (its energies and exact signals)
+# at a time.
 _WORKER_PLAN: "_SweepPlan | None" = None
 _WORKER_PROBLEM: "tuple[float, Problem] | None" = None
 

@@ -108,20 +108,7 @@ def build_gamma(
     return RankTwoObservable(phi0.n_qubits, u, v, part)
 
 
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Gaussian matrix."""
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
-
-
-def sample_shadows(
-    state: StateVector,
-    n_samples: int,
-    seed: int,
-    unitary_fn=None,
-) -> np.ndarray:
+def sample_shadows(state: StateVector, n_samples: int, seed: int) -> np.ndarray:
     """Randomized measurements of an ancilla probe state, as a
     ``(n_samples, D)`` array whose rows are the measured rows ``<b|U``.
 
@@ -130,21 +117,12 @@ def sample_shadows(
     so it is drawn directly as ``c = alpha psi + sqrt(1 - |alpha|^2) w``:
     ``|alpha|^2 ~ Beta(2, D - 1)``, uniform phase, ``w`` uniform on the
     sphere of ``psi``'s complement; O(n_samples * D) from one generator.
-    ``unitary_fn(dim, rng)`` runs the explicit protocol instead (the
-    statistical oracle): draw ``U``, sample ``b``, record ``U[b]``.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     dim = 1 << state.n_qubits
     psi = state.amplitudes / np.linalg.norm(state.amplitudes)
     rng = np.random.default_rng(seed)
-    if unitary_fn is not None:
-        rows = np.empty((n_samples, dim), dtype=complex)
-        for i in range(n_samples):
-            u = unitary_fn(dim, rng)
-            probs = np.abs(u @ psi) ** 2
-            rows[i] = u[rng.choice(dim, p=probs / probs.sum())]
-        return rows
     weight = rng.beta(2.0, dim - 1.0, size=n_samples)
     phase = np.exp(2j * np.pi * rng.random(n_samples))
     w = rng.standard_normal((n_samples, dim)) + 1j * rng.standard_normal((n_samples, dim))

@@ -1754,6 +1754,11 @@ class TestEmitOutputs:
             compared += 1
         assert compared == 5
 
+    def test_replay_of_a_plain_configuration_refused(self, tmp_path):
+        path = write_config_file(tmp_path / "cfg.json")
+        with pytest.raises(ConfigError, match=re.escape(f"{path} is not a run manifest") + "$"):
+            replay_manifest(path)
+
     def test_replay_manifest_errors(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             replay_manifest(tmp_path / "missing.json")
@@ -1832,6 +1837,56 @@ class TestEmitOutputs:
         hfile.unlink()
         with pytest.raises(ConfigError, match="does not match the sha256"):
             replay_manifest(manifest)
+
+
+def register_shot_kind(monkeypatch):
+    """Register a shot-count sweep in :data:`SWEEP_KINDS` only, for the
+    test; returns its name."""
+    kind = harness.SweepKind(
+        lambda n: {"shadow_samples": int(n)}, {"n_grid": int}, "shots N",
+        "error versus shot count",
+    )
+    monkeypatch.setitem(harness.SWEEP_KINDS, "sweep-shots", kind)
+    return "sweep-shots"
+
+
+class TestSweepKinds:
+    def test_every_point_is_resolved_before_the_first_cell(self, monkeypatch):
+        """A point that shares the first point's cached problem still meets
+        the shot-block cap before any cell runs."""
+        kind = register_shot_kind(monkeypatch)
+        monkeypatch.setattr(pauli, "_physical_memory_bytes", lambda: 10**7)
+        cells = []
+        evaluate = harness._evaluate_cell
+        monkeypatch.setattr(
+            harness, "_evaluate_cell", lambda *a: cells.append(a[2:]) or evaluate(*a)
+        )
+        config = small_config(trials=1, signal_source="shadow", shadow_samples=10)
+        with pytest.raises(ResourceCapError, match="5000 shots of 2 observables"):
+            harness._run_sweep(kind, config, n_grid=[10, 5000])
+        assert cells == []
+
+    @pytest.mark.parametrize("kind", sorted(harness.SWEEP_KINDS))
+    def test_points_that_share_the_cache_key_share_the_problem(self, kind):
+        """A worker rebuilds its problem only when ``tfim_field`` changes
+        (``_worker_problem``), so two points of one kind that agree on it
+        must build equal problems; a kind that sets another input of a
+        :class:`Problem` fails here."""
+        base, point = small_config(), harness.SWEEP_KINDS[kind].point
+        first, second = (dataclasses.replace(base, **point(v)) for v in (2, 3))
+        if first.tfim_field != second.tfim_field:
+            return
+        a, b = build_problem(first, 40), build_problem(second, 40)
+        for name in (f.name for f in dataclasses.fields(harness.Problem)):
+            left, right = getattr(a, name), getattr(b, name)
+            if name == "signals":
+                assert left.keys() == right.keys()
+                for key in left:
+                    np.testing.assert_array_equal(left[key], right[key])
+            elif isinstance(left, np.ndarray):
+                np.testing.assert_array_equal(left, right)
+            else:
+                assert left == right, name
 
 
 class TestCli:
@@ -1971,9 +2026,7 @@ class TestCli:
         blocker.write_text("not a directory\n")
         monkeypatch.setenv(OUTPUT_DIR_ENV, str(blocker / "out"))
         calls = []
-        monkeypatch.setattr(
-            "modmd.cli.run_convergence_sweep", lambda *a, **k: calls.append(a)
-        )
+        monkeypatch.setattr("modmd.cli._run_sweep", lambda *a, **k: calls.append(a))
         path = write_config_file(tmp_path / "cfg.json", trials=1)
         assert main(["sweep-k", "--config", str(path)]) == EXIT_CONFIG
         err = capsys.readouterr().err
@@ -2410,13 +2463,18 @@ class TestCli:
         assert main(["solve", "--config", str(path)]) == EXIT_OK
 
     def test_every_sweep_kind_is_wired(self, tmp_path, monkeypatch):
-        """Each kind in the table has a CLI verb taking its driver arguments,
-        a CLI and a replay driver of that kind, and an x axis label."""
+        """A kind is its :data:`SWEEP_KINDS` entry alone: each kind, one
+        registered here included, is a CLI verb taking its driver arguments
+        that writes a manifest, which replays through the CLI and the
+        library."""
+        register_shot_kind(monkeypatch)
         monkeypatch.setattr(
             harness, "_run_plan", lambda plan: ([], ((),) * len(plan.points))
         )
         monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / "out"))
-        path = write_config_file(tmp_path / "cfg.json", trials=1)
+        path = write_config_file(
+            tmp_path / "cfg.json", trials=1, signal_source="shadow", shadow_samples=10
+        )
         for kind, declared in harness.SWEEP_KINDS.items():
             assert declared.x_label
             flags = []
@@ -2425,7 +2483,16 @@ class TestCli:
             assert main([kind, "--config", str(path)] + flags) == EXIT_OK
             manifest = tmp_path / "out" / f"{kind}_manifest.json"
             assert json.loads(manifest.read_text())["sweep"] == kind
+            assert main([kind, "--config", str(manifest)]) == EXIT_OK
             assert replay_manifest(manifest).sweep == kind
+
+    def test_malformed_list_flag_exit_code(self, tmp_path, capsys):
+        path = write_config_file(tmp_path / "cfg.json")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep-k", "--config", str(path), "--k-grid", "10,x"])
+        assert exit_info.value.code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "expected comma-separated int values, got '10,x'" in err
 
     def test_sweep_gap_requires_grid(self, tmp_path, capsys):
         path = write_config_file(tmp_path / "cfg.json")
@@ -2642,8 +2709,8 @@ class TestPublicApi:
             assert hasattr(modmd, name), name
 
 
-# Run in a fresh interpreter: imports modmd, runs a sweep-k and a forecast
-# through the CLI, and reports the modules the sweeps added, every scipy
+# Run in a fresh interpreter: imports modmd, runs every sweep verb and a
+# solve through the CLI, and reports the modules the runs added, every scipy
 # and concurrent.futures module loaded, and the OpenBLAS libraries mapped
 # into the process.
 _IMPORT_PROBE = """
@@ -2655,7 +2722,10 @@ from modmd.cli import main
 before = set(sys.modules)
 codes = [
     main(["sweep-k", "--config", sys.argv[2]]),
+    main(["sweep-gap", "--config", sys.argv[2], "--k-grid", "16", "--h-grid", "0.9,1.1"]),
+    main(["sweep-noise", "--config", sys.argv[2], "--k-grid", "16", "--eps-grid", "1e-8,1e-6"]),
     main(["forecast", "--config", sys.argv[2], "--kstar-grid", "24", "--horizon", "5"]),
+    main(["solve", "--config", sys.argv[2]]),
 ]
 try:
     with open("/proc/self/maps") as maps:
@@ -2689,10 +2759,10 @@ class TestImportGuard:
         )
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout.splitlines()[-1])
-        assert report["codes"] == [EXIT_OK, EXIT_OK]
+        assert report["codes"] == [EXIT_OK] * 5
         assert report["scipy"] == []
         assert report["added"] == []
-        # both sweeps run at one worker, so no process pool is imported
+        # every run is at one worker, so no process pool is imported
         assert report["futures"] == []
         if report["blas"] is not None:
             assert len(report["blas"]) <= 1, report["blas"]

@@ -15,7 +15,6 @@ from modmd import (
     estimate_trace,
     exact_signal,
     gaussian_noise_channel,
-    haar_unitary,
     random_one_local,
     sample_shadows,
     shadow_signal,
@@ -64,7 +63,31 @@ def alternating_probe(n_qubits):
     return spec, phi0, StateVector.normalized(n_qubits, raw)
 
 
-def row_signal(spec, phi0, perp, observables, dt, k_max, n_samples, seed, unitary_fn=None):
+def haar_unitary(dim, rng):
+    """Haar-distributed unitary via QR of a complex Gaussian matrix."""
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r)
+    return q * (diag / np.abs(diag))
+
+
+def haar_shadows(state, n_samples, seed, unitary_fn=haar_unitary):
+    """The explicit randomized-measurement protocol, the oracle of
+    ``sample_shadows``' row law (Huang, Kueng and Preskill, arXiv
+    2002.08953): per shot draw ``U = unitary_fn(D, rng)``, sample ``b`` by
+    the Born rule and record the row ``U[b]``."""
+    dim = 1 << state.n_qubits
+    psi = state.amplitudes / np.linalg.norm(state.amplitudes)
+    rng = np.random.default_rng(seed)
+    rows = np.empty((n_samples, dim), dtype=complex)
+    for i in range(n_samples):
+        u = unitary_fn(dim, rng)
+        probs = np.abs(u @ psi) ** 2
+        rows[i] = u[rng.choice(dim, p=probs / probs.sum())]
+    return rows
+
+
+def row_signal(spec, phi0, perp, observables, dt, k_max, n_samples, seed):
     """Complex signals from the per-step row path, the overlap sampler's
     oracle: ``composite_state`` -> ``sample_shadows`` -> ``_estimate_batch``."""
     gammas = [build_gamma(o, phi0, perp, p) for p in ("real", "imag") for o in observables]
@@ -72,15 +95,15 @@ def row_signal(spec, phi0, perp, observables, dt, k_max, n_samples, seed, unitar
     values = np.empty((n_obs, k_max + 1), dtype=complex)
     for k in range(k_max + 1):
         state = composite_state(perp, phi0, spec, k * dt)
-        est = _estimate_batch(sample_shadows(state, n_samples, seed + k, unitary_fn), gammas)
+        est = _estimate_batch(sample_shadows(state, n_samples, seed + k), gammas)
         values[:, k] = est[:n_obs] + 1j * est[n_obs:]
     return values
 
 
-def row_shots(state, phi0, perp, observables, n_samples, seed, unitary_fn=None):
+def row_shots(state, phi0, perp, observables, n_samples, seed, sampler=sample_shadows):
     """Single-shot estimates of the row path, real quadratures then
     imaginary ones, as a ``(2 I, n_samples)`` array."""
-    rows = sample_shadows(state, n_samples, seed, unitary_fn)
+    rows = sampler(state, n_samples, seed)
     gammas = [build_gamma(o, phi0, perp, p) for p in ("real", "imag") for o in observables]
     return np.array([(g.dim + 1) * g._quadrature(rows @ g.u, rows @ g.v) for g in gammas])
 
@@ -222,7 +245,7 @@ class TestSampleShadows:
         state = composite_state(perp, phi0, spec, 0.0)
         support = set(np.flatnonzero(np.abs(state.amplitudes) > 1e-12))
         hook = lambda dim, rng: np.eye(dim, dtype=complex)
-        rows = sample_shadows(state, 200, seed=2, unitary_fn=hook)
+        rows = haar_shadows(state, 200, seed=2, unitary_fn=hook)
         outcomes = {int(np.flatnonzero(row)[0]) for row in rows}
         assert all(np.count_nonzero(row) == 1 for row in rows)
         assert outcomes <= support
@@ -237,7 +260,7 @@ class TestSampleShadows:
         probs /= probs.sum()
         q = 10_000
         # each recorded row is the rotation's row at the observed outcome
-        rows = sample_shadows(state, q, seed=777, unitary_fn=hook)
+        rows = haar_shadows(state, q, seed=777, unitary_fn=hook)
         matches = np.all(rows[:, None, :] == fixed[None, :, :], axis=2)
         assert np.all(matches.sum(axis=1) == 1)
         counts = np.bincount(np.argmax(matches, axis=1), minlength=8)
@@ -252,14 +275,14 @@ class TestSampleShadows:
 
 
 class TestDirectSampler:
-    """The default row sampler against the Haar oracle (``unitary_fn``)."""
+    """The default row sampler against the Haar oracle (``haar_shadows``)."""
 
     Q = 6000
 
-    def draws(self, unitary_fn):
+    def draws(self, sampler):
         spec, phi0, perp = three_qubit_probe()
         state = composite_state(perp, phi0, spec, 0.7)
-        rows = sample_shadows(state, self.Q, 97, unitary_fn)
+        rows = sampler(state, self.Q, 97)
         return state.amplitudes, rows, phi0, perp
 
     @staticmethod
@@ -267,8 +290,8 @@ class TestDirectSampler:
         return values.mean(), values.std(ddof=1) / np.sqrt(len(values))
 
     def test_single_shot_mean_and_variance_match_oracle(self):
-        psi, direct, phi0, perp = self.draws(None)
-        _, oracle, _, _ = self.draws(haar_unitary)
+        psi, direct, phi0, perp = self.draws(sample_shadows)
+        _, oracle, _, _ = self.draws(haar_shadows)
         obs = random_one_local(3, 1, seed=4)[0]
         for part in ("real", "imag"):
             gamma = build_gamma(obs, phi0, perp, part=part)
@@ -285,8 +308,8 @@ class TestDirectSampler:
 
     def test_rows_unit_norm_with_reweighted_overlap(self):
         # |<c|psi>|^2 ~ Beta(2, D-1) under both samplers, mean 2/(D+1)
-        for unitary_fn in (None, haar_unitary):
-            psi, rows, _, _ = self.draws(unitary_fn)
+        for sampler in (sample_shadows, haar_shadows):
+            psi, rows, _, _ = self.draws(sampler)
             np.testing.assert_allclose(
                 np.linalg.norm(rows, axis=1), 1.0, atol=1e-12
             )
@@ -523,7 +546,7 @@ class TestOverlapSampler:
         for parity in (0, 1):
             state = composite_state(perp, phi0, spec, float(parity))
             new = self.split(shots.values[:, parity::2])
-            haar = row_shots(state, phi0, perp, obs, q, 7, unitary_fn=haar_unitary)
+            haar = row_shots(state, phi0, perp, obs, q, 7, haar_shadows)
             for x, y in zip(new, haar):
                 (m1, se1), (m2, se2) = (TestDirectSampler.mean_and_se(v) for v in (x, y))
                 assert abs(m1 - m2) <= 4.0 * np.hypot(se1, se2)
