@@ -587,7 +587,9 @@ def build_problem(config: ExperimentConfig, k_max: "int | None" = None) -> Probl
     ``[phi0, O_1 phi0, ...]`` on the run's states is projected on each
     block's eigenvectors. With ``k_max`` set, one phase sum over those
     projections gives the signals. No eigenbasis, no ``2^n``-long vector
-    and no matrix of the whole basis is formed.
+    and no matrix of the whole basis is formed. Of ``config`` it reads only
+    :func:`resolve_inputs`'s result, ``particle_number`` and
+    ``reference_bitstrings``; points equal in these share a problem (:func:`_plan`).
     """
     shifted, scale, observables, dt = resolve_inputs(config)
     n_qubits, sector = shifted.n_qubits, config.particle_number
@@ -884,14 +886,16 @@ def _forecast_row(head, config, problem, fit, pair, held_out, laps) -> ForecastR
 @dataclass(frozen=True)
 class _SweepPlan:
     """Picklable description of all cells a sweep will execute: its grid
-    values and, per value, the configuration its cells run on and their
-    ``(d, K)`` window."""
+    values and, per value, the configuration its cells run on, their
+    ``(d, K)`` window and, in ``problems``, the first point whose inputs to
+    :func:`build_problem` are equal to its own, whose problem it shares."""
 
     kind: str
     config: ExperimentConfig
     points: "tuple[float, ...]"
     configs: "tuple[ExperimentConfig, ...]"
     windows: "tuple[tuple[int, int], ...]"
+    problems: "tuple[int, ...]"
     horizon: int = 0
 
 
@@ -910,9 +914,9 @@ def _plan(kind: str, config: ExperimentConfig, points, horizon: int = 0) -> _Swe
     else:
         ks = [c.k_grid[0] for c in configs]
         windows = tuple((depth_for_window(K, config.k_over_d), K) for K in ks)
-    for point_config in configs:
-        resolve_inputs(point_config)
-    return _SweepPlan(kind, config, points, configs, windows, horizon)
+    inputs = [(resolve_inputs(c), c.particle_number, c.reference_bitstrings) for c in configs]
+    problems = tuple(inputs.index(key) for key in inputs)
+    return _SweepPlan(kind, config, points, configs, windows, problems, horizon)
 
 
 def _longest_signal(plan: _SweepPlan) -> int:
@@ -959,13 +963,11 @@ def _evaluate_cell(plan: _SweepPlan, problem: Problem, point_index: int, trial: 
 
 
 # Worker-process state: the plan is installed once per worker, and the
-# latest problem, keyed by its transverse field (the only problem input a
-# sweep kind varies; TestSweepKinds checks each kind), is kept. Tasks
-# arrive in (point, trial) order, so each worker diagonalizes at most once
-# per Hamiltonian and holds one problem (its energies and exact signals)
-# at a time.
+# latest problem, keyed by its index in the plan's ``problems``, is kept.
+# Tasks arrive in (point, trial) order, so a worker builds a problem once
+# per run of points sharing it and holds one (energies, signals) at a time.
 _WORKER_PLAN: "_SweepPlan | None" = None
-_WORKER_PROBLEM: "tuple[float, Problem] | None" = None
+_WORKER_PROBLEM: "tuple[int, Problem] | None" = None
 
 
 def _init_worker(plan: "_SweepPlan | None") -> None:
@@ -976,11 +978,11 @@ def _init_worker(plan: "_SweepPlan | None") -> None:
 
 def _worker_problem(point_index: int) -> Problem:
     global _WORKER_PROBLEM
-    config = _WORKER_PLAN.configs[point_index]
-    if _WORKER_PROBLEM is None or _WORKER_PROBLEM[0] != config.tfim_field:
+    first = _WORKER_PLAN.problems[point_index]
+    if _WORKER_PROBLEM is None or _WORKER_PROBLEM[0] != first:
         _WORKER_PROBLEM = None  # release the previous problem before the next
-        problem = build_problem(config, _longest_signal(_WORKER_PLAN))
-        _WORKER_PROBLEM = (config.tfim_field, problem)
+        problem = build_problem(_WORKER_PLAN.configs[first], _longest_signal(_WORKER_PLAN))
+        _WORKER_PROBLEM = (first, problem)
     return _WORKER_PROBLEM[1]
 
 

@@ -252,10 +252,14 @@ def build_tfim(n_qubits: int, coupling: float, field: float) -> PauliSum:
 
 def to_dense(psum: PauliSum) -> np.ndarray:
     """Dense matrix of a Pauli sum, real when every string has an even number
-    of Y factors: :func:`_block` over all ``2^n`` states, O(terms * 2^n). A
-    register too wide for :func:`_check_dense_memory` is refused first."""
+    of Y factors; each entry sums its strings' :func:`_entries` in string order,
+    O(terms * 2^n). :func:`_check_dense_memory` refuses a too wide register first."""
     _check_dense_memory(1 << psum.n_qubits)
-    return _block(psum, np.arange(1 << psum.n_qubits))
+    states = np.arange(1 << psum.n_qubits)
+    targets, _, _, values = _entries(psum.terms, None, states)
+    dense = np.zeros((len(states), len(states)), dtype=values.dtype)
+    np.add.at(dense, (targets, states), values)
+    return dense
 
 
 def _sector_states(n_qubits: int, particles: int) -> np.ndarray:
@@ -288,18 +292,6 @@ def _entries(terms, rows: "np.ndarray | None", columns: np.ndarray):
         return targets, None, None, values
     at = np.minimum(np.searchsorted(rows, targets), len(rows) - 1)
     return targets, at, rows[at] == targets, values
-
-
-def _block(psum: PauliSum, rows: np.ndarray, columns: "np.ndarray | None" = None):
-    """``<rows|H|columns>`` for the matrix ``H`` of ``psum``, with ``rows``
-    ascending basis states and ``columns`` (by default ``rows``) any. Each
-    entry sums its strings' amplitudes in string order."""
-    columns = rows if columns is None else columns
-    _, at, inside, values = _entries(psum.terms, rows, columns)
-    block = np.zeros((len(rows), len(columns)), dtype=values.dtype)
-    index = np.broadcast_to(np.arange(len(columns)), at.shape)
-    np.add.at(block, (at[inside], index[inside]), values[inside])
-    return block
 
 
 def _probes(observables, references: np.ndarray):

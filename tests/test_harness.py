@@ -1850,6 +1850,60 @@ def register_shot_kind(monkeypatch):
     return "sweep-shots"
 
 
+# Bases of the per-field guard, as overrides of small_config: a 4-qubit
+# one-particle hopping chain from a file, that chain probed through an
+# observable file, and the shadow source.
+_FILE_BASE = {
+    "tfim_qubits": None, "hamiltonian_file": "hop.txt",
+    "reference_bitstrings": ("1000", "0100"),
+}
+_EXPLICIT_BASE = {**_FILE_BASE, "observable_policy": "explicit", "observable_file": "obs.txt"}
+_SHADOW_BASE = {"signal_source": "shadow", "shadow_samples": 10}
+
+# One valid alternative per ExperimentConfig field: the base the guard
+# starts from, and what the changed point sets (the field, with what keeps
+# it valid). The files are copies, so their points differ in name alone.
+FIELD_ALTERNATIVES = {
+    "tfim_qubits": ({}, {"tfim_qubits": 4, "reference_bitstrings": ("0000", "1000")}),
+    "tfim_coupling": ({}, {"tfim_coupling": 0.5}),
+    "tfim_field": ({}, {"tfim_field": 0.7}),
+    "hamiltonian_file": (_FILE_BASE, {"hamiltonian_file": "hop_copy.txt"}),
+    "particle_number": (_FILE_BASE, {"particle_number": 1}),
+    "reference_bitstrings": ({}, {"reference_bitstrings": ("000",)}),
+    "observable_policy": ({}, {"observable_policy": "hamiltonian-partial-sums"}),
+    "n_observables": ({}, {"n_observables": 3}),
+    "observable_file": (_EXPLICIT_BASE, {"observable_file": "obs_copy.txt"}),
+    "dt": ({}, {"dt": 0.5}),
+    "k_grid": ({}, {"k_grid": (24,)}),
+    "k_over_d": ({}, {"k_over_d": 2.5}),
+    "svd_threshold": ({}, {"svd_threshold": None}),
+    "noise_epsilon": ({}, {"noise_epsilon": 1e-6}),
+    "signal_source": ({}, _SHADOW_BASE),
+    "shadow_samples": (_SHADOW_BASE, {"shadow_samples": 20}),
+    "trials": ({}, {"trials": 3}),
+    "master_seed": ({}, {"master_seed": 6}),
+    "n_eig": ({}, {"n_eig": 3}),
+    "magnitude_floor": ({}, {"magnitude_floor": 0.3}),
+    "safety_fraction": ({}, {"safety_fraction": 0.8}),
+    "output_dir": ({}, {"output_dir": "elsewhere"}),
+    "workers": ({}, {"workers": 2}),
+}
+
+
+def assert_same_problem(a, b):
+    """Every :class:`Problem` field equal, the exact signals included."""
+    for name in (f.name for f in dataclasses.fields(harness.Problem)):
+        left, right = getattr(a, name), getattr(b, name)
+        if name == "signals":
+            assert left.keys() == right.keys()
+            for key in left:
+                np.testing.assert_array_equal(left[key], right[key])
+        elif isinstance(left, np.ndarray):
+            np.testing.assert_array_equal(left, right)
+        else:
+            assert left == right, name
+
+
 class TestSweepKinds:
     def test_every_point_is_resolved_before_the_first_cell(self, monkeypatch):
         """A point that shares the first point's cached problem still meets
@@ -1866,27 +1920,67 @@ class TestSweepKinds:
             harness._run_sweep(kind, config, n_grid=[10, 5000])
         assert cells == []
 
-    @pytest.mark.parametrize("kind", sorted(harness.SWEEP_KINDS))
-    def test_points_that_share_the_cache_key_share_the_problem(self, kind):
-        """A worker rebuilds its problem only when ``tfim_field`` changes
-        (``_worker_problem``), so two points of one kind that agree on it
-        must build equal problems; a kind that sets another input of a
-        :class:`Problem` fails here."""
-        base, point = small_config(), harness.SWEEP_KINDS[kind].point
-        first, second = (dataclasses.replace(base, **point(v)) for v in (2, 3))
-        if first.tfim_field != second.tfim_field:
-            return
-        a, b = build_problem(first, 40), build_problem(second, 40)
-        for name in (f.name for f in dataclasses.fields(harness.Problem)):
-            left, right = getattr(a, name), getattr(b, name)
-            if name == "signals":
-                assert left.keys() == right.keys()
-                for key in left:
-                    np.testing.assert_array_equal(left[key], right[key])
-            elif isinstance(left, np.ndarray):
-                np.testing.assert_array_equal(left, right)
-            else:
-                assert left == right, name
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_kind_that_sets_dt_runs_each_point_on_its_own_problem(
+        self, monkeypatch, workers
+    ):
+        """A kind that sets ``dt``, one :data:`SWEEP_KINDS` entry, gives each
+        point the rows that a one-point sweep at its value gives. The policy
+        is deterministic and the signals noiseless, so rows do not depend on
+        the point-indexed seeds."""
+        kind = harness.SweepKind(lambda v: {"dt": v}, {"dt_grid": float}, "dt", "dt")
+        monkeypatch.setitem(harness.SWEEP_KINDS, "sweep-dt", kind)
+        built = []
+
+        def counting_build_problem(*args, **kwargs):
+            built.append(args[0].dt)
+            return build_problem(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "build_problem", counting_build_problem)
+        config = small_config(
+            tfim_qubits=4, reference_bitstrings=("0000", "1000"), trials=1,
+            observable_policy="hamiltonian-partial-sums", noise_epsilon=0.0,
+            workers=workers,
+        )
+        swept = harness._run_sweep("sweep-dt", config, dt_grid=[1.0, 0.5])
+        if workers == 1:
+            assert built == [1.0, 0.5]  # one problem per point
+        for index, dt in enumerate((1.0, 0.5)):
+            alone = harness._run_sweep("sweep-dt", config, dt_grid=[dt])
+            assert swept.exact_energies[index] == alone.exact_energies[0]
+            rows = [r for r in swept.rows if r.point_index == index]
+            assert len(rows) == len(alone.rows) == 2
+            for row, single in zip(rows, alone.rows):
+                assert dataclasses.replace(row, point_index=0, wall_time_s=0.0) == (
+                    dataclasses.replace(single, wall_time_s=0.0)
+                )
+
+    @pytest.mark.parametrize("name", sorted(FIELD_ALTERNATIVES))
+    def test_points_with_equal_inputs_share_equal_problems(
+        self, name, tmp_path, monkeypatch
+    ):
+        """For every configuration field, a point with that field changed
+        shares the base point's problem (``plan.problems``) only if the two
+        build equal problems; a field that :func:`build_problem` reads but
+        the plan's key misses fails here."""
+        monkeypatch.chdir(tmp_path)
+        for stem in ("hop", "hop_copy"):
+            Path(f"{stem}.txt").write_text(hopping_chain(4))
+        for stem in ("obs", "obs_copy"):
+            Path(f"{stem}.txt").write_text("0.5 XXII\n0.5 YYII\n\n1.0 ZIII\n")
+        base, changed = FIELD_ALTERNATIVES[name]
+        assert name in changed
+        kind = harness.SweepKind(lambda v: changed if v else {}, {}, name, name)
+        monkeypatch.setitem(harness.SWEEP_KINDS, "sweep-field", kind)
+        plan = harness._plan("sweep-field", small_config(**base), [0, 1])
+        assert plan.problems in ((0, 0), (0, 1))
+        if plan.problems == (0, 0):
+            assert_same_problem(*(build_problem(c, 40) for c in plan.configs))
+
+    def test_every_field_has_an_alternative(self):
+        """A new configuration field must be classified by the guard above."""
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert set(FIELD_ALTERNATIVES) == fields
 
 
 class TestCli:
@@ -2726,6 +2820,12 @@ codes = [
     main(["sweep-noise", "--config", sys.argv[2], "--k-grid", "16", "--eps-grid", "1e-8,1e-6"]),
     main(["forecast", "--config", sys.argv[2], "--kstar-grid", "24", "--horizon", "5"]),
     main(["solve", "--config", sys.argv[2]]),
+    main(["sweep-k", "--config", sys.argv[3]]),
+    main([
+        "sweep-k", "--config", sys.argv[3],
+        "--observable-policy", "explicit", "--observable-file", sys.argv[4],
+    ]),
+    main(["sweep-k", "--config", sys.argv[5]]),
 ]
 try:
     with open("/proc/self/maps") as maps:
@@ -2749,9 +2849,20 @@ class TestImportGuard:
     def test_sweeps_load_no_scipy_and_no_new_modules(self, tmp_path):
         src = Path(modmd.__file__).resolve().parents[1]
         config = write_config_file(tmp_path / "cfg.json", trials=1, k_grid=(16, 24))
+        # a one-particle sector of a hopping chain read from a file, probed by
+        # the default policy and by an observable file, then replayed
+        chain, observables = tmp_path / "chain.txt", tmp_path / "obs.txt"
+        chain.write_text(hopping_chain(4))
+        observables.write_text("0.5 XXII\n0.5 YYII\n\n1.0 ZIII\n")
+        sector = write_config_file(
+            tmp_path / "sector.json", tfim_qubits=None, hamiltonian_file=str(chain),
+            particle_number=1, reference_bitstrings=("1000", "0100"), trials=1,
+        )
+        manifest = tmp_path / "out" / "sweep-k_manifest.json"
         env = dict(os.environ, **{OUTPUT_DIR_ENV: str(tmp_path / "out")})
+        argv = [str(src), str(config), str(sector), str(observables), str(manifest)]
         proc = subprocess.run(
-            [sys.executable, "-c", _IMPORT_PROBE, str(src), str(config)],
+            [sys.executable, "-c", _IMPORT_PROBE, *argv],
             capture_output=True,
             text=True,
             env=env,
@@ -2759,7 +2870,8 @@ class TestImportGuard:
         )
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout.splitlines()[-1])
-        assert report["codes"] == [EXIT_OK] * 5
+        assert report["codes"] == [EXIT_OK] * 8
+        assert json.loads(manifest.read_text())["config"]["observable_file"] == str(observables)
         assert report["scipy"] == []
         assert report["added"] == []
         # every run is at one worker, so no process pool is imported

@@ -260,8 +260,9 @@ class TestToDense:
 
 
 class TestSectorBlock:
-    """``_block`` on a particle sector is the block of :func:`to_dense`'s
-    matrix, and ``_leak`` the largest entry from the sector to the rest."""
+    """``_leak`` is the largest entry of :func:`to_dense`'s matrix from a
+    particle sector to the rest (the sector's own block is checked through
+    ``harness._solve`` in ``TestSymmetryBlocks``)."""
 
     def test_sector_states_ascend(self):
         np.testing.assert_array_equal(pauli._sector_states(4, 2), [3, 5, 6, 9, 10, 12])
@@ -283,19 +284,12 @@ class TestSectorBlock:
         dense = to_dense(psum)
         states = pauli._sector_states(3, particles)
         outside = np.setdiff1d(np.arange(8), states)
-        block, leak = pauli._block(psum, states), pauli._leak(psum, states)
-        assert block.dtype == dense.dtype
-        np.testing.assert_array_equal(block, dense[np.ix_(states, states)])
+        leak = pauli._leak(psum, states)
         assert leak == np.abs(dense[np.ix_(outside, states)]).max(initial=0.0)
         assert (leak == 0.0) == conserving
-        # separate row and column states give the off-diagonal block
-        np.testing.assert_array_equal(
-            pauli._block(psum, states, outside), dense[np.ix_(states, outside)]
-        )
 
     def test_whole_register_leaks_nothing(self):
         psum, states = build_tfim(3, 1.0, 0.5), np.arange(8)
-        np.testing.assert_array_equal(pauli._block(psum, states), to_dense(psum))
         assert pauli._leak(psum, states) == 0.0
 
 
