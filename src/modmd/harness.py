@@ -59,7 +59,8 @@ class SweepKind(NamedTuple):
     """Declaration of one sweep kind, which is also a CLI verb.
 
     ``point`` maps a grid value to the configuration fields it sets, so
-    each grid point runs on its own validated configuration (a forecast's
+    each grid point runs on its own validated configuration, the only one
+    its cells, reference levels and results columns read (a forecast's
     fit-window lengths set none). ``args`` are the driver arguments the
     manifest records in ``sweep_args`` (the CLI flag of each has the same
     name): a ``*_grid`` is a list of values of the given type (a kind
@@ -886,12 +887,11 @@ def _forecast_row(head, config, problem, fit, pair, held_out, laps) -> ForecastR
 @dataclass(frozen=True)
 class _SweepPlan:
     """Picklable description of all cells a sweep will execute: its grid
-    values and, per value, the configuration its cells run on, their
+    values and, per value, the only configuration its cells read, their
     ``(d, K)`` window and, in ``problems``, the first point whose inputs to
     :func:`build_problem` are equal to its own, whose problem it shares."""
 
     kind: str
-    config: ExperimentConfig
     points: "tuple[float, ...]"
     configs: "tuple[ExperimentConfig, ...]"
     windows: "tuple[tuple[int, int], ...]"
@@ -902,21 +902,24 @@ class _SweepPlan:
 def _plan(kind: str, config: ExperimentConfig, points, horizon: int = 0) -> _SweepPlan:
     """A sweep's plan, each grid point's configuration set per
     :data:`SWEEP_KINDS` and checked by :func:`resolve_inputs` before any
-    cell runs. A forecast splits each fit-window length k*; each point of
-    an eigenvalue sweep must hold a single K, which it pairs with its depth."""
+    cell runs; a TFIM parameter set on a file source is refused. A forecast
+    splits each k* at its point's ``k_over_d``; each eigenvalue-sweep point
+    must hold a single K, which it pairs with its depth at its ``k_over_d``."""
     points = tuple(float(p) for p in points)
-    point = SWEEP_KINDS[kind].point
-    configs = tuple(dataclasses.replace(config, **point(p)) for p in points)
+    sets = [SWEEP_KINDS[kind].point(p) for p in points]
+    configs = tuple(dataclasses.replace(config, **fields) for fields in sets)
+    for fields, c in zip(sets, configs):
+        if c.tfim_qubits is None and {"tfim_coupling", "tfim_field"} & fields.keys():
+            raise ConfigError(f"{kind} sets a TFIM parameter on a hamiltonian_file source")
+        if kind != "forecast" and len(c.k_grid) != 1:
+            raise ConfigError(f"{kind} needs a single fixed K, got k_grid {c.k_grid}")
     if kind == "forecast":
-        windows = tuple(split_fit_window(int(p), config.k_over_d) for p in points)
-    elif any(len(c.k_grid) != 1 for c in configs):
-        raise ConfigError(f"{kind} needs a single fixed K, got k_grid {config.k_grid}")
+        windows = tuple(split_fit_window(int(p), c.k_over_d) for p, c in zip(points, configs))
     else:
-        ks = [c.k_grid[0] for c in configs]
-        windows = tuple((depth_for_window(K, config.k_over_d), K) for K in ks)
+        windows = tuple((depth_for_window(c.k_grid[0], c.k_over_d), c.k_grid[0]) for c in configs)
     inputs = [(resolve_inputs(c), c.particle_number, c.reference_bitstrings) for c in configs]
     problems = tuple(inputs.index(key) for key in inputs)
-    return _SweepPlan(kind, config, points, configs, windows, problems, horizon)
+    return _SweepPlan(kind, points, configs, windows, problems, horizon)
 
 
 def _longest_signal(plan: _SweepPlan) -> int:
@@ -987,22 +990,19 @@ def _worker_problem(point_index: int) -> Problem:
 
 
 def _worker_task(task: "tuple[int, int]"):
-    """One cell's rows, plus the reference energies of its problem."""
+    """One cell's rows, plus its point's ``n_eig`` reference energies."""
     point_index, trial = task
     problem = _worker_problem(point_index)
     rows = _evaluate_cell(_WORKER_PLAN, problem, point_index, trial)
-    return task, rows, problem.exact_energies[: _WORKER_PLAN.config.n_eig]
+    return task, rows, problem.exact_energies[: _WORKER_PLAN.configs[point_index].n_eig]
 
 
-def _run_plan(plan: _SweepPlan) -> "tuple[list, tuple[tuple[float, ...], ...]]":
-    """Rows of all cells in (point, trial) order for any worker count, and
-    each point's reference energies from the problem its cells ran on."""
-    tasks = [
-        (pi, trial)
-        for pi in range(len(plan.points))
-        for trial in range(plan.config.trials)
-    ]
-    if plan.config.workers == 1:
+def _run_plan(plan: _SweepPlan, workers: int) -> "tuple[list, tuple[tuple[float, ...], ...]]":
+    """Rows of all cells, each point's ``trials`` of them, in (point,
+    trial) order on ``workers`` processes (1 runs them here), and each
+    point's reference energies from the problem its cells ran on."""
+    tasks = [(pi, trial) for pi, c in enumerate(plan.configs) for trial in range(c.trials)]
+    if workers == 1:
         _init_worker(plan)
         try:
             outputs = [_worker_task(task) for task in tasks]
@@ -1013,7 +1013,7 @@ def _run_plan(plan: _SweepPlan) -> "tuple[list, tuple[tuple[float, ...], ...]]":
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(
-            max_workers=plan.config.workers,
+            max_workers=workers,
             initializer=_init_worker,
             initargs=(plan,),
         ) as pool:
@@ -1028,12 +1028,10 @@ def _run_sweep(kind: str, config: ExperimentConfig, **args) -> SweepResult:
     """Run a sweep of any kind in :data:`SWEEP_KINDS` on its driver
     arguments: check them, plan every grid point, run its cells."""
     sweep_args = _driver_args(kind, args)
-    if kind == "sweep-gap" and config.tfim_qubits is None:
-        raise ConfigError("the gap sweep varies the transverse field of a TFIM source")
     grids = [v for name, v in sweep_args.items() if name.endswith("_grid")]
     grid = grids[0] if grids else config.k_grid
     plan = _plan(kind, config, grid, sweep_args.get("horizon", 0))
-    rows, exact = _run_plan(plan)
+    rows, exact = _run_plan(plan, config.workers)
     return SweepResult(kind, config, plan.points, sweep_args, exact, tuple(rows))
 
 
@@ -1230,36 +1228,40 @@ def _series(aggs, value) -> "list[tuple[str, list[float]]]":
     return [(m, [value(a) for a in aggs if a.method == m]) for m in methods]
 
 
+def _padded(values, width: int) -> list:
+    """``values`` followed by empty cells up to ``width`` columns."""
+    return list(values) + [""] * (width - len(values))
+
+
 def _sweep_layout(result: SweepResult):
     """Results header and rows, schema column lines and plots
-    ``(suffix, title, y_label, series)`` of an eigenvalue sweep."""
-    n = result.config.n_eig
+    ``(suffix, title, y_label, series)`` of an eigenvalue sweep, with empty
+    cells (and plot gaps) where a point has fewer levels than the largest."""
+    n = max((len(r.energies) for r in result.rows), default=0)
     header = (
         ["kind", "point_index", "point_value", "trial", "method", "n_trials"]
         + [f"energy_{i}" for i in range(n)]
         + [f"abs_error_{i}" for i in range(n)]
         + ["residual", "retained_rank"]
     )
-    rows = []
-    for r in result.rows:
-        rows.append(
-            ["trial", r.point_index, r.point_value, r.trial, r.method, ""]
-            + list(r.energies)
-            + list(r.abs_errors)
-            + [r.residual, r.retained_rank]
-        )
+    rows = [
+        ["trial", r.point_index, r.point_value, r.trial, r.method, ""]
+        + _padded(r.energies, n) + _padded(r.abs_errors, n)
+        + [r.residual, r.retained_rank]
+        for r in result.rows
+    ]
     aggs = result.aggregates()
     for agg in aggs:
         rows.append(
             ["mean", agg.point_index, agg.point_value, "", agg.method, agg.n_trials]
-            + list(agg.mean_energies)
-            + list(agg.mean_errors)
+            + _padded(agg.mean_energies, n)
+            + _padded(agg.mean_errors, n)
             + [agg.mean_residual, agg.mean_rank]
         )
         rows.append(
             ["std", agg.point_index, agg.point_value, "", agg.method, agg.n_trials]
             + [""] * n
-            + list(agg.std_errors)
+            + _padded(agg.std_errors, n)
             + ["", ""]
         )
     columns = (
@@ -1279,7 +1281,7 @@ def _sweep_layout(result: SweepResult):
             f"level_{level}",
             f"absolute error, level {level}",
             "mean absolute error",
-            _series(aggs, lambda a: a.mean_errors[level]),
+            _series(aggs, lambda a: (a.mean_errors + (math.nan,) * n)[level]),
         )
         for level in range(n)
     ]
@@ -1289,18 +1291,16 @@ def _sweep_layout(result: SweepResult):
 def _forecast_layout(result: SweepResult):
     """Results header and rows, schema column lines and plot of a
     forecasting experiment, as :func:`_sweep_layout`."""
-    n_obs = result.config.n_observables
+    n_obs = max((len(r.rmse) for r in result.rows), default=0)
     header = (
         ["kind", "point_index", "k_star", "trial", "method", "n_trials", "rmse_mean"]
         + [f"rmse_{i}" for i in range(n_obs)]
     )
-    rows = []
-    for r in result.rows:
-        padded = list(r.rmse) + [""] * (n_obs - len(r.rmse))
-        rows.append(
-            ["trial", r.point_index, r.k_star, r.trial, r.method, "", r.rmse_mean]
-            + padded
-        )
+    rows = [
+        ["trial", r.point_index, r.k_star, r.trial, r.method, "", r.rmse_mean]
+        + _padded(r.rmse, n_obs)
+        for r in result.rows
+    ]
     aggs = result.aggregates()
     for agg in aggs:
         base = [agg.point_index, int(agg.point_value), "", agg.method, agg.n_trials]

@@ -1387,7 +1387,7 @@ class TestSweepDrivers:
     def test_bad_grid_point_refused_before_any_cell(
         self, kind, k_grid, args, message, monkeypatch
     ):
-        def no_cells(plan):
+        def no_cells(plan, workers):
             raise AssertionError("a cell ran")
 
         monkeypatch.setattr(harness, "_run_plan", no_cells)
@@ -1890,6 +1890,24 @@ FIELD_ALTERNATIVES = {
 }
 
 
+def register_field_kind(monkeypatch, changed):
+    """Register a kind whose grid value 1 sets ``changed`` and 0 sets
+    nothing, for the test; returns its name."""
+    kind = harness.SweepKind(lambda v: changed if v else {}, {"v_grid": int}, "v", "v")
+    monkeypatch.setitem(harness.SWEEP_KINDS, "sweep-field", kind)
+    return "sweep-field"
+
+
+@pytest.fixture
+def field_files(tmp_path, monkeypatch):
+    """Work in ``tmp_path``, which holds the files the guard's bases name."""
+    monkeypatch.chdir(tmp_path)
+    for stem in ("hop", "hop_copy"):
+        Path(f"{stem}.txt").write_text(hopping_chain(4))
+    for stem in ("obs", "obs_copy"):
+        Path(f"{stem}.txt").write_text("0.5 XXII\n0.5 YYII\n\n1.0 ZIII\n")
+
+
 def assert_same_problem(a, b):
     """Every :class:`Problem` field equal, the exact signals included."""
     for name in (f.name for f in dataclasses.fields(harness.Problem)):
@@ -1957,25 +1975,89 @@ class TestSweepKinds:
 
     @pytest.mark.parametrize("name", sorted(FIELD_ALTERNATIVES))
     def test_points_with_equal_inputs_share_equal_problems(
-        self, name, tmp_path, monkeypatch
+        self, name, field_files, monkeypatch
     ):
         """For every configuration field, a point with that field changed
         shares the base point's problem (``plan.problems``) only if the two
         build equal problems; a field that :func:`build_problem` reads but
         the plan's key misses fails here."""
-        monkeypatch.chdir(tmp_path)
-        for stem in ("hop", "hop_copy"):
-            Path(f"{stem}.txt").write_text(hopping_chain(4))
-        for stem in ("obs", "obs_copy"):
-            Path(f"{stem}.txt").write_text("0.5 XXII\n0.5 YYII\n\n1.0 ZIII\n")
         base, changed = FIELD_ALTERNATIVES[name]
         assert name in changed
-        kind = harness.SweepKind(lambda v: changed if v else {}, {}, name, name)
-        monkeypatch.setitem(harness.SWEEP_KINDS, "sweep-field", kind)
-        plan = harness._plan("sweep-field", small_config(**base), [0, 1])
+        kind = register_field_kind(monkeypatch, changed)
+        plan = harness._plan(kind, small_config(**base), [0, 1])
         assert plan.problems in ((0, 0), (0, 1))
         if plan.problems == (0, 0):
             assert_same_problem(*(build_problem(c, 40) for c in plan.configs))
+
+    @pytest.mark.parametrize("name", sorted(FIELD_ALTERNATIVES))
+    def test_a_point_reads_only_its_own_configuration(
+        self, name, field_files, monkeypatch
+    ):
+        """For every configuration field, a point that sets it gets, field
+        by field, the rows (``wall_time_s`` aside) and reference levels of
+        the same point in a sweep whose base already holds the change: no
+        cell or level reads a value of the base that the point overrode."""
+        base, changed = FIELD_ALTERNATIVES[name]
+        kind = register_field_kind(monkeypatch, changed)
+        swept, held = (
+            harness._run_sweep(kind, small_config(**config), v_grid=[0, 1])
+            for config in (base, {**base, **changed})
+        )
+        assert swept.exact_energies[1] == held.exact_energies[1]
+
+        def point_1(result):
+            rows = [r for r in result.rows if r.point_index == 1]
+            return [dataclasses.replace(r, wall_time_s=0.0) for r in rows]
+
+        assert point_1(swept) == point_1(held)
+
+    def test_a_kind_that_sets_n_eig_pads_the_levels_a_point_lacks(
+        self, tmp_path, monkeypatch
+    ):
+        """The results table is as wide as the largest level count: a point
+        with fewer levels leaves the rest of its cells empty and a gap in
+        those levels' plots, and its manifest replays byte for byte."""
+        kind = harness.SweepKind(lambda n: {"n_eig": int(n)}, {"n_grid": int}, "n", "n")
+        monkeypatch.setitem(harness.SWEEP_KINDS, "sweep-levels", kind)
+        result = harness._run_sweep("sweep-levels", small_config(), n_grid=[1, 3])
+        written = emit_outputs(result, tmp_path / "a")
+        assert [len(e) for e in result.exact_energies] == [1, 3]
+        suffixes = ["results.csv", "timing.csv", "schema.txt", "manifest.json"]
+        suffixes += [f"level_{level}.svg" for level in range(3)]
+        assert [p.name for p in written] == [f"sweep-levels_{s}" for s in suffixes]
+        with (tmp_path / "a" / "sweep-levels_results.csv").open() as fh:
+            table = list(csv.DictReader(fh))
+        levels = [c for c in table[0] if c.startswith(("energy_", "abs_error_"))]
+        assert levels == [f"{c}_{i}" for c in ("energy", "abs_error") for i in range(3)]
+        for row in table:
+            lacking = ("energy_1", "energy_2", "abs_error_1", "abs_error_2")
+            assert all(row[c] == "" for c in lacking) == (row["point_index"] == "0")
+        svg = (tmp_path / "a" / "sweep-levels_level_2.svg").read_text()
+        lines = re.findall(r'polyline points="([^"]*)"', svg)
+        assert len(lines) == 2 and all(len(line.split()) == 1 for line in lines)
+        manifest = tmp_path / "a" / "sweep-levels_manifest.json"
+        emit_outputs(replay_manifest(manifest), tmp_path / "b")
+        for path in written:
+            if not path.name.endswith("timing.csv"):
+                assert (tmp_path / "b" / path.name).read_bytes() == path.read_bytes()
+
+    def test_a_tfim_parameter_on_a_file_source_is_refused_before_any_cell(
+        self, tmp_path, monkeypatch
+    ):
+        """A point that sets the coupling of a Hamiltonian read from a file
+        would run the file's operator at every point; it is refused."""
+        kind = harness.SweepKind(lambda J: {"tfim_coupling": J}, {"j_grid": float}, "J", "J")
+        monkeypatch.setitem(harness.SWEEP_KINDS, "sweep-coupling", kind)
+
+        def no_cells(plan, workers):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(harness, "_run_plan", no_cells)
+        hfile = tmp_path / "h.txt"
+        hfile.write_text(format_pauli_sum(build_tfim(3, 1.0, 1.0)) + "\n")
+        config = small_config(tfim_qubits=None, hamiltonian_file=str(hfile))
+        with pytest.raises(ConfigError, match="sweep-coupling sets a TFIM parameter"):
+            harness._run_sweep("sweep-coupling", config, j_grid=[0.5, 2.0])
 
     def test_every_field_has_an_alternative(self):
         """A new configuration field must be classified by the guard above."""
@@ -2563,7 +2645,7 @@ class TestCli:
         library."""
         register_shot_kind(monkeypatch)
         monkeypatch.setattr(
-            harness, "_run_plan", lambda plan: ([], ((),) * len(plan.points))
+            harness, "_run_plan", lambda plan, workers: ([], ((),) * len(plan.points))
         )
         monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / "out"))
         path = write_config_file(
@@ -2579,6 +2661,16 @@ class TestCli:
             assert json.loads(manifest.read_text())["sweep"] == kind
             assert main([kind, "--config", str(manifest)]) == EXIT_OK
             assert replay_manifest(manifest).sweep == kind
+
+    def test_gap_sweep_of_a_file_source_exit_code(self, tmp_path, capsys):
+        hfile = tmp_path / "h.txt"
+        hfile.write_text(format_pauli_sum(build_tfim(3, 1.0, 1.0)) + "\n")
+        out = tmp_path / "out"
+        argv = ["sweep-gap", "--hamiltonian-file", str(hfile), "--reference", "000"]
+        argv += ["--k-grid", "16", "--h-grid", "0.5,1", "--output-dir", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        assert "sweep-gap sets a TFIM parameter" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_malformed_list_flag_exit_code(self, tmp_path, capsys):
         path = write_config_file(tmp_path / "cfg.json")
