@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import locale  # loaded lazily by argparse's gettext; keep its import out of timed sweeps
 import sys
+from typing import get_args
 
 from .errors import (
     ConfigError,
@@ -15,8 +15,7 @@ from .errors import (
     ResourceCapError,
 )
 from .harness import (
-    OBSERVABLE_POLICIES,
-    SIGNAL_SOURCES,
+    _FIELD_HINTS,
     SWEEP_KINDS,
     ExperimentConfig,
     _run_sweep,
@@ -52,54 +51,45 @@ def _csv(kind):
     return parse
 
 
-def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--config",
-        metavar="PATH",
-        help="JSON configuration file; a run manifest is accepted and its "
+# The flags that leave the rule of :func:`_flag`: a repeatable reference,
+# and a threshold that also takes "auto".
+_EXCEPTIONS = {
+    "reference_bitstrings": ("--reference", {
+        "action": "append", "metavar": "BITS",
+        "help": "reference basis bitstring; repeat to superpose several",
+    }),
+    "svd_threshold": ("--svd-threshold", {
+        "metavar": "VALUE|auto",
+        "help": "relative SVD cutoff, or 'auto' for ten times the noise level",
+    }),
+}
+
+
+def _flag(name: str, hint) -> "tuple[str, dict]":
+    """``(flag, add_argument keywords)`` of a configuration field or a sweep
+    argument annotated ``hint``: ``--<name with dashes>`` of the hint's type
+    (the inner type of an optional, the entry type of a tuple), a ``*_grid``
+    as a comma-separated list, except as :data:`_EXCEPTIONS` says."""
+    if name in _EXCEPTIONS:
+        flag, spec = _EXCEPTIONS[name]
+        return flag, dict(spec, dest=name)
+    kind = (get_args(hint) or (hint,))[0]
+    spec = {"dest": name, "type": kind}
+    if name.endswith("_grid"):
+        letter = name[0].upper()
+        spec.update(type=_csv(kind), metavar=f"{letter}1,{letter}2,...")
+    return "--" + name.replace("_", "-"), spec
+
+
+# Built once: a sweep's timed run parses its own command line.
+_CONFIG_FLAGS = [
+    ("--config", {
+        "metavar": "PATH",
+        "help": "JSON configuration file; a run manifest is accepted and its "
         "embedded config and grids are reused",
-    )
-    model = parser.add_argument_group("model")
-    model.add_argument("--tfim-qubits", type=int)
-    model.add_argument("--tfim-coupling", type=float)
-    model.add_argument("--tfim-field", type=float)
-    model.add_argument("--hamiltonian-file")
-    model.add_argument(
-        "--particle-number",
-        type=int,
-        help="restrict reference eigenvalues to this particle-number sector",
-    )
-    model.add_argument(
-        "--reference",
-        action="append",
-        dest="reference_bitstrings",
-        metavar="BITS",
-        help="reference basis bitstring; repeat to superpose several",
-    )
-    probes = parser.add_argument_group("observables and signal")
-    probes.add_argument("--observable-policy", choices=OBSERVABLE_POLICIES)
-    probes.add_argument("--n-observables", type=int)
-    probes.add_argument("--observable-file")
-    probes.add_argument("--signal-source", choices=SIGNAL_SOURCES)
-    probes.add_argument("--shadow-samples", type=int)
-    probes.add_argument("--noise-epsilon", type=float)
-    solver = parser.add_argument_group("solver")
-    solver.add_argument("--dt", type=float)
-    solver.add_argument("--k-grid", type=_csv(int), metavar="K1,K2,...")
-    solver.add_argument("--k-over-d", type=float)
-    solver.add_argument(
-        "--svd-threshold",
-        metavar="VALUE|auto",
-        help="relative SVD cutoff, or 'auto' for ten times the noise level",
-    )
-    solver.add_argument("--n-eig", type=int)
-    solver.add_argument("--magnitude-floor", type=float)
-    solver.add_argument("--safety-fraction", type=float)
-    run = parser.add_argument_group("run")
-    run.add_argument("--trials", type=int)
-    run.add_argument("--master-seed", type=int)
-    run.add_argument("--workers", type=int)
-    run.add_argument("--output-dir")
+    }),
+    *(_flag(name, hint) for name, hint in _FIELD_HINTS.items()),
+]
 
 
 def _svd_threshold(text: str) -> "float | None":
@@ -117,13 +107,13 @@ def _config_from_args(args: argparse.Namespace) -> "tuple[ExperimentConfig, dict
     """Configuration from ``--config`` overridden by flags, plus the
     driver arguments of a manifest given as ``--config``."""
     base, _, sweep_args = read_run_file(args.config) if args.config else ({}, None, {})
-    for field in dataclasses.fields(ExperimentConfig):
-        value = getattr(args, field.name)
+    for name in _FIELD_HINTS:
+        value = getattr(args, name)
         if value is None:
             continue
-        if field.name == "svd_threshold":
+        if name == "svd_threshold":
             value = _svd_threshold(value)
-        base[field.name] = value
+        base[name] = value
     return config_from_dict(base), sweep_args
 
 
@@ -200,15 +190,13 @@ def build_parser() -> argparse.ArgumentParser:
     verbs["validate-config"] = (_handle_validate, "check a configuration and exit", {})
     for verb, (handler, text, sweep_args) in verbs.items():
         verb_parser = sub.add_parser(verb, help=text)
-        _add_config_arguments(verb_parser)
         verb_parser.set_defaults(handler=handler)
-        for name, kind in sweep_args.items():
-            flag, letter = "--" + name.replace("_", "-"), name[0].upper()
-            if name.endswith("_grid"):
-                metavar = f"{letter}1,{letter}2,..."
-                verb_parser.add_argument(flag, type=_csv(kind), metavar=metavar)
-            else:
-                verb_parser.add_argument(flag, type=kind)
+        sweep_flags = [_flag(name, kind) for name, kind in sweep_args.items()]
+        # A group's add_argument skips the parser's per-flag help formatting.
+        for title, flags in (("configuration", _CONFIG_FLAGS), ("sweep", sweep_flags)):
+            group = verb_parser.add_argument_group(title)
+            for flag, spec in flags:
+                group.add_argument(flag, **spec)
     return parser
 
 

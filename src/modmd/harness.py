@@ -299,10 +299,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{name} must be a list")
         kwargs[name] = tuple(value)
-    try:
-        return ExperimentConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+    return ExperimentConfig(**kwargs)
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
@@ -587,10 +584,12 @@ def build_problem(config: ExperimentConfig, k_max: "int | None" = None) -> Probl
     reach (:func:`pauli._probes`), which give ``gram``, and the stack
     ``[phi0, O_1 phi0, ...]`` on the run's states is projected on each
     block's eigenvectors. With ``k_max`` set, one phase sum over those
-    projections gives the signals. No eigenbasis, no ``2^n``-long vector
-    and no matrix of the whole basis is formed. Of ``config`` it reads only
-    :func:`resolve_inputs`'s result, ``particle_number`` and
-    ``reference_bitstrings``; points equal in these share a problem (:func:`_plan`).
+    projections gives the signals. No eigenbasis and no matrix of the whole
+    basis is formed; the stack and its projections are ``(1 + |pool|) x
+    len(states)`` complex, ``2^n`` columns on a full-register run. Of
+    ``config`` it reads only :func:`resolve_inputs`'s result,
+    ``particle_number`` and ``reference_bitstrings``; points equal in these
+    share a problem (:func:`_plan`).
     """
     shifted, scale, observables, dt = resolve_inputs(config)
     n_qubits, sector = shifted.n_qubits, config.particle_number
@@ -600,8 +599,7 @@ def build_problem(config: ExperimentConfig, k_max: "int | None" = None) -> Probl
     reach, probes = pauli._probes(pool, references)
     # [phi0, O_1 phi0, ...] on the run's states; phi0 is the identity's row
     rows = [pool.index(identity_observable(n_qubits)), *range(len(pool))]
-    at = np.minimum(np.searchsorted(states, reach), len(states) - 1)
-    inside = states[at] == reach  # a sector run drops what leaves the sector
+    at, inside = pauli._locate(states, reach)  # a sector run drops what leaves it
     stack = np.zeros((len(rows), len(states)), complex)
     stack[:, at[inside]] = probes[np.ix_(rows, inside)]
     levels, projected = _solve(shifted, states, stack)

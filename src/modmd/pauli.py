@@ -172,7 +172,7 @@ class PauliSum:
         """Matrix-free action on a raw amplitude vector, each string a phased
         permutation of the basis (:func:`_entries`), summed in string order."""
         states = np.arange(1 << self.n_qubits)
-        targets, _, _, values = _entries(self.terms, None, states)
+        targets, values = _entries(self.terms, states)
         out = np.zeros(len(states), dtype=complex)
         for target, value in zip(targets, values * amplitudes):
             out[target] += value  # a string permutes the basis: no target repeats
@@ -256,7 +256,7 @@ def to_dense(psum: PauliSum) -> np.ndarray:
     O(terms * 2^n). :func:`_check_dense_memory` refuses a too wide register first."""
     _check_dense_memory(1 << psum.n_qubits)
     states = np.arange(1 << psum.n_qubits)
-    targets, _, _, values = _entries(psum.terms, None, states)
+    targets, values = _entries(psum.terms, states)
     dense = np.zeros((len(states), len(states)), dtype=values.dtype)
     np.add.at(dense, (targets, states), values)
     return dense
@@ -268,14 +268,11 @@ def _sector_states(n_qubits: int, particles: int) -> np.ndarray:
     return np.array(sorted(map(sum, itertools.combinations(bits, particles))), dtype=np.int64)
 
 
-def _entries(terms, rows: "np.ndarray | None", columns: np.ndarray):
-    """``(targets, at, inside, values)``, each ``(terms, columns)``: term
-    ``i``, a ``(coefficient, string)``, sends basis state ``columns[j]`` to
+def _entries(terms, columns: np.ndarray):
+    """``(targets, values)``, each ``(terms, columns)``: term ``i``, a
+    ``(coefficient, string)``, sends basis state ``columns[j]`` to
     ``targets[i, j]`` with amplitude ``values[i, j]`` (real when every string
-    has an even number of Y factors), and ``inside[i, j]`` marks a target
-    found among the ascending ``rows``, at ``at[i, j]``. With ``rows`` None
-    (the whole register, where every target is its own row) ``at`` and
-    ``inside`` are None."""
+    has an even number of Y factors)."""
     y_counts = [(s.x_mask & s.z_mask).bit_count() for _, s in terms]
     real = all(n_y % 2 == 0 for n_y in y_counts)
     factors = np.array([
@@ -286,12 +283,14 @@ def _entries(terms, rows: "np.ndarray | None", columns: np.ndarray):
         np.array([getattr(s, mask) for _, s in terms], dtype=np.int64)[:, None]
         for mask in ("x_mask", "z_mask")
     )
-    targets = columns ^ x_masks
-    values = factors[:, None] * (-1.0) ** _parity(columns, z_masks)
-    if rows is None:
-        return targets, None, None, values
+    return columns ^ x_masks, factors[:, None] * (-1.0) ** _parity(columns, z_masks)
+
+
+def _locate(rows: np.ndarray, targets: np.ndarray):
+    """``(at, inside)``, each shaped as ``targets``: ``inside`` marks a
+    target found among the ascending ``rows``, at ``at``."""
     at = np.minimum(np.searchsorted(rows, targets), len(rows) - 1)
-    return targets, at, rows[at] == targets, values
+    return at, rows[at] == targets
 
 
 def _probes(observables, references: np.ndarray):
@@ -304,7 +303,8 @@ def _probes(observables, references: np.ndarray):
     owner = np.repeat(np.arange(len(observables)), [o.num_terms for o in observables])
     reach = np.sort(np.bitwise_xor.outer([s.x_mask for _, s in terms], references), axis=None)
     reach = reach[np.diff(reach, prepend=-1) != 0]  # np.unique would load numpy.ma
-    _, at, _, values = _entries(terms, reach, references)
+    targets, values = _entries(terms, references)
+    at, _ = _locate(reach, targets)
     rows = np.zeros((len(observables), len(reach)), dtype=complex)
     amplitude = 1.0 / math.sqrt(len(references))  # multiplied in, as in apply(phi)
     np.add.at(rows, (owner[:, None], at), values * amplitude)
@@ -315,7 +315,8 @@ def _leak(psum: PauliSum, states: np.ndarray) -> float:
     """The largest magnitude of an entry of the matrix of ``psum`` from the
     ascending ``states`` to any other state, summed per (row, column) across
     strings: strings that cancel (as ``XX + YY`` do) leak nothing."""
-    targets, _, inside, values = _entries(psum.terms, states, states)
+    targets, values = _entries(psum.terms, states)
+    _, inside = _locate(states, targets)
     index = np.broadcast_to(np.arange(len(states)), targets.shape)
     _, where = np.unique(targets[~inside] * len(states) + index[~inside], return_inverse=True)
     leaked = values[~inside]
@@ -374,7 +375,8 @@ def _symmetry_blocks(psum: PauliSum, states: np.ndarray):
     stabilized = images[:, reps] == reps
     counts = stabilized.sum(axis=0)
     # <r_a|H|g r_b> of every string, element g and pair of representatives
-    _, at, inside, values = _entries(psum.terms, states[reps], states[images[:, reps].ravel()])
+    targets, values = _entries(psum.terms, states[images[:, reps].ravel()])
+    at, inside = _locate(states[reps], targets)
     rows, values = at[inside], values[inside]
     group, columns = np.divmod(np.nonzero(inside)[1], len(reps))
     for signs in itertools.product((1.0, -1.0), repeat=order.bit_length() - 1):

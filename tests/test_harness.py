@@ -227,6 +227,22 @@ class TestExperimentConfig:
             small_config(particle_number=-1)
 
     @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"n_observables": 0}, "n_observables must be >= 1, got 0"),
+            (
+                {"observable_policy": "explicit", "observable_file": "/missing/obs.txt"},
+                "observable_file not found: /missing/obs.txt",
+            ),
+        ],
+    )
+    def test_observable_refusals(self, overrides, message):
+        with pytest.raises(ConfigError) as error:
+            small_config(**overrides)
+        assert type(error.value) is ConfigError
+        assert str(error.value) == message
+
+    @pytest.mark.parametrize(
         "field,value",
         [
             ("trials", 1.5),
@@ -2221,6 +2237,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == f"error: cannot write outputs under {tmp_path / 'out'}: disk full\n"
 
+    def test_unwritable_output_file_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "sweep-k_results.csv").mkdir(parents=True)
+        path = write_config_file(tmp_path / "cfg.json", trials=1, output_dir=str(out))
+        assert main(["sweep-k", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write outputs under {out}: ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "field,value",
         [
@@ -2723,10 +2748,72 @@ class TestCli:
     )
     def test_every_field_and_sweep_arg_has_a_flag(self, verb):
         dests = vars(build_parser().parse_args([verb]))
-        names = [f.name for f in dataclasses.fields(ExperimentConfig)]
+        names = {f.name for f in dataclasses.fields(ExperimentConfig)}
         kind = harness.SWEEP_KINDS.get(verb)
-        for name in names + list(kind.args if kind else {}):
-            assert name in dests, f"{verb} has no flag for {name}"
+        extra = set(kind.args if kind else {}) | {"config", "verb", "handler"}
+        assert set(dests) == names | extra
+
+    @pytest.mark.parametrize(
+        "verb, flags, values",
+        [
+            ("sweep-k", "", {}),
+            ("sweep-gap", "--h-grid 0.5,1", {"h_grid": (0.5, 1.0)}),
+            ("sweep-noise", "--eps-grid 0,1e-3", {"eps_grid": (0.0, 1e-3)}),
+            (
+                "forecast",
+                "--kstar-grid 24,32 --horizon 5",
+                {"kstar_grid": (24, 32), "horizon": 5},
+            ),
+            ("solve", "", {}),
+            ("validate-config", "", {}),
+        ],
+    )
+    def test_every_flag_parses_to_its_value(self, verb, flags, values):
+        argv = (
+            "--config c.json --tfim-qubits 4 --tfim-coupling 0.5 --tfim-field 2 "
+            "--hamiltonian-file h.txt --particle-number 2 --reference 0011 "
+            "--reference 0101 --observable-policy explicit --n-observables 3 "
+            "--observable-file o.txt --dt 0.1 --k-grid 8,12 --k-over-d 3 "
+            "--svd-threshold auto --noise-epsilon 0.01 --signal-source shadow "
+            "--shadow-samples 100 --trials 2 --master-seed 7 --n-eig 2 "
+            "--magnitude-floor 0.1 --safety-fraction 0.8 --output-dir out "
+            "--workers 3 " + flags
+        ).split()
+        parsed = vars(build_parser().parse_args([verb] + argv))
+        assert parsed.pop("handler") is not None
+        expected = {
+            "verb": verb,
+            "config": "c.json",
+            "tfim_qubits": 4,
+            "tfim_coupling": 0.5,
+            "tfim_field": 2.0,
+            "hamiltonian_file": "h.txt",
+            "particle_number": 2,
+            "reference_bitstrings": ["0011", "0101"],
+            "observable_policy": "explicit",
+            "n_observables": 3,
+            "observable_file": "o.txt",
+            "dt": 0.1,
+            "k_grid": (8, 12),
+            "k_over_d": 3.0,
+            "svd_threshold": "auto",
+            "noise_epsilon": 0.01,
+            "signal_source": "shadow",
+            "shadow_samples": 100,
+            "trials": 2,
+            "master_seed": 7,
+            "n_eig": 2,
+            "magnitude_floor": 0.1,
+            "safety_fraction": 0.8,
+            "output_dir": "out",
+            "workers": 3,
+            **values,
+        }
+        assert parsed == expected
+        # 2 == 2.0, so the types are compared through the reprs
+        assert {k: repr(v) for k, v in parsed.items()} == {
+            k: repr(v) for k, v in expected.items()
+        }
 
     def test_forecast_with_flag_grids(self, tmp_path, monkeypatch):
         monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / "out"))
@@ -2807,6 +2894,16 @@ _REFUSED = {
         "--tfim-qubits 4 --reference 0000 --tfim-coupling 0 --tfim-field 0",
         EXIT_CONFIG,
         "tfim_coupling and tfim_field cannot both be zero",
+    ),
+    "policy": (
+        "--tfim-qubits 2 --reference 00 --observable-policy bogus",
+        EXIT_CONFIG,
+        f"observable_policy must be one of {OBSERVABLE_POLICIES}, got 'bogus'",
+    ),
+    "source": (
+        "--tfim-qubits 2 --reference 00 --signal-source bogus",
+        EXIT_CONFIG,
+        f"signal_source must be one of {harness.SIGNAL_SOURCES}, got 'bogus'",
     ),
 }
 

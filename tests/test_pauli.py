@@ -564,3 +564,30 @@ class TestShiftAndScale:
         with pytest.raises(DegenerateInputError, match="got inf"):
             shift_and_scale(psum)
 
+
+
+# Malformed strings and sums: each builder, the error and its message.
+_MALFORMED = [
+    (lambda: PauliString(0, 0, 0), "n_qubits must be >= 1, got 0"),
+    (lambda: PauliString(2, 4, 0), "mask exceeds register width"),
+    (lambda: PauliString.single(2, 2, "X"), "qubit 2 outside register of 2"),
+    (lambda: PauliString.single(2, 0, "W"), "invalid axis 'W'"),
+    (lambda: PauliSum(0, (), ()), "n_qubits must be >= 1"),
+    (lambda: PauliSum(1, (1.0,), ()), "coefficient/string count mismatch"),
+    (
+        lambda: PauliSum(2, (1.0,), (PauliString(1, 0, 0),)),
+        "mixed register widths in one sum",
+    ),
+    (
+        lambda: PauliSum(1, (math.nan,), (PauliString(1, 0, 0),)),
+        "non-finite coefficient nan",
+    ),
+]
+
+
+@pytest.mark.parametrize("build, message", _MALFORMED)
+def test_malformed_input_is_refused(build, message):
+    with pytest.raises(ValueError) as error:
+        build()
+    assert type(error.value) is ValueError
+    assert str(error.value) == message

@@ -637,3 +637,20 @@ class TestGaussianNoiseChannel:
         for epsilon in (-0.1, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 gaussian_noise_channel(signal, epsilon, seed=0)
+
+
+# Malformed observables: system qubits, the lengths of u and v, the error
+# and its message.
+_MALFORMED = [
+    (2, 4, 8, "u and v must have length 8"),
+    (2, 8, 16, "u and v must have length 8"),
+    (1, 8, 8, "u and v must have length 4"),
+]
+
+
+@pytest.mark.parametrize("n_system, u_length, v_length, message", _MALFORMED)
+def test_malformed_observable_is_refused(n_system, u_length, v_length, message):
+    with pytest.raises(ValueError) as error:
+        RankTwoObservable(n_system, np.zeros(u_length), np.zeros(v_length), "real")
+    assert type(error.value) is ValueError
+    assert str(error.value) == message

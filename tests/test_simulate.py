@@ -7,6 +7,8 @@ import pytest
 import scipy.linalg
 
 from modmd import (
+    DegenerateInputError,
+    MultiObservableSignal,
     PauliString,
     PauliSum,
     SpectralDecomposition,
@@ -756,3 +758,81 @@ class TestMultiObservableSignal:
             from modmd import MultiObservableSignal
 
             MultiObservableSignal(2, 0.5, np.zeros((3, 4)), mode="real")
+
+
+def _unit_signal():
+    return MultiObservableSignal(1, 0.1, np.zeros((1, 3)))
+
+
+# Malformed states, spectra, signals and calls: each builder, the error
+# and its message.
+_MALFORMED = [
+    (
+        lambda: StateVector(1, np.ones(3)),
+        ValueError,
+        "expected 2 amplitudes for 1 qubits, got shape (3,)",
+    ),
+    (
+        lambda: StateVector.normalized(1, np.zeros(2)),
+        DegenerateInputError,
+        "cannot normalize the zero vector",
+    ),
+    (
+        lambda: SpectralDecomposition(np.zeros(2), np.eye(3)),
+        ValueError,
+        "eigenvector matrix must be square and match energies",
+    ),
+    (
+        lambda: SpectralDecomposition(np.array([1.0, 0.0]), np.eye(2)),
+        ValueError,
+        "energies must ascend",
+    ),
+    (
+        lambda: MultiObservableSignal(1, 0.1, np.zeros((1, 3)), "both"),
+        ValueError,
+        "mode must be 'real' or 'complex', got 'both'",
+    ),
+    (
+        lambda: MultiObservableSignal(1, 0.0, np.zeros((1, 3))),
+        ValueError,
+        "dt must be positive, got 0.0",
+    ),
+    (lambda: _unit_signal().prefix(4), ValueError, "n_steps must lie in [1, 3]"),
+    (lambda: _unit_signal().prefix(0), ValueError, "n_steps must lie in [1, 3]"),
+    (
+        lambda: diagonalize(np.zeros((2, 3))),
+        ValueError,
+        "expected a square matrix, got shape (2, 3)",
+    ),
+    (
+        lambda: trotter_evolve(
+            identity_sum(2), build_reference_superposition(1, ["0"]), 1.0, 1
+        ),
+        ValueError,
+        "state and operator register widths differ",
+    ),
+    (
+        lambda: build_reference_superposition(2, []),
+        ValueError,
+        "need at least one bitstring",
+    ),
+    (
+        lambda: exact_signal(
+            diagonalize(np.eye(2)),
+            build_reference_superposition(1, ["0"]),
+            [identity_sum(1), identity_sum(2)],
+            0.1,
+            3,
+        ),
+        ValueError,
+        "observable 1 register width mismatch",
+    ),
+]
+
+
+@pytest.mark.parametrize("build, kind, message", _MALFORMED)
+def test_malformed_input_is_refused(build, kind, message):
+    with pytest.raises(kind) as error:
+        build()
+    assert type(error.value) is kind
+    assert str(error.value) == message
