@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import locale  # loaded lazily by argparse's gettext; keep its import out of timed sweeps
 import sys
-from typing import get_args
+from typing import get_args, get_origin
 
 from .errors import (
     ConfigError,
@@ -68,14 +68,14 @@ _EXCEPTIONS = {
 def _flag(name: str, hint) -> "tuple[str, dict]":
     """``(flag, add_argument keywords)`` of a configuration field or a sweep
     argument annotated ``hint``: ``--<name with dashes>`` of the hint's type
-    (the inner type of an optional, the entry type of a tuple), a ``*_grid``
-    as a comma-separated list, except as :data:`_EXCEPTIONS` says."""
+    (the inner type of an optional, the entry type of a tuple), a tuple as
+    a comma-separated list, except as :data:`_EXCEPTIONS` says."""
     if name in _EXCEPTIONS:
         flag, spec = _EXCEPTIONS[name]
         return flag, dict(spec, dest=name)
     kind = (get_args(hint) or (hint,))[0]
     spec = {"dest": name, "type": kind}
-    if name.endswith("_grid"):
+    if get_origin(hint) is tuple:
         letter = name[0].upper()
         spec.update(type=_csv(kind), metavar=f"{letter}1,{letter}2,...")
     return "--" + name.replace("_", "-"), spec

@@ -63,7 +63,8 @@ class SweepKind(NamedTuple):
     its cells, reference levels and results columns read (a forecast's
     fit-window lengths set none). ``args`` are the driver arguments the
     manifest records in ``sweep_args`` (the CLI flag of each has the same
-    name): a ``*_grid`` is a list of values of the given type (a kind
+    name), annotated as configuration fields are and held to the same
+    rule (:func:`_typed`): the ``tuple[...]`` one is the grid (a kind
     without one sweeps ``k_grid``), anything else a single value.
     ``x_label`` and ``log_x`` describe the plots' x axis, ``help`` the verb.
     """
@@ -80,16 +81,16 @@ SWEEP_KINDS = {
         lambda K: {"k_grid": (int(K),)}, {}, "snapshots K", "error versus snapshot count"
     ),
     "sweep-gap": SweepKind(
-        lambda h: {"tfim_field": h}, {"h_grid": float}, "transverse field h",
+        lambda h: {"tfim_field": h}, {"h_grid": tuple[float, ...]}, "transverse field h",
         "error versus spectral gap at fixed K",
     ),
     "sweep-noise": SweepKind(
-        lambda eps: {"noise_epsilon": eps}, {"eps_grid": float}, "noise level",
+        lambda eps: {"noise_epsilon": eps}, {"eps_grid": tuple[float, ...]}, "noise level",
         "error versus noise level at fixed K", True,
     ),
     "forecast": SweepKind(
-        lambda k_star: {}, {"kstar_grid": int, "horizon": int}, "fit-window length k*",
-        "held-out signal prediction",
+        lambda k_star: {}, {"kstar_grid": tuple[int, ...], "horizon": int},
+        "fit-window length k*", "held-out signal prediction",
     ),
 }
 
@@ -154,13 +155,16 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        _check_field_kinds(self)
+        for name, hint in _FIELD_HINTS.items():
+            object.__setattr__(self, name, _typed(name, hint, getattr(self, name)))
         if (self.tfim_qubits is None) == (self.hamiltonian_file is None):
             raise ConfigError(
                 "exactly one of tfim_qubits and hamiltonian_file must be set"
             )
         if self.tfim_qubits is not None and self.tfim_qubits < 2:
             raise ConfigError(f"tfim_qubits must be >= 2, got {self.tfim_qubits}")
+        if self.tfim_qubits is not None:
+            _check_width(self.tfim_qubits)  # before a build that is O(n^2)
         if self.tfim_qubits is not None and self.tfim_coupling == self.tfim_field == 0.0:
             raise ConfigError("tfim_coupling and tfim_field cannot both be zero")
         if self.hamiltonian_file is not None and not Path(self.hamiltonian_file).is_file():
@@ -246,68 +250,62 @@ class ExperimentConfig:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
 
 
-_FIELD_KINDS = {
+_KINDS = {
     int: (numbers.Integral, "an integer"),
     float: (numbers.Real, "a number"),
     str: (str, "a string"),
 }
 
 
-def _check_field_kinds(config: ExperimentConfig) -> None:
-    """Refuse a value of the wrong kind in a field annotated ``int``,
-    ``float`` or ``str``, and in an entry of a ``tuple[...]`` field, before
-    any value check: a boolean, string or fraction where a number is due (a
-    JSON 1.5 would otherwise fail late or be truncated), a non-string where
-    a string is, or a nan, an infinity or a number beyond the float range
-    where a float is. ``None`` passes where annotated."""
-    checks = []
-    for name, hint in _FIELD_HINTS.items():
-        value = getattr(config, name)
-        if type(None) in get_args(hint):
-            if value is None:
-                continue
-            hint = get_args(hint)[0]
-        if get_origin(hint) is tuple:
-            checks += [(f"{name} entry", get_args(hint)[0], entry) for entry in value]
-        else:
-            checks.append((name, hint, value))
-    for name, hint, value in checks:
-        kind, noun = _FIELD_KINDS[hint]
-        if isinstance(value, bool) or not isinstance(value, kind):
-            raise ConfigError(f"{name} must be {noun}, got {value!r}")
-        if hint is float and not abs(value) <= sys.float_info.max:
-            raise ConfigError(f"{name} must be finite, got {value}")
+def _typed(name: str, hint, value):
+    """``value`` of a field or sweep argument, from any source, checked
+    against its annotation ``hint`` and returned as stored. ``None`` passes
+    where annotated; a list or tuple becomes a tuple of entries checked
+    alike (a numpy array is refused); a boolean or a value of the wrong kind
+    (a JSON 1.5 where an integer is due) is refused; a numpy scalar becomes
+    ``hint(value)`` and a Python ``int`` in a float field stays; a float
+    must be finite."""
+    if type(None) in get_args(hint):
+        if value is None:
+            return None
+        hint = get_args(hint)[0]
+    if get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{name} must be a list")
+        return tuple(_typed(f"{name} entry", get_args(hint)[0], entry) for entry in value)
+    kind, noun = _KINDS[hint]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(f"{name} must be {noun}, got {value!r}")
+    if type(value) not in (int, float, str):
+        value = hint(value)
+    if hint is float and not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{name} must be finite, got {value}")
+    return value
+
+
+def _check_width(n_qubits: int) -> None:
+    if n_qubits > 63:  # basis indices are int64
+        raise ConfigError(f"{n_qubits} qubits do not fit an int64 basis index (at most 63)")
 
 
 # Read once: resolving the annotations costs more than the rest of a
 # configuration's checks, and a sweep builds one configuration per point.
 _FIELD_HINTS = get_type_hints(ExperimentConfig)
-_CONFIG_FIELDS = set(_FIELD_HINTS)
-_TUPLE_FIELDS = {name for name, h in _FIELD_HINTS.items() if get_origin(h) is tuple}
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build a configuration from plain JSON-compatible data."""
     if not isinstance(data, dict):
         raise ConfigError(f"configuration must be a mapping, got {type(data).__name__}")
-    unknown = sorted(set(data) - _CONFIG_FIELDS)
+    unknown = sorted(map(str, data.keys() - _FIELD_HINTS.keys()))
     if unknown:
         raise ConfigError(f"unknown configuration fields: {', '.join(unknown)}")
-    kwargs = dict(data)
-    for name in _TUPLE_FIELDS & set(kwargs):
-        value = kwargs[name]
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{name} must be a list")
-        kwargs[name] = tuple(value)
-    return ExperimentConfig(**kwargs)
+    return ExperimentConfig(**data)
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
     """JSON-compatible mirror of :func:`config_from_dict`."""
-    out = dataclasses.asdict(config)
-    for name in _TUPLE_FIELDS:
-        out[name] = list(out[name])
-    return out
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in dataclasses.asdict(config).items()}
 
 
 def _sha256(path) -> "str | None":
@@ -320,27 +318,32 @@ def _sha256(path) -> "str | None":
 
 def _driver_args(kind: str, args: dict) -> dict:
     """A sweep kind's driver arguments from a call or a manifest, as the
-    manifest records them: a key the kind does not declare is refused, a
-    ``*_grid`` is a non-empty list, each value is checked like a
-    configuration field of its type, and an ``int`` is >= 1."""
+    manifest records them: a key the kind does not declare is refused, and
+    each declared argument must be present, is stored by :func:`_typed` as
+    ``sweep_args.<name>``, and is a non-empty grid or an ``int`` >= 1."""
     declared = SWEEP_KINDS[kind].args
     unknown = sorted(set(args) - set(declared))
     if unknown:
         raise ConfigError(f"sweep_args.{unknown[0]} is not an argument of {kind}")
     typed = {}
     for name, hint in declared.items():
-        value = args.get(name)
-        grid, listed = name.endswith("_grid"), isinstance(value, (list, tuple))
-        values = value if listed else [value]
-        number = _FIELD_KINDS[hint][0]
-        if grid != listed or not values or any(
-            isinstance(v, bool) or not isinstance(v, number) for v in values
-        ):
-            raise ConfigError(f"sweep_args.{name} is missing or malformed: {value!r}")
-        if not grid and hint is int and value < 1:
+        if args.get(name) is None:
+            raise ConfigError(f"sweep_args.{name} is missing")
+        value = typed[name] = _typed(f"sweep_args.{name}", hint, args[name])
+        if value == ():
+            raise ConfigError(f"sweep_args.{name} must not be empty")
+        if hint is int and value < 1:
             raise ConfigError(f"sweep_args.{name} must be >= 1, got {value}")
-        typed[name] = [hint(v) for v in values] if grid else hint(value)
     return typed
+
+
+def _read_text(path) -> str:
+    """The text of the file at ``path``; one that cannot be read or
+    decoded is refused."""
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
 
 
 def read_run_file(path: "str | Path") -> "tuple[dict, str | None, dict]":
@@ -352,9 +355,7 @@ def read_run_file(path: "str | Path") -> "tuple[dict, str | None, dict]":
     sha256 it recorded has changed since.
     """
     try:
-        data = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from None
+        data = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from None
     if not isinstance(data, dict):
@@ -469,7 +470,7 @@ class Problem:
 
 def parse_observable_file(path: str, n_qubits: int, count: int) -> "tuple[PauliSum, ...]":
     """Blank-line-separated Pauli sums, one block per observable."""
-    text = Path(path).read_text()
+    text = _read_text(path)
     blocks = [b for b in re.split(r"\n\s*\n", text) if b.strip()]
     if len(blocks) != count:
         raise ConfigError(
@@ -495,15 +496,14 @@ def resolve_hamiltonian(config: ExperimentConfig) -> PauliSum:
             config.tfim_qubits, config.tfim_coupling, config.tfim_field
         )
     else:
-        hamiltonian = parse_pauli_sum(Path(config.hamiltonian_file).read_text())
+        hamiltonian = parse_pauli_sum(_read_text(config.hamiltonian_file))
     if not 0.0 < hamiltonian.weight_l1 < math.inf:
         raise ConfigError(
             "Hamiltonian coefficient 1-norm must be finite and nonzero, "
             f"got {hamiltonian.weight_l1}"
         )
     n_qubits = hamiltonian.n_qubits
-    if n_qubits > 63:
-        raise ConfigError(f"{n_qubits} qubits do not fit an int64 basis index (at most 63)")
+    _check_width(n_qubits)
     for bits in config.reference_bitstrings:
         if len(bits) != n_qubits or set(bits) - {"0", "1"}:
             raise ConfigError(
@@ -1010,11 +1010,8 @@ def _run_plan(plan: _SweepPlan, workers: int) -> "tuple[list, tuple[tuple[float,
         # imported here: a serial sweep loads no process pool machinery
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_worker,
-            initargs=(plan,),
-        ) as pool:
+        size = min(workers, len(tasks))  # a pool starts all its processes at once
+        with ProcessPoolExecutor(size, initializer=_init_worker, initargs=(plan,)) as pool:
             outputs = list(pool.map(_worker_task, tasks, chunksize=1))
     # Both maps keep the (point, trial) order of ``tasks``.
     rows = [row for _, cell_rows, _ in outputs for row in cell_rows]
@@ -1026,7 +1023,8 @@ def _run_sweep(kind: str, config: ExperimentConfig, **args) -> SweepResult:
     """Run a sweep of any kind in :data:`SWEEP_KINDS` on its driver
     arguments: check them, plan every grid point, run its cells."""
     sweep_args = _driver_args(kind, args)
-    grids = [v for name, v in sweep_args.items() if name.endswith("_grid")]
+    declared = SWEEP_KINDS[kind].args
+    grids = [v for name, v in sweep_args.items() if get_origin(declared[name]) is tuple]
     grid = grids[0] if grids else config.k_grid
     plan = _plan(kind, config, grid, sweep_args.get("horizon", 0))
     rows, exact = _run_plan(plan, config.workers)

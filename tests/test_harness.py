@@ -1,5 +1,6 @@
 """Tests for experiment configuration, sweep drivers, outputs, and the CLI."""
 
+import concurrent.futures
 import csv
 import dataclasses
 import hashlib
@@ -225,6 +226,8 @@ class TestExperimentConfig:
             small_config(output_dir="")
         with pytest.raises(ConfigError, match="particle_number"):
             small_config(particle_number=-1)
+        with pytest.raises(ConfigError, match="^64 qubits do not fit an int64 basis index"):
+            small_config(tfim_qubits=64)
 
     @pytest.mark.parametrize(
         "overrides, message",
@@ -295,6 +298,36 @@ class TestExperimentConfig:
             dt=None, svd_threshold=None, k_over_d=2,
         )
         assert config.trials == 2 and config.k_over_d == 2
+        assert type(config.k_over_d) is int  # kept, so a manifest still writes 2
+
+    def test_numpy_built_configuration_finishes(self, tmp_path):
+        fields = dict(
+            tfim_qubits=np.int64(4), tfim_field=np.float32(0.75), dt=np.float32(1.0),
+            reference_bitstrings=[np.str_("0000"), "1111"], k_grid=(np.int64(20),),
+            trials=np.int64(1), n_eig=np.int64(2), magnitude_floor=np.float64(0.2),
+        )
+        config = ExperimentConfig(**fields)
+        for name, value in dataclasses.asdict(config).items():
+            for v in value if isinstance(value, tuple) else (value,):
+                assert type(v) in (int, float, str, type(None)), name
+        assert config == ExperimentConfig(
+            tfim_qubits=4, tfim_field=0.75, dt=1.0, reference_bitstrings=("0000", "1111"),
+            k_grid=(20,), trials=1, n_eig=2, magnitude_floor=0.2,
+        )
+        written = emit_outputs(run_convergence_sweep(config), tmp_path)
+        assert sorted(p.name for p in written) == [
+            "sweep-k_level_0.svg", "sweep-k_level_1.svg", "sweep-k_manifest.json",
+            "sweep-k_results.csv", "sweep-k_schema.txt", "sweep-k_timing.csv",
+        ]
+        manifest = json.loads((tmp_path / "sweep-k_manifest.json").read_text())
+        assert manifest["config"] == config_to_dict(config)
+
+    def test_an_int_in_a_float_field_is_kept(self, tmp_path):
+        path = write_config_file(tmp_path / "cfg.json", tfim_field=1, trials=1)
+        assert '"tfim_field": 1,' in path.read_text()
+        emit_outputs(run_convergence_sweep(load_config(path)), tmp_path)
+        manifest = (tmp_path / "sweep-k_manifest.json").read_text()
+        assert '"tfim_field": 1,' in manifest
 
     def test_auto_threshold_stays_below_one(self):
         config = small_config(svd_threshold=None, noise_epsilon=0.099)
@@ -333,6 +366,14 @@ class TestConfigSerialization:
         data["shots"] = 100
         with pytest.raises(ConfigError, match="shots"):
             config_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "data, names", [({1: 2}, "1"), ({1: 2, "a": 3}, "1, a"), ({(1,): 2}, "(1,)")]
+    )
+    def test_non_string_keys_rejected(self, data, names):
+        with pytest.raises(ConfigError) as error:
+            config_from_dict(data)
+        assert str(error.value) == f"unknown configuration fields: {names}"
 
     def test_non_mapping_rejected(self):
         with pytest.raises(ConfigError, match="mapping"):
@@ -1315,7 +1356,7 @@ class TestSweepDrivers:
         for h, energies in zip(result.points, result.exact_energies):
             problem = build_problem(small_config(tfim_field=h))
             assert energies == problem.exact_energies[:2]
-        assert result.sweep_args == {"h_grid": [0.9, 1.1]}
+        assert result.sweep_args == {"h_grid": (0.9, 1.1)}
         assert len(result.rows) == 2 * 1 * 2
 
     def test_noise_sweep_guards(self):
@@ -1340,7 +1381,7 @@ class TestSweepDrivers:
         )
         assert noiseless < 1e-10
         assert noisy > 1e-6
-        assert result.sweep_args == {"eps_grid": [0.0, 1e-3]}
+        assert result.sweep_args == {"eps_grid": (0.0, 1e-3)}
 
     def test_forecast_guards(self):
         with pytest.raises(ConfigError, match="kstar_grid"):
@@ -1354,7 +1395,7 @@ class TestSweepDrivers:
         config = small_config(svd_threshold=None, noise_epsilon=0.0)
         result = run_forecast_experiment(config, (24, 36), 5)
         assert isinstance(result, SweepResult)
-        assert result.sweep_args == {"kstar_grid": [24, 36], "horizon": 5}
+        assert result.sweep_args == {"kstar_grid": (24, 36), "horizon": 5}
         agg = result.aggregates()[0]
         assert (agg.point_value, agg.method, agg.n_trials) == (24.0, "modmd", 2)
         first = [r.rmse_mean for r in result.rows if r.point_index == 0][::2]
@@ -1374,15 +1415,29 @@ class TestSweepDrivers:
         result = run_forecast_experiment(
             small_config(trials=1), (np.int64(24),), np.int64(5)
         )
-        assert result.sweep_args == {"kstar_grid": [24], "horizon": 5}
+        assert result.sweep_args == {"kstar_grid": (24,), "horizon": 5}
+        assert type(result.sweep_args["kstar_grid"][0]) is int
         assert type(result.sweep_args["horizon"]) is int
         result = run_gap_sweep(small_config(trials=1), [np.float64(0.9)])
-        assert result.sweep_args == {"h_grid": [0.9]}
-        for h_grid in ((True,), (0.9, "1.1"), 0.9, [], None):
-            with pytest.raises(ConfigError, match="h_grid is missing or malformed"):
+        assert result.sweep_args == {"h_grid": (0.9,)}
+        assert type(result.sweep_args["h_grid"][0]) is float
+        for h_grid, message in [
+            ((True,), "sweep_args.h_grid entry must be a number, got True"),
+            ((0.9, "1.1"), "sweep_args.h_grid entry must be a number, got '1.1'"),
+            ((0.9, math.nan), "sweep_args.h_grid entry must be finite, got nan"),
+            (0.9, "sweep_args.h_grid must be a list"),
+            (np.array([0.9]), "sweep_args.h_grid must be a list"),
+            ([], "sweep_args.h_grid must not be empty"),
+            (None, "sweep_args.h_grid is missing"),
+        ]:
+            with pytest.raises(ConfigError, match=re.escape(message) + "$"):
                 run_gap_sweep(small_config(), h_grid)
-        for horizon in (True, 2.0, (5,)):
-            with pytest.raises(ConfigError, match="horizon is missing or malformed"):
+        for horizon, message in [
+            (True, "sweep_args.horizon must be an integer, got True"),
+            (2.0, "sweep_args.horizon must be an integer, got 2.0"),
+            ((5,), "sweep_args.horizon must be an integer, got (5,)"),
+        ]:
+            with pytest.raises(ConfigError, match=re.escape(message) + "$"):
                 run_forecast_experiment(small_config(), (24,), horizon)
         with pytest.raises(ConfigError, match="horizon must be >= 1, got -1"):
             run_forecast_experiment(small_config(), (24,), -1)
@@ -1566,6 +1621,36 @@ class TestSweepDrivers:
             return rows, gap.exact_energies
 
         assert outputs(2) == outputs(1)
+
+    def test_pool_starts_no_more_workers_than_cells(self, monkeypatch):
+        """A pool starts all of its processes at once, so it is sized to the
+        cells; the recorder runs the cells here and starts none."""
+        sizes = []
+
+        class Recorder:
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                harness._init_worker(None)
+
+            def map(self, fn, tasks, chunksize):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+        config = small_config(k_grid=(16, 20, 24), trials=1)
+        serial = run_convergence_sweep(config)
+        pooled = run_convergence_sweep(dataclasses.replace(config, workers=512))
+        assert sizes == [3]
+
+        def strip(rows):
+            return [dataclasses.replace(r, wall_time_s=0.0) for r in rows]
+
+        assert strip(pooled.rows) == strip(serial.rows)
 
 
 class TestEmitOutputs:
@@ -1798,13 +1883,21 @@ class TestEmitOutputs:
     @pytest.mark.parametrize(
         "sweep, sweep_args, match",
         [
-            ("sweep-gap", {}, "h_grid is missing"),
-            ("sweep-gap", {"h_grid": 0.5}, "h_grid is missing or malformed: 0.5"),
-            ("sweep-noise", {"eps_grid": [1e-3, "x"]}, "eps_grid"),
-            ("sweep-noise", {"eps_grid": [True]}, "eps_grid"),
-            ("forecast", {"kstar_grid": [24]}, "horizon is missing"),
-            ("forecast", {"kstar_grid": [24.5], "horizon": 5}, "kstar_grid"),
-            ("forecast", {"kstar_grid": [24], "horizon": [5]}, "horizon"),
+            ("sweep-gap", {}, "h_grid is missing$"),
+            ("sweep-gap", {"h_grid": 0.5}, "h_grid must be a list$"),
+            ("sweep-noise", {"eps_grid": [1e-3, "x"]}, "eps_grid entry must be a number, got 'x'"),
+            ("sweep-noise", {"eps_grid": [True]}, "eps_grid entry must be a number, got True"),
+            ("forecast", {"kstar_grid": [24]}, "horizon is missing$"),
+            (
+                "forecast",
+                {"kstar_grid": [24.5], "horizon": 5},
+                "kstar_grid entry must be an integer, got 24.5",
+            ),
+            (
+                "forecast",
+                {"kstar_grid": [24], "horizon": [5]},
+                r"horizon must be an integer, got \[5\]",
+            ),
             ("sweep-k", [], "must be mappings"),
             (
                 "forecast",
@@ -1812,6 +1905,7 @@ class TestEmitOutputs:
                 "sweep_args.horizn is not an argument of forecast",
             ),
             ("sweep-k", {"h_grid": [0.5]}, "sweep_args.h_grid is not an argument"),
+            ("sweep-gap", {"h_grid": []}, "sweep_args.h_grid must not be empty$"),
         ],
     )
     def test_malformed_manifest_grids_rejected(
@@ -1859,7 +1953,7 @@ def register_shot_kind(monkeypatch):
     """Register a shot-count sweep in :data:`SWEEP_KINDS` only, for the
     test; returns its name."""
     kind = harness.SweepKind(
-        lambda n: {"shadow_samples": int(n)}, {"n_grid": int}, "shots N",
+        lambda n: {"shadow_samples": int(n)}, {"n_grid": tuple[int, ...]}, "shots N",
         "error versus shot count",
     )
     monkeypatch.setitem(harness.SWEEP_KINDS, "sweep-shots", kind)
@@ -1909,7 +2003,7 @@ FIELD_ALTERNATIVES = {
 def register_field_kind(monkeypatch, changed):
     """Register a kind whose grid value 1 sets ``changed`` and 0 sets
     nothing, for the test; returns its name."""
-    kind = harness.SweepKind(lambda v: changed if v else {}, {"v_grid": int}, "v", "v")
+    kind = harness.SweepKind(lambda v: changed if v else {}, {"v_grid": tuple[int, ...]}, "v", "v")
     monkeypatch.setitem(harness.SWEEP_KINDS, "sweep-field", kind)
     return "sweep-field"
 
@@ -1962,7 +2056,7 @@ class TestSweepKinds:
         point the rows that a one-point sweep at its value gives. The policy
         is deterministic and the signals noiseless, so rows do not depend on
         the point-indexed seeds."""
-        kind = harness.SweepKind(lambda v: {"dt": v}, {"dt_grid": float}, "dt", "dt")
+        kind = harness.SweepKind(lambda v: {"dt": v}, {"dt_grid": tuple[float, ...]}, "dt", "dt")
         monkeypatch.setitem(harness.SWEEP_KINDS, "sweep-dt", kind)
         built = []
 
@@ -2033,7 +2127,7 @@ class TestSweepKinds:
         """The results table is as wide as the largest level count: a point
         with fewer levels leaves the rest of its cells empty and a gap in
         those levels' plots, and its manifest replays byte for byte."""
-        kind = harness.SweepKind(lambda n: {"n_eig": int(n)}, {"n_grid": int}, "n", "n")
+        kind = harness.SweepKind(lambda n: {"n_eig": int(n)}, {"n_grid": tuple[int, ...]}, "n", "n")
         monkeypatch.setitem(harness.SWEEP_KINDS, "sweep-levels", kind)
         result = harness._run_sweep("sweep-levels", small_config(), n_grid=[1, 3])
         written = emit_outputs(result, tmp_path / "a")
@@ -2062,7 +2156,7 @@ class TestSweepKinds:
     ):
         """A point that sets the coupling of a Hamiltonian read from a file
         would run the file's operator at every point; it is refused."""
-        kind = harness.SweepKind(lambda J: {"tfim_coupling": J}, {"j_grid": float}, "J", "J")
+        kind = harness.SweepKind(lambda J: {"tfim_coupling": J}, {"j_grid": tuple[float, ...]}, "J", "J")
         monkeypatch.setitem(harness.SWEEP_KINDS, "sweep-coupling", kind)
 
         def no_cells(plan, workers):
@@ -2201,7 +2295,8 @@ class TestCli:
         )
         argv = ["sweep-gap", "--config", str(path), "--h-grid", "nan"]
         assert main(argv) == EXIT_CONFIG
-        assert capsys.readouterr().err == "error: tfim_field must be finite, got nan\n"
+        err = capsys.readouterr().err
+        assert err == "error: sweep_args.h_grid entry must be finite, got nan\n"
         assert (tmp_path / "out").is_dir()
         assert not (tmp_path / "out" / "run").exists()
 
@@ -2309,7 +2404,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["sweep-gap", "--h-grid", "0.5,nan"], "tfim_field must be finite, got nan"),
+            (["sweep-gap", "--h-grid", "0.5,nan"], "sweep_args.h_grid entry must be finite, got nan"),
             (["sweep-k", "--tfim-field", "inf"], "tfim_field must be finite, got inf"),
             (["solve", "--dt", "inf"], "dt must be finite, got inf"),
             (["sweep-k", "--k-over-d", "inf"], "k_over_d must be finite, got inf"),
@@ -2722,7 +2817,7 @@ class TestCli:
             )
         )
         assert main(["sweep-gap", "--config", str(path)]) == EXIT_CONFIG
-        assert "sweep_args.h_grid is missing or malformed" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: sweep_args.h_grid must be a list\n"
 
     def test_edited_input_file_refused_exit_code(self, tmp_path, monkeypatch, capsys):
         hfile = tmp_path / "h.txt"
@@ -2908,8 +3003,59 @@ _REFUSED = {
 }
 
 
+# Inputs refused before any cell runs, as flags: {bad} names a file that
+# holds the byte 0xff, {gap} a sweep-gap manifest whose h_grid holds nan.
+# Each row's message is the start of the one error line.
+_UNREADABLE = {
+    "hamiltonian-file": ("--hamiltonian-file {bad} --reference 000", "cannot read {bad}: "),
+    "observable-file": (
+        "--tfim-qubits 2 --reference 00 --observable-policy explicit "
+        "--n-observables 1 --observable-file {bad}",
+        "cannot read {bad}: ",
+    ),
+    "config-file": ("--config {bad}", "cannot read {bad}: "),
+    "tfim-qubits": (
+        "--tfim-qubits 64 --reference 0",
+        "64 qubits do not fit an int64 basis index (at most 63)",
+    ),
+    "h-grid": ("--config {gap}", "sweep_args.h_grid entry must be finite, got nan"),
+}
+
+
 class TestRefusalParity:
     """Every entry point resolves a configuration through the same checks."""
+
+    @pytest.mark.parametrize("row", sorted(_UNREADABLE))
+    def test_unreadable_input_exits_2_at_every_entry_point(self, row, tmp_path, capsys):
+        flags, message = _UNREADABLE[row]
+        bad, gap, out = tmp_path / "bad.txt", tmp_path / "gap.json", tmp_path / "out"
+        bad.write_bytes(b"\xff\n")
+        gap.write_text(json.dumps({
+            "sweep": "sweep-gap",
+            "config": config_to_dict(small_config()),
+            "sweep_args": {"h_grid": [math.nan]},
+        }))
+        flags = flags.format(bad=bad, gap=gap).split() + [
+            "--k-grid", "8", "--trials", "1", "--output-dir", str(out),
+        ]
+        message = message.format(bad=bad)
+        # a replay of the flags as a manifest; a --config file is replayed
+        args = build_parser().parse_args(["sweep-k"] + flags)
+        replay = ["sweep-gap", "--config", str(args.config)]
+        if not args.config:
+            config = {
+                name: getattr(args, name)
+                for name in harness._FIELD_HINTS
+                if getattr(args, name) is not None
+            }
+            manifest = tmp_path / "m.json"
+            manifest.write_text(json.dumps({"sweep": "sweep-k", "config": config}))
+            replay = ["sweep-k", "--config", str(manifest)]
+        for argv in (["validate-config"] + flags, ["solve"] + flags, ["sweep-k"] + flags, replay):
+            assert main(argv) == EXIT_CONFIG, argv[0]
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+            assert not out.exists()
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("row", sorted(_REFUSED))
