@@ -18,8 +18,10 @@ from .harness import (
     _FIELD_HINTS,
     SWEEP_KINDS,
     ExperimentConfig,
+    _check_window,
     _run_sweep,
     config_from_dict,
+    depth_for_window,
     emit_outputs,
     read_run_file,
     resolve_inputs,
@@ -171,6 +173,8 @@ def _handle_solve(args) -> int:
 def _handle_validate(args) -> int:
     config, _ = _config_from_args(args)
     shifted, *_, dt = resolve_inputs(config)
+    for K in config.k_grid:
+        _check_window(config, depth_for_window(K, config.k_over_d), K)
     print("configuration valid")
     print(f"  qubits: {shifted.n_qubits}  terms: {shifted.num_terms}")
     print(f"  dt: {dt!r}  svd threshold: {threshold_for(config)!r}")

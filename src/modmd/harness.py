@@ -44,7 +44,14 @@ from .simulate import (
     build_reference_superposition,
     diagonalize,
 )
-from .solver import _fit_window, extract_eigen, forecast, residual, select_time_step
+from .solver import (
+    _fit_bytes,
+    _fit_window,
+    extract_eigen,
+    forecast,
+    residual,
+    select_time_step,
+)
 
 OBSERVABLE_POLICIES = (
     "identity-only",
@@ -234,6 +241,8 @@ class ExperimentConfig:
             raise ConfigError(f"shadow_samples must be >= 1, got {self.shadow_samples}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.n_eig < 1:
             raise ConfigError(f"n_eig must be >= 1, got {self.n_eig}")
         if not 0.0 <= self.magnitude_floor < 1.0:
@@ -409,6 +418,18 @@ def split_fit_window(k_star: int, k_over_d: float) -> "tuple[int, int]":
     if k_star - d < 1:
         raise ConfigError(f"fit window {k_star} is too short to split")
     return d, k_star - d
+
+
+def _check_window(config: ExperimentConfig, d: int, K: int) -> None:
+    """Refuse a fit window of ``d`` shifts and ``K`` snapshots whose fit
+    over ``n_observables`` needs more than physical memory
+    (:func:`solver._fit_bytes`)."""
+    need, have = _fit_bytes(d * config.n_observables, K), pauli._physical_memory_bytes()
+    if need > have:
+        raise ResourceCapError(
+            f"a fit window of K={K}, d={d} over {config.n_observables} observables "
+            f"needs {need / 1e9:.1f} GB, more than the {have / 1e9:.1f} GB of physical memory"
+        )
 
 
 def threshold_for(config: ExperimentConfig) -> float:
@@ -899,10 +920,11 @@ class _SweepPlan:
 
 def _plan(kind: str, config: ExperimentConfig, points, horizon: int = 0) -> _SweepPlan:
     """A sweep's plan, each grid point's configuration set per
-    :data:`SWEEP_KINDS` and checked by :func:`resolve_inputs` before any
-    cell runs; a TFIM parameter set on a file source is refused. A forecast
-    splits each k* at its point's ``k_over_d``; each eigenvalue-sweep point
-    must hold a single K, which it pairs with its depth at its ``k_over_d``."""
+    :data:`SWEEP_KINDS` and checked by :func:`resolve_inputs`, and its fit
+    window by :func:`_check_window`, before any cell runs; a TFIM parameter
+    set on a file source is refused. A forecast splits each k* at its
+    point's ``k_over_d``; each eigenvalue-sweep point must hold a single K,
+    which it pairs with its depth at its ``k_over_d``."""
     points = tuple(float(p) for p in points)
     sets = [SWEEP_KINDS[kind].point(p) for p in points]
     configs = tuple(dataclasses.replace(config, **fields) for fields in sets)
@@ -916,6 +938,8 @@ def _plan(kind: str, config: ExperimentConfig, points, horizon: int = 0) -> _Swe
     else:
         windows = tuple((depth_for_window(c.k_grid[0], c.k_over_d), c.k_grid[0]) for c in configs)
     inputs = [(resolve_inputs(c), c.particle_number, c.reference_bitstrings) for c in configs]
+    for (d, K), c in zip(windows, configs):
+        _check_window(c, d, K)
     problems = tuple(inputs.index(key) for key in inputs)
     return _SweepPlan(kind, points, configs, windows, problems, horizon)
 
@@ -925,14 +949,26 @@ def _longest_signal(plan: _SweepPlan) -> int:
     return max(K + d for d, K in plan.windows) + plan.horizon
 
 
-def _evaluate_cell(plan: _SweepPlan, problem: Problem, point_index: int, trial: int):
-    """Both methods' rows of one (point, trial) cell.
+def _problems(plan: _SweepPlan) -> "dict[int, Problem]":
+    """Each distinct problem of the plan, keyed by its entry in
+    ``plan.problems`` and built once, with the signals of the longest
+    window."""
+    k_max = _longest_signal(plan)
+    firsts = sorted(set(plan.problems))
+    return {first: build_problem(plan.configs[first], k_max) for first in firsts}
+
+
+def _cell(plan: _SweepPlan, problems: "dict[int, Problem]", task: "tuple[int, int]"):
+    """Both methods' rows of one ``(point_index, trial)`` cell, on its
+    point's problem in ``problems`` (:func:`_problems`).
 
     Each method measures its observables over the fit window from the
     problem's exact signals (:func:`measure_signal`), takes the real part
     of their held-out tail (a forecast's; empty otherwise), builds the
     Hankel pair, fits and scores the fit.
     """
+    point_index, trial = task
+    problem = problems[plan.problems[point_index]]
     config, value = plan.configs[point_index], plan.points[point_index]
     d, K = plan.windows[point_index]
     score = _forecast_row if plan.kind == "forecast" else _eigen_row
@@ -963,60 +999,42 @@ def _evaluate_cell(plan: _SweepPlan, problem: Problem, point_index: int, trial: 
     return rows
 
 
-# Worker-process state: the plan is installed once per worker, and the
-# latest problem, keyed by its index in the plan's ``problems``, is kept.
-# Tasks arrive in (point, trial) order, so a worker builds a problem once
-# per run of points sharing it and holds one (energies, signals) at a time.
-_WORKER_PLAN: "_SweepPlan | None" = None
-_WORKER_PROBLEM: "tuple[int, Problem] | None" = None
+# A pool worker's ``(plan, problems)``, set by its initializer; no other
+# process sets it.
+_POOL_SWEEP: "tuple[_SweepPlan, dict[int, Problem]] | None" = None
 
 
-def _init_worker(plan: "_SweepPlan | None") -> None:
-    global _WORKER_PLAN, _WORKER_PROBLEM
-    _WORKER_PLAN = plan
-    _WORKER_PROBLEM = None
+def _init_worker(plan: _SweepPlan, problems: "dict[int, Problem]") -> None:
+    global _POOL_SWEEP
+    _POOL_SWEEP = (plan, problems)
 
 
-def _worker_problem(point_index: int) -> Problem:
-    global _WORKER_PROBLEM
-    first = _WORKER_PLAN.problems[point_index]
-    if _WORKER_PROBLEM is None or _WORKER_PROBLEM[0] != first:
-        _WORKER_PROBLEM = None  # release the previous problem before the next
-        problem = build_problem(_WORKER_PLAN.configs[first], _longest_signal(_WORKER_PLAN))
-        _WORKER_PROBLEM = (first, problem)
-    return _WORKER_PROBLEM[1]
-
-
-def _worker_task(task: "tuple[int, int]"):
-    """One cell's rows, plus its point's ``n_eig`` reference energies."""
-    point_index, trial = task
-    problem = _worker_problem(point_index)
-    rows = _evaluate_cell(_WORKER_PLAN, problem, point_index, trial)
-    return task, rows, problem.exact_energies[: _WORKER_PLAN.configs[point_index].n_eig]
+def _pool_cell(task: "tuple[int, int]"):
+    return _cell(*_POOL_SWEEP, task)
 
 
 def _run_plan(plan: _SweepPlan, workers: int) -> "tuple[list, tuple[tuple[float, ...], ...]]":
     """Rows of all cells, each point's ``trials`` of them, in (point,
     trial) order on ``workers`` processes (1 runs them here), and each
-    point's reference energies from the problem its cells ran on."""
+    point's reference energies. Every problem is built here before the
+    first cell, and a pool's workers receive them."""
+    problems = _problems(plan)
     tasks = [(pi, trial) for pi, c in enumerate(plan.configs) for trial in range(c.trials)]
     if workers == 1:
-        _init_worker(plan)
-        try:
-            outputs = [_worker_task(task) for task in tasks]
-        finally:
-            _init_worker(None)  # release the sweep's problem and its signals
+        outputs = [_cell(plan, problems, task) for task in tasks]
     else:
         # imported here: a serial sweep loads no process pool machinery
         from concurrent.futures import ProcessPoolExecutor
 
         size = min(workers, len(tasks))  # a pool starts all its processes at once
-        with ProcessPoolExecutor(size, initializer=_init_worker, initargs=(plan,)) as pool:
-            outputs = list(pool.map(_worker_task, tasks, chunksize=1))
+        with ProcessPoolExecutor(size, initializer=_init_worker, initargs=(plan, problems)) as pool:
+            outputs = list(pool.map(_pool_cell, tasks, chunksize=1))
     # Both maps keep the (point, trial) order of ``tasks``.
-    rows = [row for _, cell_rows, _ in outputs for row in cell_rows]
-    exact = {pi: energies for (pi, _), _, energies in outputs}
-    return rows, tuple(exact[pi] for pi in range(len(plan.points)))
+    rows = [row for cell_rows in outputs for row in cell_rows]
+    exact = (
+        problems[first].exact_energies[: c.n_eig] for first, c in zip(plan.problems, plan.configs)
+    )
+    return rows, tuple(exact)
 
 
 def _run_sweep(kind: str, config: ExperimentConfig, **args) -> SweepResult:
@@ -1063,7 +1081,7 @@ def run_single_solve(config: ExperimentConfig) -> "tuple[SweepRow, SweepRow]":
     """One-shot evaluation at the first configured K (trial 0)."""
     plan = _plan("sweep-k", config, config.k_grid[:1])
     plan = dataclasses.replace(plan, kind="solve")  # names solve in a shortfall
-    rows = _evaluate_cell(plan, build_problem(config, _longest_signal(plan)), 0, 0)
+    rows = _cell(plan, _problems(plan), (0, 0))
     return rows[0], rows[1]
 
 

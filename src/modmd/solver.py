@@ -35,10 +35,11 @@ CONDITION_FLAG = 1e8
 # lower.
 GRAM_MIN_THRESHOLD = 1e-4
 
-# Rows of the model ``A x`` that :func:`residual` forms at a time: a block
-# is a small fraction of the snapshots at a sweep's sizes, and large enough
-# for one matrix product per block.
-RESIDUAL_BLOCK_ROWS = 64
+# Rows of the model ``A x`` that :func:`residual`, and of a complex Gram
+# that :func:`_gram`, forms at a time: a block is a small fraction of the
+# snapshots at a sweep's sizes, and large enough for one matrix product per
+# block.
+BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True, slots=True)
@@ -177,6 +178,18 @@ def _fit_window(
     return pair, fit
 
 
+def _fit_bytes(rows: int, K: int) -> int:
+    """Estimated bytes of :func:`_fit_window` on a real window of ``rows``
+    snapshot rows (``d`` shifts of every observable) and ``K + 1`` columns,
+    in 8-byte reals: the snapshot stack, ``rows x (K + 2)``, plus the Gram
+    of side ``n = min(rows, K + 1)``, the ``eigh``'s copy of it, its
+    eigenvectors and its ``2n^2 + 6n`` workspace. The lift's factors,
+    ``rows x rank`` each, are not counted: a sweep's fit keeps a few levels
+    above the noise, not a rank near ``n``."""
+    n = min(rows, K + 1)
+    return 8 * (rows * (K + 2) + 5 * n * n + 6 * n)
+
+
 def _check_threshold(threshold: float) -> None:
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
@@ -184,11 +197,23 @@ def _check_threshold(threshold: float) -> None:
 
 def _gram(matrix: np.ndarray) -> np.ndarray:
     """The smaller Gram matrix: ``x^H x`` for a tall ``x``, ``x x^H`` for
-    a wide one. Entries that overflow are left for :func:`_gram_basis`."""
+    a wide one. Entries that overflow are left for :func:`_gram_basis`.
+
+    A real ``x`` takes one product. A complex one is formed
+    ``BLOCK_ROWS`` Gram rows at a time, each from the conjugate of one
+    block of ``x``'s columns (tall) or rows (wide), so that no conjugate
+    copy of the whole of ``x`` is made."""
     tall = matrix.shape[0] >= matrix.shape[1]
-    adjoint = matrix.conj().T
+    side = matrix.T if tall else matrix  # its rows index the Gram's
     with np.errstate(over="ignore", invalid="ignore"):
-        return adjoint @ matrix if tall else matrix @ adjoint
+        if not np.iscomplexobj(matrix):
+            return side @ side.T
+        gram = np.empty((len(side), len(side)), matrix.dtype)
+        for start in range(0, len(side), BLOCK_ROWS):
+            rows = slice(start, start + BLOCK_ROWS)
+            np.matmul(side[rows].conj(), side.T, out=gram[rows])
+    # conj(side) side^T is x^H x for a tall x and conj(x x^H) for a wide one
+    return gram if tall else np.conjugate(gram, out=gram)
 
 
 def _gram_basis(
@@ -358,7 +383,7 @@ def residual(fit: PropagatorFit, pair: HankelPair) -> float:
     as ``(xp V_r) V_r^H = B S_r V_r^H``; unlike ``|xp|^2 - |xp V_r|^2``,
     the direct difference does not cancel when the residual is small.
 
-    The model is formed and subtracted ``RESIDUAL_BLOCK_ROWS`` rows at a
+    The model is formed and subtracted ``BLOCK_ROWS`` rows at a
     time, one block alive at once, so no array of the snapshots' size is
     allocated."""
     pinv = fit.pinv
@@ -367,8 +392,8 @@ def residual(fit: PropagatorFit, pair: HankelPair) -> float:
         raise DegenerateInputError("all-zero shifted matrix has no residual")
     singular = pinv.singular_values[: pinv.rank]
     total = 0.0
-    for start in range(0, len(fit.b_matrix), RESIDUAL_BLOCK_ROWS):
-        rows = slice(start, start + RESIDUAL_BLOCK_ROWS)
+    for start in range(0, len(fit.b_matrix), BLOCK_ROWS):
+        rows = slice(start, start + BLOCK_ROWS)
         fitted = (fit.b_matrix[rows] * singular) @ pinv.right
         fitted -= pair.xp[rows]  # the norm of A x - xp equals that of xp - A x
         total += _sum_of_squares(fitted)

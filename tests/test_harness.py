@@ -11,6 +11,7 @@ import pickle
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -226,6 +227,8 @@ class TestExperimentConfig:
             small_config(output_dir="")
         with pytest.raises(ConfigError, match="particle_number"):
             small_config(particle_number=-1)
+        with pytest.raises(ConfigError, match="^master_seed must be >= 0, got -1$"):
+            small_config(master_seed=-1)
         with pytest.raises(ConfigError, match="^64 qubits do not fit an int64 basis index"):
             small_config(tfim_qubits=64)
 
@@ -1494,25 +1497,70 @@ class TestSweepDrivers:
         shared = build_problem(small_config()).exact_energies[:2]
         assert result.exact_energies == (shared, shared)
 
-    def test_serial_sweeps_release_worker_state(self):
-        run_convergence_sweep(small_config(trials=1))
-        assert harness._WORKER_PLAN is None and harness._WORKER_PROBLEM is None
-        run_gap_sweep(small_config(trials=1), (0.9, 1.0, 1.1))
-        assert harness._WORKER_PLAN is None and harness._WORKER_PROBLEM is None
+    def test_serial_sweeps_leave_no_module_state(self):
+        """A serial sweep passes its plan and problems from call to call:
+        no module attribute of ``harness`` changes, and none holds a plan
+        or a problem. Only a pool worker's initializer sets state."""
 
-    def test_serial_gap_sweep_holds_one_problem_at_a_time(self, monkeypatch):
-        built, held = [], []
+        def holds_sweep(value):
+            if isinstance(value, (harness._SweepPlan, harness.Problem)):
+                return True
+            if isinstance(value, dict):
+                value = list(value.values())
+            return isinstance(value, (tuple, list)) and any(map(holds_sweep, value))
+
+        before = {name: id(value) for name, value in vars(harness).items()}
+        run_convergence_sweep(small_config(trials=1))
+        run_gap_sweep(small_config(trials=1), (0.9, 1.0, 1.1))
+        run_single_solve(small_config())
+        assert {name: id(value) for name, value in vars(harness).items()} == before
+        assert not any(map(holds_sweep, vars(harness).values()))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_gap_sweep_builds_each_problem_once_here(self, workers, tmp_path, monkeypatch):
+        """Each field's problem is built once, in the calling process and
+        before the first cell; a pool worker builds none. A worker's call
+        would append its own process id to the file."""
+        log = tmp_path / "built"
 
         def recording_build_problem(*args, **kwargs):
-            held.append(harness._WORKER_PROBLEM)
-            problem = build_problem(*args, **kwargs)
-            built.append(problem)
-            return problem
+            with log.open("a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return build_problem(*args, **kwargs)
 
         monkeypatch.setattr(harness, "build_problem", recording_build_problem)
-        run_gap_sweep(small_config(trials=3), (0.9, 1.0, 1.1))
-        assert len(built) == 3  # once per field, not once per cell
-        assert held == [None, None, None]  # the previous field's problem is released
+        run_gap_sweep(small_config(trials=3, workers=workers), (0.9, 1.0, 1.1))
+        assert log.read_text().split() == [str(os.getpid())] * 3
+
+    def test_serial_sweeps_run_from_two_threads(self):
+        """Two different serial sweeps, run at once from two threads, each
+        give the rows they give alone."""
+        sweeps = (
+            lambda: run_convergence_sweep(small_config(k_grid=(16, 24), trials=2)),
+            lambda: run_gap_sweep(small_config(trials=2), (0.9, 1.0, 1.1)),
+        )
+
+        def strip(result):
+            return [dataclasses.replace(r, wall_time_s=0.0) for r in result.rows]
+
+        alone = [strip(sweep()) for sweep in sweeps]
+        start, together, errors = threading.Barrier(len(sweeps)), [[], []], []
+
+        def run(index):
+            start.wait()
+            try:
+                for _ in range(3):
+                    together[index].append(strip(sweeps[index]()))
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(sweeps))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        assert together == [[rows] * 3 for rows in alone]
 
     def test_sweep_problem_carries_the_longest_signals(self, monkeypatch):
         lengths = []
@@ -1636,12 +1684,13 @@ class TestSweepDrivers:
                 return self
 
             def __exit__(self, *exc):
-                harness._init_worker(None)
+                pass
 
             def map(self, fn, tasks, chunksize):
                 return map(fn, tasks)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(harness, "_POOL_SWEEP", None)  # the initializer sets it here
         config = small_config(k_grid=(16, 20, 24), trials=1)
         serial = run_convergence_sweep(config)
         pooled = run_convergence_sweep(dataclasses.replace(config, workers=512))
@@ -2034,15 +2083,13 @@ def assert_same_problem(a, b):
 
 class TestSweepKinds:
     def test_every_point_is_resolved_before_the_first_cell(self, monkeypatch):
-        """A point that shares the first point's cached problem still meets
+        """A point that shares the first point's problem still meets
         the shot-block cap before any cell runs."""
         kind = register_shot_kind(monkeypatch)
         monkeypatch.setattr(pauli, "_physical_memory_bytes", lambda: 10**7)
         cells = []
-        evaluate = harness._evaluate_cell
-        monkeypatch.setattr(
-            harness, "_evaluate_cell", lambda *a: cells.append(a[2:]) or evaluate(*a)
-        )
+        cell = harness._cell
+        monkeypatch.setattr(harness, "_cell", lambda *a: cells.append(a[2]) or cell(*a))
         config = small_config(trials=1, signal_source="shadow", shadow_samples=10)
         with pytest.raises(ResourceCapError, match="5000 shots of 2 observables"):
             harness._run_sweep(kind, config, n_grid=[10, 5000])
@@ -2985,6 +3032,11 @@ _REFUSED = {
         "100000 shots of 6 observables need 0.8 GB per step block, more than "
         "the 0.1 GB of physical memory",
     ),
+    "master-seed": (
+        "--tfim-qubits 2 --reference 00 --master-seed -1",
+        EXIT_CONFIG,
+        "master_seed must be >= 0, got -1",
+    ),
     "tfim-zero": (
         "--tfim-qubits 4 --reference 0000 --tfim-coupling 0 --tfim-field 0",
         EXIT_CONFIG,
@@ -3089,6 +3141,49 @@ class TestRefusalParity:
             assert main(argv) == code, argv[0]
             assert capsys.readouterr().err == f"error: {message}\n"
             assert not out.exists()
+
+    def test_a_fit_window_beyond_memory_exits_3(self, monkeypatch, capsys):
+        """On a 10-qubit chain probed by 6 observables and 7.8 GB of
+        physical memory, K = 20000 (d = 8000) is refused: its stack alone
+        is 7.7 GB and its Gram 3.2 GB. K = 500 passes."""
+        monkeypatch.setattr(pauli, "_physical_memory_bytes", lambda: int(7.8e9))
+        references = ["0" * 10, "1" * 10, "1" + "0" * 9, "0" * 5 + "1" * 5]
+        argv = ["validate-config", "--tfim-qubits", "10", "--n-observables", "6"]
+        argv += [arg for bits in references for arg in ("--reference", bits)]
+        assert main(argv + ["--k-grid", "500"]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("configuration valid\n")
+        assert main(argv + ["--k-grid", "500,20000"]) == EXIT_RESOURCE
+        assert capsys.readouterr().err == (
+            "error: a fit window of K=20000, d=8000 over 6 observables needs 23.7 GB, "
+            "more than the 7.8 GB of physical memory\n"
+        )
+
+    @pytest.mark.parametrize(
+        "kind, k_grid, args",
+        [
+            ("sweep-k", (16, 20000), {}),
+            ("forecast", (16,), {"kstar_grid": (24, 30000), "horizon": 5}),
+            ("solve", (20000, 16), None),
+        ],
+        ids=["sweep-k", "forecast", "solve"],
+    )
+    def test_every_fit_window_is_checked_before_any_cell(
+        self, kind, k_grid, args, monkeypatch
+    ):
+        """A sweep checks each point's window, a forecast's k* split too,
+        and ``solve`` its first K, before any problem is built."""
+
+        def no_problem(*args, **kwargs):
+            raise AssertionError("a problem was built")
+
+        monkeypatch.setattr(harness, "build_problem", no_problem)
+        monkeypatch.setattr(pauli, "_physical_memory_bytes", lambda: int(7.8e9))
+        config = small_config(k_grid=k_grid, n_observables=6)
+        with pytest.raises(ResourceCapError, match="^a fit window of K=20000, d=10000 "):
+            if args is None:
+                run_single_solve(config)
+            else:
+                harness._run_sweep(kind, config, **args)
 
     def test_validate_config_never_diagonalizes(self, tmp_path, monkeypatch, capsys):
         def no_eigensolve(*args, **kwargs):

@@ -36,11 +36,12 @@ from modmd import (
 )
 from modmd.harness import depth_for_window
 from modmd.solver import (
+    BLOCK_ROWS,
     CONDITION_FLAG,
     GRAM_MIN_THRESHOLD,
-    RESIDUAL_BLOCK_ROWS,
     PropagatorFit,
     TruncatedPinv,
+    _fit_bytes,
     _fit_window,
     _gram,
     _gram_basis,
@@ -377,6 +378,33 @@ class TestGramPinv:
         with pytest.raises(DegenerateInputError):
             truncated_pinv(np.zeros((4, 3)), 1e-2)
 
+    @pytest.mark.parametrize("shape", [(1200, 503), (200, 1203)], ids=["tall", "wide"])
+    def test_complex_gram_holds_one_block_beside_it(self, shape, traced_peak):
+        """A complex window's Gram is formed in row blocks: besides the Gram,
+        one conjugated block of ``BLOCK_ROWS`` rows of ``x^T`` (tall) or
+        ``x`` (wide) is alive, with numpy's iteration buffer, which
+        conjugating a strided block takes, and a few kB of Python objects.
+        No conjugate copy of ``x``, 9.6 MB for the tall window, is formed."""
+        rng = np.random.default_rng(21)
+        stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        x = stack[:, :-2]  # a strided window, as build_hankel's x is
+        tall = x.shape[0] >= x.shape[1]
+        oracle = x.conj().T @ x if tall else x @ x.conj().T
+        gram, peak = traced_peak(_gram, x)
+        block = BLOCK_ROWS * max(x.shape) * x.itemsize
+        assert peak <= gram.nbytes + block + np.getbufsize() * x.itemsize + 2**12
+        assert peak < gram.nbytes + x.nbytes
+        error = np.linalg.norm(gram - oracle) / np.linalg.norm(oracle)
+        assert error <= 1e-12
+
+    def test_real_gram_is_one_product(self):
+        """A real window keeps the single product, bit for bit."""
+        rng = np.random.default_rng(22)
+        for shape in ((90, 32), (30, 92)):
+            x = rng.standard_normal(shape)[:, :-2]
+            expected = x.T @ x if x.shape[0] >= x.shape[1] else x @ x.T
+            np.testing.assert_array_equal(_gram(x), expected)
+
     def test_cutoff_is_smallest_accurate_decade(self):
         """Sets GRAM_MIN_THRESHOLD: on dense 14-decade spectra every retained
         singular value from the Gram agrees with the SVD's to sqrt(eps) at the
@@ -471,6 +499,22 @@ class TestFitWindow:
         laps = []
         _fit_window(signal, d, K, threshold, laps.append)
         assert laps == stages
+
+    @pytest.mark.parametrize("n_obs, K", [(6, 100), (2, 400)])
+    def test_memory_estimate_covers_the_peak(self, n_obs, K, traced_peak):
+        """``_fit_bytes`` is at least the fit's traced peak on a sweep-like
+        window: a real signal of a few levels under 1e-3 noise, at the
+        default ``k_over_d`` and threshold."""
+        rng = np.random.default_rng(K)
+        d = depth_for_window(K, 2.5)
+        signal = mode_signal(
+            [-2.0, -1.2, 0.3, 1.1], rng.standard_normal((n_obs, 4)), 1.0, K + d + 1
+        )
+        values = signal.values.real + 1e-3 * rng.standard_normal(signal.values.shape)
+        real = MultiObservableSignal(n_obs, 1.0, values)
+        (_, fit), peak = traced_peak(_fit_window, real, d, K, 1e-2)
+        assert fit.rank < 20
+        assert _fit_bytes(d * n_obs, K) >= peak
 
     def test_invalid_arguments_rejected(self):
         signal, d, K = noisy_mode_window(6, True, False)
@@ -1082,7 +1126,7 @@ class TestResidual:
         assert not pair.xp.flags.c_contiguous
         fit = fitted(pair, 1e-2)
         assert fit.rank <= 10  # so the rank-sized factors stay small
-        block = RESIDUAL_BLOCK_ROWS * pair.x.shape[1] * pair.x.itemsize
+        block = BLOCK_ROWS * pair.x.shape[1] * pair.x.itemsize
         assert 3 * block < pair.x.nbytes
         _, peak = traced_peak(residual, fit, pair)
         assert peak < 1.2 * block
