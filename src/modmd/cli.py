@@ -19,6 +19,7 @@ from .harness import (
     SWEEP_KINDS,
     ExperimentConfig,
     _check_window,
+    _environment_notes,
     _run_sweep,
     config_from_dict,
     depth_for_window,
@@ -107,8 +108,14 @@ def _svd_threshold(text: str) -> "float | None":
 
 def _config_from_args(args: argparse.Namespace) -> "tuple[ExperimentConfig, dict]":
     """Configuration from ``--config`` overridden by flags, plus the
-    driver arguments of a manifest given as ``--config``."""
-    base, _, sweep_args = read_run_file(args.config) if args.config else ({}, None, {})
+    driver arguments of a manifest given as ``--config``, whose recorded
+    environment fields that differ from this process's are noted on
+    stderr."""
+    base, sweep_args, versions = {}, {}, {}
+    if args.config:
+        base, _, sweep_args, versions = read_run_file(args.config)
+    for note in _environment_notes(versions):
+        print(f"note: {note}", file=sys.stderr)
     for name in _FIELD_HINTS:
         value = getattr(args, name)
         if value is None:

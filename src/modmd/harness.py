@@ -46,8 +46,8 @@ from .simulate import (
 )
 from .solver import (
     _fit_bytes,
+    _fit_energies,
     _fit_window,
-    extract_eigen,
     forecast,
     residual,
     select_time_step,
@@ -355,13 +355,14 @@ def _read_text(path) -> str:
         raise ConfigError(f"cannot read {path}: {exc}") from None
 
 
-def read_run_file(path: "str | Path") -> "tuple[dict, str | None, dict]":
+def read_run_file(path: "str | Path") -> "tuple[dict, str | None, dict, dict]":
     """Read a JSON configuration file or run manifest.
 
     Returns the configuration mapping, the sweep kind (``None`` for a plain
-    configuration) and the manifest's driver arguments typed per
-    :data:`SWEEP_KINDS`. A manifest is refused when an input file whose
-    sha256 it recorded has changed since.
+    configuration), the manifest's driver arguments typed per
+    :data:`SWEEP_KINDS` and its recorded ``versions`` (empty for a plain
+    configuration). A manifest is refused when an input file whose sha256
+    it recorded has changed since.
     """
     try:
         data = json.loads(_read_text(path))
@@ -370,12 +371,14 @@ def read_run_file(path: "str | Path") -> "tuple[dict, str | None, dict]":
     if not isinstance(data, dict):
         raise ConfigError(f"{path} is not a run manifest or a configuration mapping")
     if "config" not in data or "sweep" not in data:
-        return data, None, {}
+        return data, None, {}, {}
     config, sweep = data["config"], data["sweep"]
     args = data.get("sweep_args", {})
-    recorded = data.get("input_sha256", {})
-    if not all(isinstance(part, dict) for part in (config, args, recorded)):
-        raise ConfigError(f"{path}: config, sweep_args, input_sha256 must be mappings")
+    recorded, versions = data.get("input_sha256", {}), data.get("versions", {})
+    if not all(isinstance(part, dict) for part in (config, args, recorded, versions)):
+        raise ConfigError(
+            f"{path}: config, sweep_args, input_sha256, versions must be mappings"
+        )
     if not isinstance(sweep, str) or sweep not in SWEEP_KINDS:
         raise ConfigError(f"unknown sweep kind {sweep!r} in manifest")
     for name in _INPUT_FILE_FIELDS:
@@ -384,7 +387,7 @@ def read_run_file(path: "str | Path") -> "tuple[dict, str | None, dict]":
                 f"{name} {config.get(name)!r} does not match the sha256 recorded "
                 f"in {path}; refusing to replay"
             )
-    return config, sweep, _driver_args(sweep, args)
+    return config, sweep, _driver_args(sweep, args), versions
 
 
 def load_config(path: "str | Path") -> ExperimentConfig:
@@ -729,6 +732,8 @@ class SweepRow:
     abs_errors: "tuple[float, ...]"
     residual: float
     retained_rank: int
+    survivors: int
+    cutoff_gap: "float | None"
     wall_time_s: float
     # Seconds per *_timing.csv stage column; left out of row equality.
     stage_s: dict = field(compare=False)
@@ -747,6 +752,8 @@ class AggregateRow:
     std_errors: "tuple[float, ...]"
     mean_residual: float
     mean_rank: float
+    mean_survivors: float
+    mean_cutoff_gap: "float | None"
 
 
 def _groups(points, rows):
@@ -789,6 +796,7 @@ class ForecastAggregate(NamedTuple):
 def _eigen_aggregate(pi, point, method, group) -> AggregateRow:
     energies = np.array([g.energies for g in group])
     errors = np.array([g.abs_errors for g in group])
+    gaps = [g.cutoff_gap for g in group if g.cutoff_gap is not None]
     return AggregateRow(
         point_index=pi,
         point_value=point,
@@ -799,6 +807,8 @@ def _eigen_aggregate(pi, point, method, group) -> AggregateRow:
         std_errors=tuple(map(float, errors.std(axis=0))),
         mean_residual=float(np.mean([g.residual for g in group])),
         mean_rank=float(np.mean([g.retained_rank for g in group])),
+        mean_survivors=float(np.mean([g.survivors for g in group])),
+        mean_cutoff_gap=float(np.mean(gaps)) if gaps else None,
     )
 
 
@@ -852,23 +862,19 @@ class _Laps:
 
 
 def _eigen_row(head, config, problem, fit, pair, held_out, laps) -> SweepRow:
-    """Score a fit by its eigenvalues' distance from the exact levels.
+    """Score a fit by its eigenvalues' distance from the exact levels,
+    read from the eigenvalues alone (:func:`solver._fit_energies`).
 
     Both scorers take the row's ``(point_index, value, trial, method)``,
     the cell's configuration and problem, the fit and its Hankel pair, the
     held-out samples (none outside a forecast) and the method's laps.
     """
-    estimate = extract_eigen(
-        fit,
-        problem.dt,
-        config.n_eig,
-        magnitude_floor=config.magnitude_floor,
-        merge_conjugates=True,
-    )
+    energies, survivors = _fit_energies(fit, problem.dt, config.n_eig, config.magnitude_floor)
     laps.lap("eig_s")
     fit_residual = residual(fit, pair)
     laps.lap("residual_s")
-    physical = estimate.energies / problem.scale
+    physical = energies / problem.scale
+    sigma, rank = fit.pinv.singular_values, fit.rank
     errors = np.abs(physical - np.asarray(problem.exact_energies[: config.n_eig]))
     point_index, value, trial, method = head
     return SweepRow(
@@ -879,7 +885,9 @@ def _eigen_row(head, config, problem, fit, pair, held_out, laps) -> SweepRow:
         energies=tuple(float(v) for v in physical),
         abs_errors=tuple(float(v) for v in errors),
         residual=fit_residual,
-        retained_rank=fit.rank,
+        retained_rank=rank,
+        survivors=survivors,
+        cutoff_gap=float(sigma[rank] / sigma[rank - 1]) if rank < len(sigma) else None,
         wall_time_s=laps.total(),
         stage_s=laps.seconds,
     )
@@ -1086,6 +1094,9 @@ def run_single_solve(config: ExperimentConfig) -> "tuple[SweepRow, SweepRow]":
 
 
 def _format_value(value) -> str:
+    """A results cell: a float by ``repr``, None as an empty cell."""
+    if value is None:
+        return ""
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -1216,6 +1227,43 @@ replay guarantee.
 """
 
 
+# Environment variables that set the BLAS thread count, which moves
+# results in their last bits.
+_THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _environment() -> dict:
+    """The manifest's ``versions``: the interpreter, numpy and package
+    versions, the BLAS numpy was built against (null where its build
+    record lacks an entry), the BLAS thread variables (null when unset)
+    and the CPU count."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (KeyError, TypeError):  # a numpy without the build record
+        blas = {}
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "modmd": __version__,
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+        **{name: os.environ.get(name) for name in _THREAD_VARIABLES},
+        "cpu_count": os.cpu_count(),
+    }
+
+
+def _environment_notes(recorded: dict) -> "list[str]":
+    """One line per field of a manifest's ``versions`` that differs from
+    this process's (:func:`_environment`)."""
+    current = _environment()
+    return [
+        f"{name} is {json.dumps(current.get(name))} here, "
+        f"{json.dumps(value)} in the recorded run"
+        for name, value in sorted(recorded.items())
+        if current.get(name) != value
+    ]
+
+
 def _manifest_payload(result) -> dict:
     payload = {
         "sweep": result.sweep,
@@ -1223,11 +1271,7 @@ def _manifest_payload(result) -> dict:
         "config": config_to_dict(result.config),
         "points": list(result.points),
         "exact_energies": [list(e) for e in result.exact_energies],
-        "versions": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "modmd": __version__,
-        },
+        "versions": _environment(),
     }
     for name in _INPUT_FILE_FIELDS:
         if getattr(result.config, name) is not None:
@@ -1256,12 +1300,12 @@ def _sweep_layout(result: SweepResult):
         ["kind", "point_index", "point_value", "trial", "method", "n_trials"]
         + [f"energy_{i}" for i in range(n)]
         + [f"abs_error_{i}" for i in range(n)]
-        + ["residual", "retained_rank"]
+        + ["residual", "retained_rank", "survivors", "cutoff_gap"]
     )
     rows = [
         ["trial", r.point_index, r.point_value, r.trial, r.method, ""]
         + _padded(r.energies, n) + _padded(r.abs_errors, n)
-        + [r.residual, r.retained_rank]
+        + [r.residual, r.retained_rank, r.survivors, r.cutoff_gap]
         for r in result.rows
     ]
     aggs = result.aggregates()
@@ -1270,13 +1314,13 @@ def _sweep_layout(result: SweepResult):
             ["mean", agg.point_index, agg.point_value, "", agg.method, agg.n_trials]
             + _padded(agg.mean_energies, n)
             + _padded(agg.mean_errors, n)
-            + [agg.mean_residual, agg.mean_rank]
+            + [agg.mean_residual, agg.mean_rank, agg.mean_survivors, agg.mean_cutoff_gap]
         )
         rows.append(
             ["std", agg.point_index, agg.point_value, "", agg.method, agg.n_trials]
             + [""] * n
             + _padded(agg.std_errors, n)
-            + ["", ""]
+            + [""] * 4
         )
     columns = (
         "  kind          trial | mean | std (aggregates across trials)\n"
@@ -1289,6 +1333,12 @@ def _sweep_layout(result: SweepResult):
         f"  abs_error_i   |estimate - exact|, exact from dense diagonalization\n"
         "  residual      relative least-squares fit residual\n"
         "  retained_rank singular values kept by the threshold\n"
+        "  survivors     eigenvalues left after the magnitude floor and the\n"
+        "                conjugate merge, of which the lowest n_eig are reported\n"
+        "  cutoff_gap    sigma_(r+1) / sigma_r at the cutoff, r = retained_rank;\n"
+        "                empty when the fit keeps every singular value\n"
+        "  (mean rows average residual to cutoff_gap over the trials, cutoff_gap\n"
+        "  over those that have one; std rows leave these four columns empty)\n"
     )
     plots = [
         (
@@ -1389,7 +1439,7 @@ def emit_outputs(result, directory: "str | Path") -> "list[Path]":
 
 def replay_manifest(path: "str | Path"):
     """Re-run the sweep recorded in a manifest file."""
-    config, sweep, sweep_args = read_run_file(path)
+    config, sweep, sweep_args, _ = read_run_file(path)
     if sweep is None:
         raise ConfigError(f"{path} is not a run manifest")
     return _run_sweep(sweep, config_from_dict(config), **sweep_args)

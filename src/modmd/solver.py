@@ -341,13 +341,7 @@ def extract_eigen(
     if merge_conjugates and np.iscomplexobj(matrix):
         raise ValueError("merging conjugate pairs needs a real operator")
     w, vr = np.linalg.eig(matrix)
-    keep = np.flatnonzero(np.abs(w) >= magnitude_floor)
-    if merge_conjugates:
-        keep = keep[w[keep].imag >= 0]
-    keep = keep[np.argsort(-np.angle(w[keep]), kind="stable")]
-    if len(keep) < n_eig:
-        raise EigenvalueShortfallError(n_eig, w[keep], -np.angle(w[keep]) / dt)
-    keep = keep[:n_eig]
+    keep = _survivors(w, dt, n_eig, magnitude_floor, merge_conjugates)[:n_eig]
     try:
         left_rows, singular = np.linalg.inv(vr)[keep], False
     except np.linalg.LinAlgError:
@@ -376,6 +370,39 @@ def extract_eigen(
         eigenvector_condition=float(condition),
         ill_conditioned=bool(condition > CONDITION_FLAG),
     )
+
+
+def _survivors(
+    w: np.ndarray, dt: float, n_eig: int, magnitude_floor: float, merge_conjugates: bool
+) -> np.ndarray:
+    """Indices into the spectrum ``w`` of every eigenvalue that survives
+    :func:`extract_eigen`'s rules, by descending phase: the magnitude
+    floor and, with ``merge_conjugates``, the nonnegative member of each
+    conjugate pair. Raises :class:`EigenvalueShortfallError` (carrying the
+    survivors) when fewer than ``n_eig`` remain."""
+    keep = np.flatnonzero(np.abs(w) >= magnitude_floor)
+    if merge_conjugates:
+        keep = keep[w[keep].imag >= 0]
+    keep = keep[np.argsort(-np.angle(w[keep]), kind="stable")]
+    if len(keep) < n_eig:
+        raise EigenvalueShortfallError(n_eig, w[keep], -np.angle(w[keep]) / dt)
+    return keep
+
+
+def _fit_energies(
+    fit: PropagatorFit, dt: float, n_eig: int, magnitude_floor: float
+) -> "tuple[np.ndarray, int]":
+    """The ``n_eig`` energies ``extract_eigen(fit, dt, n_eig,
+    magnitude_floor, merge_conjugates=True)`` reports, and how many
+    eigenvalues survived its rules, from the eigenvalues of the real
+    reduced operator alone: no eigenvectors, inverse or lift. LAPACK's
+    eigenvalue-only Schur iteration may move the energies in their last
+    bits; :func:`extract_eigen` is the oracle."""
+    if np.iscomplexobj(fit.reduced):
+        raise ValueError("merging conjugate pairs needs a real operator")
+    w = np.linalg.eigvals(fit.reduced)
+    keep = _survivors(w, dt, n_eig, magnitude_floor, merge_conjugates=True)
+    return -np.angle(w[keep[:n_eig]]) / dt, len(keep)
 
 
 def residual(fit: PropagatorFit, pair: HankelPair) -> float:

@@ -1702,6 +1702,244 @@ class TestSweepDrivers:
         assert strip(pooled.rows) == strip(serial.rows)
 
 
+# The three signal sources of the scorer tests, as configuration fields.
+_SCORER_SOURCES = {
+    "gaussian": dict(svd_threshold=1e-2, noise_epsilon=1e-3),
+    "noiseless": dict(svd_threshold=1e-6, noise_epsilon=0.0),
+    "shadow": dict(signal_source="shadow", shadow_samples=50, noise_epsilon=0.0),
+}
+
+# Per kind, its driver arguments and the fields its base configuration sets.
+_SCORER_KINDS = {
+    "sweep-k": ({}, dict(k_grid=(16, 24))),
+    "sweep-gap": ({"h_grid": (0.6, 1.4)}, {}),
+    "sweep-noise": ({"eps_grid": (0.0, 1e-4)}, {}),
+}
+
+
+def scorer_config(n_qubits, source, **overrides):
+    """An ``n_qubits`` chain for the eigenvalue scorer's tests."""
+    fields = dict(
+        tfim_qubits=n_qubits,
+        reference_bitstrings=("0" * n_qubits, "1" + "0" * (n_qubits - 1)),
+        n_observables=3,
+        k_grid=(24,),
+        k_over_d=2.0,
+        trials=2,
+        master_seed=11,
+        n_eig=2,
+    )
+    fields.update(_SCORER_SOURCES[source], **overrides)
+    return ExperimentConfig(**fields)
+
+
+def record_eigen_rows(monkeypatch) -> list:
+    """``(config, problem, fit, row)`` of every eigen row the serial sweeps
+    score from here on, in order."""
+    calls, score = [], harness._eigen_row
+
+    def recorded(head, config, problem, fit, pair, held_out, laps):
+        row = score(head, config, problem, fit, pair, held_out, laps)
+        calls.append((config, problem, fit, row))
+        return row
+
+    monkeypatch.setattr(harness, "_eigen_row", recorded)
+    return calls
+
+
+def survivor_count(fit, config, dt) -> int:
+    """How many eigenvalues ``extract_eigen`` keeps on ``fit``, read off the
+    shortfall it raises when asked for more than the fit's rank."""
+    with pytest.raises(EigenvalueShortfallError) as info:
+        extract_eigen(fit, dt, fit.rank + 1, config.magnitude_floor, merge_conjugates=True)
+    return len(info.value.survivors)
+
+
+def cutoff_gap(fit) -> "float | None":
+    sigma, rank = fit.pinv.singular_values, fit.rank
+    return sigma[rank] / sigma[rank - 1] if rank < len(sigma) else None
+
+
+class TestEigenvalueScorer:
+    """Sweep rows read their energies from the eigenvalues alone
+    (``solver._fit_energies``); ``extract_eigen``, which also solves for the
+    eigenvectors, is the oracle."""
+
+    @pytest.mark.parametrize("source", sorted(_SCORER_SOURCES))
+    @pytest.mark.parametrize("kind, n_qubits", [("sweep-k", 4), ("sweep-gap", 5), ("sweep-noise", 6)])
+    def test_rows_match_the_vector_path(self, kind, n_qubits, source, monkeypatch):
+        args, fields = _SCORER_KINDS[kind]
+        if source == "noiseless" and kind == "sweep-noise":
+            args = {"eps_grid": (0.0,)}
+        calls = record_eigen_rows(monkeypatch)
+        result = harness._run_sweep(kind, scorer_config(n_qubits, source, **fields), **args)
+        assert [row for *_, row in calls] == list(result.rows)
+        assert len(calls) == 2 * 2 * len(result.points)
+        for config, problem, fit, row in calls:
+            oracle = extract_eigen(
+                fit, problem.dt, config.n_eig, config.magnitude_floor, merge_conjugates=True
+            )
+            np.testing.assert_allclose(row.energies, oracle.energies / problem.scale, rtol=1e-12, atol=0)
+            assert row.survivors == survivor_count(fit, config, problem.dt)
+            assert row.cutoff_gap == cutoff_gap(fit)
+
+    @pytest.mark.parametrize("verb", ["sweep-k", "solve"])
+    def test_a_shortfall_carries_what_extract_eigen_reports(self, verb, monkeypatch):
+        """Asked for more levels than the first fit keeps, the first cell
+        fails as the vector path fails on that fit, named as before."""
+        fits, fit_window = [], harness._fit_window
+
+        def recorded(signal, d, K, threshold, lap):
+            pair, fit = fit_window(signal, d, K, threshold, lap)
+            fits.append((signal.dt, fit))
+            return pair, fit
+
+        monkeypatch.setattr(harness, "_fit_window", recorded)
+        config = scorer_config(4, "noiseless", k_grid=(16,), n_eig=12)
+        with pytest.raises(EigenvalueShortfallError) as info:
+            if verb == "solve":
+                run_single_solve(config)
+            else:
+                run_convergence_sweep(config)
+        (dt, fit), = fits
+        with pytest.raises(EigenvalueShortfallError) as oracle:
+            extract_eigen(fit, dt, 12, config.magnitude_floor, merge_conjugates=True)
+        got, want = info.value, oracle.value
+        assert got.requested == want.requested == 12
+        assert len(got.survivors) == len(want.survivors) < 12
+        np.testing.assert_allclose(got.survivors, want.survivors, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got.energies, want.energies, rtol=1e-12, atol=0)
+        assert got.context == f"{verb} point 16.0, trial 0, modmd"
+
+    def test_sweeps_solve_no_eigenvectors(self, tmp_path, monkeypatch):
+        """``sweep-k`` and ``solve`` run with ``numpy.linalg.eig`` and
+        ``numpy.linalg.inv`` unavailable."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sweep solved for eigenvectors")
+
+        monkeypatch.setattr(np.linalg, "eig", refuse)
+        monkeypatch.setattr(np.linalg, "inv", refuse)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config_to_dict(scorer_config(4, "gaussian", k_grid=(16, 24)))))
+        out = ["--output-dir", str(tmp_path / "out")]
+        assert main(["sweep-k", "--config", str(path)] + out) == EXIT_OK
+        assert main(["solve", "--config", str(path)]) == EXIT_OK
+        with pytest.raises(AssertionError, match="eigenvectors"):
+            extract_eigen(np.eye(2), 1.0, 1)
+
+    def test_health_columns(self, tmp_path, monkeypatch):
+        """``survivors`` and ``cutoff_gap`` on trial rows equal the values
+        recomputed on each cell's fit, mean rows hold their means (a full-rank
+        point's gap stays empty), std rows stay empty, and a replay
+        reproduces the table byte for byte."""
+        calls = record_eigen_rows(monkeypatch)
+        # eps 0 leaves modmd's 60 x 41 window at most rank 32 (16 levels,
+        # two real modes each); eps 1e-3 at the 1e-6 cutoff keeps every column
+        config = scorer_config(4, "noiseless", k_grid=(40,), trials=3, output_dir=str(tmp_path / "a"))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config_to_dict(config)))
+        assert main(["sweep-noise", "--config", str(path), "--eps-grid", "0,1e-3"]) == EXIT_OK
+        with (tmp_path / "a" / "sweep-noise_results.csv").open() as fh:
+            table = list(csv.DictReader(fh))
+        trials = [r for r in table if r["kind"] == "trial"]
+        assert len(trials) == len(calls) == 12
+        for written, (config, problem, fit, row) in zip(trials, calls):
+            assert int(written["survivors"]) == survivor_count(fit, config, problem.dt)
+            gap = cutoff_gap(fit)
+            assert written["cutoff_gap"] == ("" if gap is None else repr(float(gap)))
+        assert all(r["cutoff_gap"] for r in trials if r["point_index"] == "0" and r["method"] == "modmd")
+        assert not any(r["cutoff_gap"] for r in trials if r["point_index"] == "1")
+        for mean in (r for r in table if r["kind"] == "mean"):
+            group = [
+                r for r in trials
+                if (r["point_index"], r["method"]) == (mean["point_index"], mean["method"])
+            ]
+            assert float(mean["survivors"]) == np.mean([int(r["survivors"]) for r in group])
+            present = [float(r["cutoff_gap"]) for r in group if r["cutoff_gap"]]
+            assert mean["cutoff_gap"] == (repr(float(np.mean(present))) if present else "")
+        for std in (r for r in table if r["kind"] == "std"):
+            assert std["survivors"] == std["cutoff_gap"] == ""
+        schema = (tmp_path / "a" / "sweep-noise_schema.txt").read_text()
+        assert "  survivors " in schema and "  cutoff_gap " in schema
+        monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / "b"))
+        manifest = tmp_path / "a" / "sweep-noise_manifest.json"
+        assert main(["sweep-noise", "--config", str(manifest)]) == EXIT_OK
+        for name in ("results.csv", "schema.txt", "manifest.json"):
+            replayed = (tmp_path / "b" / f"sweep-noise_{name}").read_bytes()
+            assert replayed == (tmp_path / "a" / f"sweep-noise_{name}").read_bytes()
+
+
+
+_ENVIRONMENT_RUN = """
+import sys
+from modmd.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+class TestRunEnvironment:
+    """A manifest records the BLAS and its thread variables, and a replay
+    notes every recorded field that differs from its own process."""
+
+    def run(self, tmp_path, threads, *argv):
+        src = Path(modmd.__file__).resolve().parents[1]
+        env = {k: v for k, v in os.environ.items() if k != OUTPUT_DIR_ENV}
+        env.update(PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=str(threads))
+        proc = subprocess.run(
+            [sys.executable, "-c", _ENVIRONMENT_RUN, *argv],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        return proc.stderr
+
+    def test_thread_count_is_recorded_and_noted(self, tmp_path):
+        path = write_config_file(tmp_path / "cfg.json", tfim_qubits=4,
+                                 reference_bitstrings=("0000", "1000"), output_dir="out")
+        manifests = {}
+        for threads in (1, 2):
+            assert self.run(tmp_path, threads, "sweep-k", "--config", str(path)) == ""
+            manifest = tmp_path / "out" / "sweep-k_manifest.json"
+            manifests[threads] = tmp_path / f"manifest{threads}.json"
+            manifests[threads].write_bytes(manifest.read_bytes())
+        one, two = (json.loads(manifests[t].read_text()) for t in (1, 2))
+        assert one["versions"].pop("OPENBLAS_NUM_THREADS") == "1"
+        assert two["versions"].pop("OPENBLAS_NUM_THREADS") == "2"
+        assert one == two
+        noted = self.run(tmp_path, 2, "sweep-k", "--config", str(manifests[1]),
+                         "--output-dir", "other")
+        assert noted.splitlines() == [
+            'note: OPENBLAS_NUM_THREADS is "2" here, "1" in the recorded run'
+        ]
+        # the second run's outputs, replayed in its own environment
+        first = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+        assert self.run(tmp_path, 2, "sweep-k", "--config", str(manifests[2])) == ""
+        for path in (tmp_path / "out").iterdir():
+            if not path.name.endswith("_timing.csv"):
+                assert path.read_bytes() == first[path.name], path.name
+
+    def test_a_note_keeps_the_exit_code(self, small_sweep, tmp_path, capsys):
+        emit_outputs(small_sweep, tmp_path / "a")
+        manifest = tmp_path / "a" / "sweep-k_manifest.json"
+        data = json.loads(manifest.read_text())
+        data["versions"].update(numpy="0.0", blas="recorded-blas")
+        data["versions"].pop("cpu_count")  # an older manifest's missing field
+        manifest.write_text(json.dumps(data))
+        blas = harness._environment()["blas"]
+        notes = [
+            f'note: blas is {json.dumps(blas)} here, "recorded-blas" in the recorded run',
+            f'note: numpy is "{np.__version__}" here, "0.0" in the recorded run',
+        ]
+        out = ["--output-dir", str(tmp_path / "b")]
+        assert main(["sweep-k", "--config", str(manifest)] + out) == EXIT_OK
+        assert capsys.readouterr().err.splitlines() == notes
+        assert main(["sweep-k", "--config", str(manifest), "--n-eig", "99"] + out) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines()[:2] == notes
+        plain = write_config_file(tmp_path / "cfg.json")
+        assert main(["validate-config", "--config", str(plain)]) == EXIT_OK
+        assert "note:" not in capsys.readouterr().err
+
+
 class TestEmitOutputs:
     def test_sweep_file_inventory(self, small_sweep, tmp_path):
         written = emit_outputs(small_sweep, tmp_path / "out")
@@ -1734,6 +1972,8 @@ class TestEmitOutputs:
             "abs_error_1",
             "residual",
             "retained_rank",
+            "survivors",
+            "cutoff_gap",
         ]
         kinds = [r[0] for r in rows[1:]]
         assert kinds.count("trial") == len(small_sweep.rows)
@@ -1786,7 +2026,18 @@ class TestEmitOutputs:
         }
         assert data["sweep"] == "sweep-k"
         assert config_from_dict(data["config"]) == small_sweep.config
-        assert set(data["versions"]) == {"python", "numpy", "modmd"}
+        assert set(data["versions"]) == {
+            "python",
+            "numpy",
+            "modmd",
+            "blas",
+            "blas_version",
+            "OMP_NUM_THREADS",
+            "OPENBLAS_NUM_THREADS",
+            "MKL_NUM_THREADS",
+            "cpu_count",
+        }
+        assert data["versions"]["cpu_count"] == os.cpu_count()
 
     def test_schema_documents_results_file(self, small_sweep, tmp_path):
         emit_outputs(small_sweep, tmp_path)
