@@ -21,6 +21,7 @@ from .harness import (
     _check_window,
     _environment_notes,
     _run_sweep,
+    _thread_budget,
     config_from_dict,
     depth_for_window,
     emit_outputs,
@@ -155,6 +156,10 @@ def _handle_sweep(args) -> int:
             except OSError:
                 break
         raise
+    budget, cores, blas_threads = _thread_budget()
+    if config.workers > budget:  # after the cells, so a refused run prints one line
+        note = f"{budget} cells at once: {cores} cores at {blas_threads} BLAS threads each"
+        print(f"note: workers {config.workers} runs {note}", file=sys.stderr)
     try:
         written = emit_outputs(result, directory)
     except OSError as exc:

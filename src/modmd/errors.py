@@ -17,11 +17,6 @@ class PauliParseError(ModmdError, ValueError):
         self.detail = message
         super().__init__(f"line {line_number}: {message}")
 
-    def __reduce__(self):
-        # ``args`` holds the formatted message, which ``__init__`` does not
-        # take; a worker process's error must survive the pickle round trip.
-        return type(self), (self.line_number, self.detail)
-
 
 class ResourceCapError(ModmdError, RuntimeError):
     """A requested computation exceeds a hard size cap (qubits, shots, ...)."""
@@ -60,9 +55,6 @@ class EigenvalueShortfallError(ModmdError, RuntimeError):
         if context:
             message += f" ({context})"
         super().__init__(message)
-
-    def __reduce__(self):
-        return type(self), (self.requested, self.survivors, self.energies, self.context)
 
 
 class ConfigError(ModmdError, ValueError):

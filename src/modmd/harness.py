@@ -22,7 +22,7 @@ import numpy as np
 import numpy.random  # loaded lazily by numpy; keep its import out of timed sweeps
 
 from . import __version__, pauli, shadows
-from .errors import ConfigError, EigenvalueShortfallError, ResourceCapError
+from .errors import ConfigError, EigenvalueShortfallError
 from .pauli import (
     PauliString,
     PauliSum,
@@ -427,12 +427,9 @@ def _check_window(config: ExperimentConfig, d: int, K: int) -> None:
     """Refuse a fit window of ``d`` shifts and ``K`` snapshots whose fit
     over ``n_observables`` needs more than physical memory
     (:func:`solver._fit_bytes`)."""
-    need, have = _fit_bytes(d * config.n_observables, K), pauli._physical_memory_bytes()
-    if need > have:
-        raise ResourceCapError(
-            f"a fit window of K={K}, d={d} over {config.n_observables} observables "
-            f"needs {need / 1e9:.1f} GB, more than the {have / 1e9:.1f} GB of physical memory"
-        )
+    count = config.n_observables
+    what = f"a fit window of K={K}, d={d} over {count} observables needs {{}} GB"
+    pauli._check_memory(_fit_bytes(d * count, K), what)
 
 
 def threshold_for(config: ExperimentConfig) -> float:
@@ -572,15 +569,9 @@ def resolve_inputs(config: ExperimentConfig):
         observables = (identity_observable(n_qubits),)
     if len(observables) < count:
         raise ConfigError(f"{policy} offers {len(observables)} observables, not {count}")
-    if config.shadow_samples is not None:
-        need = shadows._block_bytes(count, config.shadow_samples)
-        have = pauli._physical_memory_bytes()
-        if need > have:
-            raise ResourceCapError(
-                f"{config.shadow_samples} shots of {count} observables need "
-                f"{need / 1e9:.1f} GB per step block, more than the "
-                f"{have / 1e9:.1f} GB of physical memory"
-            )
+    if (shots := config.shadow_samples) is not None:
+        what = f"{shots} shots of {count} observables need {{}} GB per step block"
+        pauli._check_memory(shadows._block_bytes(count, shots), what)
     shifted, scale = shift_and_scale(hamiltonian, config.safety_fraction)
     sector = config.particle_number
     count, where = 2**n_qubits, "the spectrum"
@@ -913,8 +904,8 @@ def _forecast_row(head, config, problem, fit, pair, held_out, laps) -> ForecastR
 
 @dataclass(frozen=True)
 class _SweepPlan:
-    """Picklable description of all cells a sweep will execute: its grid
-    values and, per value, the only configuration its cells read, their
+    """All cells a sweep will execute, read but never written by them: its
+    grid values and, per value, the only configuration its cells read, their
     ``(d, K)`` window and, in ``problems``, the first point whose inputs to
     :func:`build_problem` are equal to its own, whose problem it shares."""
 
@@ -932,7 +923,8 @@ def _plan(kind: str, config: ExperimentConfig, points, horizon: int = 0) -> _Swe
     window by :func:`_check_window`, before any cell runs; a TFIM parameter
     set on a file source is refused. A forecast splits each k* at its
     point's ``k_over_d``; each eigenvalue-sweep point must hold a single K,
-    which it pairs with its depth at its ``k_over_d``."""
+    which it pairs with its depth at its ``k_over_d``. The exact signals of
+    its problems (:func:`_problems`) must fit in physical memory."""
     points = tuple(float(p) for p in points)
     sets = [SWEEP_KINDS[kind].point(p) for p in points]
     configs = tuple(dataclasses.replace(config, **fields) for fields in sets)
@@ -949,7 +941,13 @@ def _plan(kind: str, config: ExperimentConfig, points, horizon: int = 0) -> _Swe
     for (d, K), c in zip(windows, configs):
         _check_window(c, d, K)
     problems = tuple(inputs.index(key) for key in inputs)
-    return _SweepPlan(kind, points, configs, windows, problems, horizon)
+    plan = _SweepPlan(kind, points, configs, windows, problems, horizon)
+    pools = [_probe_pool(obs, h.n_qubits) for (h, _, obs, _), *_ in inputs]
+    probes = sum(len(pools[first]) for first in set(problems))
+    samples = _longest_signal(plan) + 1
+    what = f"exact signals of {samples} samples for {probes} probes need {{}} GB"
+    pauli._check_memory(16 * probes * samples, what)
+    return plan
 
 
 def _longest_signal(plan: _SweepPlan) -> int:
@@ -998,46 +996,31 @@ def _cell(plan: _SweepPlan, problems: "dict[int, Problem]", task: "tuple[int, in
         try:
             rows.append(score(head, config, problem, fit, pair, np.array(tails), laps))
         except EigenvalueShortfallError as exc:
-            raise EigenvalueShortfallError(
-                exc.requested,
-                exc.survivors,
-                exc.energies,
-                context=f"{plan.kind} point {value!r}, trial {trial}, {method}",
-            ) from exc
+            where = f"{plan.kind} point {value!r}, trial {trial}, {method}"
+            raise EigenvalueShortfallError(exc.requested, exc.survivors, exc.energies, where) from exc
     return rows
-
-
-# A pool worker's ``(plan, problems)``, set by its initializer; no other
-# process sets it.
-_POOL_SWEEP: "tuple[_SweepPlan, dict[int, Problem]] | None" = None
-
-
-def _init_worker(plan: _SweepPlan, problems: "dict[int, Problem]") -> None:
-    global _POOL_SWEEP
-    _POOL_SWEEP = (plan, problems)
-
-
-def _pool_cell(task: "tuple[int, int]"):
-    return _cell(*_POOL_SWEEP, task)
 
 
 def _run_plan(plan: _SweepPlan, workers: int) -> "tuple[list, tuple[tuple[float, ...], ...]]":
     """Rows of all cells, each point's ``trials`` of them, in (point,
-    trial) order on ``workers`` processes (1 runs them here), and each
-    point's reference energies. Every problem is built here before the
-    first cell, and a pool's workers receive them."""
+    trial) order, and each point's reference energies. Every problem is
+    built here before the first cell; no cell writes a problem or the plan.
+    The cells run on up to ``workers`` threads that :func:`_thread_budget`
+    allows, or in a plain loop. A failed cell, the first in that order,
+    cancels the cells not yet started."""
     problems = _problems(plan)
     tasks = [(pi, trial) for pi, c in enumerate(plan.configs) for trial in range(c.trials)]
-    if workers == 1:
+    size = min(workers, len(tasks), _thread_budget()[0])
+    if size <= 1:
         outputs = [_cell(plan, problems, task) for task in tasks]
     else:
-        # imported here: a serial sweep loads no process pool machinery
-        from concurrent.futures import ProcessPoolExecutor
+        # imported here: a serial sweep loads no pool machinery
+        from concurrent.futures import ThreadPoolExecutor
 
-        size = min(workers, len(tasks))  # a pool starts all its processes at once
-        with ProcessPoolExecutor(size, initializer=_init_worker, initargs=(plan, problems)) as pool:
-            outputs = list(pool.map(_pool_cell, tasks, chunksize=1))
-    # Both maps keep the (point, trial) order of ``tasks``.
+        with ThreadPoolExecutor(size) as pool:
+            # the map's iterator cancels its pending cells when one raises
+            outputs = list(pool.map(functools.partial(_cell, plan, problems), tasks))
+    # Both keep the (point, trial) order of ``tasks``.
     rows = [row for cell_rows in outputs for row in cell_rows]
     exact = (
         problems[first].exact_energies[: c.n_eig] for first, c in zip(plan.problems, plan.configs)
@@ -1230,6 +1213,19 @@ replay guarantee.
 # Environment variables that set the BLAS thread count, which moves
 # results in their last bits.
 _THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _thread_budget() -> "tuple[int, int, int]":
+    """``(budget, cores, blas_threads)``: how many cells a sweep may run at
+    once, ``cores // blas_threads`` and at least 1, so that it runs no more
+    BLAS threads than the cores this process may use. Each BLAS call runs
+    the largest positive count among :data:`_THREAD_VARIABLES`, else one
+    thread per core, OpenBLAS's default."""
+    affinity = getattr(os, "sched_getaffinity", None)  # absent off Linux
+    cores = len(affinity(0)) if affinity else os.cpu_count() or 1
+    values = (os.environ.get(name, "") for name in _THREAD_VARIABLES)
+    blas_threads = max((int(v) for v in values if v.isdecimal() and int(v) > 0), default=cores)
+    return max(1, cores // blas_threads), cores, blas_threads
 
 
 def _environment() -> dict:

@@ -403,12 +403,17 @@ def _check_dense_memory(dimension: int) -> None:
     That over-counts a real sum, whose blocks and eigenvectors are real,
     and a sum with a symmetry, which is solved in blocks of about a half
     or a quarter of the dimension."""
-    need, have = 2 * 16 * dimension**2, _physical_memory_bytes()
+    what = f"a dense matrix and eigenbasis of dimension {dimension} need {{}} GB"
+    _check_memory(2 * 16 * dimension**2, what)
+
+
+def _check_memory(need: int, what: str) -> None:
+    """Refuse ``what``, which names its size in GB as ``{}``, when its
+    ``need`` bytes exceed physical memory."""
+    have = _physical_memory_bytes()
     if need > have:
-        raise ResourceCapError(
-            f"a dense matrix and eigenbasis of dimension {dimension} need "
-            f"{need / 1e9:.1f} GB, more than the {have / 1e9:.1f} GB of physical memory"
-        )
+        size, cap = f"{need / 1e9:.1f}", f"{have / 1e9:.1f}"
+        raise ResourceCapError(f"{what.format(size)}, more than the {cap} GB of physical memory")
 
 
 def _physical_memory_bytes() -> int:

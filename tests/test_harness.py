@@ -7,11 +7,11 @@ import hashlib
 import json
 import math
 import os
-import pickle
 import re
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -137,6 +137,36 @@ def diagonal_hamiltonian_file(tmp_path):
     path = tmp_path / "diag.txt"
     path.write_text("1.0 ZII\n0.5 IZI\n0.25 IIZ\n")
     return path
+
+
+def set_host(monkeypatch, cores, **threads):
+    """A host of ``cores`` cores whose BLAS thread variables are ``threads``
+    (the others unset), as :func:`harness._thread_budget` reads them."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    for name in harness._THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    for name, value in threads.items():
+        monkeypatch.setenv(name, value)
+
+
+@pytest.fixture
+def thread_pools(monkeypatch):
+    """The sizes of the thread pools that sweeps start, on a host of four
+    cores at one BLAS thread, where a sweep may run four cells at once."""
+    sizes = []
+
+    class Recorder(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
+    set_host(monkeypatch, 4, OPENBLAS_NUM_THREADS="1")
+    return sizes
+
+
+def strip_times(rows):
+    return [dataclasses.replace(r, wall_time_s=0.0) for r in rows]
 
 
 @pytest.fixture(scope="module")
@@ -1500,7 +1530,7 @@ class TestSweepDrivers:
     def test_serial_sweeps_leave_no_module_state(self):
         """A serial sweep passes its plan and problems from call to call:
         no module attribute of ``harness`` changes, and none holds a plan
-        or a problem. Only a pool worker's initializer sets state."""
+        or a problem."""
 
         def holds_sweep(value):
             if isinstance(value, (harness._SweepPlan, harness.Problem)):
@@ -1517,20 +1547,19 @@ class TestSweepDrivers:
         assert not any(map(holds_sweep, vars(harness).values()))
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_gap_sweep_builds_each_problem_once_here(self, workers, tmp_path, monkeypatch):
-        """Each field's problem is built once, in the calling process and
-        before the first cell; a pool worker builds none. A worker's call
-        would append its own process id to the file."""
-        log = tmp_path / "built"
+    def test_gap_sweep_builds_each_problem_once_here(self, workers, thread_pools, monkeypatch):
+        """Each field's problem is built once, on the calling thread and
+        before the first cell; a pool thread builds none."""
+        built = []
 
         def recording_build_problem(*args, **kwargs):
-            with log.open("a") as fh:
-                fh.write(f"{os.getpid()}\n")
+            built.append(threading.get_ident())
             return build_problem(*args, **kwargs)
 
         monkeypatch.setattr(harness, "build_problem", recording_build_problem)
         run_gap_sweep(small_config(trials=3, workers=workers), (0.9, 1.0, 1.1))
-        assert log.read_text().split() == [str(os.getpid())] * 3
+        assert built == [threading.get_ident()] * 3
+        assert thread_pools == ([2] if workers == 2 else [])
 
     def test_serial_sweeps_run_from_two_threads(self):
         """Two different serial sweeps, run at once from two threads, each
@@ -1651,55 +1680,86 @@ class TestSweepDrivers:
         run_single_solve(config)
         assert seen == [np.dtype(np.float64)] * 2 * (len(args) + 1)
 
-    def test_parallel_workers_reproduce_serial_rows(self):
+    def test_parallel_workers_reproduce_serial_rows(self, thread_pools):
         serial = run_convergence_sweep(small_config())
         parallel = run_convergence_sweep(small_config(workers=2))
+        assert thread_pools == [2]
+        assert strip_times(parallel.rows) == strip_times(serial.rows)
 
-        def strip(rows):
-            return [dataclasses.replace(r, wall_time_s=0.0) for r in rows]
-
-        assert strip(parallel.rows) == strip(serial.rows)
-
-    def test_parallel_workers_reproduce_serial_gap_and_forecast_rows(self):
+    def test_parallel_workers_reproduce_serial_gap_and_forecast_rows(self, thread_pools):
         def outputs(workers):
             config = small_config(workers=workers)
             gap = run_gap_sweep(config, (0.9, 1.1))
             fc = run_forecast_experiment(config, (20, 30), 7)
-            rows = [dataclasses.replace(r, wall_time_s=0.0) for r in gap.rows + fc.rows]
-            return rows, gap.exact_energies
+            return strip_times(gap.rows + fc.rows), gap.exact_energies
 
         assert outputs(2) == outputs(1)
+        assert thread_pools == [2, 2]
 
-    def test_pool_starts_no_more_workers_than_cells(self, monkeypatch):
-        """A pool starts all of its processes at once, so it is sized to the
-        cells; the recorder runs the cells here and starts none."""
-        sizes = []
+    def test_parallel_workers_reproduce_serial_shadow_rows(self, thread_pools):
+        """The threads share the shadow sampler's module; each cell draws
+        from its own generator."""
+        config = small_config(
+            k_grid=(16, 24), trials=3, signal_source="shadow", shadow_samples=20,
+            svd_threshold=1e-2,
+        )
+        serial = run_convergence_sweep(config)
+        parallel = run_convergence_sweep(dataclasses.replace(config, workers=3))
+        assert thread_pools == [3]
+        assert strip_times(parallel.rows) == strip_times(serial.rows)
 
-        class Recorder:
-            def __init__(self, max_workers, initializer, initargs):
-                sizes.append(max_workers)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                pass
-
-            def map(self, fn, tasks, chunksize):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
-        monkeypatch.setattr(harness, "_POOL_SWEEP", None)  # the initializer sets it here
+    def test_pool_starts_no_more_workers_than_cells(self, thread_pools):
+        """The pool is sized to the cells when the host allows more."""
         config = small_config(k_grid=(16, 20, 24), trials=1)
         serial = run_convergence_sweep(config)
         pooled = run_convergence_sweep(dataclasses.replace(config, workers=512))
-        assert sizes == [3]
+        assert thread_pools == [min(3, harness._thread_budget()[0])] == [3]
+        assert strip_times(pooled.rows) == strip_times(serial.rows)
 
-        def strip(rows):
-            return [dataclasses.replace(r, wall_time_s=0.0) for r in rows]
+    def test_a_failed_cell_cancels_the_cells_not_yet_started(
+        self, thread_pools, monkeypatch, tmp_path, capsys
+    ):
+        """The first cell fails at once while its neighbour sleeps: the
+        sweep raises without starting the other cells."""
+        started = []
 
-        assert strip(pooled.rows) == strip(serial.rows)
+        def cell(plan, problems, task):
+            started.append(task)
+            if task == (0, 0):
+                raise EigenvalueShortfallError(2, np.array([0.5j]), np.array([-1.0]))
+            time.sleep(0.05)
+            return []
+
+        monkeypatch.setattr(harness, "_cell", cell)
+        path = write_config_file(
+            tmp_path / "cfg.json", k_grid=(16, 20, 24), trials=4, workers=2,
+            output_dir=str(tmp_path / "out"),
+        )
+        assert main(["sweep-k", "--config", str(path)]) == EXIT_SHORTFALL
+        assert capsys.readouterr().err.startswith("error: requested 2 eigenvalues")
+        assert thread_pools == [2]
+        assert (0, 0) in started and len(started) < 12
+
+    @pytest.mark.parametrize(
+        "cores, threads, budget, blas_threads",
+        [
+            (4, {}, 1, 4),
+            (4, {"OPENBLAS_NUM_THREADS": "1"}, 4, 1),
+            (4, {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "2"}, 2, 2),
+            (4, {"MKL_NUM_THREADS": "8"}, 1, 8),
+            (1, {"OPENBLAS_NUM_THREADS": "1"}, 1, 1),
+            *((4, {"OMP_NUM_THREADS": bad}, 1, 4) for bad in ("", "0", "abc", "-2", "1.5")),
+            *(
+                (4, {"OMP_NUM_THREADS": bad, "OPENBLAS_NUM_THREADS": "1"}, 4, 1)
+                for bad in ("", "0", "abc")
+            ),
+        ],
+    )
+    def test_thread_budget(self, monkeypatch, cores, threads, budget, blas_threads):
+        """Cores over the largest positive BLAS thread count, one thread
+        per core when none is set, and never below one."""
+        set_host(monkeypatch, cores, **threads)
+        assert harness._thread_budget() == (budget, cores, blas_threads)
 
 
 # The three signal sources of the scorer tests, as configuration fields.
@@ -2544,21 +2604,6 @@ class TestCli:
         assert "survived" in err
         assert "solve point" in err
 
-    @pytest.mark.parametrize(
-        "error",
-        [
-            EigenvalueShortfallError(4, np.array([0.5j]), np.array([-1.0]), "cell 3"),
-            PauliParseError(2, "bad coefficient 'x'"),
-        ],
-        ids=["shortfall", "parse"],
-    )
-    def test_errors_survive_pickle_round_trip(self, error):
-        """A worker process's error reaches the parent intact."""
-        copy = pickle.loads(pickle.dumps(error))
-        assert type(copy) is type(error)
-        assert str(copy) == str(error)
-        assert vars(copy).keys() == vars(error).keys()
-
     def test_shortfall_exit_code_with_workers(self, tmp_path, capsys):
         path = write_config_file(
             tmp_path / "cfg.json", trials=1, output_dir=str(tmp_path / "out")
@@ -2569,6 +2614,40 @@ class TestCli:
         assert err.startswith("error: requested 2 eigenvalues") and err.count("\n") == 1
         assert "sweep-k point 16.0, trial 0, modmd" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "cores, threads, note",
+        [
+            (2, {}, "workers 3 runs 1 cells at once: 2 cores at 2 BLAS threads each"),
+            (2, {"OPENBLAS_NUM_THREADS": "1"}, "workers 3 runs 2 cells at once: 2 cores at 1 BLAS threads each"),
+            (4, {"OPENBLAS_NUM_THREADS": "1"}, None),
+        ],
+    )
+    def test_workers_beyond_the_thread_budget_are_noted(
+        self, cores, threads, note, monkeypatch, tmp_path, capsys
+    ):
+        set_host(monkeypatch, cores, **threads)
+        path = write_config_file(tmp_path / "cfg.json", workers=3, output_dir=str(tmp_path / "out"))
+        assert main(["sweep-k", "--config", str(path)]) == EXIT_OK
+        assert capsys.readouterr().err == (f"note: {note}\n" if note else "")
+
+    def test_a_forecast_horizon_beyond_memory_exits_3(self, monkeypatch, tmp_path, capsys):
+        """Thirteen probes of 200000021 samples need 41.6 GB of signals:
+        refused before any problem is built."""
+        monkeypatch.setattr(pauli, "_physical_memory_bytes", lambda: int(7.8e9))
+        monkeypatch.setattr(harness, "build_problem", None)
+        out = tmp_path / "out"
+        argv = [
+            "forecast", "--tfim-qubits", "4", "--reference", "0000", "--reference", "1111",
+            "--kstar-grid", "20", "--horizon", "200000000", "--trials", "1", "--n-eig", "2",
+            "--output-dir", str(out),
+        ]
+        assert main(argv) == EXIT_RESOURCE
+        assert capsys.readouterr().err == (
+            "error: exact signals of 200000021 samples for 13 probes need 41.6 GB, "
+            "more than the 7.8 GB of physical memory\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_malformed_observable_file_exit_code(self, workers, tmp_path, capsys):
@@ -3555,7 +3634,7 @@ class TestImportGuard:
         assert json.loads(manifest.read_text())["config"]["observable_file"] == str(observables)
         assert report["scipy"] == []
         assert report["added"] == []
-        # every run is at one worker, so no process pool is imported
+        # every run is at one worker, so no pool is imported
         assert report["futures"] == []
         if report["blas"] is not None:
             assert len(report["blas"]) <= 1, report["blas"]
